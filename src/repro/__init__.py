@@ -47,6 +47,7 @@ from .network import (
 from .simulation import (
     ALL_ALGORITHMS,
     DynamicScenario,
+    GridCell,
     RunResult,
     Scenario,
     SweepConfiguration,
@@ -54,17 +55,14 @@ from .simulation import (
     compare_algorithms,
     determine_balancing_time,
     expand_seeds,
-    grid_sweep,
     make_balancer,
-    parallel_dynamic_grid,
-    parallel_grid_sweep,
-    parallel_sweep,
+    merge_sweeps,
     run_algorithm,
-    run_dynamic_grid,
+    run_cells,
     run_dynamic_scenario,
     run_scenario,
-    run_scenario_grid,
     run_sweep,
+    sweep_cells,
 )
 from .dynamic import (
     EVENT_PROFILES,
@@ -151,21 +149,19 @@ __all__ = [
     "DynamicScenario",
     "run_algorithm",
     "run_scenario",
-    "run_scenario_grid",
     "run_dynamic_scenario",
-    "run_dynamic_grid",
     "expand_seeds",
     "compare_algorithms",
     "determine_balancing_time",
     "make_balancer",
-    # sweeps and sharded parallel grids
+    # sweeps and sharded grids
     "SweepConfiguration",
     "SweepResult",
     "run_sweep",
-    "grid_sweep",
-    "parallel_sweep",
-    "parallel_grid_sweep",
-    "parallel_dynamic_grid",
+    "GridCell",
+    "run_cells",
+    "sweep_cells",
+    "merge_sweeps",
     # dynamic workloads
     "EVENT_PROFILES",
     "DynamicEvent",

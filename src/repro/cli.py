@@ -39,19 +39,39 @@ from .tasks.generators import point_load
 __all__ = ["build_parser", "main"]
 
 
-def _add_fault_tolerance_arguments(command: argparse.ArgumentParser) -> None:
-    """The shared self-healing-grid flags (see ``run_cells``)."""
-    command.add_argument("--cell-timeout", type=float, default=None,
-                         metavar="SECONDS",
-                         help="kill and retry any grid cell running longer "
-                              "than this (pooled runs only)")
-    command.add_argument("--max-retries", type=int, default=0, metavar="N",
-                         help="retry a failed/timed-out/crashed cell up to N "
-                              "times with exponential backoff")
-    command.add_argument("--no-strict", dest="strict", action="store_false",
-                         help="degrade gracefully: report permanently failed "
-                              "cells and keep the surviving results instead "
-                              "of aborting the whole grid")
+def _grid_flags() -> argparse.ArgumentParser:
+    """The parent parser of the flags every grid command shares (``run_cells``).
+
+    Built fresh per subcommand: argparse shares a parent's actions with its
+    children, so one subcommand's ``set_defaults`` would leak into the others.
+    """
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--workers", type=int, default=None,
+                       help="process-pool size; the grid is sharded at (cell, "
+                            "seed) granularity and 1 runs it in this process "
+                            "(default: %(default)s; None = one per core)")
+    flags.add_argument("--telemetry", nargs="?", const=1, type=int,
+                       default=None, metavar="N",
+                       help="stream per-round telemetry to stderr (every Nth "
+                            "round; worker events are relayed to the driver)")
+    flags.add_argument("--trace", metavar="OUT.json",
+                       help="record a Chrome trace-event profile of the "
+                            "run(s) — one pid per pool worker, one tid per "
+                            "cell (open in chrome://tracing / Perfetto)")
+    flags.add_argument("--progress", action="store_true",
+                       help="render a live cells-done/ETA line on stderr")
+    flags.add_argument("--cell-timeout", type=float, default=None,
+                       metavar="SECONDS",
+                       help="kill and retry any grid cell running longer "
+                            "than this (pooled runs only)")
+    flags.add_argument("--max-retries", type=int, default=0, metavar="N",
+                       help="retry a failed/timed-out/crashed cell up to N "
+                            "times with exponential backoff")
+    flags.add_argument("--no-strict", dest="strict", action="store_false",
+                       help="degrade gracefully: report permanently failed "
+                            "cells and keep the surviving results instead "
+                            "of aborting the whole grid")
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--csv", help="optional path to append the result row as CSV")
 
     dynamic = subparsers.add_parser(
-        "dynamic", help="run a balancer under a streaming (time-varying) workload")
+        "dynamic", parents=[_grid_flags()],
+        help="run a balancer under a streaming (time-varying) workload")
     dynamic.add_argument("--scenario", default="burst",
                          help="event profile name (see repro.dynamic.EVENT_PROFILES)")
     dynamic.add_argument("--algorithm", default="algorithm2", choices=list(ALL_ALGORITHMS))
@@ -130,10 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     dynamic.add_argument("--seed", type=int, default=7)
     dynamic.add_argument("--seeds", nargs="+", type=int, default=None,
                          help="run a grid of seeds instead of the single --seed "
-                              "(shardable with --workers)")
-    dynamic.add_argument("--workers", type=int, default=None,
-                         help="process-pool size for a --seeds grid "
-                              "(default: one per core)")
+                              "(the grid flags apply to such grids)")
     dynamic.add_argument("--warmup", type=int, default=0,
                          help="trace entries to exclude from time_in_band "
                               "(the initial transient)")
@@ -142,17 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
                                          "store (see the 'report' command)")
     dynamic.add_argument("--store-label", default="dynamic",
                          help="label the stored records carry")
-    dynamic.add_argument("--telemetry", nargs="?", const=1, type=int,
-                         default=None, metavar="N",
-                         help="stream per-round telemetry to stderr (every "
-                              "Nth round; worker events are relayed for "
-                              "--seeds grids)")
-    dynamic.add_argument("--trace", metavar="OUT.json",
-                         help="record a Chrome trace-event profile of the "
-                              "run(s) (open in chrome://tracing / Perfetto)")
-    dynamic.add_argument("--progress", action="store_true",
-                         help="render a live cells-done/ETA line on stderr "
-                              "(--seeds grids)")
     dynamic.add_argument("--checkpoint-every", type=int, default=None,
                          metavar="N",
                          help="snapshot the stream every N rounds so a killed "
@@ -161,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     dynamic.add_argument("--checkpoint-path", metavar="OUT.json",
                          help="where --checkpoint-every writes its snapshot "
                               "(default: <scenario>.checkpoint.json)")
-    _add_fault_tolerance_arguments(dynamic)
 
     resume = subparsers.add_parser(
         "resume", help="resume an interrupted dynamic run from its checkpoint")
@@ -184,7 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "(every Nth round)")
     resume.add_argument("--csv", help="optional path to write the summary row as CSV")
 
-    sweep = subparsers.add_parser("sweep", help="run one configuration over several seeds")
+    sweep = subparsers.add_parser("sweep", parents=[_grid_flags()],
+                                  help="run one configuration over several seeds")
+    sweep.set_defaults(workers=1)
     sweep.add_argument("--algorithm", required=True, choices=list(ALL_ALGORITHMS))
     sweep.add_argument("--topology", default="torus")
     sweep.add_argument("--nodes", type=int, default=64)
@@ -198,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="randomized-draw mode; 'counter' makes sharded and "
                             "serial runs draw bit-identical randomness")
     sweep.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3, 4, 5])
-    sweep.add_argument("--workers", type=int, default=1,
-                       help="shard the per-seed runs over a process pool")
     sweep.add_argument("--legacy-seeding", action="store_true",
                        help="reuse one integer for topology/workload/schedule/"
                             "algorithm randomness (the historical, correlated "
@@ -209,20 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
                                        "this JSONL run store")
     sweep.add_argument("--store-label", default="sweep",
                        help="label the stored records carry")
-    sweep.add_argument("--telemetry", nargs="?", const=1, type=int,
-                       default=None, metavar="N",
-                       help="stream per-round telemetry to stderr (every Nth "
-                            "round; worker events are relayed for --workers "
-                            "runs)")
-    sweep.add_argument("--trace", metavar="OUT.json",
-                       help="record a Chrome trace-event profile of the runs "
-                            "(open in chrome://tracing / Perfetto)")
-    sweep.add_argument("--progress", action="store_true",
-                       help="render a live cells-done/ETA line on stderr")
-    _add_fault_tolerance_arguments(sweep)
 
     grid = subparsers.add_parser(
-        "grid", help="sharded sweep grid: algorithms x topologies x seeds")
+        "grid", parents=[_grid_flags()],
+        help="sharded sweep grid: algorithms x topologies x seeds")
     grid.add_argument("--algorithms", nargs="+", required=True,
                       choices=list(ALL_ALGORITHMS))
     grid.add_argument("--topologies", nargs="+", default=["torus:64"],
@@ -240,22 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="randomized-draw mode; 'counter' makes sharded and "
                            "serial runs draw bit-identical randomness")
     grid.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3, 4, 5])
-    grid.add_argument("--workers", type=int, default=None,
-                      help="process-pool size (default: one per core); the grid "
-                           "is sharded at (cell, seed) granularity")
     grid.add_argument("--legacy-seeding", action="store_true",
                       help="reuse one integer seed per run for every component")
-    grid.add_argument("--telemetry", nargs="?", const=1, type=int,
-                      default=None, metavar="N",
-                      help="stream per-round telemetry to stderr (every Nth "
-                           "round; worker events are relayed to the driver)")
-    grid.add_argument("--trace", metavar="OUT.json",
-                      help="record a Chrome trace-event profile of the grid — "
-                           "one pid per pool worker, one tid per cell (open "
-                           "in chrome://tracing / Perfetto)")
-    grid.add_argument("--progress", action="store_true",
-                      help="render a live cells-done/ETA line on stderr")
-    _add_fault_tolerance_arguments(grid)
 
     audit = subparsers.add_parser(
         "audit", help="run a flow-imitation algorithm and check the paper's invariants each round")
@@ -350,14 +332,29 @@ def _instrument(telemetry: Optional[int], trace: Optional[str],
     return bus, tracer, renderer
 
 
-def _report_failed_cells(outcomes) -> None:
-    """Print the structured failure report of a ``--no-strict`` grid."""
-    from .simulation.parallel import failed_cells
+def _run_grid(args, cells, label: str):
+    """Run a CLI grid through ``run_cells`` with the shared grid flags.
 
+    Prints the failure report of a ``--no-strict`` grid and returns the
+    outcomes, or ``None`` after ``error: every cell failed`` when no cell
+    survived.
+    """
+    from .simulation.parallel import failed_cells, run_cells
+
+    bus, tracer, renderer = _instrument(args.telemetry, args.trace,
+                                        args.progress, len(cells), label)
+    outcomes = run_cells(cells, workers=args.workers, bus=bus,
+                         progress=renderer, cell_timeout=args.cell_timeout,
+                         max_retries=args.max_retries, strict=args.strict)
+    _finish_instrumentation(args.trace, tracer, renderer)
     for failure in failed_cells(outcomes):
         print(f"WARNING: cell {failure.position} ({failure.label}) failed "
               f"permanently after {failure.attempts} attempt(s): "
               f"[{failure.kind}] {failure.error}", file=sys.stderr)
+    if all(outcome.result is None for outcome in outcomes):
+        print("error: every cell failed", file=sys.stderr)
+        return None
+    return outcomes
 
 
 def _finish_instrumentation(trace_path: Optional[str], tracer, renderer) -> None:
@@ -453,12 +450,8 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
         from .core.algorithm1 import theorem3_discrepancy_bound
         from .dynamic.metrics import recovery_report, summarize_dynamic
         from .simulation.reporting import rows_to_csv
-        from .simulation.scenario import (
-            DynamicScenario,
-            expand_seeds,
-            run_dynamic_grid,
-            run_dynamic_scenario,
-        )
+        from .simulation.parallel import GridCell
+        from .simulation.scenario import DynamicScenario, expand_seeds, run_dynamic_scenario
 
         scenario = DynamicScenario(
             name=f"cli-{args.scenario}", algorithm=args.algorithm,
@@ -472,48 +465,32 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
             parser.error("--checkpoint-every applies to single runs; for "
                          "--seeds grids use --max-retries/--no-strict instead")
         if args.seeds:
-            scenarios = expand_seeds(scenario, args.seeds)
-            bus, tracer, renderer = _instrument(
-                args.telemetry, args.trace, args.progress,
-                total_cells=len(scenarios), label="dynamic")
-            results = run_dynamic_grid(scenarios, workers=args.workers,
-                                       bus=bus, progress=renderer,
-                                       cell_timeout=args.cell_timeout,
-                                       max_retries=args.max_retries,
-                                       strict=args.strict)
-            timings = [None] * len(results)
+            cells = [GridCell(kind="dynamic", spec=replica, index=index)
+                     for index, replica in enumerate(expand_seeds(scenario, args.seeds))]
+            outcomes = _run_grid(args, cells, "dynamic")
+            if outcomes is None:
+                return 1
+            # --no-strict grids keep going without the failed cells
+            runs = [(outcome.cell.spec, outcome.result, None)
+                    for outcome in outcomes if outcome.result is not None]
         else:
             import time
 
             if args.checkpoint_every is not None and not args.checkpoint_path:
                 args.checkpoint_path = f"{scenario.name}.checkpoint.json"
-            scenarios = [scenario]
             bus, tracer, renderer = _instrument(
                 args.telemetry, args.trace, False, 0, label="dynamic")
             start = time.perf_counter()  # repro: allow[R002] run timing envelope
-            results = [run_dynamic_scenario(
+            result = run_dynamic_scenario(
                 scenario, bus=bus, checkpoint_every=args.checkpoint_every,
-                checkpoint_path=args.checkpoint_path)]
+                checkpoint_path=args.checkpoint_path)
             # repro: allow[R002] run timing envelope (stored, never in logic)
-            timings = [time.perf_counter() - start]
+            runs = [(scenario, result, time.perf_counter() - start)]
+            _finish_instrumentation(args.trace, tracer, renderer)
             if args.checkpoint_every is not None:
                 print(f"checkpointed every {args.checkpoint_every} round(s) "
                       f"to {args.checkpoint_path}")
-        _finish_instrumentation(args.trace, tracer, renderer)
-        dropped = [cell for cell, result in zip(scenarios, results)
-                   if result is None]
-        if dropped:  # --no-strict grids keep going without the failed cells
-            survivors = [(cell, result, seconds) for cell, result, seconds
-                         in zip(scenarios, results, timings)
-                         if result is not None]
-            print(f"WARNING: {len(dropped)} of {len(results)} cell(s) failed "
-                  f"permanently (seeds "
-                  f"{[cell.seed for cell in dropped]}); reporting the "
-                  f"survivors", file=sys.stderr)
-            if not survivors:
-                print("error: every cell failed", file=sys.stderr)
-                return 1
-            scenarios, results, timings = map(list, zip(*survivors))
+        scenarios, results, timings = map(list, zip(*runs))
         rows = []
         for cell, result in zip(scenarios, results):
             band = theorem3_discrepancy_bound(result.max_degree,
@@ -598,7 +575,8 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
             rows_to_csv([row], args.csv)
             print(f"wrote {args.csv}")
     elif args.command == "sweep":
-        from .simulation.sweep import SweepConfiguration, run_sweep
+        from .simulation.parallel import merge_sweeps, sweep_cells
+        from .simulation.sweep import SweepConfiguration
 
         configuration = SweepConfiguration(
             algorithm=args.algorithm, topology=args.topology, num_nodes=args.nodes,
@@ -606,48 +584,23 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
             continuous_kind=args.continuous, backend=args.backend,
             rng_mode=args.rng_mode,
         )
-        bus, tracer, renderer = _instrument(
-            args.telemetry, args.trace, args.progress,
-            total_cells=len(args.seeds), label="sweep")
+        # stored runs record their traces so they diff as trajectories
+        cells = sweep_cells([configuration], args.seeds,
+                            record_trace=bool(args.store),
+                            legacy_seeding=args.legacy_seeding)
+        outcomes = _run_grid(args, cells, "sweep")
+        if outcomes is None:
+            return 1
+        print(format_table([merge_sweeps([configuration], outcomes)[0].as_row()]))
         if args.store:
-            from .simulation.parallel import grid_sweep_with_outcomes
             from .store import RunStore, record_sweep_outcomes
 
-            # The outcome envelopes carry per-run timing and worker pids;
-            # traces are recorded so stored runs diff as trajectories.
-            results, outcomes = grid_sweep_with_outcomes(
-                [configuration], args.seeds, workers=args.workers,
-                record_trace=True, legacy_seeding=args.legacy_seeding, bus=bus,
-                progress=renderer, cell_timeout=args.cell_timeout,
-                max_retries=args.max_retries, strict=args.strict)
-            result = results[0]
-            _report_failed_cells(outcomes)
+            # the outcome envelopes carry per-run timing and worker pids
             store = RunStore(args.store)
             record_sweep_outcomes(store, args.store_label, outcomes)
-            _finish_instrumentation(args.trace, tracer, renderer)
-            print(format_table([result.as_row()]))
             print(f"stored {len(outcomes)} record(s) in {store.path}")
-        else:
-            from .simulation.parallel import parallel_sweep
-
-            fault_tolerant = (args.cell_timeout is not None
-                              or args.max_retries > 0 or not args.strict)
-            if args.workers > 1 or renderer is not None or fault_tolerant:
-                result = parallel_sweep(configuration, args.seeds,
-                                        workers=args.workers,
-                                        legacy_seeding=args.legacy_seeding,
-                                        bus=bus, progress=renderer,
-                                        cell_timeout=args.cell_timeout,
-                                        max_retries=args.max_retries,
-                                        strict=args.strict)
-            else:
-                result = run_sweep(configuration, seeds=args.seeds,
-                                   workers=args.workers,
-                                   legacy_seeding=args.legacy_seeding, bus=bus)
-            _finish_instrumentation(args.trace, tracer, renderer)
-            print(format_table([result.as_row()]))
     elif args.command == "grid":
-        from .simulation.parallel import parallel_grid_sweep
+        from .simulation.parallel import merge_sweeps, sweep_cells
         from .simulation.sweep import SweepConfiguration
 
         pairs = []
@@ -668,21 +621,13 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
             for topology, size in pairs
             for algorithm in args.algorithms
         ]
-        # Always the sharded path: --workers defaults to one per core here
-        # (run_cells resolves None), unlike the library grid_sweep whose
-        # default stays serial.
-        bus, tracer, renderer = _instrument(
-            args.telemetry, args.trace, args.progress,
-            total_cells=len(configurations) * len(args.seeds), label="grid")
-        results = parallel_grid_sweep(configurations, seeds=args.seeds,
-                                      workers=args.workers,
-                                      legacy_seeding=args.legacy_seeding,
-                                      bus=bus, progress=renderer,
-                                      cell_timeout=args.cell_timeout,
-                                      max_retries=args.max_retries,
-                                      strict=args.strict)
-        _finish_instrumentation(args.trace, tracer, renderer)
-        print(format_table([result.as_row() for result in results
+        outcomes = _run_grid(args, sweep_cells(configurations, args.seeds,
+                                               legacy_seeding=args.legacy_seeding),
+                             "grid")
+        if outcomes is None:
+            return 1
+        print(format_table([result.as_row()
+                            for result in merge_sweeps(configurations, outcomes)
                             if result.runs]))
     elif args.command == "audit":
         from .continuous.fos import FirstOrderDiffusion

@@ -64,7 +64,7 @@ class GridProgress:
         """Record one finished cell and redraw the status line.
 
         ``seconds`` is the cell's successful-attempt wall-clock only — the
-        fault-tolerant driver reports wasted retry attempts via
+        grid driver reports wasted retry attempts via
         :meth:`note_retry`, so busy-seconds never double-count a cell.
         """
         self.done += 1

@@ -15,16 +15,7 @@ from .engine import (
     run_algorithm,
 )
 from .locality import DisplacementSummary, summarize_displacements, task_displacements
-from .parallel import (
-    CellOutcome,
-    GridCell,
-    grid_sweep_with_outcomes,
-    parallel_dynamic_grid,
-    parallel_grid_sweep,
-    parallel_scenario_grid,
-    parallel_sweep,
-    run_cells,
-)
+from .parallel import CellOutcome, GridCell, merge_sweeps, run_cells, sweep_cells
 from .results import RunResult
 from .scenario import (
     DynamicScenario,
@@ -32,13 +23,11 @@ from .scenario import (
     expand_seeds,
     load_dynamic_scenario,
     load_scenario,
-    run_dynamic_grid,
     run_dynamic_scenario,
     run_scenario,
-    run_scenario_grid,
 )
 from .seeding import PurposeSeeds, purpose_seeds
-from .sweep import SweepConfiguration, SweepResult, grid_sweep, run_sweep, run_sweep_cell
+from .sweep import SweepConfiguration, SweepResult, run_sweep, run_sweep_cell
 from .workloads import WORKLOADS
 from . import experiments, reporting
 
@@ -51,13 +40,10 @@ __all__ = [
     "load_scenario",
     "load_dynamic_scenario",
     "run_scenario",
-    "run_scenario_grid",
     "run_dynamic_scenario",
-    "run_dynamic_grid",
     "expand_seeds",
     "SweepConfiguration",
     "SweepResult",
-    "grid_sweep",
     "run_sweep",
     "run_sweep_cell",
     "WORKLOADS",
@@ -66,11 +52,8 @@ __all__ = [
     "GridCell",
     "CellOutcome",
     "run_cells",
-    "grid_sweep_with_outcomes",
-    "parallel_sweep",
-    "parallel_grid_sweep",
-    "parallel_scenario_grid",
-    "parallel_dynamic_grid",
+    "sweep_cells",
+    "merge_sweeps",
     "reporting",
     "ALL_ALGORITHMS",
     "BACKEND_KINDS",

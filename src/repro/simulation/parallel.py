@@ -1,4 +1,4 @@
-"""Sharded process-pool driver for sweep and scenario grids.
+"""The grid driver: one scheduler for sweep and scenario grids.
 
 Seed x configuration grids are embarrassingly parallel: every (cell, seed)
 run is a pure function of a small, picklable spec — a
@@ -35,19 +35,23 @@ order**, buffering out-of-order completions — so the relayed stream is
 identical (modulo attribution and wall-clock fields) at any worker count,
 including ``workers=1``, which uses the same capture path.
 
-Dispatch is chunked: cells are handed to workers ``chunksize`` at a time
-(default: about four chunks per worker) to amortise pickling overhead while
-keeping the queue fine-grained enough that one slow cell does not serialise
-the grid.
+:func:`run_cells` is the only scheduler and the only way to run a grid.
+Cells are submitted one at a time with a bounded number in flight; at
+``workers=1`` the same loop drives an in-process executor that runs each
+cell inline, so retry, failure and relay handling exist once.  The loop is
+**self-healing**: failed attempts (in-cell exceptions, timeouts, worker
+crashes up to and including a broken pool, which is rebuilt) are retried
+with exponential backoff when ``max_retries`` allows, and under
+``strict=False`` a grid degrades to partial results plus a structured
+:class:`CellFailure` report instead of losing everything.  Because cells
+are pure functions of their specs, a fault-recovered grid is bit-identical
+to a fault-free one.
 
-The driver is optionally **self-healing**: with ``cell_timeout`` /
-``max_retries`` / ``strict=False`` set, cells are submitted individually,
-failed attempts (in-cell exceptions, timeouts, worker crashes up to and
-including a broken pool, which is rebuilt) are retried with exponential
-backoff, and a grid degrades to partial results plus a structured
-:class:`CellFailure` report instead of losing everything — see
-:func:`run_cells`.  Because cells are pure functions of their specs, a
-fault-recovered grid is bit-identical to a fault-free one.
+The rest of the grid API builds and merges cells: :func:`sweep_cells`
+flattens a configuration x seed grid, and :func:`merge_sweeps` groups the
+outcomes back into one :class:`~repro.simulation.sweep.SweepResult` per
+configuration.  Scenario grids are lists of ``GridCell(kind="scenario" |
+"dynamic", spec=scenario, index=i)``.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ import heapq
 import os
 import random
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -76,12 +80,9 @@ __all__ = [
     "CellFailure",
     "default_workers",
     "run_cells",
+    "sweep_cells",
+    "merge_sweeps",
     "failed_cells",
-    "parallel_sweep",
-    "parallel_grid_sweep",
-    "grid_sweep_with_outcomes",
-    "parallel_scenario_grid",
-    "parallel_dynamic_grid",
     "timing_summary",
 ]
 
@@ -144,12 +145,11 @@ class CellOutcome:
     cell ran with telemetry capture, ``events`` holds its complete in-worker
     event stream for the driver to relay.
 
-    Under the fault-tolerant scheduler, ``attempts`` counts executions
-    (1 = first try succeeded) and ``retry_seconds`` the driver-side
-    wall-clock burnt by failed attempts — kept separate from ``seconds`` so
-    utilization never double-counts a retried cell.  A permanently failed
-    cell (non-strict mode only) has ``result=None``, ``worker_pid=-1`` and
-    its :class:`CellFailure` attached.
+    ``attempts`` counts executions (1 = first try succeeded) and
+    ``retry_seconds`` the driver-side wall-clock burnt by failed attempts —
+    kept separate from ``seconds`` so utilization never double-counts a
+    retried cell.  A permanently failed cell (non-strict mode only) has
+    ``result=None``, ``worker_pid=-1`` and its :class:`CellFailure` attached.
     """
 
     cell: GridCell
@@ -214,9 +214,31 @@ def _execute_cell(cell: GridCell, capture: bool = False,
                        events=recorder.events if recorder is not None else None)
 
 
-def _execute_chunk(cells: Sequence[GridCell], capture: bool) -> List[CellOutcome]:
-    """Pool entry point: run one contiguous chunk of cells in this worker."""
-    return [_execute_cell(cell, capture=capture) for cell in cells]
+class _InlineExecutor:
+    """The ``workers=1`` executor: ``submit`` runs the cell in this process.
+
+    It hands back an already-settled future, so :func:`run_cells` drives a
+    serial grid through the same loop as a pooled one.  There is no worker
+    to police: ``cell_timeout`` is not enforced, and a kill fault would take
+    the driver down (fault plans are test instruments — see
+    :mod:`repro.faults`).
+    """
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
+        pass
+
+
+def _executor(workers: int):
+    return _InlineExecutor() if workers == 1 \
+        else ProcessPoolExecutor(max_workers=workers)
 
 
 def _available_cores() -> int:
@@ -232,19 +254,13 @@ def default_workers(num_cells: int) -> int:
     return max(1, min(num_cells, _available_cores()))
 
 
-def _chunksize(num_cells: int, workers: int) -> int:
-    # ~4 chunks per worker: coarse enough to amortise dispatch, fine enough
-    # that the tail of the grid still load-balances across the pool.
-    return max(1, num_cells // (workers * 4))
-
-
 def _cell_label(cell: GridCell) -> str:
     if cell.kind == _SWEEP:
         return f"{cell.spec.label()} seed={cell.seed}"
     return getattr(cell.spec, "name", repr(cell.spec))
 
 
-def _emit_cell_done(bus, outcome: CellOutcome, position: Optional[int] = None) -> None:
+def _emit_cell_done(bus, outcome: CellOutcome, position: int) -> None:
     """Publish one finished cell's envelope on the driver-side telemetry bus."""
     if bus is None or not bus.active:
         return
@@ -252,9 +268,8 @@ def _emit_cell_done(bus, outcome: CellOutcome, position: Optional[int] = None) -
     payload = dict(cell_kind=outcome.cell.kind, index=outcome.cell.index,
                    seed=outcome.cell.seed, label=_cell_label(outcome.cell),
                    seconds=outcome.seconds, worker_pid=outcome.worker_pid,
-                   rounds=result.rounds, max_min=result.final_max_min)
-    if position is not None:
-        payload["position"] = position
+                   rounds=result.rounds, max_min=result.final_max_min,
+                   position=position)
     if outcome.started is not None:
         payload["started"] = outcome.started
     bus.emit("cell_done", "parallel", **payload)
@@ -282,9 +297,7 @@ def _deliver(bus, outcome: CellOutcome, position: int) -> None:
 
 
 def run_cells(cells: Sequence[GridCell], workers: Optional[int] = None,
-              chunksize: Optional[int] = None, bus=None,
-              capture: Optional[bool] = None,
-              progress=None,
+              bus=None, progress=None,
               cell_timeout: Optional[float] = None,
               max_retries: int = 0,
               strict: bool = True,
@@ -294,44 +307,48 @@ def run_cells(cells: Sequence[GridCell], workers: Optional[int] = None,
 
     Returns one :class:`CellOutcome` per cell **in input order** regardless
     of completion order (the contract that makes merges deterministic).
-    ``workers=None`` uses one worker per available core; ``workers=1`` runs
-    serially in-process, which is also the fallback for single-cell grids.
+    ``workers=None`` uses one worker per available core; ``workers=1`` (also
+    the fallback for single-cell grids) runs the cells inline in this
+    process through the same scheduling loop.
+
+    Cells are submitted individually, at most two per worker in flight so
+    the pool never idles while the driver handles a result.  With
+    ``cell_timeout`` set (and inline) the cap is one per worker, so a
+    cell's clock starts when the cell starts running.
 
     ``bus`` receives the run's telemetry on the driver side.  When the bus
-    has a subscriber (or ``capture=True`` is forced), workers capture their
-    in-cell event streams and the driver relays them — every round, kernel
-    and recouple event, tagged with ``(worker, cell, cell_seed)`` — followed
-    by one ``cell_done`` envelope per cell.  Relay order is cell input
-    order at any worker count: out-of-order completions are buffered until
-    their predecessors have been delivered.  ``capture=False`` restores the
-    envelope-only behaviour.
+    has a subscriber, workers capture their in-cell event streams and the
+    driver relays them — every round, kernel and recouple event, tagged
+    with ``(worker, cell, cell_seed)`` — followed by one ``cell_done``
+    envelope per cell.  Relay order is cell input order at any worker
+    count: out-of-order completions are buffered until their predecessors
+    have been delivered.
 
     ``progress`` is an optional callback with an ``update(worker_pid=...,
     seconds=...)`` method (see :class:`repro.obs.progress.GridProgress`),
     invoked in *completion* order so the status line moves in real time.
 
-    Fault tolerance (any of ``cell_timeout``/``max_retries``/``faults``
-    set, or ``strict=False``) switches to the self-healing scheduler:
+    Failure handling:
 
-    * cells are submitted one at a time (never more in flight than
-      workers, so the per-cell clock starts at execution start);
     * a failed attempt — an in-cell exception, a cell running past
       ``cell_timeout`` seconds, or a worker crash (``BrokenProcessPool``,
       after which the pool is rebuilt) — is retried up to ``max_retries``
       times with exponential backoff (base ``retry_backoff`` seconds) and
       deterministic jitter, emitting a ``cell_retry`` event per retry;
-    * a cell whose retries are exhausted raises under ``strict=True``
-      (today's behaviour) or, under ``strict=False``, yields a
+    * a cell whose retries are exhausted raises its original error under
+      ``strict=True`` (the default) or, under ``strict=False``, yields a
       ``result=None`` outcome with a :class:`CellFailure` attached and a
       ``cell_failed`` event — the grid degrades to partial results (see
-      :func:`failed_cells`) instead of losing everything.
+      :func:`failed_cells`) instead of losing everything;
+    * ``faults`` injects deterministic faults (:mod:`repro.faults`).
 
-    Because every retry re-executes the same pure per-cell function,
-    fault-recovered grids are bit-identical to fault-free ones.  With
-    ``workers=1`` there is no pool to police: retries work but
-    ``cell_timeout`` is not enforced, and a kill fault would take the
-    driver down (fault plans are test instruments — see
-    :mod:`repro.faults`).
+    A pool breaks as a whole, so a crash charges an attempt to every
+    in-flight cell, and a timeout kills the pool: the overdue cells are
+    charged an attempt and the collateral in-flight cells are resubmitted
+    without being charged.  Because every retry re-executes the same pure
+    per-cell function, fault-recovered grids are bit-identical to
+    fault-free ones.  Inline (``workers=1``) there is no pool to police:
+    retries work but ``cell_timeout`` is not enforced.
     """
     cells = list(cells)
     if not cells:
@@ -345,57 +362,115 @@ def run_cells(cells: Sequence[GridCell], workers: Optional[int] = None,
     if workers is None:
         workers = default_workers(len(cells))
     workers = min(workers, len(cells))
-    if capture is None:
-        capture = bus is not None and bus.active
-    fault_tolerant = (cell_timeout is not None or max_retries > 0
-                      or not strict
-                      or (faults is not None and not faults.empty))
-    if workers == 1:
-        if fault_tolerant:
-            return _run_cells_serial_tolerant(
-                cells, bus, capture, progress, max_retries=max_retries,
-                strict=strict, faults=faults, retry_backoff=retry_backoff)
-        outcomes: List[CellOutcome] = []
-        for position, cell in enumerate(cells):
-            outcome = _execute_cell(cell, capture=capture)
-            _deliver(bus, outcome, position)
-            if progress is not None:
-                progress.update(worker_pid=outcome.worker_pid,
-                                seconds=outcome.seconds)
-            outcomes.append(outcome)
-        return outcomes
-    if fault_tolerant:
-        return _run_cells_fault_tolerant(
-            cells, workers, bus, capture, progress,
-            cell_timeout=cell_timeout, max_retries=max_retries,
-            strict=strict, faults=faults, retry_backoff=retry_backoff)
-    if chunksize is None:
-        chunksize = _chunksize(len(cells), workers)
-    chunks = [cells[offset:offset + chunksize]
-              for offset in range(0, len(cells), chunksize)]
+    capture = bus is not None and bus.active
+    limit = workers if cell_timeout is not None or workers == 1 \
+        else 2 * workers
+    state = _RetryState(cells, bus, progress, max_retries, strict,
+                        retry_backoff)
     slots: List[Optional[CellOutcome]] = [None] * len(cells)
     next_delivery = 0
-    executor = ProcessPoolExecutor(max_workers=workers)
+    # ready queue of (ready_at, position, attempt); ready_at in time.monotonic
+    ready: List[Tuple[float, int, int]] = [
+        (0.0, position, 1) for position in range(len(cells))]
+    inflight: Dict[Future, Tuple[int, int, float]] = {}
+    executor = _executor(workers)
+
+    def settle(position: int, attempt: int, kind: str, message: str,
+               elapsed: float, exc: Optional[BaseException] = None) -> None:
+        """One attempt failed: schedule the retry or slot the failure."""
+        retry, failed = state.note_failure(position, attempt, kind, message,
+                                           elapsed, exc=exc)
+        if retry:
+            # repro: allow[R002] retry-backoff deadline (driver scheduling)
+            heapq.heappush(ready, (time.monotonic()
+                                   + state.delay(position, attempt),
+                                   position, attempt + 1))
+        else:
+            slots[position] = failed
+
     try:
-        pending = {executor.submit(_execute_chunk, chunk, capture): offset
-                   for offset, chunk in zip(
-                       range(0, len(cells), chunksize), chunks)}
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
+        while ready or inflight:
+            now = time.monotonic()  # repro: allow[R002] dispatch deadline clock
+            while ready and len(inflight) < limit and ready[0][0] <= now:
+                _, position, attempt = heapq.heappop(ready)
+                # before submit: the inline executor runs the cell in submit
+                # repro: allow[R002] cell-timeout deadline bookkeeping
+                started = time.monotonic()
+                future = executor.submit(_execute_cell, cells[position],
+                                         capture, faults, position, attempt)
+                inflight[future] = (position, attempt, started)
+            if not inflight:
+                # everything runnable is waiting out its backoff
+                # repro: allow[R002] retry-backoff wait (driver scheduling)
+                time.sleep(max(0.0, ready[0][0] - time.monotonic()))
+                continue
+            timeout = None
+            if cell_timeout is not None:
+                deadline = min(started + cell_timeout
+                               for _, _, started in inflight.values())
+                # repro: allow[R002] cell-timeout deadline (driver scheduling)
+                timeout = max(0.0, deadline - time.monotonic())
+            if ready and len(inflight) < limit:
+                # repro: allow[R002] retry-backoff deadline (driver scheduling)
+                until_ready = max(0.0, ready[0][0] - time.monotonic())
+                timeout = until_ready if timeout is None \
+                    else min(timeout, until_ready)
+            done, _ = wait(set(inflight), timeout=timeout,
+                           return_when=FIRST_COMPLETED)
+            broken = False
             for future in done:
-                offset = pending.pop(future)
-                for position, outcome in enumerate(future.result()):
-                    slots[offset + position] = outcome
+                position, attempt, started = inflight.pop(future)
+                # repro: allow[R002] attempt timing envelope
+                elapsed = time.monotonic() - started
+                try:
+                    outcome = future.result()
+                except BrokenProcessPool:
+                    broken = True
+                    settle(position, attempt, "worker-crash",
+                           "worker process died", elapsed)
+                except Exception as exc:
+                    settle(position, attempt, "error",
+                           f"{type(exc).__name__}: {exc}", elapsed, exc=exc)
+                else:
+                    state.finish(outcome, attempt, position)
+                    slots[position] = outcome
                     if progress is not None:
                         progress.update(worker_pid=outcome.worker_pid,
                                         seconds=outcome.seconds)
-                # deliver the completed prefix, keeping relay order == input
-                # order regardless of which chunk finished first
-                while next_delivery < len(slots) \
-                        and slots[next_delivery] is not None:
-                    _deliver(bus, slots[next_delivery], next_delivery)
-                    next_delivery += 1
-    except KeyboardInterrupt:
+            if broken:
+                # the pool is unusable; every other in-flight cell died too
+                for position, attempt, started in inflight.values():
+                    settle(position, attempt, "worker-crash",
+                           "worker process died",
+                           # repro: allow[R002] attempt timing envelope
+                           time.monotonic() - started)
+                inflight.clear()
+                _abandon_pool(executor)
+                executor = _executor(workers)
+            elif cell_timeout is not None and inflight:
+                # repro: allow[R002] cell-timeout overdue scan
+                now = time.monotonic()
+                overdue = [(future, meta) for future, meta in inflight.items()
+                           if now - meta[2] > cell_timeout]
+                if overdue:
+                    for future, (position, attempt, started) in overdue:
+                        del inflight[future]
+                        settle(position, attempt, "timeout",
+                               f"cell exceeded cell_timeout={cell_timeout}s",
+                               now - started)
+                    # collateral damage: resubmit without charging an attempt
+                    for position, attempt, _ in inflight.values():
+                        heapq.heappush(ready, (0.0, position, attempt))
+                    inflight.clear()
+                    _abandon_pool(executor)
+                    executor = _executor(workers)
+            while next_delivery < len(slots) \
+                    and slots[next_delivery] is not None:
+                _deliver(bus, slots[next_delivery], next_delivery)
+                next_delivery += 1
+    except BaseException:
+        # strict failure or ^C: don't block behind still-running cells —
+        # they are pure functions, killing them loses nothing
         _abandon_pool(executor)
         raise
     executor.shutdown(wait=True)
@@ -403,21 +478,27 @@ def run_cells(cells: Sequence[GridCell], workers: Optional[int] = None,
 
 
 # ---------------------------------------------------------------------- #
-# fault-tolerant scheduling
+# retries, timeouts and pool teardown
 # ---------------------------------------------------------------------- #
 
 
 def _abandon_pool(executor: ProcessPoolExecutor) -> None:
-    """Tear a pool down without waiting: cancel queued work, kill workers.
+    """Tear a pool down without waiting for its cells: kill the workers.
 
     Used on KeyboardInterrupt (don't block the user's ^C behind running
     cells) and when a cell must be timed out — a running future cannot be
     cancelled, so the only enforcement mechanism a process pool offers is
     terminating the worker processes themselves.
+
+    With the workers dead the pool's manager thread exits promptly, and it
+    must be joined before the next pool forks: a child forked while that
+    thread holds the old pool's lock inherits the lock held, and deadlocks
+    when its garbage collector frees the old executor, whose weakref
+    callback takes that lock.
     """
     for process in list(getattr(executor, "_processes", {}).values()):
         process.terminate()
-    executor.shutdown(wait=False, cancel_futures=True)
+    executor.shutdown(wait=True, cancel_futures=True)
 
 
 def _backoff_delay(retry_backoff: float, position: int, attempt: int) -> float:
@@ -434,7 +515,7 @@ def _backoff_delay(retry_backoff: float, position: int, attempt: int) -> float:
 
 
 class _RetryState:
-    """Driver-side bookkeeping shared by the tolerant schedulers.
+    """Driver-side bookkeeping of failed attempts for :func:`run_cells`.
 
     Tracks wasted seconds per cell, emits ``cell_retry``/``cell_failed``
     telemetry, notifies the progress renderer, and decides retry vs
@@ -500,186 +581,13 @@ class _RetryState:
             failure=failure)
 
     def finish(self, outcome: CellOutcome, attempt: int,
-               position: int) -> CellOutcome:
+               position: int) -> None:
         """Stamp retry accounting onto a successful outcome."""
         outcome.attempts = attempt
         outcome.retry_seconds = self.wasted.pop(position, 0.0)
-        return outcome
 
     def delay(self, position: int, attempt: int) -> float:
         return _backoff_delay(self.retry_backoff, position, attempt)
-
-
-def _run_cells_serial_tolerant(cells: Sequence[GridCell], bus, capture,
-                               progress, max_retries: int, strict: bool,
-                               faults: Optional[FaultPlan],
-                               retry_backoff: float) -> List[CellOutcome]:
-    """The in-process (workers=1) retry path; no timeout enforcement."""
-    state = _RetryState(cells, bus, progress, max_retries, strict,
-                        retry_backoff)
-    outcomes: List[CellOutcome] = []
-    for position, cell in enumerate(cells):
-        attempt = 1
-        while True:
-            started = time.perf_counter()  # repro: allow[R002] cell timing envelope
-            try:
-                outcome = _execute_cell(cell, capture=capture, faults=faults,
-                                        position=position, attempt=attempt)
-            except Exception as exc:
-                retry, failed = state.note_failure(
-                    position, attempt, "error",
-                    f"{type(exc).__name__}: {exc}",
-                    # repro: allow[R002] failure timing envelope
-                    elapsed=time.perf_counter() - started, exc=exc)
-                if retry:
-                    time.sleep(state.delay(position, attempt))
-                    attempt += 1
-                    continue
-                outcome = failed
-            else:
-                state.finish(outcome, attempt, position)
-                if progress is not None:
-                    progress.update(worker_pid=outcome.worker_pid,
-                                    seconds=outcome.seconds)
-            break
-        _deliver(bus, outcome, position)
-        outcomes.append(outcome)
-    return outcomes
-
-
-def _run_cells_fault_tolerant(cells: Sequence[GridCell], workers: int, bus,
-                              capture, progress, cell_timeout: Optional[float],
-                              max_retries: int, strict: bool,
-                              faults: Optional[FaultPlan],
-                              retry_backoff: float) -> List[CellOutcome]:
-    """The self-healing pool scheduler: per-cell submission, timeout, retry.
-
-    Cells are submitted individually with in-flight count capped at the
-    worker count, so a submitted cell starts executing (nearly) immediately
-    and ``cell_timeout`` measures execution, not queueing.  Three failure
-    modes are handled:
-
-    * the future raises an ordinary exception → that attempt failed;
-    * the pool breaks (a worker died) → every in-flight cell is charged an
-      attempt (the pool cannot say which cell crashed it), the pool is
-      rebuilt, survivors are resubmitted;
-    * a cell exceeds ``cell_timeout`` → the pool is killed (running futures
-      cannot be cancelled), the overdue cells are charged an attempt, and
-      the collateral in-flight cells are resubmitted **without** being
-      charged — they did not fail.
-
-    Delivery (relay + ``cell_done``) stays in input order exactly as on the
-    fast path.
-    """
-    state = _RetryState(cells, bus, progress, max_retries, strict,
-                        retry_backoff)
-    slots: List[Optional[CellOutcome]] = [None] * len(cells)
-    next_delivery = 0
-    # ready queue of (ready_at, position, attempt); ready_at in time.monotonic
-    ready: List[Tuple[float, int, int]] = [
-        (0.0, position, 1) for position in range(len(cells))]
-    heapq.heapify(ready)
-    inflight: Dict[object, Tuple[int, int, float]] = {}
-    executor = ProcessPoolExecutor(max_workers=workers)
-
-    def settle(position: int, attempt: int, kind: str, message: str,
-               elapsed: float, exc: Optional[BaseException] = None) -> None:
-        """One attempt failed: schedule the retry or slot the failure."""
-        retry, failed = state.note_failure(position, attempt, kind, message,
-                                           elapsed, exc=exc)
-        if retry:
-            # repro: allow[R002] retry-backoff deadline (driver scheduling)
-            heapq.heappush(ready, (time.monotonic()
-                                   + state.delay(position, attempt),
-                                   position, attempt + 1))
-        else:
-            slots[position] = failed
-
-    try:
-        while ready or inflight:
-            now = time.monotonic()  # repro: allow[R002] dispatch deadline clock
-            while ready and len(inflight) < workers and ready[0][0] <= now:
-                _, position, attempt = heapq.heappop(ready)
-                future = executor.submit(_execute_cell, cells[position],
-                                         capture, faults, position, attempt)
-                # repro: allow[R002] cell-timeout deadline bookkeeping
-                inflight[future] = (position, attempt, time.monotonic())
-            if not inflight:
-                # everything runnable is waiting out its backoff
-                # repro: allow[R002] retry-backoff wait (driver scheduling)
-                time.sleep(max(0.0, ready[0][0] - time.monotonic()))
-                continue
-            timeout = None
-            if cell_timeout is not None:
-                deadline = min(started + cell_timeout
-                               for _, _, started in inflight.values())
-                # repro: allow[R002] cell-timeout deadline (driver scheduling)
-                timeout = max(0.0, deadline - time.monotonic())
-            if ready and len(inflight) < workers:
-                # repro: allow[R002] retry-backoff deadline (driver scheduling)
-                until_ready = max(0.0, ready[0][0] - time.monotonic())
-                timeout = until_ready if timeout is None \
-                    else min(timeout, until_ready)
-            done, _ = wait(set(inflight), timeout=timeout,
-                           return_when=FIRST_COMPLETED)
-            broken = False
-            for future in done:
-                position, attempt, started = inflight.pop(future)
-                # repro: allow[R002] attempt timing envelope
-                elapsed = time.monotonic() - started
-                try:
-                    outcome = future.result()
-                except BrokenProcessPool:
-                    broken = True
-                    settle(position, attempt, "worker-crash",
-                           "worker process died", elapsed)
-                except Exception as exc:
-                    settle(position, attempt, "error",
-                           f"{type(exc).__name__}: {exc}", elapsed, exc=exc)
-                else:
-                    state.finish(outcome, attempt, position)
-                    slots[position] = outcome
-                    if progress is not None:
-                        progress.update(worker_pid=outcome.worker_pid,
-                                        seconds=outcome.seconds)
-            if broken:
-                # the pool is unusable; every other in-flight cell died too
-                for position, attempt, started in inflight.values():
-                    settle(position, attempt, "worker-crash",
-                           "worker process died",
-                           # repro: allow[R002] attempt timing envelope
-                           time.monotonic() - started)
-                inflight.clear()
-                _abandon_pool(executor)
-                executor = ProcessPoolExecutor(max_workers=workers)
-            elif cell_timeout is not None and inflight:
-                # repro: allow[R002] cell-timeout overdue scan
-                now = time.monotonic()
-                overdue = [(future, meta) for future, meta in inflight.items()
-                           if now - meta[2] > cell_timeout]
-                if overdue:
-                    for future, (position, attempt, started) in overdue:
-                        del inflight[future]
-                        settle(position, attempt, "timeout",
-                               f"cell exceeded cell_timeout={cell_timeout}s",
-                               now - started)
-                    # collateral damage: resubmit without charging an attempt
-                    for position, attempt, _ in inflight.values():
-                        heapq.heappush(ready, (0.0, position, attempt))
-                    inflight.clear()
-                    _abandon_pool(executor)
-                    executor = ProcessPoolExecutor(max_workers=workers)
-            while next_delivery < len(slots) \
-                    and slots[next_delivery] is not None:
-                _deliver(bus, slots[next_delivery], next_delivery)
-                next_delivery += 1
-    except BaseException:
-        # strict failure or ^C: don't block behind still-running cells —
-        # they are pure functions, killing them loses nothing
-        _abandon_pool(executor)
-        raise
-    executor.shutdown(wait=True)
-    return list(slots)
 
 
 def timing_summary(outcomes: Sequence[CellOutcome],
@@ -758,151 +666,19 @@ def sweep_cells(configurations: Sequence[SweepConfiguration],
     ]
 
 
-def _merge_sweeps(configurations: Sequence[SweepConfiguration],
-                  outcomes: Sequence[CellOutcome]) -> List[SweepResult]:
+def merge_sweeps(configurations: Sequence[SweepConfiguration],
+                 outcomes: Sequence[CellOutcome]) -> List[SweepResult]:
     """Group run results back into one SweepResult per configuration.
 
     ``run_cells`` returns outcomes in cell order (configuration-major, seed
     order within a configuration), so appending in sequence reproduces the
-    exact run order of the serial path.
+    exact run order of the serial :func:`~repro.simulation.sweep.run_sweep`
+    loop at any worker count.  Permanently failed cells (``strict=False``)
+    are left out.
     """
     results = [SweepResult(configuration=configuration)
                for configuration in configurations]
     for outcome in outcomes:
-        if outcome.result is not None:  # non-strict grids may drop cells
+        if outcome.result is not None:
             results[outcome.cell.index].runs.append(outcome.result)
     return results
-
-
-def parallel_sweep(configuration: SweepConfiguration, seeds: Sequence[int],
-                   workers: Optional[int] = None, record_trace: bool = False,
-                   max_rounds: int = 200_000,
-                   legacy_seeding: bool = False, bus=None,
-                   capture: Optional[bool] = None,
-                   progress=None,
-                   cell_timeout: Optional[float] = None,
-                   max_retries: int = 0, strict: bool = True,
-                   faults: Optional[FaultPlan] = None) -> SweepResult:
-    """Sharded :func:`~repro.simulation.sweep.run_sweep`: one cell per seed.
-
-    Bit-identical to ``run_sweep(configuration, seeds, ...)`` for every
-    worker count — the pool executes the same :func:`run_sweep_cell` calls
-    and the merge preserves seed order.
-    """
-    cells = sweep_cells([configuration], seeds, record_trace=record_trace,
-                        max_rounds=max_rounds, legacy_seeding=legacy_seeding)
-    outcomes = run_cells(cells, workers=workers, bus=bus, capture=capture,
-                         progress=progress, cell_timeout=cell_timeout,
-                         max_retries=max_retries, strict=strict, faults=faults)
-    return _merge_sweeps([configuration], outcomes)[0]
-
-
-def parallel_grid_sweep(configurations: Sequence[SweepConfiguration],
-                        seeds: Sequence[int], workers: Optional[int] = None,
-                        legacy_seeding: bool = False, bus=None,
-                        capture: Optional[bool] = None,
-                        progress=None,
-                        cell_timeout: Optional[float] = None,
-                        max_retries: int = 0, strict: bool = True,
-                        faults: Optional[FaultPlan] = None) -> List[SweepResult]:
-    """Shard a whole configuration grid at (cell, seed) granularity.
-
-    All ``len(configurations) * len(seeds)`` runs share one work queue, so a
-    single expensive cell cannot serialise the grid the way per-cell
-    parallelism would.  Results come back as one
-    :class:`~repro.simulation.sweep.SweepResult` per configuration, in
-    configuration order, bit-identical to the serial nested loop.
-    """
-    configurations = list(configurations)
-    cells = sweep_cells(configurations, seeds, legacy_seeding=legacy_seeding)
-    outcomes = run_cells(cells, workers=workers, bus=bus, capture=capture,
-                         progress=progress, cell_timeout=cell_timeout,
-                         max_retries=max_retries, strict=strict, faults=faults)
-    return _merge_sweeps(configurations, outcomes)
-
-
-def grid_sweep_with_outcomes(configurations: Sequence[SweepConfiguration],
-                             seeds: Sequence[int], workers: Optional[int] = None,
-                             record_trace: bool = False,
-                             legacy_seeding: bool = False, bus=None,
-                             capture: Optional[bool] = None,
-                             progress=None,
-                             cell_timeout: Optional[float] = None,
-                             max_retries: int = 0, strict: bool = True,
-                             faults: Optional[FaultPlan] = None):
-    """Like :func:`parallel_grid_sweep`, also returning the raw envelopes.
-
-    Returns ``(sweep_results, outcomes)``: the merged per-configuration
-    :class:`~repro.simulation.sweep.SweepResult` list plus the flat
-    :class:`CellOutcome` list in cell order — what the run store needs to
-    record each run together with its timing envelope
-    (:func:`repro.store.record_sweep_outcomes`).
-    """
-    configurations = list(configurations)
-    cells = sweep_cells(configurations, seeds, record_trace=record_trace,
-                        legacy_seeding=legacy_seeding)
-    outcomes = run_cells(cells, workers=workers, bus=bus, capture=capture,
-                         progress=progress, cell_timeout=cell_timeout,
-                         max_retries=max_retries, strict=strict, faults=faults)
-    return _merge_sweeps(configurations, outcomes), outcomes
-
-
-# ---------------------------------------------------------------------- #
-# scenario grids
-# ---------------------------------------------------------------------- #
-
-
-def _scenario_grid(kind: str, scenarios, workers: Optional[int], bus=None,
-                   capture: Optional[bool] = None,
-                   progress=None,
-                   cell_timeout: Optional[float] = None,
-                   max_retries: int = 0, strict: bool = True,
-                   faults: Optional[FaultPlan] = None) -> List[Optional[RunResult]]:
-    cells = [GridCell(kind=kind, spec=scenario, index=index)
-             for index, scenario in enumerate(scenarios)]
-    return [outcome.result
-            for outcome in run_cells(cells, workers=workers, bus=bus,
-                                     capture=capture, progress=progress,
-                                     cell_timeout=cell_timeout,
-                                     max_retries=max_retries, strict=strict,
-                                     faults=faults)]
-
-
-def parallel_scenario_grid(scenarios: Sequence[Scenario],
-                           workers: Optional[int] = None, bus=None,
-                           capture: Optional[bool] = None,
-                           progress=None,
-                           cell_timeout: Optional[float] = None,
-                           max_retries: int = 0, strict: bool = True,
-                           faults: Optional[FaultPlan] = None) -> List[Optional[RunResult]]:
-    """Run a list of static scenarios across a process pool (input order).
-
-    Under ``strict=False`` a permanently failed scenario's slot holds
-    ``None`` so the surviving results keep their input positions.
-    """
-    return _scenario_grid(_SCENARIO, scenarios, workers, bus=bus,
-                          capture=capture, progress=progress,
-                          cell_timeout=cell_timeout, max_retries=max_retries,
-                          strict=strict, faults=faults)
-
-
-def parallel_dynamic_grid(scenarios: Sequence[DynamicScenario],
-                          workers: Optional[int] = None, bus=None,
-                          capture: Optional[bool] = None,
-                          progress=None,
-                          cell_timeout: Optional[float] = None,
-                          max_retries: int = 0, strict: bool = True,
-                          faults: Optional[FaultPlan] = None) -> List[Optional[RunResult]]:
-    """Run a list of dynamic scenarios across a process pool (input order).
-
-    The per-scenario trajectories (``trace_max_min`` etc.) are bit-identical
-    to serial :func:`~repro.simulation.scenario.run_dynamic_scenario` calls;
-    with ``rng_mode="counter"`` this holds exactly for the randomized
-    algorithms too, which is what makes many-seed recovery-time statistics
-    cheap to scale out.  Under ``strict=False`` a permanently failed
-    scenario's slot holds ``None`` (see :func:`run_cells`).
-    """
-    return _scenario_grid(_DYNAMIC, scenarios, workers, bus=bus,
-                          capture=capture, progress=progress,
-                          cell_timeout=cell_timeout, max_retries=max_retries,
-                          strict=strict, faults=faults)

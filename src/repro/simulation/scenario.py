@@ -39,9 +39,7 @@ __all__ = [
     "load_scenario",
     "load_dynamic_scenario",
     "run_scenario",
-    "run_scenario_grid",
     "run_dynamic_scenario",
-    "run_dynamic_grid",
     "expand_seeds",
 ]
 
@@ -460,7 +458,7 @@ def run_dynamic_scenario(scenario: DynamicScenario, bus=None,
 
 
 # ---------------------------------------------------------------------- #
-# scenario grids (sharded across workers)
+# many-seed grids
 # ---------------------------------------------------------------------- #
 
 
@@ -469,63 +467,14 @@ def expand_seeds(scenario, seeds: Sequence[int]) -> List:
 
     Works for both :class:`Scenario` and :class:`DynamicScenario`; the
     replicas are the natural grid for many-seed statistics (e.g. recovery
-    times per spectral-gap point) and feed directly into
-    :func:`run_scenario_grid` / :func:`run_dynamic_grid`.
+    times per spectral-gap point).  Wrap each replica in a
+    ``GridCell(kind="scenario" | "dynamic", spec=replica, index=i)`` and
+    run them with :func:`repro.simulation.parallel.run_cells`, which
+    returns them in input order, bit-identical to serial
+    :func:`run_scenario` / :func:`run_dynamic_scenario` calls.  Each
+    replica's ``seeding`` mode travels with it into the workers.
     """
     if not seeds:
         raise ExperimentError("at least one seed is required")
     return [replace(scenario, name=f"{scenario.name}-s{seed}", seed=int(seed))
             for seed in seeds]
-
-
-def run_scenario_grid(scenarios: Sequence[Scenario],
-                      workers: Optional[int] = None, bus=None,
-                      capture: Optional[bool] = None,
-                      progress=None,
-                      cell_timeout: Optional[float] = None,
-                      max_retries: int = 0, strict: bool = True,
-                      faults=None) -> List[Optional[RunResult]]:
-    """Run several static scenarios, sharded across ``workers`` processes.
-
-    ``workers=None`` uses one worker per available core; results come back
-    in input order, bit-identical to serial :func:`run_scenario` calls.
-    Each scenario's ``seeding`` mode travels with it into the workers.
-    ``bus``/``capture``/``progress`` and the fault-tolerance knobs
-    (``cell_timeout``/``max_retries``/``strict``/``faults``) behave as in
-    :func:`repro.simulation.parallel.run_cells` (worker telemetry is
-    captured and relayed whenever the bus has a subscriber; under
-    ``strict=False`` a failed scenario's slot holds ``None``).
-    """
-    from .parallel import parallel_scenario_grid
-
-    return parallel_scenario_grid(scenarios, workers=workers, bus=bus,
-                                  capture=capture, progress=progress,
-                                  cell_timeout=cell_timeout,
-                                  max_retries=max_retries, strict=strict,
-                                  faults=faults)
-
-
-def run_dynamic_grid(scenarios: Sequence[DynamicScenario],
-                     workers: Optional[int] = None, bus=None,
-                     capture: Optional[bool] = None,
-                     progress=None,
-                     cell_timeout: Optional[float] = None,
-                     max_retries: int = 0, strict: bool = True,
-                     faults=None) -> List[Optional[RunResult]]:
-    """Run several dynamic scenarios, sharded across ``workers`` processes.
-
-    ``workers=None`` uses one worker per available core; trajectories come
-    back in input order, bit-identical to serial
-    :func:`run_dynamic_scenario` calls (exactly so for randomized algorithms
-    under ``rng_mode="counter"``).  Each scenario's ``seeding`` mode travels
-    with it into the workers; ``bus``/``capture``/``progress`` and the
-    fault-tolerance knobs behave as in
-    :func:`repro.simulation.parallel.run_cells`.
-    """
-    from .parallel import parallel_dynamic_grid
-
-    return parallel_dynamic_grid(scenarios, workers=workers, bus=bus,
-                                 capture=capture, progress=progress,
-                                 cell_timeout=cell_timeout,
-                                 max_retries=max_retries, strict=strict,
-                                 faults=faults)

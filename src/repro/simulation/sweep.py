@@ -14,11 +14,13 @@ for all four (the historical behaviour, still available as
 ``legacy_seeding=True``) correlates components that the experiment design
 treats as independent.
 
-Sweeps are embarrassingly parallel across (cell, seed) pairs: pass
-``workers=N`` to :func:`run_sweep` / :func:`grid_sweep` to shard the runs
-over a process pool (:mod:`repro.simulation.parallel`).  The merge is
-bit-identical to the serial path because every run is a pure function of its
-cell and seed.
+Sweeps are embarrassingly parallel across (cell, seed) pairs: to shard a
+grid of configurations over a process pool, flatten it with
+:func:`~repro.simulation.parallel.sweep_cells`, run the cells with
+:func:`~repro.simulation.parallel.run_cells` and group the outcomes with
+:func:`~repro.simulation.parallel.merge_sweeps`.  The merge is bit-identical
+to :func:`run_sweep` because every run is a pure function of its cell and
+seed.
 
 The benchmarks use single representative seeds for speed; the sweep API is
 what a user would reach for to put error bars on the tables.
@@ -27,7 +29,7 @@ what a user would reach for to put error bars on the tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..analysis.aggregate import SampleStatistics, summarize_samples
 from ..exceptions import ExperimentError
@@ -43,7 +45,6 @@ __all__ = [
     "SweepResult",
     "run_sweep",
     "run_sweep_cell",
-    "grid_sweep",
 ]
 
 
@@ -196,9 +197,8 @@ def run_sweep_cell(configuration: SweepConfiguration, seed: int,
 
 def run_sweep(configuration: SweepConfiguration, seeds: Sequence[int],
               record_trace: bool = False, max_rounds: int = 200_000,
-              legacy_seeding: bool = False,
-              workers: Optional[int] = None, bus=None) -> SweepResult:
-    """Run one configuration once per seed and aggregate the results.
+              legacy_seeding: bool = False, bus=None) -> SweepResult:
+    """Run one configuration once per seed, serially, and aggregate the results.
 
     Each seed spawns independent child streams for the topology sample (for
     random families), the workload placement, the matching schedule and the
@@ -207,18 +207,12 @@ def run_sweep(configuration: SweepConfiguration, seeds: Sequence[int],
     seeds.  ``legacy_seeding=True`` restores the historical behaviour of
     passing the same integer to every component.
 
-    ``workers`` shards the per-seed runs over a process pool (``None`` or 1
-    runs serially in-process); the merged result is bit-identical either way.
+    This in-process loop is the reference the sharded grid driver
+    (:mod:`repro.simulation.parallel`) is checked against bit for bit.
     """
     _validate_configuration(configuration)
     if not seeds:
         raise ExperimentError("at least one seed is required")
-    if workers is not None and workers > 1:
-        from .parallel import parallel_sweep
-
-        return parallel_sweep(configuration, seeds, workers=workers,
-                              record_trace=record_trace, max_rounds=max_rounds,
-                              legacy_seeding=legacy_seeding, bus=bus)
     result = SweepResult(configuration=configuration)
     for seed in seeds:
         result.runs.append(
@@ -226,33 +220,3 @@ def run_sweep(configuration: SweepConfiguration, seeds: Sequence[int],
                            max_rounds=max_rounds, legacy_seeding=legacy_seeding,
                            bus=bus))
     return result
-
-
-def grid_sweep(algorithms: Sequence[str], topologies_and_sizes: Sequence[Sequence],
-               seeds: Sequence[int], tokens_per_node: int = 32,
-               workload: str = "point", continuous_kind: str = "fos",
-               legacy_seeding: bool = False,
-               workers: Optional[int] = None) -> List[SweepResult]:
-    """Run the cross product of algorithms and (topology, size) pairs.
-
-    With ``workers`` the whole grid is sharded at (cell, seed) granularity —
-    one queue of runs across all cells, so a slow cell does not serialise
-    the grid — and merged back per configuration, bit-identically to the
-    serial path.
-    """
-    configurations = [
-        SweepConfiguration(
-            algorithm=algorithm, topology=topology, num_nodes=int(size),
-            tokens_per_node=tokens_per_node, workload=workload,
-            continuous_kind=continuous_kind,
-        )
-        for topology, size in topologies_and_sizes
-        for algorithm in algorithms
-    ]
-    if workers is not None and workers > 1:
-        from .parallel import parallel_grid_sweep
-
-        return parallel_grid_sweep(configurations, seeds, workers=workers,
-                                   legacy_seeding=legacy_seeding)
-    return [run_sweep(configuration, seeds, legacy_seeding=legacy_seeding)
-            for configuration in configurations]

@@ -144,7 +144,7 @@ class TestDriverCellEvents:
     def test_cell_done_envelope_per_cell(self):
         """The serial outcome driver publishes one cell_done event per cell."""
         from repro.obs import EventLog, MetricsBus
-        from repro.simulation.parallel import grid_sweep_with_outcomes
+        from repro.simulation.parallel import run_cells, sweep_cells
         from repro.simulation.sweep import SweepConfiguration
 
         configuration = SweepConfiguration(
@@ -152,8 +152,8 @@ class TestDriverCellEvents:
             tokens_per_node=8, rng_mode="counter")
         bus = MetricsBus()
         with EventLog(bus, kinds=["cell_done"]) as log:
-            _, outcomes = grid_sweep_with_outcomes(
-                [configuration], seeds=[1, 2], bus=bus)
+            outcomes = run_cells(sweep_cells([configuration], seeds=[1, 2]),
+                                 bus=bus)
         assert len(log.events) == len(outcomes) == 2
         for event, outcome in zip(log.events, outcomes):
             assert event.payload["cell_kind"] == "sweep"

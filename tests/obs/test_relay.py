@@ -72,8 +72,10 @@ class TestWorkerCountInvariance:
 
     def test_trajectories_bit_identical_with_and_without_capture(self):
         _, cells = small_grid_cells()
-        plain = run_cells(cells, workers=2, capture=False)
-        traced = run_cells(cells, workers=2, capture=True)
+        plain = run_cells(cells, workers=2, bus=None)
+        bus = MetricsBus()
+        with EventLog(bus):
+            traced = run_cells(cells, workers=2, bus=bus)
 
         def fingerprint(outcome):
             result = outcome.result

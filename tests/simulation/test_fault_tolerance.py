@@ -116,7 +116,7 @@ class TestStrictness:
                       retry_backoff=0.0)
 
     def test_strict_is_the_default_without_fault_options(self):
-        # no fault-tolerance knobs: the legacy chunked path, which raises
+        # no fault-tolerance knobs: the first failure re-raises
         plan = FaultPlan(raise_at={0: 99})
         with pytest.raises(FaultInjected):
             run_cells(_cells(2), workers=1, faults=plan)

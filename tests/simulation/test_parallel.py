@@ -15,23 +15,19 @@ from repro.simulation.parallel import (
     CellOutcome,
     GridCell,
     default_workers,
-    parallel_dynamic_grid,
-    parallel_grid_sweep,
-    parallel_scenario_grid,
-    parallel_sweep,
+    merge_sweeps,
     run_cells,
+    sweep_cells,
     timing_summary,
 )
 from repro.simulation.scenario import (
     DynamicScenario,
     Scenario,
     expand_seeds,
-    run_dynamic_grid,
     run_dynamic_scenario,
     run_scenario,
-    run_scenario_grid,
 )
-from repro.simulation.sweep import SweepConfiguration, grid_sweep, run_sweep
+from repro.simulation.sweep import SweepConfiguration, run_sweep
 
 WORKER_COUNTS = (1, 2, 4)
 
@@ -40,6 +36,13 @@ def small_config(rng_mode="sequential", algorithm="algorithm2"):
     return SweepConfiguration(algorithm=algorithm, topology="torus", num_nodes=16,
                               tokens_per_node=8, workload="uniform",
                               rng_mode=rng_mode)
+
+
+def scenario_results(kind, scenarios, workers):
+    """Run scenarios as a grid of ``kind`` cells; results in input order."""
+    cells = [GridCell(kind=kind, spec=scenario, index=index)
+             for index, scenario in enumerate(scenarios)]
+    return [outcome.result for outcome in run_cells(cells, workers=workers)]
 
 
 def run_signature(run):
@@ -53,24 +56,29 @@ class TestWorkerCountInvariance:
     def test_sweep_identical_across_worker_counts(self, rng_mode):
         config = small_config(rng_mode)
         seeds = [1, 2, 3, 4]
-        results = [run_sweep(config, seeds, record_trace=True, workers=workers)
-                   for workers in WORKER_COUNTS]
+        cells = sweep_cells([config], seeds, record_trace=True)
+        results = [run_sweep(config, seeds, record_trace=True)] + [
+            merge_sweeps([config], run_cells(cells, workers=workers))[0]
+            for workers in WORKER_COUNTS[1:]]
         rows = [result.as_row() for result in results]
         assert rows[0] == rows[1] == rows[2]
         signatures = [[run_signature(run) for run in result.runs]
                       for result in results]
         assert signatures[0] == signatures[1] == signatures[2]
 
-    def test_grid_sweep_identical_across_worker_counts(self):
-        kwargs = dict(
-            algorithms=("round-down", "algorithm1"),
-            topologies_and_sizes=(("cycle", 8), ("torus", 16)),
-            seeds=[1, 2],
-            tokens_per_node=8,
-        )
-        tables = []
-        for workers in WORKER_COUNTS:
-            results = grid_sweep(workers=workers, **kwargs)
+    def test_sweep_grid_identical_across_worker_counts(self):
+        configurations = [
+            SweepConfiguration(algorithm=algorithm, topology=topology,
+                               num_nodes=size, tokens_per_node=8)
+            for topology, size in (("cycle", 8), ("torus", 16))
+            for algorithm in ("round-down", "algorithm1")]
+        seeds = [1, 2]
+        serial = [run_sweep(configuration, seeds)
+                  for configuration in configurations]
+        tables = [[result.as_row() for result in serial]]
+        for workers in WORKER_COUNTS[1:]:
+            results = merge_sweeps(configurations, run_cells(
+                sweep_cells(configurations, seeds), workers=workers))
             tables.append([result.as_row() for result in results])
         assert tables[0] == tables[1] == tables[2]
 
@@ -82,7 +90,7 @@ class TestWorkerCountInvariance:
         scenarios = expand_seeds(base, [1, 2, 3, 4])
         serial = [run_dynamic_scenario(scenario) for scenario in scenarios]
         for workers in WORKER_COUNTS[1:]:
-            sharded = run_dynamic_grid(scenarios, workers=workers)
+            sharded = scenario_results("dynamic", scenarios, workers)
             assert [r.trace_max_min for r in sharded] == \
                 [r.trace_max_min for r in serial]
             assert [r.trace_total_weight for r in sharded] == \
@@ -90,12 +98,12 @@ class TestWorkerCountInvariance:
             assert [r.event_timeline for r in sharded] == \
                 [r.event_timeline for r in serial]
 
-    def test_scenario_grid_matches_serial(self):
+    def test_static_scenarios_match_serial(self):
         scenarios = expand_seeds(
             Scenario(name="st", algorithm="algorithm1", topology="cycle",
                      num_nodes=8, tokens_per_node=8), [3, 4])
         serial = [run_scenario(scenario) for scenario in scenarios]
-        sharded = run_scenario_grid(scenarios, workers=2)
+        sharded = scenario_results("scenario", scenarios, workers=2)
         assert [r.final_max_min for r in sharded] == \
             [r.final_max_min for r in serial]
 
@@ -130,10 +138,6 @@ class TestRunCells:
         with pytest.raises(ExperimentError):
             GridCell(kind="frobnicate", spec=small_config(), index=0)
 
-    def test_explicit_chunksize(self):
-        outcomes = run_cells(self.make_cells(4), workers=2, chunksize=2)
-        assert [outcome.cell.seed for outcome in outcomes] == [0, 1, 2, 3]
-
     def test_default_workers_bounds(self):
         assert default_workers(0) == 1
         assert 1 <= default_workers(100) <= 100
@@ -160,23 +164,24 @@ class TestRunCells:
         assert empty["cells"] == 0
 
 
-class TestParallelEntryPoints:
-    def test_parallel_sweep_requires_seeds(self):
+class TestGridApi:
+    def test_sweep_cells_requires_seeds(self):
         with pytest.raises(ExperimentError):
-            parallel_sweep(small_config(), seeds=[], workers=2)
+            sweep_cells([small_config()], seeds=[])
 
-    def test_parallel_grid_sweep_merges_per_configuration(self):
+    def test_merge_sweeps_merges_per_configuration(self):
         configs = [small_config(), small_config(algorithm="algorithm1")]
-        results = parallel_grid_sweep(configs, seeds=[1, 2, 3], workers=2)
+        outcomes = run_cells(sweep_cells(configs, seeds=[1, 2, 3]), workers=2)
+        results = merge_sweeps(configs, outcomes)
         assert [result.configuration for result in results] == configs
         assert all(result.num_runs == 3 for result in results)
 
-    def test_parallel_dynamic_grid_preserves_order(self):
+    def test_dynamic_grid_preserves_order(self):
         scenarios = expand_seeds(
             DynamicScenario(name="ord", algorithm="round-down", topology="cycle",
                             num_nodes=8, tokens_per_node=4, rounds=12), [9, 8, 7])
-        results = parallel_dynamic_grid(scenarios, workers=2)
+        results = scenario_results("dynamic", scenarios, workers=2)
         assert len(results) == 3
 
-    def test_parallel_scenario_grid_empty(self):
-        assert parallel_scenario_grid([], workers=2) == []
+    def test_empty_scenario_list(self):
+        assert scenario_results("scenario", [], workers=2) == []

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ExperimentError
-from repro.simulation.sweep import SweepConfiguration, grid_sweep, run_sweep
+from repro.simulation.sweep import SweepConfiguration, run_sweep
 
 
 class TestConfiguration:
@@ -73,16 +73,3 @@ class TestRunSweep:
             run_sweep(SweepConfiguration(algorithm="algorithm1", workload="tsunami"), seeds=[1])
         with pytest.raises(ExperimentError):
             run_sweep(SweepConfiguration(algorithm="algorithm1"), seeds=[])
-
-
-class TestGridSweep:
-    def test_cross_product(self):
-        results = grid_sweep(
-            algorithms=("round-down", "algorithm1"),
-            topologies_and_sizes=(("cycle", 8), ("torus", 16)),
-            seeds=[1],
-            tokens_per_node=8,
-        )
-        assert len(results) == 4
-        labels = {result.configuration.label() for result in results}
-        assert len(labels) == 4

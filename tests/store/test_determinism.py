@@ -21,15 +21,15 @@ from repro.store import RunStore, check_store_regression
 _WORKER = """
 import sys
 sys.path.insert(0, {src!r})
-from repro.simulation.parallel import grid_sweep_with_outcomes
+from repro.simulation.parallel import run_cells, sweep_cells
 from repro.simulation.sweep import SweepConfiguration
 from repro.store import RunStore, record_sweep_outcomes
 
 configuration = SweepConfiguration(
     algorithm="algorithm2", topology="torus", num_nodes=16,
     tokens_per_node=8, workload="point", rng_mode="counter")
-_, outcomes = grid_sweep_with_outcomes([configuration], seeds=[1, 2],
-                                       record_trace=True)
+outcomes = run_cells(sweep_cells([configuration], seeds=[1, 2],
+                                 record_trace=True))
 record_sweep_outcomes(RunStore({store!r}), "determinism", outcomes)
 """
 

@@ -10,7 +10,7 @@ import pytest
 from repro.exceptions import ExperimentError
 from repro.network import topologies
 from repro.simulation.engine import run_algorithm
-from repro.simulation.parallel import grid_sweep_with_outcomes
+from repro.simulation.parallel import run_cells, sweep_cells
 from repro.simulation.sweep import SweepConfiguration
 from repro.store import (
     RunRecord,
@@ -202,8 +202,8 @@ class TestRecordSweepOutcomes:
         configuration = SweepConfiguration(
             algorithm="algorithm2", topology="torus", num_nodes=16,
             tokens_per_node=8, rng_mode="counter")
-        _, outcomes = grid_sweep_with_outcomes([configuration], seeds=[1, 2],
-                                               record_trace=True)
+        outcomes = run_cells(sweep_cells([configuration], seeds=[1, 2],
+                                         record_trace=True))
         store = RunStore(tmp_path / "sweep.jsonl")
         records = record_sweep_outcomes(store, "grid", outcomes)
         assert len(records) == 2

@@ -337,6 +337,44 @@ class TestFaultToleranceCLI:
         assert args.max_retries == 3
         assert args.strict is False
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--algorithm", "round-down", "--nodes", "8", "--seeds", "1", "2"],
+        ["grid", "--algorithms", "round-down", "--topologies", "cycle:8",
+         "--seeds", "1", "2"],
+        ["dynamic", "--nodes", "8", "--rounds", "4", "--seeds", "1", "2"],
+    ])
+    def test_grid_where_every_cell_fails_exits_1(self, argv, capsys, monkeypatch):
+        import repro.simulation.parallel as parallel
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("cell exploded")
+
+        monkeypatch.setattr(parallel, "_execute_cell", broken)
+        assert main(argv + ["--workers", "1", "--no-strict"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("failed permanently") == 2
+        assert "RuntimeError: cell exploded" in err
+        assert "error: every cell failed" in err
+
+    def test_grid_partial_failure_reports_and_keeps_survivors(
+            self, capsys, monkeypatch):
+        import repro.simulation.parallel as parallel
+
+        execute = parallel._execute_cell
+
+        def flaky(cell, *args, **kwargs):
+            if cell.seed == 2:
+                raise RuntimeError("cell exploded")
+            return execute(cell, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "_execute_cell", flaky)
+        assert main(["grid", "--algorithms", "round-down", "--topologies",
+                     "cycle:8", "--seeds", "1", "2", "--workers", "1",
+                     "--no-strict"]) == 0
+        captured = capsys.readouterr()
+        assert "WARNING: cell 1" in captured.err
+        assert "round-down" in captured.out
+
     def test_checkpoint_every_rejected_on_seed_grids(self):
         with pytest.raises(SystemExit):
             main(["dynamic", "--seeds", "1", "2", "--checkpoint-every", "5"])
