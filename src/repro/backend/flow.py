@@ -6,8 +6,10 @@
 per-edge residual flows, derives the integer send amount of every active edge
 in one vectorised pass (floor for Algorithm 1, randomized rounding for
 Algorithm 2), and applies the transfers with scatter-adds.  The cost of a
-round is O(m log m) in the number of edges — independent of the number of
-tokens ``W`` — versus the object backend's O(W) queue snapshots.
+round is O(m) in the number of edges — independent of the number of tokens
+``W`` — versus the object backend's O(W) queue snapshots.  No round sorts:
+the planning order is filtered from the network's precomputed
+:attr:`~repro.network.graph.Network.directed_order`.
 
 Bit-for-bit equivalence with the object backend is a design invariant, not
 an accident, and the ordering details below exist to preserve it:
@@ -83,9 +85,6 @@ class ArrayFlowImitation(FlowCoupledBalancer):
         super().__init__(continuous, max_task_weight=1.0,
                          original_weight=float(counts.sum()))
         self._state = TokenCountState(counts)
-        edges = network.edges
-        self._edge_u = np.fromiter((u for u, _ in edges), dtype=np.int64, count=len(edges))
-        self._edge_v = np.fromiter((v for _, v in edges), dtype=np.int64, count=len(edges))
 
     # ------------------------------------------------------------------ #
     # state inspection
@@ -136,35 +135,25 @@ class ArrayFlowImitation(FlowCoupledBalancer):
 
     def _imitate_round(self) -> None:
         residual = self._continuous.cumulative_flows - self._discrete_cumulative
-        active = np.nonzero(residual != 0.0)[0]
+        # Orient each active edge from its sender and order the requests the
+        # way the object backend iterates them: by sender, then by receiver.
+        active, forward, senders, receivers = self.network.active_directed_edges(residual)
         if active.size == 0:
             self._reports.append(RoundReport(self._round, 0, 0, 0.0, 0))
             return
-
-        # Orient each active edge from its sender and order the requests the
-        # way the object backend iterates them: by sender, then by receiver.
-        res = residual[active]
-        forward = res > 0.0
-        senders = np.where(forward, self._edge_u[active], self._edge_v[active])
-        receivers = np.where(forward, self._edge_v[active], self._edge_u[active])
-        order = np.lexsort((receivers, senders))
-        active = active[order]
-        forward = forward[order]
-        senders = senders[order]
-        receivers = receivers[order]
-        magnitude = np.abs(res[order])
+        magnitude = np.abs(residual[active])
 
         amounts = self._edge_amounts(magnitude, active)
-        mask = amounts > 0
-        transfers = int(np.count_nonzero(mask))
+        moving = np.flatnonzero(amounts > 0)
+        transfers = int(moving.size)
         if transfers == 0:
             self._reports.append(RoundReport(self._round, 0, 0, 0.0, 0))
             return
-        active = active[mask]
-        forward = forward[mask]
-        senders = senders[mask]
-        receivers = receivers[mask]
-        amounts = amounts[mask]
+        active = active[moving]
+        forward = forward[moving]
+        senders = senders[moving]
+        receivers = receivers[moving]
+        amounts = amounts[moving]
 
         n = self.network.num_nodes
         outgoing = np.zeros(n, dtype=np.int64)

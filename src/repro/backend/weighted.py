@@ -492,9 +492,6 @@ class ArrayWeightedDeterministicFlowImitation(FlowCoupledBalancer):
         self._policy = selection_policy
         self._state = state
         self._unit_tokens_only = max_weight <= 1
-        edges = network.edges
-        self._edge_u = np.fromiter((u for u, _ in edges), dtype=np.int64, count=len(edges))
-        self._edge_v = np.fromiter((v for _, v in edges), dtype=np.int64, count=len(edges))
 
     # ------------------------------------------------------------------ #
     # state inspection
@@ -555,23 +552,13 @@ class ArrayWeightedDeterministicFlowImitation(FlowCoupledBalancer):
 
     def _imitate_round(self) -> None:
         residual = self._continuous.cumulative_flows - self._discrete_cumulative
-        active = np.nonzero(residual != 0.0)[0]
+        # Orient each active edge from its sender and order the requests the
+        # way the object backend iterates them: by sender, then by receiver.
+        active, forward, senders, receivers = self.network.active_directed_edges(residual)
         if active.size == 0:
             self._reports.append(RoundReport(self._round, 0, 0, 0.0, 0))
             return
-
-        # Orient each active edge from its sender and order the requests the
-        # way the object backend iterates them: by sender, then by receiver.
-        res = residual[active]
-        forward = res > 0.0
-        senders = np.where(forward, self._edge_u[active], self._edge_v[active])
-        receivers = np.where(forward, self._edge_v[active], self._edge_u[active])
-        order = np.lexsort((receivers, senders))
-        active = active[order]
-        forward = forward[order]
-        senders = senders[order]
-        receivers = receivers[order]
-        magnitude = np.abs(res[order])
+        magnitude = np.abs(residual[active])
 
         if not self._single_class_round(active, forward, senders, receivers,
                                         magnitude):
@@ -598,24 +585,24 @@ class ArrayWeightedDeterministicFlowImitation(FlowCoupledBalancer):
             amounts = np.floor(magnitude + 1e-9).astype(np.int64)
         else:
             amounts = _take_counts_vector(magnitude, float(w), self._w_max + 1e-9)
-        mask = amounts > 0
-        transfers = int(np.count_nonzero(mask))
+        moving = np.flatnonzero(amounts > 0)
+        transfers = int(moving.size)
         if transfers == 0:
             self._reports.append(RoundReport(self._round, 0, 0, 0.0, 0))
             return True
-        amounts = amounts[mask]
+        amounts = amounts[moving]
         n = self.network.num_nodes
         outgoing = np.zeros(n, dtype=np.int64)
-        np.add.at(outgoing, senders[mask], amounts)
+        np.add.at(outgoing, senders[moving], amounts)
         if np.any(outgoing * w > state.loads):
             return False  # some sender would need the infinite source
         incoming = np.zeros(n, dtype=np.int64)
-        np.add.at(incoming, receivers[mask], amounts)
+        np.add.at(incoming, receivers[moving], amounts)
         state.apply_single_class_moves(outgoing, incoming)
 
         moved_weight = amounts * w
-        signed = np.where(forward[mask], moved_weight, -moved_weight).astype(float)
-        self._discrete_cumulative[active[mask]] += signed
+        signed = np.where(forward[moving], moved_weight, -moved_weight).astype(float)
+        self._discrete_cumulative[active[moving]] += signed
         self._reports.append(
             RoundReport(
                 round_index=self._round,

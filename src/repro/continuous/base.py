@@ -21,7 +21,7 @@ concrete subclasses by the property-based tests in ``tests/``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -84,20 +84,19 @@ class RoundFlows:
         return total
 
     def outgoing_all(self) -> np.ndarray:
-        """Return the vector of outgoing demands for every node (vectorised)."""
-        demand = np.zeros(self._network.num_nodes, dtype=float)
-        edges = self._network.edges
-        sources = np.fromiter((u for u, _ in edges), dtype=int, count=len(edges))
-        targets = np.fromiter((v for _, v in edges), dtype=int, count=len(edges))
-        np.add.at(demand, sources, self.forward)
-        np.add.at(demand, targets, self.backward)
-        return demand
+        """Return the vector of outgoing demands for every node (vectorised).
+
+        One ``bincount`` over the directed edges adds every forward amount,
+        then every backward amount, in edge order -- the same float sums as
+        scatter-adding ``forward`` and then ``backward`` into zeros.
+        """
+        senders, _ = self._network.directed_endpoints
+        return np.bincount(senders, weights=np.concatenate((self.forward, self.backward)),
+                           minlength=self._network.num_nodes)
 
     def apply_to(self, loads: np.ndarray) -> np.ndarray:
         """Return a new load vector after applying the net flows of this round."""
-        edges = self._network.edges
-        sources = np.fromiter((u for u, _ in edges), dtype=int, count=len(edges))
-        targets = np.fromiter((v for _, v in edges), dtype=int, count=len(edges))
+        sources, targets = self._network.edge_endpoints
         net = self.net()
         updated = loads.astype(float).copy()
         np.subtract.at(updated, sources, net)
@@ -135,10 +134,6 @@ class ContinuousProcess(ABC):
         self._check_negative = check_negative_load
         self._induced_negative = False
         self._cumulative = np.zeros(network.num_edges, dtype=float)
-        self._edge_sources = np.fromiter((u for u, _ in network.edges), dtype=int,
-                                         count=network.num_edges)
-        self._edge_targets = np.fromiter((v for _, v in network.edges), dtype=int,
-                                         count=network.num_edges)
         self._last_flows: Optional[RoundFlows] = None
 
     # ------------------------------------------------------------------ #
@@ -243,8 +238,9 @@ class ContinuousProcess(ABC):
                     f"but outgoing demand {demand[node]:.4f}"
                 )
         net = flows.net()
-        np.subtract.at(self._load, self._edge_sources, net)
-        np.add.at(self._load, self._edge_targets, net)
+        sources, targets = self._network.edge_endpoints
+        np.subtract.at(self._load, sources, net)
+        np.add.at(self._load, targets, net)
         self._cumulative += net
         self._on_round_applied(flows)
         self._last_flows = flows
@@ -282,14 +278,6 @@ class ContinuousProcess(ABC):
     def _current_discrepancy(self) -> float:
         target = self.balanced_target()
         return float(np.max(np.abs(self._load - target)))
-
-    # ------------------------------------------------------------------ #
-    # helpers for subclasses
-    # ------------------------------------------------------------------ #
-
-    def _edge_endpoint_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Return the (sources, targets) arrays of the canonical edge list."""
-        return self._edge_sources, self._edge_targets
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

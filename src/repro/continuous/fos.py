@@ -57,7 +57,7 @@ class FirstOrderDiffusion(ContinuousProcess):
         self._alpha_array = _alphas_to_array(network, alphas)
         self._alphas = dict(alphas)
         speeds = network.speeds
-        sources, targets = self._edge_endpoint_arrays()
+        sources, targets = self.network.edge_endpoints
         # Pre-compute the per-edge transfer rates alpha_e / s_u and alpha_e / s_v.
         self._rate_forward = self._alpha_array / speeds[sources]
         self._rate_backward = self._alpha_array / speeds[targets]
@@ -68,7 +68,7 @@ class FirstOrderDiffusion(ContinuousProcess):
         return dict(self._alphas)
 
     def _compute_flows(self) -> RoundFlows:
-        sources, targets = self._edge_endpoint_arrays()
+        sources, targets = self.network.edge_endpoints
         load = self._load
         forward = self._rate_forward * load[sources]
         backward = self._rate_backward * load[targets]

@@ -75,7 +75,7 @@ class SecondOrderDiffusion(ContinuousProcess):
             raise ProcessError(f"beta must lie in (0, 2], got {beta}")
         self._beta = float(beta)
         speeds = network.speeds
-        sources, targets = self._edge_endpoint_arrays()
+        sources, targets = self.network.edge_endpoints
         self._rate_forward = self._alpha_array / speeds[sources]
         self._rate_backward = self._alpha_array / speeds[targets]
 
@@ -90,7 +90,7 @@ class SecondOrderDiffusion(ContinuousProcess):
         return dict(self._alphas)
 
     def _compute_flows(self) -> RoundFlows:
-        sources, targets = self._edge_endpoint_arrays()
+        sources, targets = self.network.edge_endpoints
         load = self._load
         fos_forward = self._rate_forward * load[sources]
         fos_backward = self._rate_backward * load[targets]

@@ -347,15 +347,15 @@ class FlowImitationBalancer(FlowCoupledBalancer):
 
         # Partition residuals into per-sender requests (only one direction of an
         # edge can have positive residual flow).
+        edge_u, edge_v = self.network.edge_endpoints
+        active = np.flatnonzero(residual)
         requests: Dict[int, List[Tuple[int, int, float]]] = {}
-        for edge_idx, value in enumerate(residual):
-            if value == 0.0:
-                continue
-            u, v = self.network.edges[edge_idx]
+        for edge_idx, value, u, v in zip(active.tolist(), residual[active].tolist(),
+                                         edge_u[active].tolist(), edge_v[active].tolist()):
             if value > 0:
-                requests.setdefault(u, []).append((v, edge_idx, float(value)))
+                requests.setdefault(u, []).append((v, edge_idx, value))
             else:
-                requests.setdefault(v, []).append((u, edge_idx, float(-value)))
+                requests.setdefault(v, []).append((u, edge_idx, -value))
 
         plans: List[Tuple[int, EdgeSendPlan]] = []
         pools: Dict[int, List[Task]] = {}
@@ -382,8 +382,8 @@ class FlowImitationBalancer(FlowCoupledBalancer):
             sent = plan.weight
             weight_moved += sent
             transfers += 1
-            u, _ = self.network.edges[edge_idx]
-            signed = sent if plan.source == u else -sent
+            # Canonical edges are stored with u < v.
+            signed = sent if plan.source < plan.destination else -sent
             self._discrete_cumulative[edge_idx] += signed
 
         if dummies_this_round:
@@ -404,7 +404,8 @@ class FlowImitationBalancer(FlowCoupledBalancer):
         """Yield this round's send requests as ``(node, neighbor, edge_idx, amount)``.
 
         The canonical planning order — senders ascending, receivers ascending
-        within a sender — which the array backend replicates with one lexsort.
+        within a sender — which the array backend reads from the network's
+        precomputed :attr:`~repro.network.graph.Network.directed_order`.
         Overridable so permutation tests can prove that counter-mode
         (``rng_mode="counter"``) load trajectories do not depend on it.
         """

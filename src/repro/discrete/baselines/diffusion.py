@@ -84,9 +84,7 @@ class DiffusionBaseline(IntegerLoadBalancer):
             self._alpha_array[network.edge_index(u, v)] = value
         if np.any(self._alpha_array <= 0):
             raise ProcessError("every edge needs a positive alpha weight")
-        edges = network.edges
-        self._sources = np.fromiter((u for u, _ in edges), dtype=int, count=len(edges))
-        self._targets = np.fromiter((v for _, v in edges), dtype=int, count=len(edges))
+        self._sources, self._targets = network.edge_endpoints
 
     @property
     def alphas(self) -> Dict[Edge, float]:
@@ -102,12 +100,9 @@ class DiffusionBaseline(IntegerLoadBalancer):
     def _apply_net_moves(self, sent: np.ndarray) -> None:
         """Apply integer net moves (canonical direction, may be negative)."""
         moves: List[Tuple[int, int, int]] = []
-        for edge_idx, amount in enumerate(sent):
-            amount = int(amount)
-            if amount == 0:
-                continue
-            u = int(self._sources[edge_idx])
-            v = int(self._targets[edge_idx])
+        moving = np.flatnonzero(sent)
+        for u, v, amount in zip(self._sources[moving].tolist(),
+                                self._targets[moving].tolist(), sent[moving].tolist()):
             if amount > 0:
                 moves.append((u, v, amount))
             else:
@@ -350,24 +345,21 @@ class ExcessTokenDiffusion(DiffusionBaseline):
     # ------------------------------------------------------------------ #
 
     def _ensure_directed_arrays(self) -> None:
-        """Build the directed-edge arrays (sorted by source, then neighbour
-        order) shared by the counter-mode reference and the columnar kernel.
+        """Gather the directed-edge arrays (the network's ``(sender,
+        receiver)`` planning order) shared by the counter-mode reference and
+        the columnar kernel.
 
         Topology data, built once on first counter-mode use — the default
         sequential mode never reads them, so it does not pay for them."""
         if self._dir_offsets is not None:
             return
         network = self.network
-        degrees = network.degrees
-        self._dir_offsets = np.concatenate(([0], np.cumsum(degrees))).astype(np.int64)
-        self._dir_src = np.repeat(np.arange(network.num_nodes), degrees)
-        self._dir_dst = np.fromiter(
-            (nbr for node in network.nodes for nbr in network.neighbors(node)),
-            dtype=np.int64, count=int(degrees.sum()))
-        self._dir_alpha = self._alpha_array[
-            [network.edge_index(int(u), int(v))
-             for u, v in zip(self._dir_src, self._dir_dst)]
-        ]
+        order = network.directed_order
+        senders, receivers = network.directed_endpoints
+        self._dir_offsets = np.concatenate(([0], np.cumsum(network.degrees))).astype(np.int64)
+        self._dir_src = senders[order]
+        self._dir_dst = receivers[order]
+        self._dir_alpha = np.concatenate((self._alpha_array, self._alpha_array))[order]
 
     def _counter_flow_plan(self):
         """Vectorised directed floors and per-node excess token counts.

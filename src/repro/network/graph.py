@@ -5,7 +5,9 @@ A :class:`Network` is an undirected graph whose nodes represent processors
 carries an integer *speed* ``s_i >= 1`` (heterogeneous processing rates, see
 Section 3 of the paper).  The class pre-computes the data every balancing
 process needs each round: neighbour lists, degrees, the edge index used to
-store per-edge flows, and convenience matrices (adjacency, Laplacian).
+store per-edge flows, the read-only edge endpoint arrays and directed
+planning order the array kernels share, and convenience matrices
+(adjacency, Laplacian).
 
 Nodes are always labelled ``0 .. n-1``.  Graphs supplied as
 :class:`networkx.Graph` instances with arbitrary hashable labels are relabelled
@@ -54,6 +56,13 @@ class Network:
     The per-edge flow bookkeeping used throughout the library indexes
     undirected edges by position in :attr:`edges`; :meth:`edge_index` maps an
     unordered node pair to that position.
+
+    The edge layout is computed once here and shared by every per-round
+    consumer: :attr:`edges` is an immutable tuple returned without copying,
+    and :attr:`edge_endpoints`, :attr:`directed_endpoints` and
+    :attr:`directed_order` are read-only int64 arrays (writing to them raises
+    ``ValueError``).  Directed edge ``k < m`` is edge ``k`` traversed
+    ``u -> v``; directed edge ``m + k`` is the same edge traversed ``v -> u``.
     """
 
     def __init__(
@@ -77,10 +86,19 @@ class Network:
         self.name: str = name or "network"
 
         self._n = relabelled.number_of_nodes()
-        self._edges: List[Edge] = sorted(
+        self._edges: Tuple[Edge, ...] = tuple(sorted(
             _canonical_edge(u, v) for u, v in relabelled.edges()
-        )
+        ))
         self._edge_index: Dict[Edge, int] = {e: k for k, e in enumerate(self._edges)}
+        endpoints = np.array(self._edges, dtype=np.int64).reshape(-1, 2)
+        self._directed_senders = _read_only(np.concatenate((endpoints[:, 0], endpoints[:, 1])))
+        self._directed_receivers = _read_only(np.concatenate((endpoints[:, 1], endpoints[:, 0])))
+        m = len(self._edges)
+        self._edge_endpoints = (self._directed_senders[:m], self._directed_receivers[:m])
+        # A simple graph has unique (sender, receiver) pairs, so this one sort
+        # fixes the planning order of every subset of directed edges.
+        self._directed_order = _read_only(
+            np.lexsort((self._directed_receivers, self._directed_senders)))
         self._neighbors: List[Tuple[int, ...]] = [
             tuple(sorted(relabelled.neighbors(i))) for i in range(self._n)
         ]
@@ -125,8 +143,45 @@ class Network:
 
     @property
     def edges(self) -> Tuple[Edge, ...]:
-        """All undirected edges in canonical ``(u, v), u < v`` form."""
-        return tuple(self._edges)
+        """All undirected edges in canonical ``(u, v), u < v`` form (shared tuple)."""
+        return self._edges
+
+    @property
+    def edge_endpoints(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only int64 arrays ``(u, v)`` of the canonical edge endpoints."""
+        return self._edge_endpoints
+
+    @property
+    def directed_endpoints(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only int64 ``(senders, receivers)`` of the ``2m`` directed edges."""
+        return self._directed_senders, self._directed_receivers
+
+    @property
+    def directed_order(self) -> np.ndarray:
+        """The directed edges sorted by ``(sender, receiver)`` (read-only int64)."""
+        return self._directed_order
+
+    def active_directed_edges(
+        self, residual: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Orient every edge with non-zero ``residual`` and put them in planning order.
+
+        ``residual`` holds one signed value per canonical edge; a positive
+        value makes ``u`` the sender, a negative one ``v``.  Returns
+        ``(edges, forward, senders, receivers)`` sorted by ``(sender,
+        receiver)`` -- the order :func:`numpy.lexsort` would give -- without
+        sorting: the precomputed :attr:`directed_order` is filtered instead.
+        """
+        m = len(self._edges)
+        order = self._directed_order
+        # Integer gathers: boolean-mask indexing and np.where cost several
+        # times more on the random masks a round produces.
+        active = np.concatenate((residual > 0.0, residual < 0.0))[order]
+        directed = order[np.flatnonzero(active)]
+        forward = directed < m
+        edges = directed - m * ~forward
+        return (edges, forward, self._directed_senders[directed],
+                self._directed_receivers[directed])
 
     @property
     def speeds(self) -> np.ndarray:
@@ -276,6 +331,12 @@ class Network:
     def _check_node(self, node: int) -> None:
         if not (isinstance(node, (int, np.integer)) and 0 <= node < self._n):
             raise NetworkError(f"node {node!r} is not a valid node id (0..{self._n - 1})")
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """Freeze ``array`` in place and return it."""
+    array.setflags(write=False)
+    return array
 
 
 def _is_sortable(labels: List) -> bool:

@@ -22,6 +22,9 @@ R004      process-boundary-purity        boundary dataclasses stay picklable and
                                          PR 6 config hashes)
 R005      kernel-phase-coverage          backend round kernels run under
                                          ``kernel_phase(...)`` (PR 7 traces)
+R006      edge-list-rebuild              per-round code reads ``Network``'s cached
+                                         endpoint arrays instead of rebuilding
+                                         them from ``.edges``
 ========  =============================  =========================================
 """
 
@@ -38,6 +41,7 @@ __all__ = [
     "UnorderedIterationRule",
     "ProcessBoundaryPurityRule",
     "KernelPhaseCoverageRule",
+    "EdgeListRebuildRule",
     "ALL_RULES",
     "RULES_BY_ID",
     "BOUNDARY_TYPES",
@@ -620,12 +624,132 @@ class KernelPhaseCoverageRule(VisitorRule):
                 and module.filename == "flow_imitation.py")
 
 
+# --------------------------------------------------------------------- #
+# R006 edge-list-rebuild
+# --------------------------------------------------------------------- #
+
+
+def _edges_attribute(node: ast.expr) -> bool:
+    """Whether ``node`` is an ``.edges`` attribute read."""
+    return isinstance(node, ast.Attribute) and node.attr == "edges"
+
+
+class _EdgeListRebuildVisitor(RuleVisitor):
+    """Flag ``np.fromiter`` over ``.edges`` and ``.edges[...]`` inside loops.
+
+    Names bound to ``<x>.edges`` count as ``.edges`` (``edges =
+    network.edges`` then ``np.fromiter((u for u, _ in edges), ...)``); an
+    ``.edges()`` *call* (networkx) is a different API and does not.  Only
+    what runs once per iteration is "inside" a loop: a ``for`` loop's
+    iterable and a comprehension's first iterable are evaluated once.
+    """
+
+    def __init__(self, rule: "EdgeListRebuildRule",
+                 module: ModuleContext) -> None:
+        super().__init__(rule, module)
+        self._loop_depth = 0
+        self._edge_aliases: Set[str] = set()
+
+    def _reads_edges(self, node: ast.expr) -> bool:
+        called = {id(child.func) for child in ast.walk(node)
+                  if isinstance(child, ast.Call)}
+        for child in ast.walk(node):
+            if isinstance(child, ast.Name) and child.id in self._edge_aliases:
+                return True
+            if _edges_attribute(child) and id(child) not in called:
+                return True
+        return False
+
+    def _visit_in_loop(self, nodes: List[ast.AST]) -> None:
+        self._loop_depth += 1
+        for node in nodes:
+            self.visit(node)
+        self._loop_depth -= 1
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        if _edges_attribute(node.value):
+            self._edge_aliases.update(target.id for target in node.targets
+                                      if isinstance(target, ast.Name))
+        self.generic_visit(node)
+
+    def visit_For(self, node: ast.For) -> None:
+        self.visit(node.iter)
+        self._visit_in_loop(list(node.body))
+        for statement in node.orelse:
+            self.visit(statement)
+
+    def visit_AsyncFor(self, node: ast.AsyncFor) -> None:
+        self.visit(node.iter)
+        self._visit_in_loop(list(node.body))
+        for statement in node.orelse:
+            self.visit(statement)
+
+    def visit_While(self, node: ast.While) -> None:
+        self._visit_in_loop([node.test, *node.body])
+        for statement in node.orelse:
+            self.visit(statement)
+
+    def _visit_comprehension(self, node: ast.expr,
+                             generators: List[ast.comprehension]) -> None:
+        first = generators[0]
+        self.visit(first.iter)
+        elements = [child for child in ast.iter_child_nodes(node)
+                    if not isinstance(child, ast.comprehension)]
+        self._visit_in_loop([*first.ifs, *generators[1:], *elements])
+
+    def visit_ListComp(self, node: ast.ListComp) -> None:
+        self._visit_comprehension(node, node.generators)
+
+    def visit_SetComp(self, node: ast.SetComp) -> None:
+        self._visit_comprehension(node, node.generators)
+
+    def visit_GeneratorExp(self, node: ast.GeneratorExp) -> None:
+        self._visit_comprehension(node, node.generators)
+
+    def visit_DictComp(self, node: ast.DictComp) -> None:
+        self._visit_comprehension(node, node.generators)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        name = (func.attr if isinstance(func, ast.Attribute)
+                else func.id if isinstance(func, ast.Name) else "")
+        if name == "fromiter" and node.args and self._reads_edges(node.args[0]):
+            self.report(node, (
+                "np.fromiter() over .edges rebuilds the edge endpoints in "
+                "Python: read Network.edge_endpoints (cached, read-only "
+                "int64 arrays) instead"))
+            return  # one finding per rebuild, not one per nested subscript
+        self.generic_visit(node)
+
+    def visit_Subscript(self, node: ast.Subscript) -> None:
+        if self._loop_depth and _edges_attribute(node.value):
+            self.report(node, (
+                ".edges[...] inside a loop looks edges up one Python tuple "
+                "at a time: index the Network.edge_endpoints arrays (or "
+                "iterate np.flatnonzero(...) over them) instead"))
+        self.generic_visit(node)
+
+
+class EdgeListRebuildRule(VisitorRule):
+    """R006: per-round code reads the cached edge layout, never rebuilds it."""
+
+    rule_id = "R006"
+    name = "edge-list-rebuild"
+    description = ("np.fromiter over .edges, or .edges[...] inside a loop, "
+                   "outside network/")
+    visitor_class = _EdgeListRebuildVisitor
+
+    def applies_to(self, module: ModuleContext) -> bool:
+        return not module.is_test and not module.in_directory("network")
+
+
 ALL_RULES: Tuple[VisitorRule, ...] = (
     NondeterministicRngRule(),
     WallClockInLogicRule(),
     UnorderedIterationRule(),
     ProcessBoundaryPurityRule(),
     KernelPhaseCoverageRule(),
+    EdgeListRebuildRule(),
 )
 
 RULES_BY_ID: Dict[str, VisitorRule] = {rule.rule_id: rule for rule in ALL_RULES}

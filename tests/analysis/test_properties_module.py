@@ -29,7 +29,7 @@ class NonAdditiveProcess(ContinuousProcess):
 
     def _compute_flows(self) -> RoundFlows:
         flows = RoundFlows(self.network)
-        sources, targets = self._edge_endpoint_arrays()
+        sources, targets = self.network.edge_endpoints
         flows.forward = 0.1 * np.sqrt(np.maximum(self._load[sources], 0.0))
         flows.backward = 0.1 * np.sqrt(np.maximum(self._load[targets], 0.0))
         return flows

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.continuous.base import RoundFlows
 from repro.exceptions import ProcessError
 from repro.network import topologies
+from repro.network.graph import Network
 
 
 @pytest.fixture
@@ -51,3 +55,33 @@ class TestRoundFlows:
     def test_wrong_shape_rejected(self, net):
         with pytest.raises(ProcessError):
             RoundFlows(net, forward=np.zeros(3))
+
+
+@st.composite
+def networks_with_flows(draw):
+    """A random connected graph plus random non-negative per-edge flows."""
+    n = draw(st.integers(2, 12))
+    graph = nx.Graph()
+    for node in range(1, n):
+        graph.add_edge(node, draw(st.integers(0, node - 1)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    graph.add_edges_from(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    network = Network(graph)
+    amounts = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
+    m = network.num_edges
+    forward = draw(st.lists(amounts, min_size=m, max_size=m))
+    backward = draw(st.lists(amounts, min_size=m, max_size=m))
+    return network, np.array(forward), np.array(backward)
+
+
+class TestOutgoingAllBitIdentity:
+    @given(case=networks_with_flows())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_two_scatter_adds(self, case):
+        network, forward, backward = case
+        u, v = network.edge_endpoints
+        expected = np.zeros(network.num_nodes)
+        np.add.at(expected, u, forward)
+        np.add.at(expected, v, backward)
+        got = RoundFlows(network, forward=forward, backward=backward).outgoing_all()
+        assert np.array_equal(got, expected)

@@ -5,10 +5,26 @@ from __future__ import annotations
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import NetworkError
 from repro.network.graph import Network
 from repro.network import topologies
+
+
+@st.composite
+def connected_networks(draw, max_nodes=12):
+    """A random connected simple graph: a random spanning tree plus extra edges."""
+    n = draw(st.integers(1, max_nodes))
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    for node in range(1, n):
+        graph.add_edge(node, draw(st.integers(0, node - 1)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if pairs:
+        graph.add_edges_from(draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+    return Network(graph)
 
 
 def build_triangle(speeds=None) -> Network:
@@ -164,3 +180,80 @@ class TestDerivedNetworks:
         net = topologies.complete(4).with_speeds([1, 2, 3, 4])
         sub = net.subnetwork([1, 3])
         assert sorted(sub.speeds.tolist()) == [2.0, 4.0]
+
+
+class TestEdgeLayout:
+    def test_edges_is_one_shared_tuple(self):
+        net = topologies.torus(4)
+        assert isinstance(net.edges, tuple)
+        assert net.edges is net.edges
+
+    def test_endpoints_match_edges_as_int64(self):
+        net = topologies.torus(4)
+        u, v = net.edge_endpoints
+        assert u.dtype == np.int64 and v.dtype == np.int64
+        assert list(zip(u.tolist(), v.tolist())) == list(net.edges)
+
+    def test_directed_endpoints_list_both_orientations(self):
+        net = topologies.torus(4)
+        u, v = net.edge_endpoints
+        senders, receivers = net.directed_endpoints
+        np.testing.assert_array_equal(senders, np.concatenate((u, v)))
+        np.testing.assert_array_equal(receivers, np.concatenate((v, u)))
+
+    def test_layout_arrays_are_read_only(self):
+        net = topologies.torus(4)
+        arrays = (*net.edge_endpoints, *net.directed_endpoints, net.directed_order)
+        for array in arrays:
+            assert array.dtype == np.int64
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_single_node_network_has_empty_layout(self):
+        graph = nx.Graph()
+        graph.add_node(0)
+        net = Network(graph)
+        assert net.edges == ()
+        assert net.directed_order.size == 0
+        edges, forward, senders, receivers = net.active_directed_edges(np.zeros(0))
+        assert edges.size == forward.size == senders.size == receivers.size == 0
+
+
+def _lexsorted_active(net, residual):
+    """The per-round reference: orient the active edges, then lexsort them."""
+    u, v = net.edge_endpoints
+    active = np.nonzero(residual != 0.0)[0]
+    forward = residual[active] > 0.0
+    senders = np.where(forward, u[active], v[active])
+    receivers = np.where(forward, v[active], u[active])
+    order = np.lexsort((receivers, senders))
+    return active[order], forward[order], senders[order], receivers[order]
+
+
+class TestDirectedOrder:
+    @given(net=connected_networks())
+    @settings(max_examples=40, deadline=None)
+    def test_order_is_lexsort_of_all_directed_edges(self, net):
+        senders, receivers = net.directed_endpoints
+        np.testing.assert_array_equal(net.directed_order,
+                                      np.lexsort((receivers, senders)))
+
+    @given(net=connected_networks(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_filtered_order_equals_per_round_lexsort(self, net, data):
+        m = net.num_edges
+        pattern = data.draw(st.one_of(
+            st.just("zero"), st.just("forward"), st.just("backward"), st.just("mixed")))
+        signs = {
+            "zero": st.just(0.0),
+            "forward": st.sampled_from([0.0, 0.5, 2.0]),
+            "backward": st.sampled_from([0.0, -0.5, -2.0]),
+            "mixed": st.sampled_from([0.0, 0.25, -0.25, 3.0, -3.0]),
+        }[pattern]
+        residual = np.array(data.draw(st.lists(signs, min_size=m, max_size=m)), dtype=float)
+        got = net.active_directed_edges(residual)
+        expected = _lexsorted_active(net, residual)
+        for got_part, expected_part in zip(got, expected):
+            np.testing.assert_array_equal(got_part, expected_part)
+        if pattern == "zero":
+            assert got[0].size == 0

@@ -1,4 +1,4 @@
-"""Positive/negative fixture snippets for every rule (R001-R005)."""
+"""Positive/negative fixture snippets for every rule (R001-R006)."""
 
 from staticcheck_helpers import rule_ids
 
@@ -441,4 +441,108 @@ class TestKernelPhaseCoverage:
                 def _plan_round(self):
                     self._do_work()
         """, relpath="src/repro/backend/kern.py")
+        assert rule_ids(report) == []
+
+
+# --------------------------------------------------------------------- #
+# R006 edge-list-rebuild
+# --------------------------------------------------------------------- #
+
+
+class TestEdgeListRebuild:
+    def test_fromiter_over_edges_fires(self, check_snippet):
+        report = check_snippet("""
+            import numpy as np
+
+            def endpoints(network):
+                return np.fromiter((u for u, _ in network.edges), dtype=np.int64,
+                                   count=network.num_edges)
+        """, relpath="src/repro/backend/kern.py")
+        assert rule_ids(report) == ["R006"]
+        assert "edge_endpoints" in report.findings[0].message
+
+    def test_fromiter_over_an_edges_alias_fires(self, check_snippet):
+        report = check_snippet("""
+            import numpy as np
+
+            def endpoints(network):
+                edges = network.edges
+                return np.fromiter((v for _, v in edges), dtype=int, count=len(edges))
+        """, relpath="src/repro/continuous/proc.py")
+        assert rule_ids(report) == ["R006"]
+
+    def test_edges_subscript_in_for_loop_fires(self, check_snippet):
+        report = check_snippet("""
+            def requests(network, residual):
+                out = []
+                for index, value in enumerate(residual):
+                    u, v = network.edges[index]
+                    out.append((u, v, value))
+                return out
+        """, relpath="src/repro/core/plan.py")
+        assert rule_ids(report) == ["R006"]
+        assert "inside a loop" in report.findings[0].message
+
+    def test_edges_subscript_in_while_and_comprehension_fire(self, check_snippet):
+        report = check_snippet("""
+            def pick(self, indices):
+                firsts = [self.network.edges[i][0] for i in indices]
+                while indices:
+                    firsts.append(self.network.edges[indices.pop()])
+                return firsts
+        """, relpath="src/repro/discrete/pick.py")
+        assert rule_ids(report) == ["R006", "R006"]
+
+    def test_cached_endpoint_arrays_are_clean(self, check_snippet):
+        report = check_snippet("""
+            import numpy as np
+
+            def requests(network, residual):
+                edge_u, edge_v = network.edge_endpoints
+                active = np.flatnonzero(residual)
+                return list(zip(edge_u[active].tolist(), edge_v[active].tolist()))
+        """, relpath="src/repro/core/plan.py")
+        assert rule_ids(report) == []
+
+    def test_single_lookup_outside_a_loop_is_clean(self, check_snippet):
+        report = check_snippet("""
+            import numpy as np
+
+            def worst_edge(network, errors):
+                return network.edges[int(np.argmax(np.abs(errors)))]
+        """, relpath="src/repro/core/diag.py")
+        assert rule_ids(report) == []
+
+    def test_loop_iterable_is_evaluated_once(self, check_snippet):
+        report = check_snippet("""
+            def head(network):
+                for u, v in network.edges[:4]:
+                    print(u, v)
+        """, relpath="src/repro/core/diag.py")
+        assert rule_ids(report) == []
+
+    def test_networkx_edges_call_is_clean(self, check_snippet):
+        report = check_snippet("""
+            import numpy as np
+
+            def sources(graph):
+                return np.fromiter((u for u, _ in graph.edges()), dtype=int)
+        """, relpath="src/repro/dynamic/stream.py")
+        assert rule_ids(report) == []
+
+    def test_network_package_is_out_of_scope(self, check_snippet):
+        report = check_snippet("""
+            import numpy as np
+
+            def endpoints(network):
+                return np.fromiter((u for u, _ in network.edges), dtype=np.int64)
+        """, relpath="src/repro/network/graph.py")
+        assert rule_ids(report) == []
+
+    def test_tests_are_out_of_scope(self, check_snippet):
+        report = check_snippet("""
+            def test_lookup(network):
+                for index in range(network.num_edges):
+                    assert network.edges[index]
+        """, relpath="tests/network/test_lookup.py")
         assert rule_ids(report) == []
