@@ -8,17 +8,12 @@ quickstart and ``DESIGN.md`` for the system inventory.
 
 from .backend import (
     BACKEND_KINDS,
-    ArrayBackend,
     ArrayDeterministicFlowImitation,
     ArrayExcessTokenDiffusion,
     ArrayRandomizedFlowImitation,
     ArrayRandomizedRoundingDiffusion,
-    ArrayWeightedDeterministicFlowImitation,
     BackendChoice,
-    ObjectBackend,
-    get_backend,
     resolve_backend,
-    resolve_backend_name,
 )
 from .counter_rng import RNG_MODES
 from .core import (
@@ -106,17 +101,12 @@ __all__ = [
     # load-state backends
     "BACKEND_KINDS",
     "BackendChoice",
-    "ObjectBackend",
-    "ArrayBackend",
     "ArrayDeterministicFlowImitation",
     "ArrayRandomizedFlowImitation",
-    "ArrayWeightedDeterministicFlowImitation",
     "ArrayExcessTokenDiffusion",
     "ArrayRandomizedRoundingDiffusion",
     "RNG_MODES",
-    "get_backend",
     "resolve_backend",
-    "resolve_backend_name",
     "theorem3_discrepancy_bound",
     "theorem8_max_avg_bound",
     # continuous substrates

@@ -1,20 +1,12 @@
-"""Pluggable load-state backends: object-per-token vs numpy count vectors.
+"""Load-state backends: object-per-token vs one columnar numpy state.
 
-See :mod:`repro.backend.base` for the registry and the semantics of the
-``backend=`` parameter threaded through the simulation engine, the dynamic
-streaming engine and the CLI.
+See :mod:`repro.backend.base` for how the ``backend=`` parameter threaded
+through the simulation engine, the dynamic streaming engine and the CLI is
+resolved, :mod:`repro.backend.weighted` for the columnar state and
+:mod:`repro.backend.flow` for the one array round of Algorithms 1 and 2.
 """
 
-from .base import (
-    BACKEND_KINDS,
-    ArrayBackend,
-    BackendChoice,
-    LoadBackend,
-    ObjectBackend,
-    get_backend,
-    resolve_backend,
-    resolve_backend_name,
-)
+from .base import BACKEND_KINDS, BackendChoice, resolve_backend
 from .baselines import (
     ArrayExcessTokenDiffusion,
     ArrayQuasirandomDiffusion,
@@ -27,27 +19,19 @@ from .flow import (
     ArrayFlowImitation,
     ArrayRandomizedFlowImitation,
 )
-from .state import TokenCountState
-from .weighted import ArrayWeightedDeterministicFlowImitation, WeightedRunState
+from .weighted import WeightedRunState
 
 __all__ = [
     "BACKEND_KINDS",
     "BackendChoice",
-    "LoadBackend",
-    "ObjectBackend",
-    "ArrayBackend",
-    "get_backend",
     "resolve_backend",
-    "resolve_backend_name",
     "ArrayFlowImitation",
     "ArrayDeterministicFlowImitation",
     "ArrayRandomizedFlowImitation",
-    "ArrayWeightedDeterministicFlowImitation",
     "ArrayRoundDownDiffusion",
     "ArrayRoundDownSecondOrder",
     "ArrayQuasirandomDiffusion",
     "ArrayRandomizedRoundingDiffusion",
     "ArrayExcessTokenDiffusion",
-    "TokenCountState",
     "WeightedRunState",
 ]

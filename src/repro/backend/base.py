@@ -1,4 +1,4 @@
-"""Pluggable load-state backends.
+"""Backend resolution: which load-state representation runs a workload.
 
 A *backend* decides how the discrete workload of a balancing process is
 represented:
@@ -7,11 +7,14 @@ represented:
   held in a :class:`~repro.tasks.assignment.TaskAssignment`.  The original
   path, and the only one that supports non-integer task weights and
   task-identity analyses (locality, origin tracking).
-* ``"array"`` — columnar numpy state: a single ``int64`` count vector for
-  unit-weight tokens (:mod:`repro.backend.flow`) and per-node sorted weight
-  buckets with run-length queues for integer-weighted tasks
-  (:mod:`repro.backend.weighted`).  O(m + transfers) per round instead of
-  O(W), which is what makes million-token streams feasible.
+* ``"array"`` — one columnar state for every integer workload:
+  :class:`~repro.backend.weighted.WeightedRunState`, per-node run-length
+  queues of ``[count, weight, is_dummy]`` runs that stay implicit (plain
+  ``int64`` load vectors) while every task shares one weight class.  Unit
+  tokens are its ``weight = 1`` case, and one round
+  (:mod:`repro.backend.flow`) runs Algorithms 1 and 2 on it.  O(m +
+  transfers) per round instead of O(W), which is what makes million-token
+  streams feasible.
 * ``"auto"`` — the array backend whenever the workload allows it: integer
   token load vectors, :class:`~repro.tasks.weighted.WeightedLoads`, and
   ``TaskAssignment``s whose tasks all carry integer weights.  The object
@@ -21,53 +24,23 @@ represented:
 
 :func:`resolve_backend` reports not just the chosen backend but *why* — the
 reason lands in ``RunResult.extra["backend_reason"]`` so silent fallbacks are
-observable in benchmarks and CI.
-
-Backends are deliberately thin: they only choose *classes*.  The simulation
-engine keeps ownership of substrate construction, schedules and seeds so
-that a given ``(algorithm, substrate, seed)`` triple produces the same
-coupled system — and therefore the same trajectory — on every backend.
+observable in benchmarks and CI.  The simulation engine picks the classes
+for the resolved backend and keeps ownership of substrate construction,
+schedules and seeds, so a given ``(algorithm, substrate, seed)`` triple
+produces the same coupled system — and therefore the same trajectory — on
+every backend.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Optional, Sequence, Type
+from typing import Optional
 
-from ..continuous.base import ContinuousProcess
-from ..core.algorithm1 import DeterministicFlowImitation
-from ..core.algorithm2 import RandomizedFlowImitation
-from ..core.flow_imitation import FlowCoupledBalancer, TaskSelectionPolicy
-from ..discrete.base import IntegerLoadBalancer
-from ..discrete.baselines.diffusion import (
-    ExcessTokenDiffusion,
-    QuasirandomDiffusion,
-    RandomizedRoundingDiffusion,
-    RoundDownDiffusion,
-)
-from ..exceptions import ExperimentError, ProcessError
+from ..exceptions import ExperimentError
 from ..tasks.assignment import TaskAssignment
 from ..tasks.weighted import WeightedLoads, task_integer_weight
-from .baselines import (
-    ArrayExcessTokenDiffusion,
-    ArrayQuasirandomDiffusion,
-    ArrayRandomizedRoundingDiffusion,
-    ArrayRoundDownDiffusion,
-)
-from .flow import ArrayDeterministicFlowImitation, ArrayRandomizedFlowImitation
-from .weighted import ArrayWeightedDeterministicFlowImitation
 
-__all__ = [
-    "BACKEND_KINDS",
-    "BackendChoice",
-    "LoadBackend",
-    "ObjectBackend",
-    "ArrayBackend",
-    "get_backend",
-    "resolve_backend",
-    "resolve_backend_name",
-]
+__all__ = ["BACKEND_KINDS", "BackendChoice", "resolve_backend"]
 
 #: Valid values of every ``backend=`` parameter.
 BACKEND_KINDS = ("auto", "object", "array")
@@ -156,159 +129,3 @@ def resolve_backend(
     else:
         choice = BackendChoice("array", "integer token counts")
     return _with_rng_mode_reason(choice, algorithm, rng_mode)
-
-
-def resolve_backend_name(backend: str, assignment: Optional[TaskAssignment] = None,
-                         algorithm: Optional[str] = None) -> str:
-    """Resolve a requested backend to a concrete name (``"object"``/``"array"``)."""
-    return resolve_backend(backend, assignment=assignment, algorithm=algorithm).name
-
-
-class LoadBackend(ABC):
-    """Factory for the balancer implementations of one load-state representation."""
-
-    name: str
-
-    @abstractmethod
-    def build_flow_imitation(
-        self,
-        algorithm: str,
-        continuous: ContinuousProcess,
-        initial_load: Optional[Sequence[int]] = None,
-        assignment: Optional[TaskAssignment] = None,
-        weighted: Optional[WeightedLoads] = None,
-        seed: Optional[int] = None,
-        selection_policy: str = TaskSelectionPolicy.FIFO,
-        rng_mode: str = "sequential",
-    ) -> FlowCoupledBalancer:
-        """Couple Algorithm 1 or 2 to ``continuous`` on this backend."""
-
-    @abstractmethod
-    def diffusion_class(self, algorithm: str,
-                        rng_mode: str = "sequential") -> Type[IntegerLoadBalancer]:
-        """Return the implementation class of a diffusion baseline."""
-
-
-class ObjectBackend(LoadBackend):
-    """The object-per-task path: ``TaskAssignment`` + task-moving balancers."""
-
-    name = "object"
-
-    def build_flow_imitation(
-        self,
-        algorithm: str,
-        continuous: ContinuousProcess,
-        initial_load: Optional[Sequence[int]] = None,
-        assignment: Optional[TaskAssignment] = None,
-        weighted: Optional[WeightedLoads] = None,
-        seed: Optional[int] = None,
-        selection_policy: str = TaskSelectionPolicy.FIFO,
-        rng_mode: str = "sequential",
-    ) -> FlowCoupledBalancer:
-        if assignment is None:
-            if weighted is not None:
-                assignment = weighted.to_assignment(continuous.network)
-            else:
-                assignment = TaskAssignment.from_unit_loads(continuous.network,
-                                                            initial_load)
-        if algorithm == "algorithm1":
-            return DeterministicFlowImitation(continuous, assignment,
-                                              selection_policy=selection_policy)
-        return RandomizedFlowImitation(continuous, assignment, seed=seed,
-                                       rng_mode=rng_mode)
-
-    _DIFFUSION = {
-        "round-down": RoundDownDiffusion,
-        "quasirandom": QuasirandomDiffusion,
-        "randomized-rounding": RandomizedRoundingDiffusion,
-        "excess-tokens": ExcessTokenDiffusion,
-    }
-
-    def diffusion_class(self, algorithm: str,
-                        rng_mode: str = "sequential") -> Type[IntegerLoadBalancer]:
-        return self._DIFFUSION[algorithm]
-
-
-class ArrayBackend(LoadBackend):
-    """The columnar path: numpy count vectors, weight buckets, vectorised rounding."""
-
-    name = "array"
-
-    def build_flow_imitation(
-        self,
-        algorithm: str,
-        continuous: ContinuousProcess,
-        initial_load: Optional[Sequence[int]] = None,
-        assignment: Optional[TaskAssignment] = None,
-        weighted: Optional[WeightedLoads] = None,
-        seed: Optional[int] = None,
-        selection_policy: str = TaskSelectionPolicy.FIFO,
-        rng_mode: str = "sequential",
-    ) -> FlowCoupledBalancer:
-        if assignment is not None:
-            if assignment.network is not continuous.network:
-                raise ProcessError(
-                    "the task assignment and the continuous process must share the same network"
-                )
-            if assignment.total_dummy_weight() > 0:
-                # resolve_backend routes these to the object backend; direct
-                # callers get a clear error instead of dummies silently
-                # becoming real tokens via assignment.loads().
-                raise ExperimentError(
-                    "assignments that already contain dummy tasks require the "
-                    "object backend"
-                )
-            # The columnar path keeps the assignment's queue order; all-unit
-            # assignments reduce to token counts (order is unobservable).
-            if assignment.max_task_weight() > 1:
-                if algorithm == "algorithm1":
-                    return ArrayWeightedDeterministicFlowImitation(
-                        continuous, assignment, selection_policy=selection_policy)
-                raise ExperimentError(
-                    "Algorithm 2 balances identical unit-weight tokens only; "
-                    "weighted assignments require algorithm1"
-                )
-            initial_load = assignment.loads().astype(int)
-        elif weighted is not None:
-            if weighted.max_weight() > 1:
-                if algorithm == "algorithm1":
-                    return ArrayWeightedDeterministicFlowImitation(
-                        continuous, weighted, selection_policy=selection_policy)
-                raise ExperimentError(
-                    "Algorithm 2 balances identical unit-weight tokens only; "
-                    "weighted workloads require algorithm1"
-                )
-            initial_load = weighted.load_vector()
-        if algorithm == "algorithm1":
-            # The selection policy is irrelevant for indistinguishable unit
-            # tokens, so the unit-token array variant does not take one.
-            return ArrayDeterministicFlowImitation(continuous, initial_load)
-        return ArrayRandomizedFlowImitation(continuous, initial_load, seed=seed,
-                                            rng_mode=rng_mode)
-
-    _DIFFUSION = {
-        "round-down": ArrayRoundDownDiffusion,
-        "quasirandom": ArrayQuasirandomDiffusion,
-        "randomized-rounding": ArrayRandomizedRoundingDiffusion,
-        # Sequential excess-token forwarding draws order-sensitive per-node
-        # randomness, so the shared scalar implementation is kept; the
-        # counter rng mode is order-free and takes the vectorised kernel.
-        "excess-tokens": ExcessTokenDiffusion,
-    }
-
-    def diffusion_class(self, algorithm: str,
-                        rng_mode: str = "sequential") -> Type[IntegerLoadBalancer]:
-        if algorithm == "excess-tokens" and rng_mode == "counter":
-            return ArrayExcessTokenDiffusion
-        return self._DIFFUSION[algorithm]
-
-
-_BACKENDS = {"object": ObjectBackend(), "array": ArrayBackend()}
-
-
-def get_backend(name: str, assignment: Optional[TaskAssignment] = None,
-                weighted: Optional[WeightedLoads] = None,
-                algorithm: Optional[str] = None) -> LoadBackend:
-    """Return the backend instance for ``name`` (resolving ``"auto"``)."""
-    return _BACKENDS[resolve_backend(name, assignment=assignment,
-                                     weighted=weighted, algorithm=algorithm).name]

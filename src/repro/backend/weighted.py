@@ -1,71 +1,44 @@
-"""Columnar weighted-task state and Algorithm 1 on weight buckets.
+"""The array backend's columnar load state: run-length task queues.
 
-This module lifts the array backend's last restriction: weighted
-:class:`~repro.tasks.assignment.TaskAssignment` workloads no longer fall
-back to the object-per-task path.  The state (:class:`WeightedRunState`)
-stores, per node, a *run-length queue* of ``[count, weight, is_dummy]``
-runs — the weighted generalisation of the unit-token run queues in
-:mod:`repro.backend.state` — plus int64 load and dummy-count vectors, all
-derived from the CSR weight buckets of
-:class:`~repro.tasks.weighted.WeightedLoads`.
+:class:`WeightedRunState` is the one load state of the array backend.  It
+stores, per node, a *run-length queue* of ``[count, weight, is_dummy]`` runs
+— the object backend's task deque up to the identity of interchangeable
+tasks — plus ``int64`` load and dummy-count vectors.  Unit tokens are its
+``weight = 1`` case: the paper states Algorithm 1 for integer-weight tasks,
+and identical unit tokens (Algorithm 2's model) are the special case
+``w_max = 1``.
 
-:class:`ArrayWeightedDeterministicFlowImitation` runs the paper's Algorithm 1
-on this state.  Per round it computes the per-edge residual flows and orders
-the requests exactly like the object backend (senders ascending, receivers
-ascending within a sender), then executes one of two kernels:
+While every task shares one weight class and no dummy exists, queue order is
+unobservable, so the queues stay *implicit*: each node's queue is the single
+run ``[load // w, w, False]``, rebuilt only when a round needs it.  Building
+a state from a count vector (:meth:`WeightedRunState.from_counts`) or from a
+single-class :class:`~repro.tasks.weighted.WeightedLoads` therefore costs a
+few numpy operations and no per-node Python objects — which is what keeps a
+re-coupling of a million-token stream O(n) array work.
 
-* **Single-weight-class fast path** — while every task in the system shares
-  one weight ``w`` and no dummy exists, queue order is unobservable (all
-  tasks are interchangeable), so the round collapses to the unit-token
-  scatter-add kernel scaled by ``w``: the per-edge send count is
-  ``floor(residual)`` for unit tokens and the closed form of the pseudocode's
-  greedy while-loop (:func:`_take_counts_vector`) for ``w > 1``, and — as
-  long as every sender covers its plans with its own tasks — the transfers
-  reduce to two scatter-adds on the load vector.  No Python loop over edges
-  remains; the run queues stay implicit (a single run per node) and are only
-  materialised again on demand.
-
-* **Grouped-per-sender general path** — once weight classes mix or dummies
-  exist, queue order matters and the plans are replayed per *run* instead of
-  per task: the active edges are grouped by sender and each group is planned
-  in one :meth:`WeightedRunState.plan_sender` call that walks the sender's
-  queue with the exact closed form
-
-      ``k = |{ i >= 0 : residual - (committed + i * w) > w_max + 1e-9 }|``
-
-  (:func:`_take_count`), evaluating the float comparison at the boundaries so
-  the count is exactly what the object backend's one-task-at-a-time loop
-  would produce.  Deliveries are applied in plan order (the FIFO contract)
-  while the cumulative-flow and report bookkeeping is batched with numpy.
-
-Because the paper's task weights are integers, every weight, committed sum
-and load value is exactly representable in float64, and the two backends
-agree bit for bit on loads, cumulative flows and dummy distributions
-(enforced by ``tests/backend/test_weighted_equivalence.py``).
-
-The per-round cost is O(m) array work on the fast path and
-O(m + runs touched) on the general path — independent of the number of
-tasks ``W`` — versus the object backend's O(W) queue snapshots and per-task
-moves, which is what makes 10^5-task weighted dynamic streams feasible.
+Only when weight classes mix or a node draws dummies from the infinite
+source do the queues materialise; the per-round cost is then proportional
+to the runs touched, never to the number of tasks ``W``.  The planning
+helpers replay the pseudocode's greedy while-loop at run granularity with
+the exact closed form :func:`_take_count`, so every count equals what the
+object backend's one-task-at-a-time loop produces.  Because the paper's
+task weights are integers, every weight, committed sum and load value is
+exactly representable in float64.  The round that drives this state lives
+in :mod:`repro.backend.flow`.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..continuous.base import ContinuousProcess
-from ..core.algorithm1 import theorem3_discrepancy_bound
-from ..core.flow_imitation import FlowCoupledBalancer, RoundReport, TaskSelectionPolicy
-from ..exceptions import ProcessError, TaskError
-from ..obs.kernels import kernel_phase
+from ..core.flow_imitation import TaskSelectionPolicy
+from ..exceptions import TaskError
 from ..tasks.assignment import TaskAssignment
-from ..tasks.load import as_token_counts
 from ..tasks.weighted import WeightedLoads, task_integer_weight
 
-__all__ = ["WeightedRunState", "ArrayWeightedDeterministicFlowImitation"]
+__all__ = ["WeightedRunState"]
 
 #: A run of consecutive queue positions holding interchangeable tasks.
 #: Mutable on purpose: partial takes shrink the run in place.
@@ -127,42 +100,30 @@ def _take_counts_vector(residual: np.ndarray, weight: float,
 
 
 class WeightedRunState:
-    """Per-node weighted task multisets with object-backend-faithful FIFO order.
+    """Per-node task multisets with object-backend-faithful FIFO order.
 
     Every node holds a list of runs ``[count, weight, is_dummy]`` in queue
     order; tasks of equal weight and dummy status are interchangeable, so the
     run queue is exactly the object backend's task deque up to identity.
 
-    While all tasks share a single weight class and no dummy exists, the
-    queues may be dropped entirely (``single_class`` mode): each node's queue
-    is then the implicit single run ``[load // w, w, False]``, rebuilt on
-    demand — which is what lets the fast-path round skip queue maintenance
-    altogether.  The maximum run weight and the per-node real weight buckets
-    are cached instead of being re-derived by scanning all queues per call.
+    While all tasks share a single weight class and no dummy exists
+    (:attr:`single_class` is set), the queues may be implicit
+    (``_queues is None``): each node's queue is then the single run
+    ``[load // w, w, False]``, rebuilt on demand — which is what lets the
+    scatter round skip queue maintenance altogether.  The maximum weight and
+    the per-node real weight buckets are cached instead of being re-derived
+    by scanning all queues per call.
     """
 
-    def __init__(self, queues: List[List[Run]], num_nodes: int) -> None:
-        self._queues: Optional[List[List[Run]]] = queues
-        self.loads = np.zeros(num_nodes, dtype=np.int64)
-        self.dummy_counts = np.zeros(num_nodes, dtype=np.int64)
-        max_weight = 0
-        classes: set = set()
-        any_dummy = False
-        for node, queue in enumerate(queues):
-            for count, weight, is_dummy in queue:
-                self.loads[node] += count * weight
-                if is_dummy:
-                    self.dummy_counts[node] += count
-                    any_dummy = True
-                else:
-                    classes.add(weight)
-                if weight > max_weight:
-                    max_weight = weight
+    def __init__(self, loads: np.ndarray, single_class: Optional[int],
+                 max_weight: int, queues: Optional[List[List[Run]]] = None,
+                 dummy_counts: Optional[np.ndarray] = None) -> None:
+        self.loads = loads
+        self.dummy_counts = (np.zeros(loads.size, dtype=np.int64)
+                             if dummy_counts is None else dummy_counts)
+        self._queues = queues
+        self._single_class = single_class
         self._max_weight = max_weight
-        if any_dummy or len(classes) > 1:
-            self._single_class: Optional[int] = None
-        else:
-            self._single_class = next(iter(classes)) if classes else 1
         self._buckets_cache: Optional[List[Dict[int, int]]] = None
 
     # ------------------------------------------------------------------ #
@@ -170,13 +131,32 @@ class WeightedRunState:
     # ------------------------------------------------------------------ #
 
     @classmethod
+    def from_counts(cls, counts: np.ndarray, weight: int = 1) -> "WeightedRunState":
+        """``counts[i]`` tasks of one ``weight`` at node ``i``, queues implicit."""
+        counts = np.asarray(counts)
+        if counts.ndim != 1:
+            raise TaskError("task counts must be a one-dimensional vector")
+        if np.any(counts < 0):
+            raise TaskError("task counts must be non-negative")
+        loads = counts.astype(np.int64)
+        if weight != 1:
+            loads *= weight
+        return cls(loads, weight, weight if loads.any() else 0)
+
+    @classmethod
     def from_weighted_loads(cls, weighted: WeightedLoads) -> "WeightedRunState":
-        """Canonical construction: one run per bucket, ascending weight."""
-        queues = [
+        """Canonical construction: one run per bucket, ascending weight.
+
+        A single-class workload takes the implicit :meth:`from_counts` state.
+        """
+        weights = weighted.weights
+        if weights.size == 0 or weights.min() == weights.max():
+            weight = int(weights[0]) if weights.size else 1
+            return cls.from_counts(weighted.load_vector() // weight, weight)
+        return cls.from_queues([
             [[count, weight, False] for weight, count in weighted.node_buckets(node)]
             for node in range(weighted.num_nodes)
-        ]
-        return cls(queues, weighted.num_nodes)
+        ])
 
     @classmethod
     def from_assignment(cls, assignment: TaskAssignment) -> "WeightedRunState":
@@ -195,7 +175,31 @@ class WeightedRunState:
                 else:
                     queue.append([1, weight, task.is_dummy])
             queues.append(queue)
-        return cls(queues, assignment.network.num_nodes)
+        return cls.from_queues(queues)
+
+    @classmethod
+    def from_queues(cls, queues: List[List[Run]]) -> "WeightedRunState":
+        """Adopt explicit run queues, deriving the load vectors and caches."""
+        loads = np.zeros(len(queues), dtype=np.int64)
+        dummy_counts = np.zeros(len(queues), dtype=np.int64)
+        max_weight = 0
+        classes: set = set()
+        any_dummy = False
+        for node, queue in enumerate(queues):
+            for count, weight, is_dummy in queue:
+                loads[node] += count * weight
+                if is_dummy:
+                    dummy_counts[node] += count
+                    any_dummy = True
+                else:
+                    classes.add(weight)
+                if weight > max_weight:
+                    max_weight = weight
+        if any_dummy or len(classes) > 1:
+            single_class: Optional[int] = None
+        else:
+            single_class = next(iter(classes)) if classes else 1
+        return cls(loads, single_class, max_weight, queues, dummy_counts)
 
     # ------------------------------------------------------------------ #
     # cache/queue lifecycle
@@ -248,7 +252,7 @@ class WeightedRunState:
     def real_buckets(self) -> List[Dict[int, int]]:
         """Per-node ``{weight: count}`` of the real (non-dummy) tasks.
 
-        In single-class mode the buckets are pure arithmetic on the load
+        With implicit queues the buckets are pure arithmetic on the load
         vector; otherwise the queue scan is cached until the next mutation.
         """
         if self._buckets_cache is None:
@@ -274,31 +278,32 @@ class WeightedRunState:
     # ------------------------------------------------------------------ #
 
     def plan_sender(self, node: int, positions: Iterable[int],
-                    magnitudes: List[float], threshold: float, policy: str,
-                    unit_tokens: bool) -> List[Tuple[int, List[Run], int, int, int]]:
+                    residuals: List[float], counts: Optional[List[int]],
+                    threshold: float, policy: str
+                    ) -> List[Tuple[int, List[Run], int, int, int]]:
         """Plan every edge of one sender against its queue, in request order.
 
         ``positions`` indexes this sender's contiguous slice of the round's
-        (sender-sorted) request arrays; ``magnitudes[pos]`` is the residual of
-        the request at ``pos``.  Returns one
+        (sender-sorted) request arrays.  With ``counts`` (unit tokens) the
+        request at ``pos`` sends ``counts[pos]`` tokens from the queue head;
+        without, the tasks are picked against ``residuals[pos]`` by the
+        pseudocode's while-loop under ``policy``.  Returns one
         ``(pos, takes, dummies, total_weight, tasks_moved)`` tuple per
         non-empty plan.  Grouping the per-edge planning by sender keeps the
         queue lookup and policy dispatch out of the per-edge hot loop.
         """
         plans: List[Tuple[int, List[Run], int, int, int]] = []
         for pos in positions:
-            amount = magnitudes[pos]
-            if unit_tokens:
-                send = int(math.floor(amount + 1e-9))
-                if send <= 0:
-                    continue
+            if counts is not None:
+                send = counts[pos]
                 takes = self.take_front(node, send)
                 moved = sum(run[0] for run in takes)
                 dummies = send - moved
                 total = send  # every task (and dummy) has unit weight
             else:
-                takes = self.plan_takes(node, amount, threshold, policy)
-                dummies = self.planned_dummies(amount, threshold)
+                residual = residuals[pos]
+                takes = self.plan_takes(node, residual, threshold, policy)
+                dummies = self.planned_dummies(residual, threshold)
                 moved = sum(run[0] for run in takes)
                 total = sum(run[0] * run[1] for run in takes) + dummies
             if moved or dummies:
@@ -399,17 +404,16 @@ class WeightedRunState:
         if count:
             self.deliver(node, [[count, 1, True]])
 
-    def apply_single_class_moves(self, outgoing_tasks: np.ndarray,
-                                 incoming_tasks: np.ndarray) -> None:
-        """Fast-path round application: scatter-added task counts, no queues.
+    def apply_moves(self, outgoing: np.ndarray, incoming: np.ndarray) -> None:
+        """Scatter-round application: per-node weight out and in, no queues.
 
-        Only legal in single-class mode when every sender covers its outgoing
-        tasks (the caller checks both): then every queue is a single all-real
-        run whose length follows from the load, so the queues are dropped and
-        rebuilt lazily instead of being maintained.
+        Only legal with a single class when every sender covers its
+        ``outgoing`` weight (the caller checks both): then every queue is a
+        single all-real run whose length follows from the load, so the
+        queues are dropped and rebuilt lazily instead of being maintained.
         """
-        w = self._single_class
-        self.loads += (incoming_tasks - outgoing_tasks) * w
+        self.loads -= outgoing
+        self.loads += incoming
         self._queues = None
         self._touch()
 
@@ -440,225 +444,3 @@ class WeightedRunState:
             self._single_class = (next(iter(classes)) if len(classes) == 1
                                   else 1 if not classes else None)
         return removed
-
-
-class ArrayWeightedDeterministicFlowImitation(FlowCoupledBalancer):
-    """Algorithm 1 over columnar weight buckets (integer task weights only).
-
-    Parameters
-    ----------
-    continuous:
-        The continuous process ``A`` to imitate (fresh, round 0, starting
-        from the workload's load vector).
-    workload:
-        A :class:`WeightedLoads` (canonical ascending-weight queue order) or
-        a :class:`TaskAssignment` whose queue order is preserved.
-    selection_policy:
-        How the pseudocode's "arbitrary" task is chosen; one of
-        :class:`TaskSelectionPolicy`.
-    """
-
-    def __init__(
-        self,
-        continuous: ContinuousProcess,
-        workload: Union[WeightedLoads, TaskAssignment],
-        selection_policy: str = TaskSelectionPolicy.FIFO,
-    ) -> None:
-        if selection_policy not in TaskSelectionPolicy.ALL:
-            raise ProcessError(
-                f"unknown selection policy {selection_policy!r}; "
-                f"valid policies: {TaskSelectionPolicy.ALL}")
-        network = continuous.network
-        if isinstance(workload, TaskAssignment):
-            if workload.network is not network:
-                raise ProcessError(
-                    "the task assignment and the continuous process must share the same network"
-                )
-            state = WeightedRunState.from_assignment(workload)
-        else:
-            if workload.num_nodes != network.num_nodes:
-                raise ProcessError(
-                    f"workload spans {workload.num_nodes} nodes, "
-                    f"network has {network.num_nodes}")
-            state = WeightedRunState.from_weighted_loads(workload)
-        if continuous.round_index == 0 and not np.allclose(
-                state.load_vector(), continuous.load, atol=1e-9):
-            raise ProcessError(
-                "the continuous process must start from the load vector induced by the assignment"
-            )
-        max_weight = state.max_weight()
-        super().__init__(continuous, max_task_weight=max(1.0, float(max_weight)),
-                         original_weight=float(state.loads.sum()))
-        self._policy = selection_policy
-        self._state = state
-        self._unit_tokens_only = max_weight <= 1
-
-    # ------------------------------------------------------------------ #
-    # state inspection
-    # ------------------------------------------------------------------ #
-
-    @property
-    def selection_policy(self) -> str:
-        """The task-selection policy in use."""
-        return self._policy
-
-    @property
-    def unit_tokens_only(self) -> bool:
-        """Whether the workload consists exclusively of unit-weight tokens."""
-        return self._unit_tokens_only
-
-    def discrepancy_bound(self) -> float:
-        """The Theorem 3 bound ``2 d w_max + 2`` for this instance."""
-        return theorem3_discrepancy_bound(self.network.max_degree, self.w_max)
-
-    def loads(self, include_dummies: bool = True) -> np.ndarray:
-        """Return the current discrete load vector."""
-        return self._state.load_vector(include_dummies=include_dummies)
-
-    def dummy_loads(self) -> np.ndarray:
-        """Return the per-node total weight of dummy tasks (as floats)."""
-        return self._state.dummy_counts.astype(float)
-
-    def real_weight_buckets(self) -> List[Dict[int, int]]:
-        """Per-node ``{weight: count}`` of the real tasks (for streaming sync)."""
-        return self._state.real_buckets()
-
-    def remove_dummies(self) -> float:
-        """Eliminate all dummy tasks (the final step of the balancing process)."""
-        return float(self._state.remove_dummies())
-
-    # ------------------------------------------------------------------ #
-    # re-coupling
-    # ------------------------------------------------------------------ #
-
-    def _reset_workload(self, workload) -> None:
-        if isinstance(workload, WeightedLoads):
-            self._state = WeightedRunState.from_weighted_loads(workload)
-        else:
-            counts = as_token_counts(workload, self.network, error=ProcessError)
-            self._state = WeightedRunState.from_weighted_loads(
-                WeightedLoads.from_unit_counts(counts))
-        self._unit_tokens_only = self._state.max_weight() <= 1
-
-    # ------------------------------------------------------------------ #
-    # the round
-    # ------------------------------------------------------------------ #
-
-    def _execute_round(self) -> None:
-        with kernel_phase("continuous/advance"):
-            self._continuous.advance()
-        with kernel_phase("flow/weighted-round"):
-            self._imitate_round()
-
-    def _imitate_round(self) -> None:
-        residual = self._continuous.cumulative_flows - self._discrete_cumulative
-        # Orient each active edge from its sender and order the requests the
-        # way the object backend iterates them: by sender, then by receiver.
-        active, forward, senders, receivers = self.network.active_directed_edges(residual)
-        if active.size == 0:
-            self._reports.append(RoundReport(self._round, 0, 0, 0.0, 0))
-            return
-        magnitude = np.abs(residual[active])
-
-        if not self._single_class_round(active, forward, senders, receivers,
-                                        magnitude):
-            self._general_round(active, forward, senders, receivers, magnitude)
-
-    def _single_class_round(self, active: np.ndarray, forward: np.ndarray,
-                            senders: np.ndarray, receivers: np.ndarray,
-                            magnitude: np.ndarray) -> bool:
-        """The fully vectorised round for a single global weight class.
-
-        With one weight class and no dummies, every per-edge plan is a pure
-        function of the residual (floor for unit tokens, the closed-form
-        greedy count otherwise) and queue order is unobservable; if every
-        sender also covers its plans with its own tasks, the transfers reduce
-        to two scatter-adds.  Returns ``False`` — leaving the state untouched
-        — when these conditions do not hold, so the queue-faithful general
-        path can replay the round instead.
-        """
-        state = self._state
-        w = state.single_class
-        if w is None:
-            return False
-        if self._unit_tokens_only:
-            amounts = np.floor(magnitude + 1e-9).astype(np.int64)
-        else:
-            amounts = _take_counts_vector(magnitude, float(w), self._w_max + 1e-9)
-        moving = np.flatnonzero(amounts > 0)
-        transfers = int(moving.size)
-        if transfers == 0:
-            self._reports.append(RoundReport(self._round, 0, 0, 0.0, 0))
-            return True
-        amounts = amounts[moving]
-        n = self.network.num_nodes
-        outgoing = np.zeros(n, dtype=np.int64)
-        np.add.at(outgoing, senders[moving], amounts)
-        if np.any(outgoing * w > state.loads):
-            return False  # some sender would need the infinite source
-        incoming = np.zeros(n, dtype=np.int64)
-        np.add.at(incoming, receivers[moving], amounts)
-        state.apply_single_class_moves(outgoing, incoming)
-
-        moved_weight = amounts * w
-        signed = np.where(forward[moving], moved_weight, -moved_weight).astype(float)
-        self._discrete_cumulative[active[moving]] += signed
-        self._reports.append(
-            RoundReport(
-                round_index=self._round,
-                transfers=transfers,
-                tasks_moved=int(amounts.sum()),
-                weight_moved=float(moved_weight.sum()),
-                dummy_tokens_created=0,
-            )
-        )
-        return True
-
-    def _general_round(self, active: np.ndarray, forward: np.ndarray,
-                       senders: np.ndarray, receivers: np.ndarray,
-                       magnitude: np.ndarray) -> None:
-        """The queue-faithful path: per-sender grouped planning, FIFO deliveries."""
-        senders_list = senders.tolist()
-        receivers_list = receivers.tolist()
-        magnitudes = magnitude.tolist()
-        threshold = self._w_max + 1e-9
-        state = self._state
-
-        starts = np.r_[0, np.flatnonzero(np.diff(senders)) + 1, senders.size]
-        plans: List[Tuple[int, List[Run], int, int, int]] = []
-        for group in range(starts.size - 1):
-            begin = int(starts[group])
-            plans.extend(state.plan_sender(
-                senders_list[begin], range(begin, int(starts[group + 1])),
-                magnitudes, threshold, self._policy, self._unit_tokens_only))
-
-        if not plans:
-            self._reports.append(RoundReport(self._round, 0, 0, 0.0, 0))
-            return
-        tasks_moved = 0
-        dummies_this_round = 0
-        for pos, takes, dummies, _total, moved in plans:
-            state.deliver(receivers_list[pos], takes)
-            state.deliver_dummies(receivers_list[pos], dummies)
-            tasks_moved += moved
-            dummies_this_round += dummies
-
-        positions = np.fromiter((plan[0] for plan in plans), dtype=np.int64,
-                                count=len(plans))
-        totals = np.fromiter((plan[3] for plan in plans), dtype=np.int64,
-                             count=len(plans))
-        signed = np.where(forward[positions], totals, -totals).astype(float)
-        self._discrete_cumulative[active[positions]] += signed
-
-        if dummies_this_round:
-            self._used_infinite_source = True
-            self._dummy_tokens_created += dummies_this_round
-        self._reports.append(
-            RoundReport(
-                round_index=self._round,
-                transfers=len(plans),
-                tasks_moved=tasks_moved,
-                weight_moved=float(totals.sum()),
-                dummy_tokens_created=dummies_this_round,
-            )
-        )

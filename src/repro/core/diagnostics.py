@@ -190,14 +190,13 @@ class FlowImitationAuditor:
     def _deviation_from_edge_errors(self, errors: np.ndarray) -> np.ndarray:
         """Lemma 6(1): x^D_i - x^A_i = sum over incident edges of e_{i,j}."""
         network = self._balancer.network
-        deviation = np.zeros(network.num_nodes)
-        for index, (u, v) in enumerate(network.edges):
-            # errors[index] is e_{u,v} (canonical direction); e_{v,u} = -e_{u,v}.
-            # A positive e_{u,v} means the discrete process still owes flow to v,
-            # i.e. node u currently retains more load than its continuous twin.
-            deviation[u] += errors[index]
-            deviation[v] -= errors[index]
-        return deviation
+        edge_u, edge_v = network.edge_endpoints
+        # errors[k] is e_{u,v} (canonical direction); e_{v,u} = -e_{u,v}.
+        # A positive e_{u,v} means the discrete process still owes flow to v,
+        # i.e. node u currently retains more load than its continuous twin.
+        n = network.num_nodes
+        return (np.bincount(edge_u, weights=errors, minlength=n)
+                - np.bincount(edge_v, weights=errors, minlength=n))
 
     def run_audited(self, rounds: int) -> AuditReport:
         """Advance the balancer ``rounds`` times, auditing after every round."""

@@ -19,10 +19,13 @@ backends share (see :mod:`repro.backend`):
 
 * :class:`FlowImitationBalancer` (this module) — the *object* backend: one
   Python :class:`~repro.tasks.task.Task` per token, held in a
-  :class:`~repro.tasks.assignment.TaskAssignment`.  Required for weighted
-  tasks and for locality analyses that track task identity.
-* :class:`~repro.backend.flow.ArrayFlowImitation` — the *array* backend: a
-  single numpy ``int64`` count vector for unit-weight tokens.
+  :class:`~repro.tasks.assignment.TaskAssignment`.  Required for
+  non-integer task weights and for locality analyses that track task
+  identity.
+* :class:`~repro.backend.flow.ArrayFlowImitation` — the *array* backend:
+  one columnar state (:class:`~repro.backend.weighted.WeightedRunState`)
+  for unit tokens and integer-weight tasks alike, and one round for both
+  algorithms.
 
 The two algorithms differ only in how the target amount for a single edge and
 round is derived from the residual; object-backend subclasses implement
@@ -239,7 +242,7 @@ class FlowCoupledBalancer(DiscreteBalancer):
         :class:`~repro.tasks.weighted.WeightedLoads` (columnar weight
         buckets) — the latter is how the dynamic streaming engine re-couples
         weighted streams in O(n) without materialising task objects.
-        Backends that only store unit tokens reject weighted workloads.
+        Algorithm 2, which balances unit tokens only, rejects weighted ones.
         """
         if isinstance(initial_load, WeightedLoads):
             if initial_load.num_nodes != self.network.num_nodes:

@@ -131,9 +131,9 @@ class StreamingEngine:
         self._rng_mode = rng_mode
         self._requested_backend = backend
         self._weighted = weighted is not None
-        # Unit-token streams resolve "auto" to the vectorised count-vector
-        # backend; weighted streams to the columnar weight-bucket backend.
-        # Either way the backends are trajectory-identical.
+        # "auto" resolves unit-token and weighted streams alike to the array
+        # backend's one columnar state; either backend gives the same
+        # trajectory.
         choice = resolve_backend(backend, weighted=weighted, algorithm=algorithm,
                                  rng_mode=rng_mode)
         self._backend = choice.name

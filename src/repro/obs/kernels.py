@@ -18,9 +18,10 @@ trajectory, only measure it.
 The probe drains the clock once per round (:func:`drain_round_phases`), so
 per-round ``"round"`` telemetry events carry a ``kernel_phases`` payload —
 ``{phase name: seconds}`` — whenever a clock is active.  Phase names follow a
-``family/kernel`` convention (``"continuous/advance"``,
-``"flow/array-round"``, ``"baseline/excess-array"``) so hot-kernel tables
-group naturally.
+``family/kernel`` convention so hot-kernel tables group naturally:
+``"continuous/advance"`` (the substrate), ``"flow/object-round"`` (both
+algorithms on the object backend), ``"flow/array-round"`` (both algorithms
+on the array backend, unit or weighted) and ``"baseline/excess-array"``.
 """
 
 from __future__ import annotations

@@ -15,17 +15,36 @@ experiment harness and the benchmarks:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Type
 
 import numpy as np
 
-from ..backend import BACKEND_KINDS, BackendChoice, get_backend, resolve_backend
+from ..backend import BACKEND_KINDS, BackendChoice, resolve_backend
+from ..backend.baselines import (
+    ArrayExcessTokenDiffusion,
+    ArrayQuasirandomDiffusion,
+    ArrayRandomizedRoundingDiffusion,
+    ArrayRoundDownDiffusion,
+)
+from ..backend.flow import (
+    ArrayDeterministicFlowImitation,
+    ArrayRandomizedFlowImitation,
+    Workload,
+)
 from ..continuous.base import BALANCE_TOLERANCE, ContinuousProcess
 from ..continuous.dimension_exchange import DimensionExchange
 from ..continuous.fos import FirstOrderDiffusion
 from ..continuous.sos import SecondOrderDiffusion
+from ..core.algorithm1 import DeterministicFlowImitation
+from ..core.algorithm2 import RandomizedFlowImitation
 from ..core.flow_imitation import FlowCoupledBalancer, TaskSelectionPolicy
-from ..discrete.base import DiscreteBalancer
+from ..discrete.base import DiscreteBalancer, IntegerLoadBalancer
+from ..discrete.baselines.diffusion import (
+    ExcessTokenDiffusion,
+    QuasirandomDiffusion,
+    RandomizedRoundingDiffusion,
+    RoundDownDiffusion,
+)
 from ..discrete.baselines.matching import RandomizedRoundingMatching, RoundDownMatching
 from ..exceptions import ConvergenceError, ExperimentError
 from ..network.graph import Network
@@ -149,13 +168,66 @@ def _build_flow_imitation(
         reference_load = counts.astype(float)
     continuous = make_continuous(continuous_kind, network, reference_load,
                                  schedule=schedule, seed=seed)
-    backend_impl = get_backend(backend, assignment=assignment,
-                               weighted=weighted_load, algorithm=algorithm)
-    return backend_impl.build_flow_imitation(
-        algorithm, continuous, initial_load=counts, assignment=assignment,
-        weighted=weighted_load, seed=seed, selection_policy=selection_policy,
-        rng_mode=rng_mode,
-    )
+    choice = resolve_backend(backend, assignment=assignment,
+                             weighted=weighted_load, algorithm=algorithm)
+    if choice.name == "object":
+        if assignment is None:
+            assignment = (weighted_load.to_assignment(network) if weighted_load is not None
+                          else TaskAssignment.from_unit_loads(network, counts))
+        if algorithm == "algorithm1":
+            return DeterministicFlowImitation(continuous, assignment,
+                                              selection_policy=selection_policy)
+        return RandomizedFlowImitation(continuous, assignment, seed=seed,
+                                       rng_mode=rng_mode)
+    if assignment is not None and assignment.total_dummy_weight() > 0:
+        # resolve_backend routes these to the object backend; the array
+        # state would otherwise turn the dummies into real tasks.
+        raise ExperimentError(
+            "assignments that already contain dummy tasks require the "
+            "object backend")
+    workload: Workload
+    if assignment is not None:
+        workload = assignment
+    elif weighted_load is not None:
+        workload = weighted_load
+    else:
+        workload = counts
+    if algorithm == "algorithm1":
+        return ArrayDeterministicFlowImitation(continuous, workload,
+                                               selection_policy=selection_policy)
+    if weighted_load is not None and weighted_load.max_weight() > 1:
+        raise ExperimentError(
+            "Algorithm 2 balances identical unit-weight tokens only; "
+            "weighted workloads require algorithm1")
+    return ArrayRandomizedFlowImitation(continuous, workload, seed=seed,
+                                        rng_mode=rng_mode)
+
+
+_DIFFUSION_CLASSES: Dict[str, Dict[str, Type[IntegerLoadBalancer]]] = {
+    "object": {
+        "round-down": RoundDownDiffusion,
+        "quasirandom": QuasirandomDiffusion,
+        "randomized-rounding": RandomizedRoundingDiffusion,
+        "excess-tokens": ExcessTokenDiffusion,
+    },
+    "array": {
+        "round-down": ArrayRoundDownDiffusion,
+        "quasirandom": ArrayQuasirandomDiffusion,
+        "randomized-rounding": ArrayRandomizedRoundingDiffusion,
+        # Sequential excess-token forwarding draws order-sensitive per-node
+        # randomness, so the shared scalar implementation is kept; the
+        # counter rng mode is order-free and takes the vectorised kernel.
+        "excess-tokens": ExcessTokenDiffusion,
+    },
+}
+
+
+def _diffusion_class(algorithm: str, backend: str,
+                     rng_mode: str) -> Type[IntegerLoadBalancer]:
+    name = resolve_backend(backend).name
+    if name == "array" and algorithm == "excess-tokens" and rng_mode == "counter":
+        return ArrayExcessTokenDiffusion
+    return _DIFFUSION_CLASSES[name][algorithm]
 
 
 def _build_baseline(
@@ -176,7 +248,7 @@ def _build_baseline(
             raise ExperimentError(
                 f"{algorithm!r} is a diffusion baseline; use continuous_kind 'fos'"
             )
-        cls = get_backend(backend).diffusion_class(algorithm, rng_mode=rng_mode)
+        cls = _diffusion_class(algorithm, backend, rng_mode)
         if algorithm in ("round-down", "quasirandom"):
             return cls(network, loads)
         # The randomized baselines draw order-free counter randomness on demand.

@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 
 from repro.backend import (
-    ArrayBackend,
     ArrayDeterministicFlowImitation,
+    ArrayExcessTokenDiffusion,
     ArrayRandomizedFlowImitation,
-    ObjectBackend,
-    TokenCountState,
-    get_backend,
-    resolve_backend_name,
+    ArrayRoundDownDiffusion,
+    WeightedRunState,
+    resolve_backend,
 )
 from repro.core.algorithm1 import DeterministicFlowImitation
 from repro.core.algorithm2 import RandomizedFlowImitation
 from repro.core.flow_imitation import FlowCoupledBalancer
+from repro.discrete.baselines.diffusion import ExcessTokenDiffusion, RoundDownDiffusion
 from repro.exceptions import ExperimentError, TaskError
 from repro.network import topologies
 from repro.simulation.engine import make_balancer, run_algorithm
@@ -24,24 +24,30 @@ from repro.simulation.scenario import DynamicScenario, Scenario
 from repro.tasks.assignment import TaskAssignment
 from repro.tasks.generators import point_load
 from repro.tasks.task import Task
+from repro.tasks.weighted import WeightedLoads
 
 
 class TestResolution:
     def test_auto_prefers_array_for_token_loads(self):
-        assert resolve_backend_name("auto") == "array"
-        assert resolve_backend_name("array") == "array"
-        assert resolve_backend_name("object") == "object"
+        network = topologies.cycle(4)
+        for backend, cls in (("auto", ArrayDeterministicFlowImitation),
+                             ("array", ArrayDeterministicFlowImitation),
+                             ("object", DeterministicFlowImitation)):
+            balancer = make_balancer("algorithm1", network, initial_load=[2] * 4,
+                                     backend=backend)
+            assert type(balancer) is cls
 
     def test_integer_weight_assignments_take_the_columnar_path(self):
         network = topologies.cycle(4)
-        assignment = TaskAssignment.from_unit_loads(network, [2, 2, 2, 2])
-        assert resolve_backend_name("auto", assignment=assignment) == "array"
-        assert resolve_backend_name("array", assignment=assignment) == "array"
-        assert resolve_backend_name("object", assignment=assignment) == "object"
+        for backend, cls in (("auto", ArrayDeterministicFlowImitation),
+                             ("array", ArrayDeterministicFlowImitation),
+                             ("object", DeterministicFlowImitation)):
+            assignment = TaskAssignment.from_unit_loads(network, [2, 2, 2, 2])
+            balancer = make_balancer("algorithm1", network, assignment=assignment,
+                                     backend=backend)
+            assert type(balancer) is cls
 
     def test_non_integer_weights_fall_back_to_object(self):
-        from repro.backend import resolve_backend
-
         network = topologies.cycle(4)
         assignment = TaskAssignment(network)
         assignment.add(0, Task(task_id=0, weight=2.5))
@@ -54,19 +60,28 @@ class TestResolution:
         assignment = TaskAssignment(network)
         assignment.add(0, Task(task_id=0, weight=1.0))
         assignment.add(1, Task(task_id=1, weight=1.0, is_dummy=True))
-        assert resolve_backend_name("auto", assignment=assignment) == "object"
+        balancer = make_balancer("algorithm1", network, assignment=assignment,
+                                 backend="auto")
+        assert type(balancer) is DeterministicFlowImitation
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ExperimentError):
-            resolve_backend_name("columnar")
+            resolve_backend("columnar")
         with pytest.raises(ExperimentError):
             make_balancer("algorithm1", topologies.cycle(4),
                           initial_load=[1, 1, 1, 1], backend="columnar")
 
-    def test_get_backend_instances(self):
-        assert isinstance(get_backend("object"), ObjectBackend)
-        assert isinstance(get_backend("array"), ArrayBackend)
-        assert isinstance(get_backend("auto"), ArrayBackend)
+    def test_diffusion_baseline_classes_follow_backend_and_rng_mode(self):
+        network = topologies.cycle(4)
+        cases = (("round-down", "object", "sequential", RoundDownDiffusion),
+                 ("round-down", "auto", "sequential", ArrayRoundDownDiffusion),
+                 ("excess-tokens", "array", "sequential", ExcessTokenDiffusion),
+                 ("excess-tokens", "array", "counter", ArrayExcessTokenDiffusion),
+                 ("excess-tokens", "object", "counter", ExcessTokenDiffusion))
+        for algorithm, backend, rng_mode, cls in cases:
+            balancer = make_balancer(algorithm, network, initial_load=[2] * 4,
+                                     backend=backend, rng_mode=rng_mode)
+            assert type(balancer) is cls, (algorithm, backend, rng_mode)
 
 
 class TestMakeBalancerThreading:
@@ -92,8 +107,6 @@ class TestMakeBalancerThreading:
 
     def test_integer_weighted_assignment_builds_columnar_balancer(self):
         """Integer weights no longer fall back: "auto"/"array" go columnar."""
-        from repro.backend import ArrayWeightedDeterministicFlowImitation
-
         network = topologies.cycle(6)
         assignment = TaskAssignment(network)
         assignment.add(0, Task(task_id=0, weight=3.0))
@@ -101,7 +114,7 @@ class TestMakeBalancerThreading:
         for backend in ("auto", "array"):
             balancer = make_balancer("algorithm1", network, assignment=assignment,
                                      backend=backend)
-            assert isinstance(balancer, ArrayWeightedDeterministicFlowImitation)
+            assert isinstance(balancer, ArrayDeterministicFlowImitation)
             assert balancer.w_max == 3.0
 
     def test_fractional_weight_assignment_falls_back_to_object(self):
@@ -141,34 +154,48 @@ class TestScenarioThreading:
             DynamicScenario(name="s", algorithm="algorithm1", backend="frobnicate")
 
 
-class TestTokenCountState:
-    def test_fifo_pop_splits_runs(self):
-        state = TokenCountState(np.array([5, 0]))
-        state.materialize_queues()
-        runs, missing = state.pop_front(0, 3)
-        assert runs == [[3, False]] and missing == 0
-        state.push(1, runs)
-        state.push_dummies(1, 2)
-        assert state.counts.tolist() == [2, 5]
+class TestSharedRunState:
+    """Unit tokens are the weight-1 case of the one columnar state."""
+
+    def test_fifo_take_splits_runs(self):
+        state = WeightedRunState.from_counts(np.array([5, 0]))
+        takes = state.take_front(0, 3)
+        assert takes == [[3, 1, False]]
+        state.deliver(1, takes)
+        state.deliver_dummies(1, 2)
+        assert state.loads.tolist() == [2, 5]
         assert state.dummy_counts.tolist() == [0, 2]
-        assert state.dummy_total == 2
+        assert state.single_class is None
 
-    def test_pop_reports_shortfall(self):
-        state = TokenCountState(np.array([2]))
-        state.materialize_queues()
-        runs, missing = state.pop_front(0, 5)
-        assert sum(count for count, _ in runs) == 2
-        assert missing == 3
+    def test_take_reports_shortfall_as_dummies(self):
+        state = WeightedRunState.from_counts(np.array([2]))
+        plans = state.plan_sender(0, [0], [5.0], [5], 1.0 + 1e-9, "fifo")
+        (_pos, takes, dummies, total, moved), = plans
+        assert sum(count for count, _w, _dummy in takes) == moved == 2
+        assert dummies == 3 and total == 5
 
-    def test_queue_rebuild_forbidden_with_dummies(self):
-        state = TokenCountState(np.array([1, 1]))
-        state.materialize_queues()
-        state.push_dummies(0, 1)
-        with pytest.raises(TaskError):
-            state.drop_queues()
+    def test_remove_dummies_restores_the_single_class(self):
+        state = WeightedRunState.from_counts(np.array([1, 1]))
+        state.deliver_dummies(0, 1)
+        assert state.single_class is None
         assert state.remove_dummies() == 1
-        assert state.counts.tolist() == [1, 1]
+        assert state.loads.tolist() == [1, 1]
+        assert state.single_class == 1
 
     def test_rejects_negative_counts(self):
         with pytest.raises(TaskError):
-            TokenCountState(np.array([1, -1]))
+            WeightedRunState.from_counts(np.array([1, -1]))
+
+    def test_count_and_single_class_states_keep_queues_implicit(self):
+        network = topologies.cycle(6)
+        balancer = make_balancer("algorithm1", network,
+                                 initial_load=point_load(network, 12),
+                                 backend="array")
+        balancer.run(3)
+        balancer.recouple([3, 0, 2, 1, 0, 4])
+        assert balancer._state._queues is None
+        state = WeightedRunState.from_weighted_loads(
+            WeightedLoads.from_buckets([{3: 2}, {}, {3: 1}]))
+        assert state._queues is None
+        assert state.single_class == 3
+        assert state.loads.tolist() == [6, 0, 3]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backend import ArrayWeightedDeterministicFlowImitation
+from repro.backend import ArrayDeterministicFlowImitation
 from repro.backend.weighted import WeightedRunState, _take_count
 from repro.continuous.fos import FirstOrderDiffusion
 from repro.continuous.sos import SecondOrderDiffusion
@@ -70,7 +70,7 @@ class TestWeightedFlowImitationEquivalence:
         array_balancer = make_balancer("algorithm1", network,
                                        assignment=array_assignment,
                                        selection_policy=policy, backend="array")
-        assert isinstance(array_balancer, ArrayWeightedDeterministicFlowImitation)
+        assert isinstance(array_balancer, ArrayDeterministicFlowImitation)
         assert array_balancer.w_max == object_balancer.w_max
         assert_roundwise_equal(object_balancer, array_balancer, rounds=40)
 
@@ -83,7 +83,7 @@ class TestWeightedFlowImitationEquivalence:
         object_balancer = DeterministicFlowImitation(
             SecondOrderDiffusion(network, object_assignment.loads(), beta=1.9),
             object_assignment)
-        array_balancer = ArrayWeightedDeterministicFlowImitation(
+        array_balancer = ArrayDeterministicFlowImitation(
             SecondOrderDiffusion(network, array_assignment.loads(), beta=1.9),
             array_assignment)
         assert_roundwise_equal(object_balancer, array_balancer, rounds=60)
@@ -164,15 +164,31 @@ class TestWeightedRecoupling:
             fresh.advance()
             assert np.array_equal(recoupled.loads(), fresh.loads())
 
-    def test_unit_array_backend_rejects_weighted_recouple(self):
-        from repro.exceptions import ProcessError
-
-        network = topologies.cycle(6)
-        balancer = make_balancer("algorithm1", network, initial_load=[4] * 6,
-                                 backend="array")
-        weighted = weighted_loads_from_task_counts([2] * 6, max_weight=3, seed=2)
-        with pytest.raises(ProcessError):
-            balancer.recouple(weighted)
+    @pytest.mark.parametrize("policy", sorted(TaskSelectionPolicy.ALL))
+    def test_unit_built_balancers_recouple_onto_weighted_identically(self, policy):
+        """Both backends, built from token counts, accept a weighted recouple
+        and then agree round by round."""
+        network = topologies.torus(4, dims=2)
+        weighted = weighted_loads_from_task_counts([6] * network.num_nodes,
+                                                   max_weight=4, seed=2)
+        balancers = []
+        for backend in ("object", "array"):
+            balancer = make_balancer("algorithm1", network,
+                                     initial_load=[4] * network.num_nodes,
+                                     selection_policy=policy, seed=3,
+                                     backend=backend)
+            balancer.run(5)
+            balancer.recouple(weighted, seed=8)
+            balancers.append(balancer)
+        object_balancer, array_balancer = balancers
+        assert array_balancer.w_max == object_balancer.w_max == 4.0
+        for round_index in range(30):
+            object_balancer.advance()
+            array_balancer.advance()
+            assert np.array_equal(object_balancer.loads(), array_balancer.loads()), (
+                f"loads diverged at round {round_index}")
+            assert np.array_equal(object_balancer.discrete_cumulative_flows(),
+                                  array_balancer.discrete_cumulative_flows())
 
 
 class TestWeightedStreams:
@@ -314,7 +330,7 @@ def paired_single_class(network, weight, total_tasks, substrate=FirstOrderDiffus
     object_balancer = DeterministicFlowImitation(
         substrate(network, reference, **substrate_kwargs),
         weighted.to_assignment(network), selection_policy=policy)
-    array_balancer = ArrayWeightedDeterministicFlowImitation(
+    array_balancer = ArrayDeterministicFlowImitation(
         substrate(network, reference, **substrate_kwargs), weighted,
         selection_policy=policy)
     return object_balancer, array_balancer
@@ -359,7 +375,7 @@ class TestSingleClassFastPath:
         object_balancer = DeterministicFlowImitation(
             SecondOrderDiffusion(network, reference, beta=1.9),
             weighted.to_assignment(network))
-        array_balancer = ArrayWeightedDeterministicFlowImitation(
+        array_balancer = ArrayDeterministicFlowImitation(
             SecondOrderDiffusion(network, reference, beta=1.9), weighted)
         assert_roundwise_equal(object_balancer, array_balancer, rounds=60)
         assert array_balancer.dummy_tokens_created > 0, \
@@ -373,7 +389,7 @@ class TestSingleClassFastPath:
         network = topologies.torus(4, dims=2)
         weighted = weighted_loads_from_task_counts(
             [8] * network.num_nodes, max_weight=4, seed=1)
-        balancer = ArrayWeightedDeterministicFlowImitation(
+        balancer = ArrayDeterministicFlowImitation(
             FirstOrderDiffusion(network, weighted.load_vector().astype(float)),
             weighted)
         assert balancer._state.single_class is None

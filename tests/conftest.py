@@ -4,12 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.network import topologies
 from repro.network.graph import Network
 from repro.tasks.assignment import TaskAssignment
 from repro.tasks.generators import point_load, uniform_random_load
 from repro.tasks.task import TaskFactory
+
+# Hypothesis profiles.  Tests that pin ``max_examples`` in their own
+# ``@settings`` keep it; the rest take the profile's count: bounded in the
+# default tier-1 run, larger under ``pytest --hypothesis-profile=deep``.
+settings.register_profile("tier1", max_examples=12, deadline=None)
+settings.register_profile("deep", max_examples=2000, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

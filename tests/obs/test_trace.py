@@ -21,7 +21,7 @@ from repro.simulation.sweep import SweepConfiguration, run_sweep_cell
 from repro.store.runstore import RunRecord
 
 KNOWN_PHASES = {"continuous/advance", "flow/object-round", "flow/array-round",
-                "flow/weighted-round", "baseline/excess-array"}
+                "baseline/excess-array"}
 
 
 def small_config(algorithm="algorithm2"):
