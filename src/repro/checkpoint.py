@@ -48,7 +48,7 @@ from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Union
 
 from .dynamic.events import EventGenerator
-from .dynamic.stream import StreamingEngine
+from .dynamic.stream import StreamingEngine, _drive_stream
 from .exceptions import CheckpointError
 from .simulation.results import RunResult
 from .store.runstore import canonical_json, config_hash
@@ -268,21 +268,9 @@ def resume_stream(source: Union[PathLike, StreamCheckpoint],
             f"round {checkpoint.round_index}")
     engine = restore_engine(checkpoint, generator=generator, bus=bus)
     trace = list(checkpoint.trace_max_min)
-    totals = list(checkpoint.trace_total_weight)
     if len(trace) != checkpoint.round_index + 1:
         raise CheckpointError(
             f"checkpoint trace length {len(trace)} does not match round "
             f"{checkpoint.round_index} (expected {checkpoint.round_index + 1})")
-    meta = checkpoint.meta
-    while engine.round_index < target:
-        engine.step()
-        trace.append(engine.current_discrepancy())
-        totals.append(float(engine.total_real_load()))
-        if checkpoint_every is not None and (
-                engine.round_index % checkpoint_every == 0
-                or engine.round_index == target):
-            write_checkpoint(
-                checkpoint_engine(engine, total_rounds=target, trace=trace,
-                                  totals=totals, meta=meta),
-                checkpoint_path)
-    return engine.result(trace_max_min=trace, trace_total_weight=totals)
+    return _drive_stream(engine, target, trace, list(checkpoint.trace_total_weight),
+                         checkpoint_every, checkpoint_path, checkpoint.meta)

@@ -4,9 +4,10 @@ The engine interleaves :class:`~repro.dynamic.events.DynamicEvent` streams
 with synchronous balancing rounds.  Each round it
 
 1. polls the event generator with a read-only :class:`StreamView`;
-2. applies the returned events to its own mutable system state (per-node
-   token counts and a :class:`networkx.Graph` keyed by *stable labels* that
-   survive node churn);
+2. applies the returned events to its own mutable system state: per-label
+   arrays over the sorted *stable labels* that survive node churn (speeds and
+   an ``(n, K)`` matrix of task counts per weight class) and a
+   :class:`networkx.Graph` on the same labels;
 3. **re-couples** the balancer whenever an event changed the workload or the
    topology — the continuous substrate of the paper's framework is only
    meaningful for a fixed graph and total load, so the discrete balancer is
@@ -30,18 +31,21 @@ requires.
 **Weighted streams.**  The initial workload may be a weighted
 :class:`~repro.tasks.assignment.TaskAssignment` or columnar
 :class:`~repro.tasks.weighted.WeightedLoads` (integer weights, algorithm1
-only).  The engine then tracks per-node *weight buckets* instead of plain
-token counts; arrivals and departures still act on unit-weight tokens (the
-streamed work), while the heavy tasks travel only through balancing and
-node leaves.  Re-coupling hands the balancer ``WeightedLoads`` buckets in
-canonical (ascending-weight) order, so the object and columnar backends stay
-trajectory-identical on weighted streams too — and the columnar fast path
-keeps re-coupling O(n + buckets) with no per-task objects.
+only).  Unit and weighted streams share one state: the count matrix has one
+column per weight class in ascending order with weight 1 always first, so a
+unit stream is the one-column case.  Arrivals and departures act on column 0
+(the streamed work is unit tokens; heavy tasks travel only through balancing
+and node leaves), and a leave hands each column out round-robin in
+ascending weight.  Re-coupling hands the balancer the matrix's non-zero
+entries as ``WeightedLoads`` in canonical (ascending-weight) order, so the
+object and columnar backends stay trajectory-identical on weighted streams
+too — and the columnar fast path keeps re-coupling O(n + buckets) with no
+per-task objects.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import networkx as nx
 import numpy as np
@@ -60,15 +64,6 @@ from ..tasks.weighted import WeightedLoads
 from .events import ARRIVAL, DEPARTURE, JOIN, LEAVE, DynamicEvent, EventGenerator, StreamView
 
 __all__ = ["run_stream", "StreamingEngine"]
-
-
-def _round_robin_counts(start: int, count: int, targets: int) -> List[int]:
-    """How many of positions ``start .. start+count-1`` land on each residue mod ``targets``."""
-    base, remainder = divmod(count, targets)
-    counts = [base] * targets
-    for k in range(remainder):
-        counts[(start + k) % targets] += 1
-    return counts
 
 
 class StreamingEngine:
@@ -114,7 +109,7 @@ class StreamingEngine:
                     raise ExperimentError(
                         "weighted dynamic streams require algorithm1 (the only "
                         "algorithm defined for weighted tasks)")
-            loads = initial_load.load_vector().astype(float)
+            buckets = initial_load.buckets()
         else:
             loads = np.asarray(list(initial_load), dtype=float)
             if loads.shape != (network.num_nodes,):
@@ -122,45 +117,30 @@ class StreamingEngine:
                     f"initial load must have length {network.num_nodes}, got {loads.shape}")
             if np.any(loads < 0) or not np.allclose(loads, np.round(loads)):
                 raise ExperimentError("dynamic runs require non-negative integer token loads")
+            buckets = [{1: int(round(load))} for load in loads]
 
-        self._algorithm = algorithm
-        self._continuous_kind = continuous_kind
-        self._generator = generator
-        self._seed = seed
-        self._selection_policy = selection_policy
-        self._rng_mode = rng_mode
-        self._requested_backend = backend
-        self._weighted = weighted is not None
         # "auto" resolves unit-token and weighted streams alike to the array
         # backend's one columnar state; either backend gives the same
         # trajectory.
         choice = resolve_backend(backend, weighted=weighted, algorithm=algorithm,
                                  rng_mode=rng_mode)
-        self._backend = choice.name
+        self._config: Dict[str, Any] = {
+            "algorithm": algorithm, "continuous_kind": continuous_kind,
+            "seed": seed, "selection_policy": selection_policy,
+            "rng_mode": rng_mode, "backend": backend,
+            "resolved_backend": choice.name, "weighted": weighted is not None,
+            "base_name": network.name,
+        }
+        self._generator = generator
         self._backend_reason = choice.reason
-        self._base_name = network.name
-        self._bus = bus
-        self._probe = None if bus is None else RoundProbe(
-            bus, source="stream", context={
-                "algorithm": algorithm, "backend": choice.name,
-                "rng_mode": rng_mode})
 
-        # Stable-label state: the graph and token counts the events act on.
-        # ``network`` already uses contiguous labels 0..n-1, which become the
-        # initial stable labels; joins get fresh labels beyond the maximum.
+        # Stable-label state: the graph and per-label arrays the events act
+        # on.  ``network`` already uses contiguous labels 0..n-1, which become
+        # the initial stable labels; joins get fresh labels beyond the maximum.
         self._graph: nx.Graph = nx.Graph()
         self._graph.add_nodes_from(range(network.num_nodes))
         self._graph.add_edges_from(network.edges)
-        self._tokens: Dict[int, int] = {
-            node: int(round(loads[node])) for node in network.nodes}
-        # Weighted streams additionally track {weight: count} buckets per
-        # label; ``_tokens`` then holds the total real *weight* per label.
-        self._buckets: Dict[int, Dict[int, int]] = {}
-        if self._weighted:
-            for node in network.nodes:
-                self._buckets[node] = dict(weighted.node_buckets(node))
-        self._speeds: Dict[int, float] = {
-            node: float(network.speeds[node]) for node in network.nodes}
+        self._load_rows(range(network.num_nodes), network.speeds, buckets)
         self._next_label = network.num_nodes
 
         self._round = 0
@@ -177,15 +157,10 @@ class StreamingEngine:
         self._used_infinite_source = False
         self._went_negative = False
         self._timeline: List[Dict[str, object]] = []
-        # Checkpoint support: snapshot of the stable-label state at the last
-        # coupling boundary plus the number of plain (event-free) rounds
-        # advanced since — everything after the boundary is deterministic
-        # replay (see state_dict / restore).
-        self._boundary: Dict[str, object] = {}
-        self._rounds_since_boundary = 0
 
         self._network: Network = None  # type: ignore[assignment]
         self._balancer = None
+        self._attach_bus(bus)
         self._couple()
 
     # ------------------------------------------------------------------ #
@@ -220,7 +195,7 @@ class StreamingEngine:
     @property
     def backend(self) -> str:
         """The resolved load-state backend driving this stream."""
-        return self._backend
+        return self._config["resolved_backend"]
 
     @property
     def timeline(self) -> List[Dict[str, object]]:
@@ -230,32 +205,71 @@ class StreamingEngine:
     @property
     def labels(self) -> Tuple[int, ...]:
         """Sorted stable labels of the nodes currently in the system."""
-        return tuple(sorted(self._graph.nodes()))
+        return self._labels
 
     @property
     def weighted(self) -> bool:
         """Whether this stream tracks weighted tasks (weight buckets)."""
-        return self._weighted
+        return bool(self._config["weighted"])
 
     def tokens_by_label(self) -> Dict[int, int]:
         """Current real (non-dummy) load per stable label (copy).
 
         On weighted streams the value is the node's total real task weight.
         """
-        return dict(self._tokens)
+        return self._tokens_of(self._counts)
 
     def buckets_by_label(self) -> Dict[int, Dict[int, int]]:
         """Current real ``{weight: count}`` buckets per label (weighted streams)."""
-        return {label: dict(bucket) for label, bucket in self._buckets.items()}
+        return self._buckets_of(self._counts) if self.weighted else {}
 
     def total_real_load(self) -> int:
         """Total real load (token count, or total weight on weighted streams)."""
-        return int(sum(self._tokens.values()))
+        return int(self._counts.sum(axis=0) @ self._weights)
 
     def view(self) -> StreamView:
         """The read-only snapshot handed to the event generator this round."""
-        return StreamView(round_index=self._round, labels=self.labels,
-                          loads=dict(self._tokens), network=self._network)
+        return StreamView(round_index=self._round, labels=self._labels,
+                          loads=self.tokens_by_label(), network=self._network)
+
+    # ------------------------------------------------------------------ #
+    # the per-label arrays
+    # ------------------------------------------------------------------ #
+
+    def _load_rows(self, labels, speeds, buckets) -> None:
+        """Set the per-label arrays from one ``{weight: count}`` mapping per label.
+
+        The weight classes are the workload's plus weight 1 (column 0, where
+        streamed unit tokens arrive and depart); no event creates a new class.
+        """
+        self._weights = np.array(sorted({1}.union(*buckets)), dtype=np.int64)
+        self._set_rows(tuple(labels), np.asarray(speeds, dtype=float),
+                       self._bucket_matrix(buckets))
+
+    def _set_rows(self, labels: Tuple[int, ...], speeds: np.ndarray,
+                  counts: np.ndarray) -> None:
+        """Install new rows (only on JOIN/LEAVE) and rebuild the label index."""
+        self._labels, self._speeds, self._counts = labels, speeds, counts
+        self._rows = {label: row for row, label in enumerate(labels)}
+
+    def _bucket_matrix(self, buckets: Sequence[Dict[int, int]]) -> np.ndarray:
+        """The ``(n, K)`` count matrix of one ``{weight: count}`` mapping per row."""
+        column = {weight: k for k, weight in enumerate(self._weights.tolist())}
+        counts = np.zeros((len(buckets), len(column)), dtype=np.int64)
+        for row, bucket in enumerate(buckets):
+            for weight, count in bucket.items():
+                counts[row, column[weight]] = count
+        return counts
+
+    def _tokens_of(self, counts: np.ndarray) -> Dict[int, int]:
+        """Total real weight per label of a count matrix over the current rows."""
+        return dict(zip(self._labels, (counts @ self._weights).tolist()))
+
+    def _buckets_of(self, counts: np.ndarray) -> Dict[int, Dict[int, int]]:
+        """Non-empty ``{weight: count}`` buckets per label of a count matrix."""
+        weights = self._weights.tolist()
+        return {label: {weight: count for weight, count in zip(weights, row) if count}
+                for label, row in zip(self._labels, counts.tolist())}
 
     # ------------------------------------------------------------------ #
     # metrics of the current state
@@ -280,17 +294,7 @@ class StreamingEngine:
         canonical-JSON machinery) so a checkpoint can only be restored onto
         the configuration that produced it.
         """
-        return {
-            "algorithm": self._algorithm,
-            "continuous_kind": self._continuous_kind,
-            "seed": self._seed,
-            "selection_policy": self._selection_policy,
-            "rng_mode": self._rng_mode,
-            "backend": self._requested_backend,
-            "resolved_backend": self._backend,
-            "weighted": self._weighted,
-            "base_name": self._base_name,
-        }
+        return dict(self._config)
 
     def state_dict(self) -> Dict[str, object]:
         """JSON-friendly snapshot of the full mutable stream state.
@@ -316,17 +320,16 @@ class StreamingEngine:
             "went_negative": self._went_negative,
             "next_label": self._next_label,
             "backend_reason": self._backend_reason,
-            "nodes": [int(node) for node in sorted(self._graph.nodes())],
+            "nodes": list(self._labels),
             "edges": sorted([int(u), int(v)] if u <= v else [int(v), int(u)]
                             for u, v in self._graph.edges()),
-            "speeds": {int(label): float(speed)
-                       for label, speed in self._speeds.items()},
-            "tokens": dict(self._tokens),
-            "buckets": self.buckets_by_label() if self._weighted else None,
-            "boundary": {**{key: value for key, value in self._boundary.items()
-                            if key != "buckets"},
-                         "buckets": (self._boundary["buckets"]
-                                     if self._weighted else None),
+            "speeds": dict(zip(self._labels, self._speeds.tolist())),
+            "tokens": self._tokens_of(self._counts),
+            "buckets": self._buckets_of(self._counts) if self.weighted else None,
+            "boundary": {"tokens": self._tokens_of(self._boundary_counts),
+                         "buckets": (self._buckets_of(self._boundary_counts)
+                                     if self.weighted else None),
+                         "clamped_tokens": self._boundary_clamped,
                          "rounds_since": self._rounds_since_boundary},
             "timeline": self.timeline,
             "generator": self._generator.state_dict(),
@@ -356,33 +359,23 @@ class StreamingEngine:
         from ..exceptions import CheckpointError
 
         engine = cls.__new__(cls)
-        engine._algorithm = config["algorithm"]
-        engine._continuous_kind = config["continuous_kind"]
+        engine._config = dict(config)
         engine._generator = generator
-        engine._seed = config["seed"]
-        engine._selection_policy = config["selection_policy"]
-        engine._rng_mode = config["rng_mode"]
-        engine._requested_backend = config["backend"]
-        engine._backend = config["resolved_backend"]
         engine._backend_reason = state.get(
             "backend_reason", "restored from checkpoint")
-        engine._weighted = bool(config["weighted"])
-        engine._base_name = config["base_name"]
-        engine._bus = None
-        engine._probe = None
 
         boundary = state["boundary"]
         engine._graph = nx.Graph()
         engine._graph.add_nodes_from(int(node) for node in state["nodes"])
         engine._graph.add_edges_from((int(u), int(v))
                                      for u, v in state["edges"])
-        engine._speeds = cls._int_keys(state["speeds"], float)
-        engine._tokens = cls._int_keys(boundary["tokens"])
-        engine._buckets = {}
-        if engine._weighted:
-            engine._buckets = {
-                int(label): cls._int_keys(bucket)
-                for label, bucket in boundary["buckets"].items()}
+        labels = sorted(engine._graph.nodes())
+        speeds = cls._int_keys(state["speeds"], float)
+        # unit streams store no buckets: each label's tokens are its weight-1 count
+        buckets = cls._int_keys(boundary["buckets"] or {
+            label: {1: tokens} for label, tokens in boundary["tokens"].items()}, cls._int_keys)
+        engine._load_rows(labels, [speeds[label] for label in labels],
+                          [buckets[label] for label in labels])
         engine._next_label = int(state["next_label"])
 
         engine._round = int(state["round"])
@@ -397,16 +390,15 @@ class StreamingEngine:
         engine._went_negative = bool(state["went_negative"])
         engine._timeline = [dict(entry) for entry in state["timeline"]]
 
-        engine._network = None
         engine._balancer = None
+        engine._attach_bus(None)
         engine._couple()
         for _ in range(int(boundary["rounds_since"])):
             engine._balancer.advance()
             engine._sync_tokens_from_balancer()
             engine._rounds_since_boundary += 1
 
-        expected_tokens = cls._int_keys(state["tokens"])
-        if engine._tokens != expected_tokens:
+        if engine.tokens_by_label() != cls._int_keys(state["tokens"]):
             raise CheckpointError(
                 "checkpoint integrity failure: replaying "
                 f"{boundary['rounds_since']} round(s) from the coupling "
@@ -417,59 +409,69 @@ class StreamingEngine:
                 f"count {engine._clamped_tokens} != snapshotted "
                 f"{state['clamped_tokens']}")
         generator.load_state_dict(state["generator"])
-
-        if bus is not None:
-            engine._bus = bus
-            engine._probe = RoundProbe(
-                bus, source="stream", context={
-                    "algorithm": engine._algorithm, "backend": engine._backend,
-                    "rng_mode": engine._rng_mode})
-            engine._balancer.attach_probe(engine._probe)
+        engine._attach_bus(bus)
         return engine
+
+    def _attach_bus(self, bus: Optional[MetricsBus]) -> None:
+        """Send telemetry to ``bus`` (None: nowhere), probing the current balancer."""
+        config = self._config
+        self._bus = bus
+        self._probe = None if bus is None else RoundProbe(
+            bus, source="stream", context={
+                "algorithm": config["algorithm"], "backend": config["resolved_backend"],
+                "rng_mode": config["rng_mode"]})
+        if self._probe is not None and self._balancer is not None:
+            self._balancer.attach_probe(self._probe)
 
     # ------------------------------------------------------------------ #
     # coupling
     # ------------------------------------------------------------------ #
 
     def _couple_seed(self) -> Optional[int]:
-        return None if self._seed is None else self._seed + 7919 * self._recouplings
+        seed = self._config["seed"]
+        return None if seed is None else seed + 7919 * self._recouplings
 
     def _current_workload(self) -> Union[np.ndarray, WeightedLoads]:
-        """The stable-label state as the balancer workload (canonical order)."""
-        labels = self.labels
-        if self._weighted:
-            return WeightedLoads.from_buckets([self._buckets[label] for label in labels])
-        return np.array([self._tokens[label] for label in labels], dtype=np.int64)
+        """The per-label counts as the balancer workload (canonical order).
+
+        ``np.nonzero`` walks the matrix row by row and each row in ascending
+        weight, which is exactly the ``WeightedLoads`` bucket order.
+        """
+        if not self.weighted:
+            return self._counts[:, 0].copy()
+        rows, columns = np.nonzero(self._counts)
+        offsets = np.zeros(len(self._labels) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=len(self._labels)), out=offsets[1:])
+        return WeightedLoads(self._weights[columns], self._counts[rows, columns], offsets)
 
     def _couple(self) -> None:
         """(Re)build the network and balancer from the stable-label state."""
         self._harvest_balancer_counters()
-        labels = self.labels
-        speeds = [self._speeds[label] for label in labels]
-        # Network relabels the (sorted, stable) labels to 0..n-1 itself and
-        # keeps the originals in ``node_labels`` — the index -> stable-label
-        # mapping the StreamView contract promises to generators.
-        network = Network(self._graph.copy(), speeds=speeds,
-                          name=f"{self._base_name}+dynamic")
+        config = self._config
+        # Network relabels the (sorted, stable) labels to 0..n-1 in a copy of
+        # its own and keeps the originals in ``node_labels`` — the index ->
+        # stable-label mapping the StreamView contract promises to generators.
+        network = Network(self._graph, speeds=self._speeds,
+                          name=f"{config['base_name']}+dynamic")
         workload = self._current_workload()
 
         couple_seed = self._couple_seed()
-        schedule = make_schedule(self._continuous_kind, network, seed=couple_seed)
+        schedule = make_schedule(config["continuous_kind"], network, seed=couple_seed)
         self._network = network
         self._balancer = make_balancer(
-            self._algorithm, network,
-            initial_load=None if self._weighted else workload,
-            weighted_load=workload if self._weighted else None,
-            continuous_kind=self._continuous_kind, schedule=schedule,
-            seed=couple_seed, selection_policy=self._selection_policy,
-            backend=self._backend, rng_mode=self._rng_mode,
+            config["algorithm"], network,
+            initial_load=None if self.weighted else workload,
+            weighted_load=workload if self.weighted else None,
+            continuous_kind=config["continuous_kind"], schedule=schedule,
+            seed=couple_seed, selection_policy=config["selection_policy"],
+            backend=config["resolved_backend"], rng_mode=config["rng_mode"],
         )
         if self._probe is not None:
             self._balancer.attach_probe(self._probe)
         self._mark_boundary()
 
     def _mark_boundary(self) -> None:
-        """Snapshot the stable-label state at a coupling boundary.
+        """Snapshot the per-label counts at a coupling boundary.
 
         Between boundaries the system evolves by plain ``advance()`` rounds —
         a deterministic function of the boundary workload, the network and
@@ -477,14 +479,11 @@ class StreamingEngine:
         state plus the round count since it; restoration re-couples at the
         boundary and replays (:meth:`restore`).  ``clamped_tokens`` is
         snapshotted too because the replayed syncs re-accumulate any
-        post-boundary clamping.
+        post-boundary clamping.  Every JOIN/LEAVE re-couples, so the rows
+        never change between boundaries.
         """
-        self._boundary = {
-            "tokens": dict(self._tokens),
-            "buckets": {label: dict(bucket)
-                        for label, bucket in self._buckets.items()},
-            "clamped_tokens": self._clamped_tokens,
-        }
+        self._boundary_counts = self._counts.copy()
+        self._boundary_clamped = self._clamped_tokens
         self._rounds_since_boundary = 0
 
     def _recouple_loads(self) -> None:
@@ -516,7 +515,7 @@ class StreamingEngine:
             self._went_negative |= bool(getattr(self._balancer, "went_negative", False))
 
     def _sync_tokens_from_balancer(self) -> None:
-        """Pull the post-round loads back into the stable-label token counts.
+        """Pull the post-round loads back into the per-label counts.
 
         Flow-imitation balancers report their *real* tasks (dummy tokens are
         dropped at the next re-coupling boundary, mirroring the paper's final
@@ -525,23 +524,16 @@ class StreamingEngine:
         result can report the conservation violation instead of hiding it.
         Weighted streams pull back the whole per-node weight multiset.
         """
-        if self._weighted:
-            buckets = self._balancer.real_weight_buckets()
-            for index, label in enumerate(self.labels):
-                bucket = buckets[index]
-                self._buckets[label] = bucket
-                self._tokens[label] = sum(w * c for w, c in bucket.items())
+        if self.weighted:
+            self._counts = self._bucket_matrix(self._balancer.real_weight_buckets())
             return
         if isinstance(self._balancer, FlowCoupledBalancer):
             loads = self._balancer.loads(include_dummies=False)
         else:
             loads = self._balancer.loads()
-        for index, label in enumerate(self.labels):
-            count = int(round(float(loads[index])))
-            if count < 0:
-                self._clamped_tokens += -count
-                count = 0
-            self._tokens[label] = count
+        counts = np.rint(np.asarray(loads, dtype=float)).astype(np.int64)
+        self._clamped_tokens -= int(counts[counts < 0].sum())
+        self._counts[:, 0] = np.maximum(counts, 0)
 
     # ------------------------------------------------------------------ #
     # events
@@ -552,42 +544,28 @@ class StreamingEngine:
         record = event.as_dict()
         record["round"] = self._round
         record["applied"] = True
+        row = self._rows.get(event.node)
 
         if event.kind == ARRIVAL:
-            if event.node not in self._tokens:
+            if row is None:
                 record["applied"] = False
             else:
-                self._tokens[event.node] += event.tokens
-                if self._weighted and event.tokens:
-                    bucket = self._buckets[event.node]
-                    bucket[1] = bucket.get(1, 0) + event.tokens
+                self._counts[row, 0] += event.tokens
                 self._arrived += event.tokens
             return record["applied"] and event.tokens > 0, record
 
         if event.kind == DEPARTURE:
-            # Streamed work arrives and departs as unit tokens; on weighted
-            # streams the heavy tasks are pinned (they only move through
-            # balancing and node leaves), so only unit tokens can depart.
-            if self._weighted:
-                available = self._buckets.get(event.node, {}).get(1, 0)
-            else:
-                available = self._tokens.get(event.node, 0)
-            realised = min(event.tokens, available)
+            realised = min(event.tokens, 0 if row is None else int(self._counts[row, 0]))
             record["tokens"] = realised
-            if event.node not in self._tokens:
+            if row is None:
                 record["applied"] = False
             else:
-                self._tokens[event.node] -= realised
-                if self._weighted and realised:
-                    bucket = self._buckets[event.node]
-                    bucket[1] = available - realised
-                    if not bucket[1]:
-                        del bucket[1]
+                self._counts[row, 0] -= realised
                 self._departed += realised
             return realised > 0, record
 
         if event.kind == JOIN:
-            attach = [label for label in event.attach_to if label in self._tokens]
+            attach = [label for label in event.attach_to if label in self._rows]
             if not attach:
                 record["applied"] = False
                 return False, record
@@ -595,47 +573,35 @@ class StreamingEngine:
             self._next_label += 1
             self._graph.add_node(label)
             self._graph.add_edges_from((label, target) for target in attach)
-            self._tokens[label] = event.tokens
-            if self._weighted:
-                self._buckets[label] = {1: event.tokens} if event.tokens else {}
-            self._speeds[label] = 1.0
+            joined = np.zeros((1, self._weights.size), dtype=np.int64)
+            joined[0, 0] = event.tokens
+            self._set_rows(self._labels + (label,), np.append(self._speeds, 1.0),
+                           np.vstack((self._counts, joined)))
             self._arrived += event.tokens
             record["node"] = label
             record["attach_to"] = attach
             return True, record
 
         # LEAVE: reject anything that would disconnect the network or shrink
-        # it below three nodes; surviving tasks migrate to the neighbours in
-        # round-robin order (canonical ascending-weight order on weighted
-        # streams), computed arithmetically so huge loads stay O(buckets).
-        if (event.node not in self._tokens
-                or self._graph.number_of_nodes() <= 3):
-            record["applied"] = False
-            return False, record
-        remaining = self._graph.copy()
-        remaining.remove_node(event.node)
-        if not nx.is_connected(remaining):
+        # it below three nodes.  The tasks go round-robin to the d sorted
+        # neighbours, class by class in ascending weight with the position
+        # carried across classes: neighbour j gets ``count // d`` plus one if
+        # its offset from the class's start is below ``count % d``.
+        if (row is None or len(self._labels) <= 3 or not nx.is_connected(
+                nx.restricted_view(self._graph, [event.node], []))):
             record["applied"] = False
             return False, record
         neighbors = sorted(self._graph.neighbors(event.node))
-        orphaned = self._tokens.pop(event.node)
-        self._speeds.pop(event.node)
-        self._graph = remaining
-        if self._weighted:
-            position = 0
-            for weight, count in sorted(self._buckets.pop(event.node).items()):
-                shares = _round_robin_counts(position, count, len(neighbors))
-                for index, share in enumerate(shares):
-                    if share:
-                        target = self._buckets[neighbors[index]]
-                        target[weight] = target.get(weight, 0) + share
-                        self._tokens[neighbors[index]] += share * weight
-                position += count
-        else:
-            for index, share in enumerate(
-                    _round_robin_counts(0, orphaned, len(neighbors))):
-                self._tokens[neighbors[index]] += share
-        record["tokens"] = orphaned
+        self._graph.remove_node(event.node)
+        orphans = self._counts[row]
+        degree = len(neighbors)
+        starts = np.cumsum(orphans) - orphans
+        offsets = (np.arange(degree) - starts[:, None]) % degree
+        shares = orphans[:, None] // degree + (offsets < orphans[:, None] % degree)
+        self._counts[[self._rows[label] for label in neighbors]] += shares.T
+        record["tokens"] = int(orphans @ self._weights)
+        self._set_rows(self._labels[:row] + self._labels[row + 1:],
+                       np.delete(self._speeds, row), np.delete(self._counts, row, axis=0))
         return True, record
 
     # ------------------------------------------------------------------ #
@@ -697,8 +663,8 @@ class StreamingEngine:
         w_max = (float(self._balancer.w_max)
                  if isinstance(self._balancer, FlowCoupledBalancer) else 1.0)
         result = RunResult(
-            algorithm=self._algorithm,
-            continuous_kind=self._continuous_kind,
+            algorithm=self._config["algorithm"],
+            continuous_kind=self._config["continuous_kind"],
             network_name=network.name,
             num_nodes=network.num_nodes,
             max_degree=network.max_degree,
@@ -729,7 +695,7 @@ class StreamingEngine:
             "fast_recouplings": float(self._fast_recouplings),
             "rejected_events": float(self._rejected_events),
             "clamped_tokens": float(self._clamped_tokens),
-            "backend": self._backend,
+            "backend": self.backend,
             "backend_reason": self._backend_reason,
         })
         if self._probe is not None:
@@ -785,19 +751,31 @@ def run_stream(
                              continuous_kind=continuous_kind, seed=seed,
                              selection_policy=selection_policy, backend=backend,
                              rng_mode=rng_mode, bus=bus)
-    trace = [engine.current_discrepancy()]
-    totals = [float(engine.total_real_load())]
-    for _ in range(rounds):
+    return _drive_stream(engine, rounds, [engine.current_discrepancy()],
+                         [float(engine.total_real_load())],
+                         checkpoint_every, checkpoint_path, checkpoint_meta)
+
+
+def _drive_stream(engine: StreamingEngine, target: int, trace: List[float],
+                  totals: List[float], checkpoint_every: Optional[int],
+                  checkpoint_path, meta: Optional[Dict[str, object]]) -> RunResult:
+    """Step ``engine`` to round ``target``, extending the traces in place.
+
+    The round loop of :func:`run_stream` and
+    :func:`repro.checkpoint.resume_stream`; with ``checkpoint_every=N`` it
+    snapshots to ``checkpoint_path`` every ``N`` rounds and after ``target``.
+    """
+    while engine.round_index < target:
         engine.step()
         trace.append(engine.current_discrepancy())
         totals.append(float(engine.total_real_load()))
         if checkpoint_every is not None and (
                 engine.round_index % checkpoint_every == 0
-                or engine.round_index == rounds):
+                or engine.round_index == target):
             from ..checkpoint import checkpoint_engine, write_checkpoint
 
             write_checkpoint(
-                checkpoint_engine(engine, total_rounds=rounds, trace=trace,
-                                  totals=totals, meta=checkpoint_meta),
+                checkpoint_engine(engine, total_rounds=target, trace=trace,
+                                  totals=totals, meta=meta),
                 checkpoint_path)
     return engine.result(trace_max_min=trace, trace_total_weight=totals)

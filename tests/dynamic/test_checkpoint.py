@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pathlib
 from dataclasses import asdict
 
 import pytest
@@ -55,6 +56,9 @@ def _fresh_generator(scenario):
     network = scenario.build_network()
     return make_event_generator(scenario.events, network,
                                 scenario.tokens_per_node, seed=seeds.events)
+
+
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def _json_round_trip(checkpoint):
@@ -237,3 +241,61 @@ class TestCheckpointValidation:
         scenario = _scenario(rounds=6)
         with pytest.raises(ExperimentError, match="checkpoint_path"):
             run_dynamic_scenario(scenario, checkpoint_every=2)
+
+
+class TestGoldenCheckpoints:
+    """Checkpoints written before the per-label array state still resume.
+
+    ``data/<name>.ckpt.json`` was written by the engine that kept per-label
+    dicts, killed mid-run (a unit ``mixed`` stream at round 40 of 80, a
+    weighted w <= 3 ``churn`` stream at round 30 of 60, both with applied
+    joins and leaves before and after the kill); ``data/<name>.expected.json``
+    holds that engine's uninterrupted result and final per-label state.
+    """
+
+    NAMES = ["unit_mixed", "weighted_churn"]
+
+    @staticmethod
+    def _expected(name):
+        return json.loads((DATA / f"{name}.expected.json").read_text())
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_resume_matches_the_uninterrupted_run(self, name):
+        expected = self._expected(name)
+        result = resume_stream(DATA / f"{name}.ckpt.json")
+        assert result.trace_max_min == expected["trace_max_min"]
+        assert result.trace_total_weight == expected["trace_total_weight"]
+        assert result.extra == expected["extra"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_restored_engine_ends_in_the_recorded_state(self, name):
+        expected = self._expected(name)
+        checkpoint = read_checkpoint(DATA / f"{name}.ckpt.json")
+        engine = restore_engine(checkpoint)
+        while engine.round_index < checkpoint.total_rounds:
+            engine.step()
+        assert engine.tokens_by_label() == {
+            int(label): tokens
+            for label, tokens in expected["tokens_by_label"].items()}
+        assert engine.buckets_by_label() == {
+            int(label): {int(weight): count for weight, count in bucket.items()}
+            for label, bucket in expected["buckets_by_label"].items()}
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_a_fresh_run_writes_the_same_checkpoint(self, name):
+        checkpoint = read_checkpoint(DATA / f"{name}.ckpt.json")
+        scenario = DynamicScenario.from_dict(checkpoint.meta["scenario"])
+        engine = _build_engine(scenario)
+        trace = [engine.current_discrepancy()]
+        totals = [float(engine.total_real_load())]
+        while engine.round_index < checkpoint.round_index:
+            engine.step()
+            trace.append(engine.current_discrepancy())
+            totals.append(float(engine.total_real_load()))
+        fresh = _json_round_trip(checkpoint_engine(
+            engine, total_rounds=scenario.rounds, trace=trace, totals=totals,
+            meta=checkpoint.meta))
+        assert fresh.config_hash == checkpoint.config_hash
+        assert fresh.state == checkpoint.state
+        assert fresh.trace_max_min == checkpoint.trace_max_min
+        assert fresh.trace_total_weight == checkpoint.trace_total_weight

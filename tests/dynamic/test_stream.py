@@ -22,6 +22,7 @@ from repro.dynamic.stream import StreamingEngine, run_stream
 from repro.exceptions import ExperimentError
 from repro.network import topologies
 from repro.tasks.generators import uniform_random_load
+from repro.tasks.weighted import WeightedLoads
 
 
 def torus_instance(seed=3, tokens_per_node=6):
@@ -91,6 +92,21 @@ class TestLoadConservation:
         assert result.trace_total_weight[-1] == 0.0
 
 
+    def test_clamped_tokens_count_the_negative_loads_zeroed_each_round(self):
+        """A baseline that drives nodes negative: each sync zeroes them and counts it."""
+        network = topologies.torus(4, dims=2)
+        load = uniform_random_load(network, 2 * network.num_nodes, seed=0)
+        engine = StreamingEngine("quasirandom", network, load, ScheduledEvents({}), seed=0)
+        clamped = 0
+        for _ in range(20):
+            engine.step()
+            now = int(engine.result().extra["clamped_tokens"])
+            physical = int(round(float(np.sum(engine.balancer.loads()))))
+            assert engine.total_real_load() - physical == now - clamped
+            clamped = now
+        assert clamped > 0
+
+
 class TestChurn:
     def test_connectivity_preserved_under_heavy_churn(self):
         network, load = torus_instance()
@@ -136,6 +152,39 @@ class TestChurn:
         engine.step()
         assert engine.labels == (0, 2, 3)
         assert engine.total_real_load() == 9  # orphaned tokens survive
+
+    def test_weighted_leave_hands_out_classes_round_robin(self):
+        """Ascending weight, sorted neighbours, position carried across classes.
+
+        Node 0 leaves K5 with 3 x w1, 2 x w2 and 5 x w3 over neighbours
+        1..4: w1 takes positions 0-2 (nodes 1, 2, 3), w2 positions 3-4
+        (nodes 4, 1) and w3 positions 5-9 (nodes 2, 3, 4, 1, 2).  Node 5
+        then joins attached to 4, 2, 3 (in that order) with 5 tokens and
+        leaves at once: sorted, its neighbours 2, 3, 4 get 2, 2 and 1.
+        """
+        network = topologies.complete(5)
+        load = WeightedLoads.from_buckets(
+            [{1: 3, 2: 2, 3: 5}, {2: 1}, {}, {1: 1}, {3: 1}])
+        generator = ScheduledEvents({0: [
+            DynamicEvent(LEAVE, node=0),
+            DynamicEvent(JOIN, attach_to=(4, 2, 3), tokens=5),
+            DynamicEvent(LEAVE, node=5),
+        ]})
+        engine = StreamingEngine("algorithm1", network, load, generator, seed=0)
+        engine.step()
+        assert [(entry["kind"], entry["node"], entry["applied"], entry["tokens"])
+                for entry in engine.timeline] == [
+            (LEAVE, 0, True, 3 + 4 + 15), (JOIN, 5, True, 5), (LEAVE, 5, True, 5)]
+        # the boundary is the state the balancer was re-coupled on, right
+        # after the events and before the round moved any task
+        boundary = engine.state_dict()["boundary"]
+        assert boundary["buckets"] == {
+            1: {1: 1, 2: 2, 3: 1},
+            2: {1: 3, 3: 2},
+            3: {1: 4, 3: 1},
+            4: {1: 1, 2: 1, 3: 2},
+        }
+        assert boundary["tokens"] == {1: 8, 2: 9, 3: 7, 4: 9}
 
     def test_events_for_departed_labels_are_rejected(self):
         network = topologies.cycle(4)
