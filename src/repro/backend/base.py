@@ -8,10 +8,11 @@ represented:
   path, and the only one that supports non-integer task weights and
   task-identity analyses (locality, origin tracking).
 * ``"array"`` — one columnar state for every integer workload:
-  :class:`~repro.backend.weighted.WeightedRunState`, per-node run-length
-  queues of ``[count, weight, is_dummy]`` runs that stay implicit (plain
-  ``int64`` load vectors) while every task shares one weight class.  Unit
-  tokens are its ``weight = 1`` case, and one round
+  :class:`~repro.backend.weighted.WeightedRunState`, every node's task
+  queue as a slice of flat ``int64`` run arrays (count, weight, dummy flag),
+  stored only while weight classes mix or dummies exist and otherwise
+  derived from the load vector.  Unit tokens are its ``weight = 1`` case,
+  and one round
   (:mod:`repro.backend.flow`) runs Algorithms 1 and 2 on it.  O(m +
   transfers) per round instead of O(W), which is what makes million-token
   streams feasible.

@@ -9,21 +9,13 @@ of the weighted Algorithm 1, so both algorithms share one round.  No round
 sorts: the planning order is filtered from the network's precomputed
 :attr:`~repro.network.graph.Network.directed_order`.
 
-Per round, the per-edge residual flows of the active edges are turned into
-integer send counts by :meth:`ArrayFlowImitation._edge_amounts` (floor for
-Algorithm 1 on unit tokens, the closed-form greedy count for a single weight
-class ``w > 1``, randomized rounding for Algorithm 2; ``None`` once weight
-classes mix), and the round then takes one of two forms:
-
-* **scatter** — while every task shares one weight class, no dummy exists
-  and every sender covers its sends, queue order is unobservable: the
-  counts are scaled to weight once per edge and applied with two
-  scatter-adds.  O(m) array work, independent of the number of tasks ``W``;
-* **queue** — otherwise each sender plans its edges against its run queue
-  (:meth:`WeightedRunState.plan_sender`), from the precomputed counts for
-  unit tokens or by replaying the pseudocode's while-loop for weighted
-  tasks, and the taken runs are delivered afterwards in plan order.
-  O(m + runs touched).
+Per round, :meth:`ArrayFlowImitation._edge_amounts` turns the residual
+flows of the active edges into what each edge asks its sender for: integer
+unit-token counts (floor for Algorithm 1, randomized rounding for Algorithm
+2) or, for weighted tasks, the residuals themselves.  One call,
+:meth:`WeightedRunState.transfer`, then moves the tasks and reports the
+weight each edge sent; how the queues are laid out and which form the
+round takes are decisions of :mod:`repro.backend.weighted` alone.
 
 Bit-for-bit equivalence with the object backend is a design invariant, not
 an accident, and the ordering details below exist to preserve it:
@@ -37,8 +29,8 @@ an accident, and the ordering details below exist to preserve it:
   (each edge owns its entry of the per-round Philox score block, see
   :mod:`repro.counter_rng`) but is kept so the FIFO real/dummy split still
   matches;
-* the send counts are drawn for every active edge before the round picks
-  its form, so the draws never depend on which form runs;
+* the send counts are drawn for every active edge before the state picks
+  the round's form, so the draws never depend on which form runs;
 * a sender's tasks are committed to its edges first-come-first-served
   against the start-of-round state, and every plan is taken before any
   delivery, so the real/dummy split of every transfer matches the object
@@ -53,7 +45,7 @@ for every algorithm, workload kind and substrate.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -68,7 +60,7 @@ from ..obs.kernels import kernel_phase
 from ..tasks.assignment import TaskAssignment
 from ..tasks.load import as_token_counts
 from ..tasks.weighted import WeightedLoads
-from .weighted import Run, WeightedRunState, _take_counts_vector
+from .weighted import WeightedRunState
 
 __all__ = [
     "ArrayFlowImitation",
@@ -126,7 +118,7 @@ class ArrayFlowImitation(FlowCoupledBalancer):
                 f"valid policies: {TaskSelectionPolicy.ALL}")
         state = _initial_state(workload, continuous.network)
         if continuous.round_index == 0 and not np.allclose(
-                state.load_vector(), continuous.load, atol=1e-9):
+                state.load_vector(), continuous.load, rtol=0, atol=1e-9):
             raise ProcessError(
                 "the continuous process must start from the load vector induced by the assignment"
             )
@@ -193,83 +185,17 @@ class ArrayFlowImitation(FlowCoupledBalancer):
         if active.size == 0:
             self._report(0, 0, 0, 0)
             return
-        magnitude = np.abs(residual[active])
-        counts = self._edge_amounts(magnitude, active)
-        if counts is not None:
-            moving = np.flatnonzero(counts > 0)
-            if moving.size == 0:
-                self._report(0, 0, 0, 0)
-                return
-            active = active[moving]
-            forward = forward[moving]
-            senders = senders[moving]
-            receivers = receivers[moving]
-            counts = counts[moving]
-            w = self._state.single_class
-            if w is not None and self._scatter_round(active, forward, senders,
-                                                     receivers, counts, w):
-                return
-            magnitude = magnitude[moving]
-        self._queue_round(active, forward, senders, receivers, magnitude,
-                          counts if self._unit_tokens_only else None)
-
-    def _scatter_round(self, active: np.ndarray, forward: np.ndarray,
-                       senders: np.ndarray, receivers: np.ndarray,
-                       counts: np.ndarray, w: int) -> bool:
-        """Apply a round of weight-``w`` tasks with two scatter-adds.
-
-        Returns ``False`` — leaving the state untouched — when some sender
-        cannot cover its sends, so the queue round can draw its dummies.
-        """
-        state = self._state
-        sent = counts * w if w != 1 else counts
-        n = self.network.num_nodes
-        outgoing = np.zeros(n, dtype=np.int64)
-        np.add.at(outgoing, senders, sent)
-        if np.any(outgoing > state.loads):
-            return False
-        incoming = np.zeros(n, dtype=np.int64)
-        np.add.at(incoming, receivers, sent)
-        state.apply_moves(outgoing, incoming)
-        self._discrete_cumulative[active] += np.where(forward, sent, -sent).astype(float)
-        moved = int(counts.sum())
-        self._report(int(counts.size), moved, moved * w, 0)
-        return True
-
-    def _queue_round(self, active: np.ndarray, forward: np.ndarray,
-                     senders: np.ndarray, receivers: np.ndarray,
-                     magnitude: np.ndarray, counts: Optional[np.ndarray]) -> None:
-        """Plan per sender against the run queues, then deliver in plan order."""
-        state = self._state
-        senders_list = senders.tolist()
-        receivers_list = receivers.tolist()
-        residuals = magnitude.tolist()
-        count_list = None if counts is None else counts.tolist()
-        threshold = self._w_max + 1e-9
-        starts = np.r_[0, np.flatnonzero(np.diff(senders)) + 1, senders.size].tolist()
-        plans: List[Tuple[int, List[Run], int, int, int]] = []
-        for begin, end in zip(starts[:-1], starts[1:]):
-            plans.extend(state.plan_sender(senders_list[begin], range(begin, end),
-                                           residuals, count_list, threshold,
-                                           self._policy))
-        if not plans:
+        amounts = self._edge_amounts(np.abs(residual[active]), active)
+        moving = np.flatnonzero(amounts > 0)  # residuals are positive; counts may be 0
+        if moving.size == 0:
             self._report(0, 0, 0, 0)
             return
-        tasks_moved = 0
-        dummies = 0
-        for pos, takes, created, _total, moved in plans:
-            state.deliver(receivers_list[pos], takes)
-            state.deliver_dummies(receivers_list[pos], created)
-            tasks_moved += moved
-            dummies += created
-
-        positions = np.fromiter((plan[0] for plan in plans), dtype=np.int64,
-                                count=len(plans))
-        totals = np.fromiter((plan[3] for plan in plans), dtype=np.int64,
-                             count=len(plans))
-        self._discrete_cumulative[active[positions]] += np.where(
-            forward[positions], totals, -totals).astype(float)
-        self._report(len(plans), tasks_moved, int(totals.sum()), dummies)
+        active, forward = active[moving], forward[moving]
+        senders, receivers, amounts = senders[moving], receivers[moving], amounts[moving]
+        sent, tasks_moved, dummies = self._state.transfer(
+            senders, receivers, amounts, self._w_max + 1e-9, self._policy)
+        self._discrete_cumulative[active] += np.where(forward, sent, -sent).astype(float)
+        self._report(int(np.count_nonzero(sent)), tasks_moved, int(sent.sum()), dummies)
 
     def _report(self, transfers: int, tasks_moved: int, weight_moved: int,
                 dummies: int) -> None:
@@ -279,14 +205,15 @@ class ArrayFlowImitation(FlowCoupledBalancer):
         self._reports.append(RoundReport(self._round, transfers, tasks_moved,
                                          float(weight_moved), dummies))
 
-    def _edge_amounts(self, magnitude: np.ndarray,
-                      edges: np.ndarray) -> Optional[np.ndarray]:
-        """Derive the integer send count of every active edge.
+    def _edge_amounts(self, magnitude: np.ndarray, edges: np.ndarray) -> np.ndarray:
+        """What every active edge asks its sender for.
 
         ``magnitude`` holds the residual magnitudes in planning order and
         ``edges`` the matching original edge indices (what counter-mode
-        randomness is keyed on).  ``None`` means the counts depend on the
-        queues, so the queue round plans them per sender.
+        randomness is keyed on).  Returns integer unit-token counts, or the
+        float residuals themselves for weighted tasks, which
+        :meth:`WeightedRunState.transfer` answers with the pseudocode's
+        while-loop.
         """
         raise NotImplementedError
 
@@ -298,14 +225,10 @@ class ArrayDeterministicFlowImitation(ArrayFlowImitation):
         """The Theorem 3 bound ``2 d w_max + 2`` for this instance."""
         return theorem3_discrepancy_bound(self.network.max_degree, self.w_max)
 
-    def _edge_amounts(self, magnitude: np.ndarray,
-                      edges: np.ndarray) -> Optional[np.ndarray]:
+    def _edge_amounts(self, magnitude: np.ndarray, edges: np.ndarray) -> np.ndarray:
         if self._unit_tokens_only:
             return np.floor(magnitude + 1e-9).astype(np.int64)
-        w = self._state.single_class
-        if w is None:
-            return None
-        return _take_counts_vector(magnitude, float(w), self._w_max + 1e-9)
+        return magnitude
 
 
 class ArrayRandomizedFlowImitation(ArrayFlowImitation):
@@ -359,8 +282,7 @@ class ArrayRandomizedFlowImitation(ArrayFlowImitation):
         else:
             self._rng = np.random.default_rng(seed)
 
-    def _edge_amounts(self, magnitude: np.ndarray,
-                      edges: np.ndarray) -> Optional[np.ndarray]:
+    def _edge_amounts(self, magnitude: np.ndarray, edges: np.ndarray) -> np.ndarray:
         base = np.floor(magnitude)
         fraction = magnitude - base
         if self._rng_mode == "counter":

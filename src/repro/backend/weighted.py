@@ -1,35 +1,37 @@
-"""The array backend's columnar load state: run-length task queues.
+"""The array backend's load state: flat, canonical run arrays.
 
-:class:`WeightedRunState` is the one load state of the array backend.  It
-stores, per node, a *run-length queue* of ``[count, weight, is_dummy]`` runs
-— the object backend's task deque up to the identity of interchangeable
-tasks — plus ``int64`` load and dummy-count vectors.  Unit tokens are its
+:class:`WeightedRunState` is the one load state of the array backend.  Every
+node's task queue is a slice of three flat arrays — ``run_count``,
+``run_weight`` and ``run_dummy`` — stored in ``(node, queue position)``
+order with per-node CSR ``run_offsets``.  A run is a maximal block of
+interchangeable tasks, so the arrays are the object backend's task deques up
+to task identity.  They are kept *canonical*: no run is empty and no two
+adjacent runs of a node share weight and dummy flag.  Unit tokens are the
 ``weight = 1`` case: the paper states Algorithm 1 for integer-weight tasks,
-and identical unit tokens (Algorithm 2's model) are the special case
-``w_max = 1``.
+and identical unit tokens (Algorithm 2's model) are the case ``w_max = 1``.
 
-While every task shares one weight class and no dummy exists, queue order is
-unobservable, so the queues stay *implicit*: each node's queue is the single
-run ``[load // w, w, False]``, rebuilt only when a round needs it.  Building
-a state from a count vector (:meth:`WeightedRunState.from_counts`) or from a
-single-class :class:`~repro.tasks.weighted.WeightedLoads` therefore costs a
-few numpy operations and no per-node Python objects — which is what keeps a
-re-coupling of a million-token stream O(n) array work.
+While every task shares one weight class and no dummy exists, the canonical
+layout is one run per non-empty node, so it is not stored: :meth:`runs`
+derives it from the ``int64`` load vector.  Building a state from a count
+vector or a single-class :class:`~repro.tasks.weighted.WeightedLoads`
+therefore costs a few numpy operations, which keeps re-coupling a
+million-token stream O(n) array work.
 
-Only when weight classes mix or a node draws dummies from the infinite
-source do the queues materialise; the per-round cost is then proportional
-to the runs touched, never to the number of tasks ``W``.  The planning
-helpers replay the pseudocode's greedy while-loop at run granularity with
-the exact closed form :func:`_take_count`, so every count equals what the
-object backend's one-task-at-a-time loop produces.  Because the paper's
-task weights are integers, every weight, committed sum and load value is
-exactly representable in float64.  The round that drives this state lives
-in :mod:`repro.backend.flow`.
+:meth:`WeightedRunState.transfer` moves one round's tasks.  With one class,
+no dummy and every sender covering its sends, queue order is unobservable
+and two scatter-adds apply the round.  Otherwise every request is planned
+against the start-of-round queues — unit counts for all senders at once by
+:func:`numpy.searchsorted`, weighted residuals by replaying the
+pseudocode's greedy while-loop at run granularity with the exact closed
+form :func:`_take_count` — and the taken runs are appended to the receivers'
+queues in plan order.  Because the paper's task weights are integers, every
+weight, committed sum and load value is exactly representable in float64.
+The round that drives this state lives in :mod:`repro.backend.flow`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,9 +42,8 @@ from ..tasks.weighted import WeightedLoads, task_integer_weight
 
 __all__ = ["WeightedRunState"]
 
-#: A run of consecutive queue positions holding interchangeable tasks.
-#: Mutable on purpose: partial takes shrink the run in place.
-Run = List  # [count: int, weight: int, is_dummy: bool]
+#: ``(run_count, run_weight, run_dummy, run_offsets)``.
+Runs = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 #: Effectively unbounded cap for dummy draws from the infinite source.
 _NO_CAP = 1 << 62
@@ -99,32 +100,121 @@ def _take_counts_vector(residual: np.ndarray, weight: float,
     return counts
 
 
+def _run_nodes(offsets: np.ndarray) -> np.ndarray:
+    """The node of every run of a CSR layout."""
+    return np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+
+
+def _per_node(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Exact ``int64`` per-node sums of per-run ``values``."""
+    cumulative = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(values, out=cumulative[1:])
+    return cumulative[offsets[1:]] - cumulative[offsets[:-1]]
+
+
+def _plan_counts(runs: Runs, senders: np.ndarray, counts: np.ndarray):
+    """Plan unit-count requests for every sender at once.
+
+    A sender's requests take consecutive stretches of its queue from the
+    head; in global task positions (all queues laid end to end) request
+    ``r`` takes ``[lo[r], hi[r])``, clipped to the queue, and draws the
+    shortfall as dummies.  Returns the runs' remaining counts, the taken
+    segments ``(request, count, weight, dummy)`` and the dummy total.
+    """
+    run_count, run_weight, run_dummy, offsets = runs
+    ends = np.cumsum(run_count)
+    bounds = np.concatenate(([0], ends))[offsets]
+    head, available = bounds[senders], np.diff(bounds)[senders]
+    cumulative = np.cumsum(counts)
+    first = np.r_[True, senders[1:] != senders[:-1]]
+    before = (cumulative - counts)[first][np.cumsum(first) - 1]
+    lo = head + np.minimum(cumulative - counts - before, available)
+    hi = head + np.minimum(cumulative - before, available)
+    # The runs each request overlaps, one segment per (request, run).
+    first_run = np.searchsorted(ends, lo, side="right")
+    spans = np.where(hi > lo, np.searchsorted(ends, hi - 1, side="right")
+                     - first_run + 1, 0)
+    request = np.repeat(np.arange(senders.size), spans)
+    run = (first_run[request] + np.arange(request.size)
+           - np.repeat(np.cumsum(spans) - spans, spans))
+    starts = ends - run_count
+    moved = (np.minimum(hi[request], ends[run])
+             - np.maximum(lo[request], starts[run]))
+    # Each sender loses the head of its queue up to its last request.
+    last = np.r_[senders[1:] != senders[:-1], True]
+    cut = bounds[:-1].copy()
+    cut[senders[last]] = hi[last]
+    left = run_count - np.clip(cut[_run_nodes(offsets)] - starts, 0, run_count)
+    shortfall = counts - (hi - lo)
+    short = np.flatnonzero(shortfall)
+    taken = (np.concatenate((request, short)),
+             np.concatenate((moved, shortfall[short])),
+             np.concatenate((run_weight[run], np.ones(short.size, dtype=np.int64))),
+             np.concatenate((run_dummy[run], np.ones(short.size, dtype=bool))))
+    return left, taken, int(shortfall.sum())
+
+
+def _plan_greedy(runs: Runs, senders: np.ndarray, residuals: np.ndarray,
+                 threshold: float, policy: str):
+    """Replay the pseudocode's while-loop per request over its sender's runs.
+
+    Same return value as :func:`_plan_counts`.
+    """
+    run_count, run_weight, run_dummy, offsets = runs
+    left = run_count.tolist()
+    weights = run_weight.tolist()
+    dummies = run_dummy.tolist()
+    bounds = offsets.tolist()
+    pick = max if policy == TaskSelectionPolicy.LARGEST_FIRST else min
+    taken: List[Tuple[int, int, int, bool]] = []
+    created = 0
+    sender = -1
+    # A request whose residual is within the threshold takes nothing.
+    asking = np.flatnonzero(residuals > threshold)
+    for position, node, residual in zip(asking.tolist(), senders[asking].tolist(),
+                                        residuals[asking].tolist()):
+        if node != sender:
+            sender = node
+            held = list(range(bounds[node], bounds[node + 1]))
+        committed = 0.0
+        while held and residual - committed > threshold:
+            slot = 0
+            if policy != TaskSelectionPolicy.FIFO:
+                held_weights = [weights[index] for index in held]
+                slot = held_weights.index(pick(held_weights))
+            index = held[slot]
+            weight = weights[index]
+            k = _take_count(residual, committed, float(weight), left[index], threshold)
+            left[index] -= k
+            if not left[index]:
+                del held[slot]
+            taken.append((position, k, weight, dummies[index]))
+            committed += k * float(weight)
+        if residual - committed > threshold:
+            drawn = _take_count(residual, committed, 1.0, _NO_CAP, threshold)
+            taken.append((position, drawn, 1, True))
+            created += drawn
+    request, moved, moved_weight, moved_dummy = np.array(
+        taken, dtype=np.int64).reshape(-1, 4).T
+    return (np.array(left, dtype=np.int64),
+            (request, moved, moved_weight, moved_dummy.astype(bool)), created)
+
+
 class WeightedRunState:
-    """Per-node task multisets with object-backend-faithful FIFO order.
+    """Per-node task queues as flat run arrays, in the object backend's order.
 
-    Every node holds a list of runs ``[count, weight, is_dummy]`` in queue
-    order; tasks of equal weight and dummy status are interchangeable, so the
-    run queue is exactly the object backend's task deque up to identity.
-
-    While all tasks share a single weight class and no dummy exists
-    (:attr:`single_class` is set), the queues may be implicit
-    (``_queues is None``): each node's queue is then the single run
-    ``[load // w, w, False]``, rebuilt on demand — which is what lets the
-    scatter round skip queue maintenance altogether.  The maximum weight and
-    the per-node real weight buckets are cached instead of being re-derived
-    by scanning all queues per call.
+    :attr:`loads` and :attr:`dummy_counts` are the per-node ``int64`` load
+    and dummy-count vectors; :meth:`runs` gives the queues.  The run arrays
+    are stored only while weight classes mix or a dummy exists; a
+    single-class state (:attr:`single_class`) is its load vector.
     """
 
-    def __init__(self, loads: np.ndarray, single_class: Optional[int],
-                 max_weight: int, queues: Optional[List[List[Run]]] = None,
-                 dummy_counts: Optional[np.ndarray] = None) -> None:
+    def __init__(self, loads: np.ndarray, single_class: int) -> None:
+        """A single-class state: ``loads[i] // single_class`` tasks at node ``i``."""
         self.loads = loads
-        self.dummy_counts = (np.zeros(loads.size, dtype=np.int64)
-                             if dummy_counts is None else dummy_counts)
-        self._queues = queues
-        self._single_class = single_class
-        self._max_weight = max_weight
-        self._buckets_cache: Optional[List[Dict[int, int]]] = None
+        self.dummy_counts = np.zeros(loads.size, dtype=np.int64)
+        self._single_class: Optional[int] = single_class
+        self._runs: Optional[Runs] = None
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -132,96 +222,91 @@ class WeightedRunState:
 
     @classmethod
     def from_counts(cls, counts: np.ndarray, weight: int = 1) -> "WeightedRunState":
-        """``counts[i]`` tasks of one ``weight`` at node ``i``, queues implicit."""
+        """``counts[i]`` tasks of one ``weight`` at node ``i``."""
         counts = np.asarray(counts)
         if counts.ndim != 1:
             raise TaskError("task counts must be a one-dimensional vector")
         if np.any(counts < 0):
             raise TaskError("task counts must be non-negative")
         loads = counts.astype(np.int64)
-        if weight != 1:
-            loads *= weight
-        return cls(loads, weight, weight if loads.any() else 0)
+        if not np.array_equal(loads, counts):
+            raise TaskError("task counts must be integers")
+        if weight < 1 or int(weight) != weight:
+            raise TaskError(f"task weight must be a positive integer, got {weight}")
+        loads *= int(weight)
+        return cls(loads, int(weight) if loads.any() else 1)
 
     @classmethod
     def from_weighted_loads(cls, weighted: WeightedLoads) -> "WeightedRunState":
-        """Canonical construction: one run per bucket, ascending weight.
-
-        A single-class workload takes the implicit :meth:`from_counts` state.
-        """
-        weights = weighted.weights
-        if weights.size == 0 or weights.min() == weights.max():
-            weight = int(weights[0]) if weights.size else 1
-            return cls.from_counts(weighted.load_vector() // weight, weight)
-        return cls.from_queues([
-            [[count, weight, False] for weight, count in weighted.node_buckets(node)]
-            for node in range(weighted.num_nodes)
-        ])
+        """Canonical construction: one run per bucket, ascending weight."""
+        state = cls(np.zeros(weighted.num_nodes, dtype=np.int64), 1)
+        state._adopt(_run_nodes(weighted.offsets), weighted.counts,
+                     weighted.weights, np.zeros(weighted.counts.size, dtype=bool))
+        return state
 
     @classmethod
     def from_assignment(cls, assignment: TaskAssignment) -> "WeightedRunState":
         """Snapshot an assignment preserving its actual queue order."""
-        queues: List[List[Run]] = []
+        nodes: List[int] = []
+        weights: List[int] = []
+        dummies: List[bool] = []
         for node in assignment.network.nodes:
-            queue: List[Run] = []
             for task in assignment.tasks_at(node):
                 weight = task_integer_weight(task)
                 if weight is None:
                     raise TaskError(
                         f"task {task.task_id} has non-integer weight {task.weight}; "
                         "the columnar weighted backend requires integer weights")
-                if queue and queue[-1][1] == weight and queue[-1][2] == task.is_dummy:
-                    queue[-1][0] += 1
-                else:
-                    queue.append([1, weight, task.is_dummy])
-            queues.append(queue)
-        return cls.from_queues(queues)
+                nodes.append(node)
+                weights.append(weight)
+                dummies.append(task.is_dummy)
+        state = cls(np.zeros(assignment.network.num_nodes, dtype=np.int64), 1)
+        state._adopt(np.array(nodes, dtype=np.int64), np.ones(len(nodes), dtype=np.int64),
+                     np.array(weights, dtype=np.int64), np.array(dummies, dtype=bool))
+        return state
 
-    @classmethod
-    def from_queues(cls, queues: List[List[Run]]) -> "WeightedRunState":
-        """Adopt explicit run queues, deriving the load vectors and caches."""
-        loads = np.zeros(len(queues), dtype=np.int64)
-        dummy_counts = np.zeros(len(queues), dtype=np.int64)
-        max_weight = 0
-        classes: set = set()
-        any_dummy = False
-        for node, queue in enumerate(queues):
-            for count, weight, is_dummy in queue:
-                loads[node] += count * weight
-                if is_dummy:
-                    dummy_counts[node] += count
-                    any_dummy = True
-                else:
-                    classes.add(weight)
-                if weight > max_weight:
-                    max_weight = weight
-        if any_dummy or len(classes) > 1:
-            single_class: Optional[int] = None
+    def _adopt(self, node: np.ndarray, count: np.ndarray, weight: np.ndarray,
+               dummy: np.ndarray) -> None:
+        """Replace the state by runs listed in ``(node, queue position)`` order.
+
+        Drops empty runs, merges adjacent equal ones and derives the load
+        vectors; a state left with one weight class and no dummy keeps only
+        its load vector.
+        """
+        keep = count > 0
+        node, count, weight, dummy = node[keep], count[keep], weight[keep], dummy[keep]
+        if count.size:
+            head = np.ones(count.size, dtype=bool)
+            head[1:] = ((node[1:] != node[:-1]) | (weight[1:] != weight[:-1])
+                        | (dummy[1:] != dummy[:-1]))
+            starts = np.flatnonzero(head)
+            count = np.add.reduceat(count, starts)
+            node, weight, dummy = node[starts], weight[starts], dummy[starts]
+        offsets = np.zeros(self.loads.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(node, minlength=self.loads.size), out=offsets[1:])
+        self.loads = _per_node(count * weight, offsets)
+        self.dummy_counts = _per_node(count * dummy, offsets)
+        if dummy.any() or (weight.size and weight.min() != weight.max()):
+            self._single_class = None
+            self._runs = (count, weight, dummy, offsets)
         else:
-            single_class = next(iter(classes)) if classes else 1
-        return cls(loads, single_class, max_weight, queues, dummy_counts)
-
-    # ------------------------------------------------------------------ #
-    # cache/queue lifecycle
-    # ------------------------------------------------------------------ #
-
-    def _touch(self) -> None:
-        """Invalidate derived caches after any mutation of the task state."""
-        self._buckets_cache = None
-
-    def _ensure_queues(self) -> List[List[Run]]:
-        """Materialise the run queues from the implicit single-class state."""
-        if self._queues is None:
-            w = self._single_class
-            self._queues = [
-                [[int(load) // w, w, False]] if load else []
-                for load in self.loads.tolist()
-            ]
-        return self._queues
+            self._single_class = int(weight[0]) if weight.size else 1
+            self._runs = None
 
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
+
+    def runs(self) -> Runs:
+        """``(run_count, run_weight, run_dummy, run_offsets)`` of every queue."""
+        if self._runs is not None:
+            return self._runs
+        occupied = self.loads > 0
+        count = self.loads[occupied] // self._single_class
+        offsets = np.zeros(self.loads.size + 1, dtype=np.int64)
+        np.cumsum(occupied, out=offsets[1:])
+        return (count, np.full(count.size, self._single_class, dtype=np.int64),
+                np.zeros(count.size, dtype=bool), offsets)
 
     def load_vector(self, include_dummies: bool = True) -> np.ndarray:
         """The float load vector (dummy tasks always have unit weight)."""
@@ -229,19 +314,11 @@ class WeightedRunState:
             return self.loads.astype(float)
         return (self.loads - self.dummy_counts).astype(float)
 
-    @property
-    def max_run_weight(self) -> int:
-        """Maximum task weight currently present (0 when empty), cached.
-
-        Maintained incrementally: balancing moves tasks but never creates
-        weights (dummies are unit weight), so the cache only needs updating
-        on deliveries and after dummy elimination.
-        """
-        return self._max_weight
-
     def max_weight(self) -> int:
         """Maximum task weight currently present (0 when empty)."""
-        return self._max_weight
+        if self._runs is None:
+            return self._single_class if self.loads.any() else 0
+        return int(self._runs[1].max())
 
     @property
     def single_class(self) -> Optional[int]:
@@ -250,197 +327,78 @@ class WeightedRunState:
         return self._single_class
 
     def real_buckets(self) -> List[Dict[int, int]]:
-        """Per-node ``{weight: count}`` of the real (non-dummy) tasks.
-
-        With implicit queues the buckets are pure arithmetic on the load
-        vector; otherwise the queue scan is cached until the next mutation.
-        """
-        if self._buckets_cache is None:
-            if self._queues is None:
-                w = self._single_class
-                self._buckets_cache = [
-                    {w: int(load) // w} if load else {}
-                    for load in self.loads.tolist()
-                ]
-            else:
-                buckets: List[Dict[int, int]] = []
-                for queue in self._queues:
-                    bucket: Dict[int, int] = {}
-                    for count, weight, is_dummy in queue:
-                        if not is_dummy:
-                            bucket[weight] = bucket.get(weight, 0) + count
-                    buckets.append(bucket)
-                self._buckets_cache = buckets
-        return [dict(bucket) for bucket in self._buckets_cache]
+        """Per-node ``{weight: count}`` of the real (non-dummy) tasks."""
+        if self._runs is None:
+            w = self._single_class
+            return [{w: load // w} if load else {} for load in self.loads.tolist()]
+        count, weight, dummy, offsets = self._runs
+        real = ~dummy
+        buckets: List[Dict[int, int]] = [{} for _ in range(self.loads.size)]
+        for node, w, c in zip(_run_nodes(offsets)[real].tolist(),
+                              weight[real].tolist(), count[real].tolist()):
+            buckets[node][w] = buckets[node].get(w, 0) + c
+        return buckets
 
     # ------------------------------------------------------------------ #
-    # planning (mutates the source queue, as the plans own the tasks)
+    # the round
     # ------------------------------------------------------------------ #
 
-    def plan_sender(self, node: int, positions: Iterable[int],
-                    residuals: List[float], counts: Optional[List[int]],
-                    threshold: float, policy: str
-                    ) -> List[Tuple[int, List[Run], int, int, int]]:
-        """Plan every edge of one sender against its queue, in request order.
+    def transfer(self, senders: np.ndarray, receivers: np.ndarray,
+                 amounts: np.ndarray, threshold: float, policy: str
+                 ) -> Tuple[np.ndarray, int, int]:
+        """Move one round's tasks; return ``(sent, tasks_moved, dummies)``.
 
-        ``positions`` indexes this sender's contiguous slice of the round's
-        (sender-sorted) request arrays.  With ``counts`` (unit tokens) the
-        request at ``pos`` sends ``counts[pos]`` tokens from the queue head;
-        without, the tasks are picked against ``residuals[pos]`` by the
-        pseudocode's while-loop under ``policy``.  Returns one
-        ``(pos, takes, dummies, total_weight, tasks_moved)`` tuple per
-        non-empty plan.  Grouping the per-edge planning by sender keeps the
-        queue lookup and policy dispatch out of the per-edge hot loop.
+        The requests are sorted by sender, then receiver.  Integer
+        ``amounts`` are unit-task counts; float ``amounts`` are residual
+        flows, answered by the pseudocode's ``while residual - committed >
+        threshold`` loop under the selection ``policy``.  Every request is
+        planned against the start-of-round queues, a shortfall is drawn as
+        unit dummies, and the plans are delivered afterwards in request
+        order, each plan's dummies after its tasks.  ``sent`` is the weight
+        each request moved, dummies included; ``tasks_moved`` counts the
+        tasks taken from queues and ``dummies`` the new ones.
         """
-        plans: List[Tuple[int, List[Run], int, int, int]] = []
-        for pos in positions:
-            if counts is not None:
-                send = counts[pos]
-                takes = self.take_front(node, send)
-                moved = sum(run[0] for run in takes)
-                dummies = send - moved
-                total = send  # every task (and dummy) has unit weight
-            else:
-                residual = residuals[pos]
-                takes = self.plan_takes(node, residual, threshold, policy)
-                dummies = self.planned_dummies(residual, threshold)
-                moved = sum(run[0] for run in takes)
-                total = sum(run[0] * run[1] for run in takes) + dummies
-            if moved or dummies:
-                plans.append((pos, takes, dummies, total, moved))
-        return plans
-
-    def plan_takes(self, node: int, residual: float, threshold: float,
-                   policy: str) -> List[Run]:
-        """Select the tasks ``node`` commits to one edge this round.
-
-        Implements the pseudocode's ``while residual - committed > w_max``
-        loop at run granularity for the given selection policy, removing the
-        selected tasks from the node's queue and returning them as runs in
-        selection order.  Dummy draws from the infinite source are *not*
-        included — the caller batches them separately via :func:`_take_count`
-        on the final committed value (see :meth:`planned_dummies`).
-        """
-        queue = self._ensure_queues()[node]
-        takes: List[Run] = []
-        committed = 0.0
-        while queue and residual - committed > threshold:
-            if policy == TaskSelectionPolicy.FIFO:
-                index = 0
-            else:
-                weights = [run[1] for run in queue]
-                target = max(weights) if policy == TaskSelectionPolicy.LARGEST_FIRST \
-                    else min(weights)
-                index = next(i for i, run in enumerate(queue) if run[1] == target)
-            run = queue[index]
-            k = _take_count(residual, committed, float(run[1]), run[0], threshold)
-            self._remove_from_run(node, queue, index, k)
-            if takes and takes[-1][1] == run[1] and takes[-1][2] == run[2]:
-                takes[-1][0] += k
-            else:
-                takes.append([k, run[1], run[2]])
-            committed += k * float(run[1])
-        self._planned_committed = committed
-        return takes
-
-    def planned_dummies(self, residual: float, threshold: float) -> int:
-        """Dummy tokens the last :meth:`plan_takes` call must draw (weight 1)."""
-        return _take_count(residual, self._planned_committed, 1.0, _NO_CAP, threshold)
-
-    def take_front(self, node: int, amount: int) -> List[Run]:
-        """Unit-token FIFO path: pop up to ``amount`` tasks from the head."""
-        queue = self._ensure_queues()[node]
-        takes: List[Run] = []
-        need = amount
-        while need and queue:
-            run = queue[0]
-            k = min(run[0], need)
-            self._remove_from_run(node, queue, 0, k)
-            if takes and takes[-1][1] == run[1] and takes[-1][2] == run[2]:
-                takes[-1][0] += k
-            else:
-                takes.append([k, run[1], run[2]])
-            need -= k
-        return takes
-
-    def _remove_from_run(self, node: int, queue: List[Run], index: int, k: int) -> None:
-        run = queue[index]
-        self.loads[node] -= k * run[1]
-        if run[2]:
-            self.dummy_counts[node] -= k
-        if k == run[0]:
-            queue.pop(index)
-            if 0 < index < len(queue) and queue[index - 1][1] == queue[index][1] \
-                    and queue[index - 1][2] == queue[index][2]:
-                queue[index - 1][0] += queue.pop(index)[0]
+        unit = amounts.dtype.kind == "i"
+        w = self._single_class
+        if w is not None:
+            counts = amounts if unit else _take_counts_vector(amounts, float(w), threshold)
+            sent = counts * w if w != 1 else counts
+            outgoing = np.zeros(self.loads.size, dtype=np.int64)
+            np.add.at(outgoing, senders, sent)
+            if np.all(outgoing <= self.loads):
+                # One class, no dummy and every sender covers its sends:
+                # queue order is unobservable, so only the loads change.
+                incoming = np.zeros(self.loads.size, dtype=np.int64)
+                np.add.at(incoming, receivers, sent)
+                self.loads += incoming - outgoing
+                return sent, int(counts.sum()), 0
+        runs = self.runs()
+        if unit:
+            left, taken, created = _plan_counts(runs, senders, amounts)
         else:
-            run[0] -= k
-        self._touch()
-
-    # ------------------------------------------------------------------ #
-    # delivery
-    # ------------------------------------------------------------------ #
-
-    def deliver(self, node: int, takes: List[Run]) -> None:
-        """Append taken runs to the tail of ``node``'s queue (order preserved)."""
-        queue = self._ensure_queues()[node]
-        for count, weight, is_dummy in takes:
-            if queue and queue[-1][1] == weight and queue[-1][2] == is_dummy:
-                queue[-1][0] += count
-            else:
-                queue.append([count, weight, is_dummy])
-            self.loads[node] += count * weight
-            if is_dummy:
-                self.dummy_counts[node] += count
-                self._single_class = None
-            elif self._single_class is not None and weight != self._single_class:
-                self._single_class = None
-            if weight > self._max_weight:
-                self._max_weight = weight
-        self._touch()
-
-    def deliver_dummies(self, node: int, count: int) -> None:
-        """Create ``count`` fresh unit-weight dummies at the tail of the queue."""
-        if count:
-            self.deliver(node, [[count, 1, True]])
-
-    def apply_moves(self, outgoing: np.ndarray, incoming: np.ndarray) -> None:
-        """Scatter-round application: per-node weight out and in, no queues.
-
-        Only legal with a single class when every sender covers its
-        ``outgoing`` weight (the caller checks both): then every queue is a
-        single all-real run whose length follows from the load, so the
-        queues are dropped and rebuilt lazily instead of being maintained.
-        """
-        self.loads -= outgoing
-        self.loads += incoming
-        self._queues = None
-        self._touch()
+            left, taken, created = _plan_greedy(runs, senders, amounts, threshold, policy)
+        count, weight, dummy, offsets = runs
+        request, moved, moved_weight, moved_dummy = taken
+        sent = np.zeros(senders.size, dtype=np.int64)
+        np.add.at(sent, request, moved * moved_weight)
+        # Every plan before any delivery: each receiver keeps what it did
+        # not send, then gets the taken runs in plan order (stable sort).
+        node = np.concatenate((_run_nodes(offsets), receivers[request]))
+        position = np.concatenate((np.full(count.size, -1), request))
+        order = np.lexsort((position, node))
+        self._adopt(node[order], np.concatenate((left, moved))[order],
+                    np.concatenate((weight, moved_weight))[order],
+                    np.concatenate((dummy, moved_dummy))[order])
+        return sent, int(moved.sum()) - created, created
 
     # ------------------------------------------------------------------ #
     # dummy elimination
     # ------------------------------------------------------------------ #
 
     def remove_dummies(self) -> int:
-        """Drop every dummy task (the paper's final clean-up step).
-
-        A no-op on clean queues: only the queues of nodes that actually hold
-        dummies are compacted, the rest are left untouched.
-        """
+        """Drop every dummy task (the paper's final clean-up step)."""
         removed = int(self.dummy_counts.sum())
         if removed:
-            queues = self._ensure_queues()
-            for node in np.flatnonzero(self.dummy_counts).tolist():
-                queues[node] = [run for run in queues[node] if not run[2]]
-            self.loads -= self.dummy_counts
-            self.dummy_counts[:] = 0
-            self._touch()
-            # Dummies are unit weight, so only an all-unit maximum (or the
-            # single-class invariant) can change; recompute in that rare case.
-            if self._max_weight <= 1:
-                self._max_weight = max(
-                    (run[1] for queue in queues for run in queue), default=0)
-            classes = {run[1] for queue in queues for run in queue}
-            self._single_class = (next(iter(classes)) if len(classes) == 1
-                                  else 1 if not classes else None)
+            count, weight, dummy, offsets = self._runs
+            self._adopt(_run_nodes(offsets), np.where(dummy, 0, count), weight, dummy)
         return removed

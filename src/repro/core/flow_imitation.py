@@ -311,7 +311,7 @@ class FlowImitationBalancer(FlowCoupledBalancer):
                 "the task assignment and the continuous process must share the same network"
             )
         if continuous.round_index == 0 and not np.allclose(
-                assignment.loads(), continuous.load, atol=1e-9):
+                assignment.loads(), continuous.load, rtol=0, atol=1e-9):
             raise ProcessError(
                 "the continuous process must start from the load vector induced by the assignment"
             )

@@ -59,7 +59,12 @@ from ..network.graph import Network
 from ..simulation.engine import ALL_ALGORITHMS, CONTINUOUS_KINDS, make_balancer, make_schedule
 from ..simulation.results import RunResult
 from ..tasks.assignment import TaskAssignment
-from ..tasks.load import max_avg_discrepancy, max_min_discrepancy, quadratic_potential
+from ..tasks.load import (
+    as_token_counts,
+    max_avg_discrepancy,
+    max_min_discrepancy,
+    quadratic_potential,
+)
 from ..tasks.weighted import WeightedLoads
 from .events import ARRIVAL, DEPARTURE, JOIN, LEAVE, DynamicEvent, EventGenerator, StreamView
 
@@ -111,13 +116,8 @@ class StreamingEngine:
                         "algorithm defined for weighted tasks)")
             buckets = initial_load.buckets()
         else:
-            loads = np.asarray(list(initial_load), dtype=float)
-            if loads.shape != (network.num_nodes,):
-                raise ExperimentError(
-                    f"initial load must have length {network.num_nodes}, got {loads.shape}")
-            if np.any(loads < 0) or not np.allclose(loads, np.round(loads)):
-                raise ExperimentError("dynamic runs require non-negative integer token loads")
-            buckets = [{1: int(round(load))} for load in loads]
+            counts = as_token_counts(list(initial_load), network, error=ExperimentError)
+            buckets = [{1: count} for count in counts.tolist()]
 
         # "auto" resolves unit-token and weighted streams alike to the array
         # backend's one columnar state; either backend gives the same

@@ -136,15 +136,6 @@ def determine_balancing_time(
     return process.run_until_balanced(tolerance=tolerance, max_rounds=max_rounds)
 
 
-def _integer_token_loads(initial_load: Sequence[float]) -> np.ndarray:
-    loads = np.asarray(initial_load, dtype=float)
-    if not np.allclose(loads, np.round(loads)):
-        raise ExperimentError(
-            "integer token loads are required; pass a TaskAssignment for weighted tasks"
-        )
-    return np.round(loads).astype(np.int64)
-
-
 def _build_flow_imitation(
     algorithm: str,
     network: Network,
@@ -164,7 +155,7 @@ def _build_flow_imitation(
     elif weighted_load is not None:
         reference_load = weighted_load.load_vector().astype(float)
     else:
-        counts = _integer_token_loads(initial_load)
+        counts = as_token_counts(initial_load, network, error=ExperimentError)
         reference_load = counts.astype(float)
     continuous = make_continuous(continuous_kind, network, reference_load,
                                  schedule=schedule, seed=seed)

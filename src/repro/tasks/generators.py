@@ -85,7 +85,7 @@ def balanced_load(network: Network, tokens_per_speed_unit: int) -> np.ndarray:
     if tokens_per_speed_unit < 0:
         raise TaskError("tokens_per_speed_unit must be non-negative")
     speeds = network.speeds
-    if not np.allclose(speeds, np.round(speeds)):
+    if not np.allclose(speeds, np.round(speeds), rtol=0, atol=1e-9):
         raise TaskError("balanced integer loads require integer speeds")
     return (tokens_per_speed_unit * np.round(speeds)).astype(int)
 

@@ -69,7 +69,7 @@ def as_token_counts(loads: Sequence[float], network: Network,
         )
     if np.any(array < 0):
         raise error("token loads must be non-negative")
-    if not np.allclose(array, np.round(array)):
+    if not np.allclose(array, np.round(array), rtol=0, atol=1e-9):
         raise error("integer token loads are required")
     return np.round(array).astype(np.int64)
 

@@ -157,34 +157,55 @@ class TestScenarioThreading:
 class TestSharedRunState:
     """Unit tokens are the weight-1 case of the one columnar state."""
 
+    @staticmethod
+    def unit_round(state, senders, receivers, counts):
+        return state.transfer(np.array(senders), np.array(receivers),
+                              np.array(counts), 1.0 + 1e-9, "fifo")
+
     def test_fifo_take_splits_runs(self):
-        state = WeightedRunState.from_counts(np.array([5, 0]))
-        takes = state.take_front(0, 3)
-        assert takes == [[3, 1, False]]
-        state.deliver(1, takes)
-        state.deliver_dummies(1, 2)
-        assert state.loads.tolist() == [2, 5]
-        assert state.dummy_counts.tolist() == [0, 2]
+        state = WeightedRunState.from_counts(np.array([5, 0, 0]))
+        self.unit_round(state, [0, 2], [1, 1], [3, 2])
+        count, _weight, dummy, offsets = state.runs()
+        assert (count.tolist(), dummy.tolist(), offsets.tolist()) == (
+            [2, 3, 2], [False, False, True], [0, 1, 3, 3])
+        assert state.loads.tolist() == [2, 5, 0]
+        assert state.dummy_counts.tolist() == [0, 2, 0]
         assert state.single_class is None
 
     def test_take_reports_shortfall_as_dummies(self):
-        state = WeightedRunState.from_counts(np.array([2]))
-        plans = state.plan_sender(0, [0], [5.0], [5], 1.0 + 1e-9, "fifo")
-        (_pos, takes, dummies, total, moved), = plans
-        assert sum(count for count, _w, _dummy in takes) == moved == 2
-        assert dummies == 3 and total == 5
+        state = WeightedRunState.from_counts(np.array([2, 0]))
+        sent, moved, dummies = self.unit_round(state, [0], [1], [5])
+        assert (sent.tolist(), moved, dummies) == ([5], 2, 3)
+
+    def test_covered_single_class_round_stores_no_runs(self):
+        state = WeightedRunState.from_counts(np.array([5, 1]))
+        sent, moved, dummies = self.unit_round(state, [0, 1], [1, 0], [3, 1])
+        assert (sent.tolist(), moved, dummies) == ([3, 1], 4, 0)
+        assert state.loads.tolist() == [3, 3]
+        assert state._runs is None and state.single_class == 1
 
     def test_remove_dummies_restores_the_single_class(self):
         state = WeightedRunState.from_counts(np.array([1, 1]))
-        state.deliver_dummies(0, 1)
+        self.unit_round(state, [1], [0], [2])
         assert state.single_class is None
         assert state.remove_dummies() == 1
-        assert state.loads.tolist() == [1, 1]
+        assert state.loads.tolist() == [2, 0]
         assert state.single_class == 1
+        assert state._runs is None
 
     def test_rejects_negative_counts(self):
         with pytest.raises(TaskError):
             WeightedRunState.from_counts(np.array([1, -1]))
+
+    def test_rejects_non_integer_counts(self):
+        with pytest.raises(TaskError, match="integers"):
+            WeightedRunState.from_counts(np.array([1.5, 2.7]))
+        assert WeightedRunState.from_counts(np.array([3.0, 1.0])).loads.tolist() == [3, 1]
+
+    @pytest.mark.parametrize("weight", [0, -2, 1.5])
+    def test_rejects_non_positive_or_fractional_weight(self, weight):
+        with pytest.raises(TaskError, match="positive integer"):
+            WeightedRunState.from_counts([3, 1], weight=weight)
 
     def test_count_and_single_class_states_keep_queues_implicit(self):
         network = topologies.cycle(6)
@@ -193,9 +214,9 @@ class TestSharedRunState:
                                  backend="array")
         balancer.run(3)
         balancer.recouple([3, 0, 2, 1, 0, 4])
-        assert balancer._state._queues is None
+        assert balancer._state._runs is None
         state = WeightedRunState.from_weighted_loads(
             WeightedLoads.from_buckets([{3: 2}, {}, {3: 1}]))
-        assert state._queues is None
+        assert state._runs is None
         assert state.single_class == 3
         assert state.loads.tolist() == [6, 0, 3]

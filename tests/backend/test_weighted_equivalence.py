@@ -1,6 +1,6 @@
 """Weighted columnar backend: bit-identical to the object backend.
 
-The columnar weighted state (sorted weight buckets + run-length queues) is a
+The columnar weighted state (sorted weight buckets + flat run arrays) is a
 pure re-representation of a weighted ``TaskAssignment``: same Algorithm 1,
 same greedy while-loop, same dummy semantics.  These tests demand *exact*
 equality — per-round load vectors, cumulative flows, dummy distributions —
@@ -19,10 +19,12 @@ from repro.continuous.fos import FirstOrderDiffusion
 from repro.continuous.sos import SecondOrderDiffusion
 from repro.core.algorithm1 import DeterministicFlowImitation
 from repro.core.flow_imitation import TaskSelectionPolicy
-from repro.exceptions import ExperimentError, TaskError
+from repro.exceptions import ExperimentError, ProcessError, TaskError
 from repro.network import topologies
 from repro.simulation.engine import make_balancer, make_schedule, run_algorithm
+from repro.tasks.assignment import TaskAssignment
 from repro.tasks.generators import weighted_assignment
+from repro.tasks.task import Task
 from repro.tasks.weighted import WeightedLoads, weighted_loads_from_task_counts
 
 TOPOLOGIES = {
@@ -55,6 +57,23 @@ def assert_roundwise_equal(object_balancer, array_balancer, rounds):
                               array_balancer.discrete_cumulative_flows())
     assert object_balancer.dummy_tokens_created == array_balancer.dummy_tokens_created
     assert object_balancer.used_infinite_source == array_balancer.used_infinite_source
+
+
+class TestStartCheck:
+    """Both backends demand the continuous start equal the discrete loads
+    exactly: no relative slack at a million tokens."""
+
+    @pytest.mark.parametrize("backend", ["object", "array"])
+    def test_rejects_a_continuous_start_off_by_five(self, backend):
+        network = topologies.cycle(4)
+        weighted = WeightedLoads.from_buckets([{1_000_000: 1}, {}, {}, {}])
+        continuous = FirstOrderDiffusion(network, [1_000_005.0, 0, 0, 0])
+        workload = (weighted.to_assignment(network) if backend == "object"
+                    else weighted)
+        balancer = (DeterministicFlowImitation if backend == "object"
+                    else ArrayDeterministicFlowImitation)
+        with pytest.raises(ProcessError, match="must start from"):
+            balancer(continuous, workload)
 
 
 class TestWeightedFlowImitationEquivalence:
@@ -255,9 +274,6 @@ class TestWeightedLoadsRepresentation:
         assert back.num_tasks() == weighted.num_tasks()
 
     def test_rejects_non_integer_weights(self):
-        from repro.tasks.assignment import TaskAssignment
-        from repro.tasks.task import Task
-
         network = topologies.cycle(4)
         assignment = TaskAssignment(network)
         assignment.add(0, Task(task_id=0, weight=1.5))
@@ -290,25 +306,89 @@ class TestWeightedLoadsRepresentation:
             assert _take_count(residual, committed, weight, cap, threshold) == expected
 
 
+def queues(state):
+    """Every node's queue as a list of ``(count, weight, is_dummy)`` runs."""
+    count, weight, dummy, offsets = state.runs()
+    runs = list(zip(count.tolist(), weight.tolist(), dummy.tolist()))
+    return [runs[begin:end] for begin, end in zip(offsets[:-1], offsets[1:])]
+
+
+def transfer(state, requests, threshold, policy=TaskSelectionPolicy.FIFO):
+    """Run one round of ``(sender, receiver, residual)`` requests."""
+    senders, receivers, residuals = (np.array(column) for column in zip(*requests))
+    return state.transfer(senders, receivers, residuals.astype(float),
+                          threshold, policy)
+
+
 class TestWeightedRunState:
     def test_fifo_takes_preserve_queue_order(self):
         state = WeightedRunState.from_weighted_loads(
             WeightedLoads.from_buckets([{1: 2, 3: 1}, {}]))
-        takes = state.plan_takes(0, residual=10.0, threshold=3.0 + 1e-9,
-                                 policy=TaskSelectionPolicy.FIFO)
-        # Canonical order is ascending weight: two 1s first, then the 3.
-        assert takes == [[2, 1, False], [1, 3, False]]
-        state.deliver(1, takes)
-        assert state.loads.tolist() == [0, 5]
+        sent, moved, dummies = transfer(state, [(0, 1, 10.0)], 3.0 + 1e-9)
+        # Canonical order is ascending weight: two 1s first, then the 3,
+        # then the dummies the residual still asks for, at the tail.
+        assert queues(state) == [[], [(2, 1, False), (1, 3, False), (2, 1, True)]]
+        assert (sent.tolist(), moved, dummies) == ([7], 3, 2)
+        assert state.loads.tolist() == [0, 7]
 
     def test_remove_dummies_drops_only_dummies(self):
         state = WeightedRunState.from_weighted_loads(
-            WeightedLoads.from_buckets([{2: 3}]))
-        state.deliver_dummies(0, 4)
-        assert state.loads.tolist() == [10]
+            WeightedLoads.from_buckets([{2: 3}, {}]))
+        transfer(state, [(1, 0, 6.0)], 2.0 + 1e-9)   # an empty sender: 4 dummies
+        assert state.loads.tolist() == [10, 0]
+        assert queues(state)[0] == [(3, 2, False), (4, 1, True)]
         assert state.remove_dummies() == 4
-        assert state.loads.tolist() == [6]
-        assert state.dummy_counts.tolist() == [0]
+        assert state.loads.tolist() == [6, 0]
+        assert state.dummy_counts.tolist() == [0, 0]
+        assert state.single_class == 2
+
+    @pytest.mark.parametrize("policy, taken, kept", [
+        (TaskSelectionPolicy.FIFO, 2, [(1, 4), (1, 1), (1, 4)]),
+        (TaskSelectionPolicy.LARGEST_FIRST, 4, [(1, 2), (1, 1), (1, 4)]),
+        (TaskSelectionPolicy.SMALLEST_FIRST, 1, [(1, 2), (2, 4)]),
+    ])
+    def test_policies_pick_from_the_flat_queue(self, policy, taken, kept):
+        """Each policy takes the first task of its weight; the sender's
+        runs left adjacent by the take merge."""
+        state = WeightedRunState.from_assignment(
+            tasks_at_node_zero([2, 4, 1, 4]))
+        transfer(state, [(0, 1, 5.0)], 4.0 + 1e-9, policy)
+        assert queues(state) == [[(c, w, False) for c, w in kept],
+                                 [(1, taken, False)]]
+
+    def test_two_senders_deliver_in_plan_order(self):
+        """Every plan is taken before any delivery; a receiver keeps its
+        own runs, then gets each plan's takes followed by its dummies, and
+        adjacent equal runs merge."""
+        state = WeightedRunState.from_counts(np.array([2, 3, 1]))
+        sent, moved, dummies = state.transfer(
+            np.array([0, 1]), np.array([2, 2]), np.array([3, 2]),
+            1.0 + 1e-9, TaskSelectionPolicy.FIFO)
+        assert (sent.tolist(), moved, dummies) == ([3, 2], 4, 1)
+        count, weight, dummy, offsets = state.runs()
+        assert count.tolist() == [1, 3, 1, 2]
+        assert weight.tolist() == [1, 1, 1, 1]
+        assert dummy.tolist() == [False, False, True, False]
+        assert offsets.tolist() == [0, 0, 1, 4]
+        assert state.loads.tolist() == [0, 1, 6]
+        assert state.dummy_counts.tolist() == [0, 0, 1]
+
+    def test_two_weighted_senders_deliver_in_plan_order(self):
+        state = WeightedRunState.from_weighted_loads(
+            WeightedLoads.from_buckets([{1: 2, 3: 1}, {2: 2}, {1: 1}]))
+        sent, moved, dummies = transfer(state, [(0, 2, 6.5), (1, 2, 8.0)],
+                                        3.0 + 1e-9)
+        assert (sent.tolist(), moved, dummies) == ([5, 5], 5, 1)
+        assert queues(state) == [
+            [], [], [(3, 1, False), (1, 3, False), (2, 2, False), (1, 1, True)]]
+
+
+def tasks_at_node_zero(weights):
+    """Node 0 of a 2-node path holds one task per weight, in the given order."""
+    assignment = TaskAssignment(topologies.path(2))
+    for task_id, weight in enumerate(weights):
+        assignment.add(0, Task(task_id=task_id, weight=weight))
+    return assignment
 
 
 def single_class_loads(network, weight, total_tasks, seed=3, placement="uniform"):
@@ -355,7 +435,7 @@ class TestSingleClassFastPath:
         assert_roundwise_equal(object_balancer, array_balancer, rounds=40)
 
     def test_fast_path_actually_engages(self):
-        """After a round with transfers the queues are implicit (dropped)."""
+        """After scatter rounds the state stores no run arrays."""
         network = topologies.torus(4, dims=2)
         _, array_balancer = paired_single_class(network, 5,
                                                 20 * network.num_nodes)
@@ -363,7 +443,7 @@ class TestSingleClassFastPath:
         assert state.single_class == 5
         for _ in range(10):
             array_balancer.advance()
-        assert state._queues is None, "fast path should keep queues implicit"
+        assert state._runs is None, "the scatter form stores no run arrays"
         assert array_balancer.dummy_tokens_created == 0
 
     def test_dummy_fallback_stays_bit_identical(self):
@@ -395,71 +475,74 @@ class TestSingleClassFastPath:
         assert balancer._state.single_class is None
         for _ in range(10):
             balancer.advance()
-        assert balancer._state._queues is not None
+        count, _weight, _dummy, offsets = balancer._state.runs()
+        assert balancer._state._runs is not None
+        assert count.size > np.count_nonzero(np.diff(offsets)), \
+            "some node must hold more than one run"
 
 
-class TestWeightedStateCaches:
-    """Satellites: cached max weight / bucket arrays, clean-queue compaction."""
+class TestWeightedStateQueries:
+    """Max weight, bucket queries and dummy elimination on the flat state."""
 
-    def test_max_run_weight_is_cached_and_maintained(self):
+    def test_max_weight_is_maintained(self):
         state = WeightedRunState.from_weighted_loads(
             WeightedLoads.from_buckets([{2: 3}, {5: 1}, {}]))
-        assert state.max_run_weight == 5
         assert state.max_weight() == 5
-        takes = state.take_front(1, 1)
-        state.deliver(0, takes)             # moving the heavy task keeps the max
-        assert state.max_run_weight == 5
-        state.deliver(2, [[1, 7, False]])   # a heavier delivery raises it
-        assert state.max_run_weight == 7
+        transfer(state, [(1, 0, 10.5)], 5.0 + 1e-9)   # the heavy task moves
+        assert queues(state)[0] == [(3, 2, False), (1, 5, False), (1, 1, True)]
+        assert state.max_weight() == 5
+        state.remove_dummies()
+        assert state.max_weight() == 5
 
-    def test_max_run_weight_recomputed_after_unit_dummy_elimination(self):
+    def test_max_weight_recomputed_after_unit_dummy_elimination(self):
         state = WeightedRunState.from_weighted_loads(
             WeightedLoads.from_buckets([{1: 2}, {}]))
-        state.deliver_dummies(1, 3)
-        assert state.max_run_weight == 1
-        state.remove_dummies()
-        assert state.max_run_weight == 1
+        state.transfer(np.array([0]), np.array([1]), np.array([3]),
+                       1.0 + 1e-9, TaskSelectionPolicy.FIFO)
+        assert state.max_weight() == 1
+        assert state.remove_dummies() == 1
+        assert state.max_weight() == 1
         empty = WeightedRunState.from_weighted_loads(
             WeightedLoads.from_buckets([{}, {}]))
-        empty.deliver_dummies(0, 2)
+        empty.transfer(np.array([0]), np.array([1]), np.array([2]),
+                       1.0 + 1e-9, TaskSelectionPolicy.FIFO)
+        assert empty.max_weight() == 1
         assert empty.remove_dummies() == 2
-        assert empty.max_run_weight == 0
+        assert empty.max_weight() == 0
 
     def test_remove_dummies_is_a_no_op_on_clean_queues(self):
         state = WeightedRunState.from_weighted_loads(
-            WeightedLoads.from_buckets([{2: 3}, {3: 1}, {1: 4}]))
-        queues = state._ensure_queues()
-        untouched = [queues[0], queues[2]]
-        state.deliver_dummies(1, 2)
-        assert state.remove_dummies() == 2
-        # clean queues keep their identity (no rebuild), dirty ones compacted
-        assert state._queues[0] is untouched[0]
-        assert state._queues[2] is untouched[1]
-        assert all(not run[2] for run in state._queues[1])
+            WeightedLoads.from_buckets([{2: 3, 3: 1}, {1: 4}]))
+        runs = state.runs()
+        assert state.remove_dummies() == 0
+        assert state.runs() is runs, "a clean state keeps its run arrays"
+        transfer(state, [(1, 0, 20.0)], 3.0 + 1e-9)
+        assert queues(state)[0] == [(3, 2, False), (1, 3, False), (4, 1, False),
+                                    (13, 1, True)]
+        assert state.remove_dummies() == 13
+        assert queues(state) == [[(3, 2, False), (1, 3, False), (4, 1, False)], []]
 
-    def test_real_buckets_cached_until_mutation_and_copies_returned(self):
+    def test_real_buckets_track_mutations_and_return_copies(self):
         state = WeightedRunState.from_weighted_loads(
             WeightedLoads.from_buckets([{2: 3, 4: 1}, {1: 2}]))
         first = state.real_buckets()
-        assert state._buckets_cache is not None
         first[0][2] = 999                       # mutating the copy is harmless
         assert state.real_buckets()[0] == {2: 3, 4: 1}
-        state.deliver(1, [[1, 4, False]])       # mutation invalidates the cache
-        assert state._buckets_cache is None
-        assert state.real_buckets()[1] == {1: 2, 4: 1}
+        transfer(state, [(0, 1, 8.5)], 4.0 + 1e-9, TaskSelectionPolicy.LARGEST_FIRST)
+        assert state.real_buckets() == [{2: 2}, {1: 2, 4: 1, 2: 1}]
 
     def test_real_buckets_arithmetic_in_compact_mode(self):
         """Single-class buckets come straight from the load vector — the
-        queues stay implicit even after querying them."""
+        state stores no run arrays, even after querying them."""
         network = topologies.torus(4, dims=2)
         _, array_balancer = paired_single_class(network, 4,
                                                 20 * network.num_nodes)
         for _ in range(5):
             array_balancer.advance()
         state = array_balancer._state
-        assert state._queues is None
+        assert state._runs is None
         buckets = state.real_buckets()
-        assert state._queues is None, "bucket query must not materialise queues"
+        assert state._runs is None, "bucket query must not store run arrays"
         loads = state.load_vector()
         for node, bucket in enumerate(buckets):
             assert sum(w * c for w, c in bucket.items()) == loads[node]

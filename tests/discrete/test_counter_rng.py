@@ -201,6 +201,22 @@ class TestNonIntegerLoadValidation:
                 run_algorithm(baseline, network, initial_load=[0.25, 1, 1, 1],
                               rounds=3)
 
+    def test_engine_rejects_large_fractional_loads(self):
+        network = topologies.cycle(4)
+        for backend in ("object", "array"):
+            with pytest.raises(ExperimentError, match="integer token loads"):
+                make_balancer("algorithm1", network, backend=backend,
+                              initial_load=[2_000_000.3, 0, 0, 0])
+
+    def test_stream_rejects_large_fractional_loads(self):
+        from repro.dynamic.events import make_event_generator
+        from repro.dynamic.stream import StreamingEngine
+
+        network = topologies.cycle(4)
+        with pytest.raises(ExperimentError, match="integer token loads"):
+            StreamingEngine("algorithm1", network, [2_000_000.3, 0, 0, 0],
+                            make_event_generator("burst", network, 6, seed=1))
+
     def test_negative_loads_rejected(self):
         network = topologies.cycle(4)
         with pytest.raises(ProcessError, match="non-negative"):

@@ -6,8 +6,11 @@ diffusion substrate and one mid-run ``recouple`` onto a second generated
 workload.  Both backends must then produce the same loads (with and without
 dummies), cumulative discrete flows and round reports after every round.
 SOS overshoots on the 16x16 torus from a point load, so dummy tokens appear
-and the array round's queue form runs, not only its scatter form; the two
-explicit examples make sure every run covers that case for both algorithms.
+and the array round's queue form runs, not only its scatter form.  The
+explicit examples make sure every run covers each planning branch of that
+form: the vectorised unit take (Algorithm 2, and Algorithm 1's floor counts),
+the weighted greedy under all three selection policies, and delivery into
+queues that already hold dummies.
 
 The example count comes from the active hypothesis profile (see
 ``tests/conftest.py``): bounded for the tier-1 run, larger under
@@ -104,6 +107,21 @@ def assert_same_round(reference, candidate, label):
          first=dict(kind="unit", tasks_per_node=4, placement="point", weight=2, seed=1),
          second=dict(kind="unit", tasks_per_node=2, placement="point", weight=2, seed=2),
          algorithm=("algorithm2", TaskSelectionPolicy.FIFO, "counter"),
+         substrate="sos", rounds_before=6, rounds_after=6, seed=5)
+@example(topology="torus16",
+         first=dict(kind="mixed", tasks_per_node=4, placement="point", weight=4, seed=1),
+         second=dict(kind="mixed", tasks_per_node=2, placement="point", weight=3, seed=2),
+         algorithm=("algorithm1", TaskSelectionPolicy.FIFO, "sequential"),
+         substrate="sos", rounds_before=6, rounds_after=6, seed=5)
+@example(topology="torus16",
+         first=dict(kind="mixed", tasks_per_node=4, placement="point", weight=4, seed=1),
+         second=dict(kind="mixed", tasks_per_node=2, placement="point", weight=3, seed=2),
+         algorithm=("algorithm1", TaskSelectionPolicy.SMALLEST_FIRST, "sequential"),
+         substrate="sos", rounds_before=6, rounds_after=6, seed=5)
+@example(topology="torus16",
+         first=dict(kind="unit", tasks_per_node=4, placement="point", weight=2, seed=1),
+         second=dict(kind="unit", tasks_per_node=2, placement="point", weight=2, seed=2),
+         algorithm=("algorithm1", TaskSelectionPolicy.FIFO, "sequential"),
          substrate="sos", rounds_before=6, rounds_after=6, seed=5)
 @settings(deadline=None)
 def test_object_and_array_backends_agree(topology, first, second, algorithm,

@@ -54,6 +54,12 @@ class TestLoadVectors:
         loads = generators.balanced_load(net, 3)
         np.testing.assert_array_equal(loads, [3, 6, 9, 12])
 
+    def test_balanced_load_rejects_large_fractional_speed(self):
+        """The integer-speed check is absolute: no relative slack at scale."""
+        net = topologies.cycle(4).with_speeds([1, 1, 1, 200_000.5])
+        with pytest.raises(TaskError, match="integer speeds"):
+            generators.balanced_load(net, 1)
+
     def test_balanced_load_negative_level(self, net):
         with pytest.raises(TaskError):
             generators.balanced_load(net, -1)

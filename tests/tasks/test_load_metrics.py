@@ -9,6 +9,7 @@ from repro.exceptions import TaskError
 from repro.network import topologies
 from repro.tasks.load import (
     as_load_vector,
+    as_token_counts,
     balanced_allocation,
     makespans,
     max_avg_discrepancy,
@@ -37,6 +38,13 @@ class TestValidation:
     def test_wrong_length(self, net):
         with pytest.raises(TaskError):
             as_load_vector([1, 2], net)
+
+    def test_token_counts_reject_large_fractional_loads(self, net):
+        """The integer check is absolute: no relative slack at scale."""
+        with pytest.raises(TaskError, match="integer token loads"):
+            as_token_counts([2_000_000.3, 0, 0, 0], net)
+        counts = as_token_counts([2_000_000.0, 0, 0, 1], net)
+        assert counts.dtype == np.int64 and counts.tolist() == [2_000_000, 0, 0, 1]
 
     def test_non_finite(self, net):
         with pytest.raises(TaskError):
