@@ -62,6 +62,7 @@ from .simulation import (
 from .dynamic import (
     EVENT_PROFILES,
     DynamicEvent,
+    EventBatch,
     EventGenerator,
     make_event_generator,
     run_stream,
@@ -155,6 +156,7 @@ __all__ = [
     # dynamic workloads
     "EVENT_PROFILES",
     "DynamicEvent",
+    "EventBatch",
     "EventGenerator",
     "make_event_generator",
     "run_stream",

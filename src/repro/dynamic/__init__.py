@@ -3,9 +3,10 @@
 This package drives any balancer of the registry (the paper's Algorithms 1
 and 2 as well as every baseline) through *time-varying* scenarios:
 
-* :mod:`repro.dynamic.events` — the event model: task arrival/departure
-  streams (Poisson, bursty, adversarial hotspot) and node join/leave churn,
-  plus the named profile registry (:data:`EVENT_PROFILES`);
+* :mod:`repro.dynamic.events` — the event model: columnar per-round event
+  batches, task arrival/departure streams (Poisson, bursty, adversarial
+  hotspot) and node join/leave churn, plus the named profile registry
+  (:data:`EVENT_PROFILES`);
 * :mod:`repro.dynamic.stream` — the streaming engine that interleaves events
   with balancing rounds and re-couples the continuous substrate whenever the
   graph or the total load changes;
@@ -24,6 +25,7 @@ from .events import (
     BurstyArrivals,
     CompositeGenerator,
     DynamicEvent,
+    EventBatch,
     EventGenerator,
     NodeChurn,
     PoissonArrivals,
@@ -51,6 +53,7 @@ __all__ = [
     "EVENT_KINDS",
     "EVENT_PROFILES",
     "DynamicEvent",
+    "EventBatch",
     "StreamView",
     "EventGenerator",
     "ScheduledEvents",

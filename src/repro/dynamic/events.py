@@ -5,12 +5,15 @@ a balancer until the continuous substrate balances.  Real load balancers face
 *streams*: tasks arrive and depart while balancing is underway, and nodes join
 or leave the network.  This module provides the vocabulary for such runs:
 
-* :class:`DynamicEvent` — one atomic change to the system, scheduled for the
-  start of a round: a task **arrival**, a task **departure**, a node **join**
-  or a node **leave**;
+* :class:`EventBatch` — one round's events as int64 columns (kind, label,
+  tokens, tag code), in application order: task **arrivals**, task
+  **departures**, node **joins** and node **leaves**;
+* :class:`DynamicEvent` — one such event as a validated row: the input of
+  :class:`ScheduledEvents` and what iterating a batch yields;
 * :class:`EventGenerator` — a deterministic (seeded) source of events, polled
   once per round by the streaming engine with a read-only
-  :class:`StreamView` of the current system state;
+  :class:`StreamView` of the current system state and returning one
+  :class:`EventBatch`;
 * concrete generators covering the classic dynamic regimes: Poisson streams,
   periodic bursts, an adversarial hotspot that always targets the most loaded
   node, and node churn;
@@ -26,9 +29,10 @@ and the contiguous ``0..n-1`` indices of the currently coupled
 
 from __future__ import annotations
 
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +45,11 @@ __all__ = [
     "JOIN",
     "LEAVE",
     "EVENT_KINDS",
+    "KIND_CODES",
+    "NO_LABEL",
+    "NO_EVENTS",
     "DynamicEvent",
+    "EventBatch",
     "StreamView",
     "EventGenerator",
     "ScheduledEvents",
@@ -62,6 +70,9 @@ LEAVE = "leave"
 
 EVENT_KINDS = (ARRIVAL, DEPARTURE, JOIN, LEAVE)
 
+#: The ``kind`` column code of each event kind: its index in :data:`EVENT_KINDS`.
+KIND_CODES: Dict[str, int] = {kind: code for code, kind in enumerate(EVENT_KINDS)}
+
 
 @dataclass(frozen=True)
 class DynamicEvent:
@@ -77,8 +88,9 @@ class DynamicEvent:
         label of the new node).
     tokens:
         Number of unit tokens added (arrival / join) or requested to be
-        removed (departure).  Departures remove at most the tokens actually
-        present; the engine records the realised amount in the timeline.
+        removed (departure), a non-negative integer.  Departures remove at
+        most the tokens actually present; the engine records the realised
+        amount in the timeline.
     attach_to:
         For joins: the stable labels of the existing nodes the new node
         connects to (at least one, so the network stays connected).
@@ -97,25 +109,147 @@ class DynamicEvent:
         if self.kind not in EVENT_KINDS:
             raise ExperimentError(
                 f"unknown event kind {self.kind!r}; valid kinds: {EVENT_KINDS}")
+        if not isinstance(self.tokens, numbers.Integral):
+            raise ExperimentError(
+                f"event token counts must be integers, got {self.tokens!r}")
         if self.tokens < 0:
             raise ExperimentError("event token counts must be non-negative")
         if self.kind in (ARRIVAL, DEPARTURE, LEAVE) and self.node is None:
             raise ExperimentError(f"{self.kind} events require a node label")
         if self.kind == JOIN and not self.attach_to:
             raise ExperimentError("join events require at least one attachment target")
-
-    def as_dict(self) -> Dict[str, object]:
-        """Return a JSON-friendly view (used for result timelines)."""
-        return {
-            "kind": self.kind,
-            "node": self.node,
-            "tokens": self.tokens,
-            "attach_to": list(self.attach_to),
-            "tag": self.tag,
-        }
+        object.__setattr__(self, "tokens", int(self.tokens))
 
 
-@dataclass(frozen=True)
+#: The ``label`` column value of a join whose :class:`DynamicEvent` has no node.
+NO_LABEL = -1
+
+
+def _integers(name: str, values) -> np.ndarray:
+    """``values`` as a flat int64 column; any non-integer dtype is an error."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise ExperimentError(
+            f"event batch column {name!r} must hold integers, got {values.dtype}")
+    return values.astype(np.int64, copy=False).reshape(-1)
+
+
+def _check_tokens(tokens: np.ndarray) -> np.ndarray:
+    if tokens.size and tokens.min() < 0:
+        raise ExperimentError("event token counts must be non-negative")
+    return tokens
+
+
+class EventBatch:
+    """One round's events as int64 columns, in application order.
+
+    ``kind`` holds :data:`KIND_CODES`, ``label`` the stable label
+    (:data:`NO_LABEL` for a join without one: the engine assigns it),
+    ``tokens`` the unit tokens and ``tag`` an index into the ``tags`` table.
+    The rare attachment lists of joins sit in the side table ``attach``
+    (``{row: labels}``).  Iterating a batch yields its rows as
+    :class:`DynamicEvent` values.
+    """
+
+    __slots__ = ("kind", "label", "tokens", "tag", "tags", "attach")
+
+    def __init__(self, kind, label, tokens, tag=None, tags: Sequence[str] = ("",),
+                 attach: Optional[Mapping[int, Sequence[int]]] = None) -> None:
+        kind, label, tokens = (_integers(name, values) for name, values in
+                               (("kind", kind), ("label", label), ("tokens", tokens)))
+        tag = np.zeros(kind.size, dtype=np.int64) if tag is None else _integers("tag", tag)
+        size = kind.size
+        if not label.size == tokens.size == tag.size == size:
+            raise ExperimentError("event batch columns must have equal lengths")
+        if size and (kind.min() < 0 or kind.max() >= len(EVENT_KINDS)):
+            raise ExperimentError(f"event batch kind codes must lie in 0..{len(EVENT_KINDS) - 1}")
+        _check_tokens(tokens)
+        if size and (tag.min() < 0 or tag.max() >= len(tags)):
+            raise ExperimentError("event batch tag codes must index the tag table")
+        rows = {int(row): tuple(int(target) for target in targets)
+                for row, targets in (attach or {}).items() if len(targets)}
+        if any(not 0 <= row < size for row in rows):
+            raise ExperimentError("event batch attachments must name rows of the batch")
+        if any(row not in rows for row in np.flatnonzero(kind == KIND_CODES[JOIN]).tolist()):
+            raise ExperimentError("join events require at least one attachment target")
+        self._assign(kind, label, tokens, tag, tuple(tags), rows)
+
+    def _assign(self, kind: np.ndarray, label: np.ndarray, tokens: np.ndarray,
+                tag: np.ndarray, tags: Tuple[str, ...],
+                attach: Dict[int, Tuple[int, ...]]) -> "EventBatch":
+        self.kind, self.label, self.tokens, self.tag = kind, label, tokens, tag
+        self.tags, self.attach = tags, attach
+        return self
+
+    @classmethod
+    def of(cls, kind: str, labels, tokens, tag: str = "") -> "EventBatch":
+        """A batch of ``kind`` events (not joins), one per label, sharing one tag."""
+        if kind not in (ARRIVAL, DEPARTURE, LEAVE):
+            raise ExperimentError(
+                f"EventBatch.of builds arrival, departure or leave rows, not {kind!r}")
+        labels, tokens = _integers("label", labels), _check_tokens(_integers("tokens", tokens))
+        if labels.size != tokens.size:
+            raise ExperimentError("event batch columns must have equal lengths")
+        return cls.__new__(cls)._assign(
+            np.full(labels.size, KIND_CODES[kind], dtype=np.int64), labels, tokens,
+            np.zeros(labels.size, dtype=np.int64), (tag,), {})
+
+    @classmethod
+    def from_events(cls, events: Iterable[DynamicEvent]) -> "EventBatch":
+        """The batch of a sequence of :class:`DynamicEvent` rows (same order)."""
+        events = list(events)
+        tags = list(dict.fromkeys(event.tag for event in events)) or [""]
+        code = {tag: index for index, tag in enumerate(tags)}
+        return cls([KIND_CODES[event.kind] for event in events],
+                   [NO_LABEL if event.node is None else event.node for event in events],
+                   np.array([event.tokens for event in events], dtype=np.int64),
+                   [code[event.tag] for event in events], tags,
+                   {row: event.attach_to for row, event in enumerate(events)})
+
+    @classmethod
+    def concat(cls, batches: Sequence["EventBatch"]) -> "EventBatch":
+        """The rows of ``batches`` one after another, tag tables merged."""
+        batches = [batch for batch in batches if len(batch)]
+        if len(batches) <= 1:
+            return batches[0] if batches else NO_EVENTS
+        tags = tuple(dict.fromkeys(tag for batch in batches for tag in batch.tags))
+        code = {tag: index for index, tag in enumerate(tags)}
+        attach: Dict[int, Tuple[int, ...]] = {}
+        offset = 0
+        for batch in batches:
+            attach.update((offset + row, labels) for row, labels in batch.attach.items())
+            offset += len(batch)
+        return cls.__new__(cls)._assign(
+            np.concatenate([batch.kind for batch in batches]),
+            np.concatenate([batch.label for batch in batches]),
+            np.concatenate([batch.tokens for batch in batches]),
+            np.concatenate([batch.tag if batch.tags == tags else
+                            np.array([code[tag] for tag in batch.tags],
+                                     dtype=np.int64)[batch.tag]
+                            for batch in batches]),
+            tags, attach)
+
+    def __len__(self) -> int:
+        return int(self.kind.size)
+
+    def __iter__(self) -> Iterator[DynamicEvent]:
+        columns = zip(self.kind.tolist(), self.label.tolist(),
+                      self.tokens.tolist(), self.tag.tolist())
+        for row, (kind, label, tokens, tag) in enumerate(columns):
+            yield DynamicEvent(
+                EVENT_KINDS[kind],
+                node=None if kind == KIND_CODES[JOIN] and label == NO_LABEL else label,
+                tokens=tokens, attach_to=self.attach.get(row, ()), tag=self.tags[tag])
+
+    def __repr__(self) -> str:
+        return f"EventBatch({list(self)!r})"
+
+
+#: The batch of a round without events.
+NO_EVENTS = EventBatch.of(ARRIVAL, [], [])
+
+
+@dataclass(frozen=True, eq=False)
 class StreamView:
     """Read-only snapshot of the streaming system handed to generators.
 
@@ -124,28 +258,29 @@ class StreamView:
     round_index:
         The round about to be executed.
     labels:
-        Sorted stable labels of the nodes currently in the system.
+        Sorted stable labels of the nodes currently in the system (int64).
     loads:
-        Current integer load per stable label (real tasks, excluding any
-        dummy tokens of the flow-imitation algorithms).
+        Current integer load per label, aligned with ``labels`` (int64; real
+        tasks, excluding any dummy tokens of the flow-imitation algorithms).
     network:
         The currently coupled network (contiguous ``0..n-1`` indices;
         ``network.node_labels`` maps an index back to its stable label).
     """
 
     round_index: int
-    labels: Tuple[int, ...]
-    loads: Mapping[int, int]
+    labels: np.ndarray
+    loads: np.ndarray
     network: Network
 
     @property
     def total_load(self) -> int:
         """Total number of real tokens currently in the system."""
-        return int(sum(self.loads.values()))
+        return int(self.loads.sum())
 
     def max_load_label(self) -> int:
         """Stable label of the most loaded node (smallest label on ties)."""
-        return max(self.labels, key=lambda label: (self.loads.get(label, 0), -label))
+        # labels are sorted and argmax returns the first maximum
+        return int(self.labels[int(np.argmax(self.loads))])
 
 
 class EventGenerator(ABC):
@@ -164,7 +299,7 @@ class EventGenerator(ABC):
     """
 
     @abstractmethod
-    def events(self, view: StreamView) -> List[DynamicEvent]:
+    def events(self, view: StreamView) -> EventBatch:
         """Return the events to apply at the start of round ``view.round_index``."""
 
     def state_dict(self) -> Dict[str, object]:
@@ -194,16 +329,19 @@ class EventGenerator(ABC):
 
 
 class ScheduledEvents(EventGenerator):
-    """A fixed, explicit schedule: ``{round_index: [events, ...]}``."""
+    """A fixed, explicit schedule: ``{round_index: [events, ...]}``.
+
+    Each round's events become one :class:`EventBatch` at construction.
+    """
 
     def __init__(self, schedule: Mapping[int, Sequence[DynamicEvent]]) -> None:
         for round_index in schedule:
             if round_index < 0:
                 raise ExperimentError("event rounds must be non-negative")
-        self._schedule = {int(r): list(evs) for r, evs in schedule.items()}
+        self._schedule = {int(r): EventBatch.from_events(evs) for r, evs in schedule.items()}
 
-    def events(self, view: StreamView) -> List[DynamicEvent]:
-        return list(self._schedule.get(view.round_index, ()))
+    def events(self, view: StreamView) -> EventBatch:
+        return self._schedule.get(view.round_index, NO_EVENTS)
 
 
 class PoissonArrivals(EventGenerator):
@@ -216,16 +354,14 @@ class PoissonArrivals(EventGenerator):
         self._rng = np.random.default_rng(seed)
         self._tag = tag
 
-    def events(self, view: StreamView) -> List[DynamicEvent]:
+    def events(self, view: StreamView) -> EventBatch:
         count = int(self._rng.poisson(self._rate))
         if count == 0:
-            return []
+            return NO_EVENTS
         picks = self._rng.choice(len(view.labels), size=count)
         per_label = np.bincount(picks, minlength=len(view.labels))
-        return [
-            DynamicEvent(ARRIVAL, node=view.labels[index], tokens=int(tokens), tag=self._tag)
-            for index, tokens in enumerate(per_label) if tokens
-        ]
+        hit = np.flatnonzero(per_label)
+        return EventBatch.of(ARRIVAL, view.labels[hit], per_label[hit], tag=self._tag)
 
 
 class PoissonDepartures(EventGenerator):
@@ -243,24 +379,17 @@ class PoissonDepartures(EventGenerator):
         self._rng = np.random.default_rng(seed)
         self._tag = tag
 
-    def events(self, view: StreamView) -> List[DynamicEvent]:
+    def events(self, view: StreamView) -> EventBatch:
         total = view.total_load
         count = min(int(self._rng.poisson(self._rate)), total)
         if count <= 0:
-            return []
-        loads = np.array([view.loads.get(label, 0) for label in view.labels], dtype=float)
+            return NO_EVENTS
+        loads = view.loads.astype(float)
         picks = self._rng.choice(len(view.labels), size=count, p=loads / loads.sum())
-        per_label = np.bincount(picks, minlength=len(view.labels))
-        events = []
-        for index, tokens in enumerate(per_label):
-            if not tokens:
-                continue
-            label = view.labels[index]
-            # Never request more tokens than the node actually holds.
-            tokens = min(int(tokens), int(view.loads.get(label, 0)))
-            if tokens:
-                events.append(DynamicEvent(DEPARTURE, node=label, tokens=tokens, tag=self._tag))
-        return events
+        # Never request more tokens than the node actually holds.
+        per_label = np.minimum(np.bincount(picks, minlength=len(view.labels)), view.loads)
+        hit = np.flatnonzero(per_label)
+        return EventBatch.of(DEPARTURE, view.labels[hit], per_label[hit], tag=self._tag)
 
 
 class BurstyArrivals(EventGenerator):
@@ -285,15 +414,15 @@ class BurstyArrivals(EventGenerator):
         self._node = node
         self._rng = np.random.default_rng(seed)
 
-    def events(self, view: StreamView) -> List[DynamicEvent]:
+    def events(self, view: StreamView) -> EventBatch:
         t = view.round_index
         if t < self._first or (t - self._first) % self._period or not self._burst_size:
-            return []
+            return NO_EVENTS
         if self._node is not None and self._node in view.labels:
             target = self._node
         else:
             target = view.labels[int(self._rng.integers(len(view.labels)))]
-        return [DynamicEvent(ARRIVAL, node=target, tokens=self._burst_size, tag="burst")]
+        return EventBatch.of(ARRIVAL, [target], [self._burst_size], tag="burst")
 
 
 class AdversarialHotspot(EventGenerator):
@@ -309,11 +438,10 @@ class AdversarialHotspot(EventGenerator):
         self._tokens = int(tokens_per_round)
         self._rng = np.random.default_rng(seed)
 
-    def events(self, view: StreamView) -> List[DynamicEvent]:
+    def events(self, view: StreamView) -> EventBatch:
         if not self._tokens:
-            return []
-        return [DynamicEvent(ARRIVAL, node=view.max_load_label(),
-                             tokens=self._tokens, tag="hotspot")]
+            return NO_EVENTS
+        return EventBatch.of(ARRIVAL, [view.max_load_label()], [self._tokens], tag="hotspot")
 
 
 class NodeChurn(EventGenerator):
@@ -339,17 +467,17 @@ class NodeChurn(EventGenerator):
         self._attach = int(attach_degree)
         self._rng = np.random.default_rng(seed)
 
-    def events(self, view: StreamView) -> List[DynamicEvent]:
+    def events(self, view: StreamView) -> EventBatch:
         events: List[DynamicEvent] = []
         if self._rng.random() < self._join_p:
             k = min(self._attach, len(view.labels))
             picks = self._rng.choice(len(view.labels), size=k, replace=False)
-            attach = tuple(view.labels[int(index)] for index in sorted(picks))
+            attach = tuple(view.labels[np.sort(picks)].tolist())
             events.append(DynamicEvent(JOIN, attach_to=attach, tag="churn"))
         if self._rng.random() < self._leave_p:
-            victim = view.labels[int(self._rng.integers(len(view.labels)))]
+            victim = int(view.labels[int(self._rng.integers(len(view.labels)))])
             events.append(DynamicEvent(LEAVE, node=victim, tag="churn"))
-        return events
+        return EventBatch.from_events(events) if events else NO_EVENTS
 
 
 class CompositeGenerator(EventGenerator):
@@ -358,11 +486,8 @@ class CompositeGenerator(EventGenerator):
     def __init__(self, generators: Sequence[EventGenerator]) -> None:
         self._generators = list(generators)
 
-    def events(self, view: StreamView) -> List[DynamicEvent]:
-        merged: List[DynamicEvent] = []
-        for generator in self._generators:
-            merged.extend(generator.events(view))
-        return merged
+    def events(self, view: StreamView) -> EventBatch:
+        return EventBatch.concat([generator.events(view) for generator in self._generators])
 
     def state_dict(self) -> Dict[str, object]:
         return {"type": type(self).__name__,

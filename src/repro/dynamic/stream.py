@@ -1,13 +1,17 @@
 """Streaming engine: drive any balancer through a time-varying scenario.
 
-The engine interleaves :class:`~repro.dynamic.events.DynamicEvent` streams
-with synchronous balancing rounds.  Each round it
+The engine interleaves event streams with synchronous balancing rounds.
+Each round it
 
-1. polls the event generator with a read-only :class:`StreamView`;
-2. applies the returned events to its own mutable system state: per-label
-   arrays over the sorted *stable labels* that survive node churn (speeds and
-   an ``(n, K)`` matrix of task counts per weight class) and a
-   :class:`networkx.Graph` on the same labels;
+1. polls the event generator with a read-only :class:`StreamView` and gets
+   back one :class:`~repro.dynamic.events.EventBatch` of int64 columns;
+2. applies the batch to its own mutable system state: per-label arrays over
+   the sorted *stable labels* that survive node churn (speeds and an
+   ``(n, K)`` matrix of task counts per weight class) and a
+   :class:`networkx.Graph` on the same labels.  Joins and leaves split the
+   batch and are applied one by one; each run of arrivals and departures
+   between them is applied at once (see :meth:`StreamingEngine._apply_tokens`),
+   with exactly the result of applying its rows in order;
 3. **re-couples** the balancer whenever an event changed the workload or the
    topology — the continuous substrate of the paper's framework is only
    meaningful for a fixed graph and total load, so the discrete balancer is
@@ -26,7 +30,12 @@ the tracked workload always equals ``initial + arrivals - departures``.
 Node leaves that would disconnect the network (or shrink it below three
 nodes) are rejected and recorded as such — the engine unconditionally
 preserves connectivity, which every balancing process in this library
-requires.
+requires.  Events on labels that are not in the system are rejected too.
+
+The timeline of every event seen is kept as int64 columns (round, kind,
+label, realised tokens, applied, tag), appended once per round; the
+``timeline`` property, ``result().event_timeline`` and
+``state_dict()["timeline"]`` build its list of dicts on demand.
 
 **Weighted streams.**  The initial workload may be a weighted
 :class:`~repro.tasks.assignment.TaskAssignment` or columnar
@@ -54,6 +63,7 @@ from ..backend import resolve_backend
 from ..core.flow_imitation import FlowCoupledBalancer, TaskSelectionPolicy
 from ..exceptions import ExperimentError
 from ..obs.bus import MetricsBus
+from ..obs.kernels import kernel_phase
 from ..obs.probe import RoundProbe
 from ..network.graph import Network
 from ..simulation.engine import ALL_ALGORITHMS, CONTINUOUS_KINDS, make_balancer, make_schedule
@@ -66,9 +76,92 @@ from ..tasks.load import (
     quadratic_potential,
 )
 from ..tasks.weighted import WeightedLoads
-from .events import ARRIVAL, DEPARTURE, JOIN, LEAVE, DynamicEvent, EventGenerator, StreamView
+from .events import (
+    DEPARTURE,
+    EVENT_KINDS,
+    JOIN,
+    KIND_CODES,
+    NO_LABEL,
+    EventBatch,
+    EventGenerator,
+    StreamView,
+)
 
 __all__ = ["run_stream", "StreamingEngine"]
+
+_DEPARTURE, _JOIN = KIND_CODES[DEPARTURE], KIND_CODES[JOIN]
+
+
+class _EventLog:
+    """The event timeline as int64 columns, appended once per round.
+
+    One row per event: round, kind code, label, realised tokens, applied
+    (0/1) and an index into ``tags``; ``attach`` maps a row to its
+    attachment labels.  Capacity doubles as rows arrive.
+    """
+
+    def __init__(self) -> None:
+        self._rows = np.empty((64, 6), dtype=np.int64)
+        self._size = 0
+        self._tags: List[str] = []
+        self._tag_codes: Dict[str, int] = {}
+        self._attach: Dict[int, Tuple[int, ...]] = {}
+
+    def append(self, rounds, kinds, labels, tokens, applied, tags: Sequence[str],
+               tag_column, attach: Dict[int, Tuple[int, ...]]) -> None:
+        """Append one block of rows; ``tag_column`` indexes the block's ``tags``."""
+        size = len(kinds)
+        if not size:
+            return
+        end = self._size + size
+        if end > len(self._rows):
+            grown = np.empty((max(end, 2 * len(self._rows)), 6), dtype=np.int64)
+            grown[:self._size] = self._rows[:self._size]
+            self._rows = grown
+        block = self._rows[self._size:end]
+        block[:, 0], block[:, 1], block[:, 2] = rounds, kinds, labels
+        block[:, 3], block[:, 4] = tokens, applied
+        block[:, 5] = np.array([self._tag_code(tag) for tag in tags],
+                               dtype=np.int64)[tag_column]
+        self._attach.update((self._size + row, targets) for row, targets in attach.items())
+        self._size = end
+
+    def _tag_code(self, tag: str) -> int:
+        code = self._tag_codes.get(tag)
+        if code is None:
+            code = self._tag_codes[tag] = len(self._tags)
+            self._tags.append(tag)
+        return code
+
+    def records(self) -> List[Dict[str, object]]:
+        """The timeline as fresh JSON-friendly dicts, in chronological order."""
+        tags = self._tags
+        records = [{"kind": EVENT_KINDS[kind],
+                    "node": None if kind == _JOIN and label == NO_LABEL else label,
+                    "tokens": tokens, "attach_to": [], "tag": tags[tag],
+                    "round": round_index, "applied": applied == 1}
+                   for round_index, kind, label, tokens, applied, tag
+                   in zip(*self._rows[:self._size].T.tolist())]
+        for row, targets in self._attach.items():
+            records[row]["attach_to"] = list(targets)
+        return records
+
+    @classmethod
+    def from_records(cls, records: Sequence[Dict[str, object]]) -> "_EventLog":
+        """The log of a :meth:`records` list (e.g. read back from a checkpoint)."""
+        log = cls()
+        tags = list(dict.fromkeys(str(record["tag"]) for record in records))
+        code = {tag: index for index, tag in enumerate(tags)}
+        log.append([int(record["round"]) for record in records],
+                   [KIND_CODES[str(record["kind"])] for record in records],
+                   [NO_LABEL if record["node"] is None else int(record["node"])
+                    for record in records],
+                   [int(record["tokens"]) for record in records],
+                   [bool(record["applied"]) for record in records],
+                   tags, [code[str(record["tag"])] for record in records],
+                   {row: tuple(int(label) for label in record["attach_to"])
+                    for row, record in enumerate(records) if record["attach_to"]})
+        return log
 
 
 class StreamingEngine:
@@ -156,7 +249,7 @@ class StreamingEngine:
         self._dummy_tokens = 0
         self._used_infinite_source = False
         self._went_negative = False
-        self._timeline: List[Dict[str, object]] = []
+        self._log = _EventLog()
 
         self._network: Network = None  # type: ignore[assignment]
         self._balancer = None
@@ -199,8 +292,8 @@ class StreamingEngine:
 
     @property
     def timeline(self) -> List[Dict[str, object]]:
-        """Chronological record of all events seen so far (copy)."""
-        return [dict(entry) for entry in self._timeline]
+        """Chronological record of all events seen so far (fresh dicts)."""
+        return self._log.records()
 
     @property
     def labels(self) -> Tuple[int, ...]:
@@ -229,8 +322,8 @@ class StreamingEngine:
 
     def view(self) -> StreamView:
         """The read-only snapshot handed to the event generator this round."""
-        return StreamView(round_index=self._round, labels=self._labels,
-                          loads=self.tokens_by_label(), network=self._network)
+        return StreamView(round_index=self._round, labels=self._label_array,
+                          loads=self._counts @ self._weights, network=self._network)
 
     # ------------------------------------------------------------------ #
     # the per-label arrays
@@ -251,6 +344,8 @@ class StreamingEngine:
         """Install new rows (only on JOIN/LEAVE) and rebuild the label index."""
         self._labels, self._speeds, self._counts = labels, speeds, counts
         self._rows = {label: row for row, label in enumerate(labels)}
+        self._label_array = np.array(labels, dtype=np.int64)
+        self._label_array.flags.writeable = False
 
     def _bucket_matrix(self, buckets: Sequence[Dict[int, int]]) -> np.ndarray:
         """The ``(n, K)`` count matrix of one ``{weight: count}`` mapping per row."""
@@ -331,7 +426,7 @@ class StreamingEngine:
                                      if self.weighted else None),
                          "clamped_tokens": self._boundary_clamped,
                          "rounds_since": self._rounds_since_boundary},
-            "timeline": self.timeline,
+            "timeline": self._log.records(),
             "generator": self._generator.state_dict(),
         }
 
@@ -388,7 +483,7 @@ class StreamingEngine:
         engine._dummy_tokens = int(state["dummy_tokens"])
         engine._used_infinite_source = bool(state["used_infinite_source"])
         engine._went_negative = bool(state["went_negative"])
-        engine._timeline = [dict(entry) for entry in state["timeline"]]
+        engine._log = _EventLog.from_records(state["timeline"])
 
         engine._balancer = None
         engine._attach_bus(None)
@@ -539,70 +634,146 @@ class StreamingEngine:
     # events
     # ------------------------------------------------------------------ #
 
-    def _apply_event(self, event: DynamicEvent) -> Tuple[bool, Dict[str, object]]:
-        """Apply one event to the stable-label state; return (changed, record)."""
-        record = event.as_dict()
-        record["round"] = self._round
-        record["applied"] = True
-        row = self._rows.get(event.node)
+    def _apply(self, batch: EventBatch) -> Tuple[bool, bool, int]:
+        """Apply one round's batch and log it; return (changed, topology changed, applied).
 
-        if event.kind == ARRIVAL:
-            if row is None:
-                record["applied"] = False
-            else:
-                self._counts[row, 0] += event.tokens
-                self._arrived += event.tokens
-            return record["applied"] and event.tokens > 0, record
+        Joins and leaves split the batch and are applied one by one; each
+        run of arrivals and departures between them is applied at once.
+        """
+        size = len(batch)
+        labels = batch.label.copy()
+        tokens = batch.tokens.copy()
+        applied = np.ones(size, dtype=bool)
+        attach = dict(batch.attach)
+        changed = topology_changed = False
+        start = 0
+        # joins and leaves have the two largest kind codes
+        for row in np.flatnonzero(batch.kind >= _JOIN).tolist() + [size]:
+            if row > start:
+                changed |= self._apply_tokens(batch, start, row, tokens, applied)
+            if row < size and self._apply_membership(batch, row, labels, tokens,
+                                                     applied, attach):
+                changed = topology_changed = True
+            start = row + 1
+        self._log.append(self._round, batch.kind, labels, tokens, applied,
+                         batch.tags, batch.tag, attach)
+        accepted = int(applied.sum())
+        self._rejected_events += size - accepted
+        return changed, topology_changed, accepted
 
-        if event.kind == DEPARTURE:
-            realised = min(event.tokens, 0 if row is None else int(self._counts[row, 0]))
-            record["tokens"] = realised
-            if row is None:
-                record["applied"] = False
-            else:
-                self._counts[row, 0] -= realised
-                self._departed += realised
-            return realised > 0, record
+    def _apply_tokens(self, batch: EventBatch, start: int, stop: int,
+                      tokens: np.ndarray, applied: np.ndarray) -> bool:
+        """Apply rows ``start:stop`` (arrivals and departures) at once.
 
-        if event.kind == JOIN:
-            attach = [label for label in event.attach_to if label in self._rows]
-            if not attach:
-                record["applied"] = False
-                return False, record
+        The result equals applying the rows in order, each departure taking
+        at most what its node holds at that moment.  Per label, in batch
+        order, the unclamped running count is ``S`` (start count + arrivals
+        - requests); the clamped count is ``S - min(0, cummin S)`` (the
+        Skorokhod reflection at zero) and a departure realises the drop in
+        the clamped count.  A stable sort by row groups the labels, and one
+        ``np.minimum.accumulate`` over ``min(S, 0) - group * B``, with ``B``
+        above the range of ``min(S, 0)``, takes every group's running
+        minimum at once.  A row on a label not in the system is rejected: it
+        changes nothing, so it may share the group of the row its label
+        would sort into.  A request above every count plus every arrival of
+        the rows realises what that bound would, so requests are capped at
+        it, which keeps all the sums in int64.  Writes the rows' realised
+        tokens and applied flags; returns whether any count changed.
+        """
+        label = batch.label[start:stop]
+        departures = batch.kind[start:stop] == _DEPARTURE
+        rows = np.searchsorted(self._label_array, label)
+        np.minimum(rows, len(self._labels) - 1, out=rows)
+        known = self._label_array[rows] == label
+        applied[start:stop] = known
+        requested = batch.tokens[start:stop]
+        bound = int(self._counts[:, 0].max()) + int(requested[~departures].sum())
+        delta = np.where(departures, -np.minimum(requested, bound), requested)
+        delta *= known
+
+        order = np.argsort(rows, kind="stable")
+        row_of, delta = rows[order], delta[order]
+        first = np.empty(row_of.size, dtype=bool)
+        first[0] = True
+        np.not_equal(row_of[1:], row_of[:-1], out=first[1:])
+        group = np.cumsum(first)
+        initial = self._counts[row_of[first], 0]
+        running = np.cumsum(delta)
+        running += (initial - (running - delta)[first])[group - 1]
+        floor = np.minimum(running, 0)
+        spread = 1 - int(floor.min())
+        if int(group[-1]) * spread >= 2 ** 62:
+            raise ExperimentError("event batch too large to apply in int64")
+        floor -= group * spread
+        np.minimum.accumulate(floor, out=floor)
+        floor += group * spread
+        count = running - floor
+
+        change = np.empty_like(count)
+        np.subtract(count[1:], count[:-1], out=change[1:])
+        change[first] = count[first] - initial
+        last = np.empty_like(first)
+        last[-1] = True
+        last[:-1] = first[1:]
+        self._counts[row_of[last], 0] = count[last]
+        in_order = np.empty_like(change)
+        in_order[order] = change
+        taken = -in_order[departures]
+        tokens[start:stop][departures] = taken
+        departed = int(taken.sum())
+        self._departed += departed
+        self._arrived += int(change.sum()) + departed
+        return bool(change.any())
+
+    def _apply_membership(self, batch: EventBatch, row: int, labels: np.ndarray,
+                          tokens: np.ndarray, applied: np.ndarray,
+                          attach: Dict[int, Tuple[int, ...]]) -> bool:
+        """Apply the join or leave in ``row``; return whether it was accepted.
+
+        Writes the row's logged label (a join's new label), tokens (a
+        leave's handed-out weight), applied flag and attachment list.
+        """
+        if batch.kind[row] == _JOIN:
+            targets = tuple(label for label in batch.attach[row] if label in self._rows)
+            if not targets:
+                applied[row] = False
+                return False
             label = self._next_label
             self._next_label += 1
             self._graph.add_node(label)
-            self._graph.add_edges_from((label, target) for target in attach)
+            self._graph.add_edges_from((label, target) for target in targets)
             joined = np.zeros((1, self._weights.size), dtype=np.int64)
-            joined[0, 0] = event.tokens
+            joined[0, 0] = tokens[row]
             self._set_rows(self._labels + (label,), np.append(self._speeds, 1.0),
                            np.vstack((self._counts, joined)))
-            self._arrived += event.tokens
-            record["node"] = label
-            record["attach_to"] = attach
-            return True, record
+            self._arrived += int(tokens[row])
+            labels[row] = label
+            attach[row] = targets
+            return True
 
         # LEAVE: reject anything that would disconnect the network or shrink
         # it below three nodes.  The tasks go round-robin to the d sorted
         # neighbours, class by class in ascending weight with the position
         # carried across classes: neighbour j gets ``count // d`` plus one if
         # its offset from the class's start is below ``count % d``.
-        if (row is None or len(self._labels) <= 3 or not nx.is_connected(
-                nx.restricted_view(self._graph, [event.node], []))):
-            record["applied"] = False
-            return False, record
-        neighbors = sorted(self._graph.neighbors(event.node))
-        self._graph.remove_node(event.node)
-        orphans = self._counts[row]
+        node = int(batch.label[row])
+        index = self._rows.get(node)
+        if (index is None or len(self._labels) <= 3 or not nx.is_connected(
+                nx.restricted_view(self._graph, [node], []))):
+            applied[row] = False
+            return False
+        neighbors = sorted(self._graph.neighbors(node))
+        self._graph.remove_node(node)
+        orphans = self._counts[index]
         degree = len(neighbors)
         starts = np.cumsum(orphans) - orphans
         offsets = (np.arange(degree) - starts[:, None]) % degree
         shares = orphans[:, None] // degree + (offsets < orphans[:, None] % degree)
         self._counts[[self._rows[label] for label in neighbors]] += shares.T
-        record["tokens"] = int(orphans @ self._weights)
-        self._set_rows(self._labels[:row] + self._labels[row + 1:],
-                       np.delete(self._speeds, row), np.delete(self._counts, row, axis=0))
-        return True, record
+        tokens[row] = int(orphans @ self._weights)
+        self._set_rows(self._labels[:index] + self._labels[index + 1:],
+                       np.delete(self._speeds, index), np.delete(self._counts, index, axis=0))
+        return True
 
     # ------------------------------------------------------------------ #
     # the round loop
@@ -610,31 +781,21 @@ class StreamingEngine:
 
     def step(self) -> None:
         """Apply this round's events (re-coupling if needed) and advance."""
-        events = self._generator.events(self.view())
-        changed = False
-        topology_changed = False
-        applied_events = 0
-        rejected_events = 0
-        for event in events:
-            event_changed, record = self._apply_event(event)
-            changed = changed or event_changed
-            topology_changed = topology_changed or (
-                event_changed and event.kind in (JOIN, LEAVE))
-            if not record["applied"]:
-                self._rejected_events += 1
-                rejected_events += 1
-            else:
-                applied_events += 1
-            self._timeline.append(record)
+        with kernel_phase("stream/events"):
+            batch = self._generator.events(self.view())
+            changed, topology_changed, applied_events = self._apply(batch)
+        rejected_events = len(batch) - applied_events
         recouple_mode = None
         if changed:
             self._recouplings += 1
             if topology_changed:
-                self._couple()
                 recouple_mode = "full"
+                with kernel_phase("stream/recouple-full"):
+                    self._couple()
             else:
-                self._recouple_loads()
                 recouple_mode = "fast"
+                with kernel_phase("stream/recouple-fast"):
+                    self._recouple_loads()
         bus = self._bus
         if bus is not None and bus.active and recouple_mode is not None:
             bus.emit("recouple", "stream", round_index=self._round,

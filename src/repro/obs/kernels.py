@@ -21,7 +21,12 @@ per-round ``"round"`` telemetry events carry a ``kernel_phases`` payload —
 ``family/kernel`` convention so hot-kernel tables group naturally:
 ``"continuous/advance"`` (the substrate), ``"flow/object-round"`` (both
 algorithms on the object backend), ``"flow/array-round"`` (both algorithms
-on the array backend, unit or weighted) and ``"baseline/excess-array"``.
+on the array backend, unit or weighted), ``"baseline/excess-array"``, and
+the dynamic stream's step outside the balancer: ``"stream/events"``
+(generating and applying a round's event batch), ``"stream/recouple-fast"``
+(the in-place load re-coupling) and ``"stream/recouple-full"`` (the rebuild
+after a join or leave).  A stream's phases land in the kernel phases of the
+balancing round that follows them.
 """
 
 from __future__ import annotations

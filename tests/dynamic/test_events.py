@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.dynamic.events import (
@@ -14,6 +15,7 @@ from repro.dynamic.events import (
     BurstyArrivals,
     CompositeGenerator,
     DynamicEvent,
+    EventBatch,
     NodeChurn,
     PoissonArrivals,
     PoissonDepartures,
@@ -27,11 +29,13 @@ from repro.network import topologies
 
 def make_view(round_index=0, loads=None, network=None):
     network = network or topologies.cycle(4)
-    labels = tuple(range(network.num_nodes))
+    labels = np.arange(network.num_nodes, dtype=np.int64)
     if loads is None:
-        loads = {label: 5 for label in labels}
+        loads = {label: 5 for label in labels.tolist()}
     return StreamView(round_index=round_index, labels=labels,
-                      loads=loads, network=network)
+                      loads=np.array([loads[label] for label in labels.tolist()],
+                                     dtype=np.int64),
+                      network=network)
 
 
 class TestDynamicEvent:
@@ -51,13 +55,63 @@ class TestDynamicEvent:
         with pytest.raises(ExperimentError):
             DynamicEvent(JOIN)
 
-    def test_as_dict_roundtrips_fields(self):
-        event = DynamicEvent(JOIN, attach_to=(1, 2), tokens=4, tag="churn")
-        record = event.as_dict()
-        assert record["kind"] == JOIN
-        assert record["attach_to"] == [1, 2]
-        assert record["tokens"] == 4
-        assert record["tag"] == "churn"
+    @pytest.mark.parametrize("tokens", [2.5, 3.0, "4", None])
+    def test_rejects_non_integer_tokens(self, tokens):
+        # a fractional amount used to be truncated by the int64 count matrix
+        with pytest.raises(ExperimentError):
+            DynamicEvent(ARRIVAL, node=0, tokens=tokens)
+
+    def test_accepts_numpy_integer_tokens(self):
+        event = DynamicEvent(DEPARTURE, node=0, tokens=np.int64(3))
+        assert event.tokens == 3 and type(event.tokens) is int
+
+
+class TestEventBatch:
+    EVENTS = [
+        DynamicEvent(ARRIVAL, node=2, tokens=5, tag="burst"),
+        DynamicEvent(JOIN, attach_to=(1, 2), tokens=4, tag="churn"),
+        DynamicEvent(DEPARTURE, node=0, tokens=0),
+        DynamicEvent(LEAVE, node=3, tag="churn"),
+    ]
+
+    def test_rows_roundtrip_fields(self):
+        batch = EventBatch.from_events(self.EVENTS)
+        assert len(batch) == 4
+        assert batch.kind.dtype == batch.label.dtype == batch.tokens.dtype == np.int64
+        assert list(batch) == self.EVENTS
+
+    def test_rejects_non_integer_tokens(self):
+        with pytest.raises(ExperimentError):
+            EventBatch.of(ARRIVAL, [0], np.array([2.5]))
+        with pytest.raises(ExperimentError):
+            EventBatch.of(DEPARTURE, [0, 1], [1, 1.5])
+
+    def test_accepts_numpy_integer_columns(self):
+        batch = EventBatch.of(ARRIVAL, np.array([1, 3], dtype=np.int32),
+                              np.array([2, 7], dtype=np.uint8), tag="x")
+        assert list(batch) == [DynamicEvent(ARRIVAL, node=1, tokens=2, tag="x"),
+                               DynamicEvent(ARRIVAL, node=3, tokens=7, tag="x")]
+
+    @pytest.mark.parametrize("columns", [
+        dict(kind=[0], label=[0], tokens=[-1]),        # negative tokens
+        dict(kind=[7], label=[0], tokens=[1]),         # unknown kind code
+        dict(kind=[0, 0], label=[0], tokens=[1, 1]),   # ragged columns
+        dict(kind=[2], label=[-1], tokens=[1]),        # join without attachment
+        dict(kind=[0], label=[0], tokens=[1], tag=[1]),  # tag outside the table
+    ])
+    def test_rejects_malformed_columns(self, columns):
+        with pytest.raises(ExperimentError):
+            EventBatch(**columns)
+
+    def test_concat_keeps_order_and_merges_tags(self):
+        first = EventBatch.from_events(self.EVENTS[:2])
+        second = EventBatch.from_events(self.EVENTS[2:])
+        empty = EventBatch.from_events([])
+        merged = EventBatch.concat([empty, first, empty, second])
+        assert list(merged) == self.EVENTS
+        assert merged.attach == {1: (1, 2)}
+        assert list(EventBatch.concat([empty, first])) == self.EVENTS[:2]
+        assert list(EventBatch.concat([])) == []
 
 
 class TestStreamView:
@@ -69,13 +123,17 @@ class TestStreamView:
         view = make_view(loads={0: 3, 1: 7, 2: 7, 3: 0})
         assert view.max_load_label() == 1
 
+    def test_max_load_label_reports_the_stable_label(self):
+        view = StreamView(0, np.array([2, 5, 9]), np.array([1, 4, 4]), topologies.cycle(3))
+        assert view.max_load_label() == 5
+
 
 class TestScheduledEvents:
     def test_returns_events_only_at_their_round(self):
         burst = DynamicEvent(ARRIVAL, node=0, tokens=9)
         generator = ScheduledEvents({3: [burst]})
-        assert generator.events(make_view(round_index=0)) == []
-        assert generator.events(make_view(round_index=3)) == [burst]
+        assert list(generator.events(make_view(round_index=0))) == []
+        assert list(generator.events(make_view(round_index=3))) == [burst]
 
     def test_rejects_negative_rounds(self):
         with pytest.raises(ExperimentError):
@@ -95,15 +153,15 @@ class TestDeterminism:
     def test_same_seed_same_stream(self, factory):
         views = [make_view(round_index=t, loads={0: 5, 1: 3, 2: 8, 3: 1})
                  for t in range(20)]
-        first = [factory().events(view) for view in views]
-        second = [factory().events(view) for view in views]
+        first = [list(factory().events(view)) for view in views]
+        second = [list(factory().events(view)) for view in views]
         assert first == second
         assert any(events for events in first)  # the comparison is not vacuous
 
     def test_different_seeds_differ(self):
         views = [make_view(round_index=t) for t in range(30)]
-        a = [PoissonArrivals(2.0, seed=1).events(view) for view in views]
-        b = [PoissonArrivals(2.0, seed=2).events(view) for view in views]
+        a = [list(PoissonArrivals(2.0, seed=1).events(view)) for view in views]
+        b = [list(PoissonArrivals(2.0, seed=2).events(view)) for view in views]
         assert a != b
 
 
@@ -124,7 +182,7 @@ class TestPoissonGenerators:
 
     def test_departures_from_empty_system(self):
         view = make_view(loads={label: 0 for label in range(4)})
-        assert PoissonDepartures(5.0, seed=0).events(view) == []
+        assert list(PoissonDepartures(5.0, seed=0).events(view)) == []
 
 
 class TestBurstyArrivals:
@@ -140,7 +198,7 @@ class TestBurstyArrivals:
 
     def test_fixed_target_node(self):
         generator = BurstyArrivals(12, period=1, node=2, seed=0)
-        assert all(generator.events(make_view(round_index=t))[0].node == 2
+        assert all(list(generator.events(make_view(round_index=t)))[0].node == 2
                    for t in range(5))
 
 
@@ -179,13 +237,11 @@ class TestProfiles:
         network = topologies.cycle(8)
         for profile in EVENT_PROFILES:
             generator = make_event_generator(profile, network, 8, seed=1)
-            view = make_view(network=network,
-                             loads={label: 8 for label in range(8)})
             # polling must work and only yield well-formed events
             for t in range(40):
-                for event in generator.events(
-                        StreamView(t, tuple(range(8)),
-                                   {label: 8 for label in range(8)}, network)):
+                view = make_view(round_index=t, network=network,
+                                 loads={label: 8 for label in range(8)})
+                for event in generator.events(view):
                     assert event.kind in ("arrival", "departure", "join", "leave")
 
     def test_unknown_profile_raises(self):

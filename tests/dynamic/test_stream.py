@@ -11,6 +11,8 @@ from repro.dynamic.events import (
     JOIN,
     LEAVE,
     DynamicEvent,
+    EventBatch,
+    EventGenerator,
     NodeChurn,
     PoissonArrivals,
     PoissonDepartures,
@@ -21,6 +23,7 @@ from repro.dynamic.events import (
 from repro.dynamic.stream import StreamingEngine, run_stream
 from repro.exceptions import ExperimentError
 from repro.network import topologies
+from repro.obs.kernels import activate_kernel_clock, deactivate_kernel_clock
 from repro.tasks.generators import uniform_random_load
 from repro.tasks.weighted import WeightedLoads
 
@@ -91,6 +94,23 @@ class TestLoadConservation:
         assert entry["tokens"] == 3  # the realised amount, not the requested 100
         assert result.trace_total_weight[-1] == 0.0
 
+
+    def test_fractional_tokens_are_rejected_not_truncated(self):
+        """2.5 tokens in and 1.5 out used to leave 36 tokens where 37 were reported."""
+        with pytest.raises(ExperimentError):
+            ScheduledEvents({0: [DynamicEvent(ARRIVAL, node=0, tokens=2.5)],
+                             1: [DynamicEvent(DEPARTURE, node=0, tokens=1.5)]})
+
+        class FractionalArrivals(EventGenerator):
+            def events(self, view):
+                return EventBatch.of(ARRIVAL, view.labels[:1], np.array([2.5]))
+
+        network = topologies.torus(3, dims=2)
+        engine = StreamingEngine("algorithm2", network, np.full(network.num_nodes, 4),
+                                 FractionalArrivals(), seed=0, backend="array")
+        with pytest.raises(ExperimentError):
+            engine.step()
+        assert engine.total_real_load() == 36
 
     def test_clamped_tokens_count_the_negative_loads_zeroed_each_round(self):
         """A baseline that drives nodes negative: each sync zeroes them and counts it."""
@@ -199,6 +219,38 @@ class TestChurn:
         arrival = engine.timeline[-1]
         assert arrival["kind"] == ARRIVAL and not arrival["applied"]
         assert engine.total_real_load() == 8
+
+
+class TestTimeline:
+    def test_timeline_copies_share_nothing_with_the_engine(self):
+        network = topologies.cycle(4)
+        generator = ScheduledEvents({0: [DynamicEvent(JOIN, attach_to=(0, 2), tokens=1)]})
+        engine = StreamingEngine("algorithm1", network, np.array([2, 2, 2, 2]), generator,
+                                 seed=0)
+        engine.step()
+        engine.timeline[0]["attach_to"].append(99)
+        engine.timeline[0]["tokens"] = 1000
+        assert engine.timeline[0]["attach_to"] == [0, 2]
+        assert engine.timeline[0]["tokens"] == 1
+        assert engine.state_dict()["timeline"][0]["attach_to"] == [0, 2]
+        assert engine.result().event_timeline[0]["attach_to"] == [0, 2]
+
+    def test_step_reports_its_stream_phases(self):
+        network, load = torus_instance()
+        generator = ScheduledEvents({
+            0: [DynamicEvent(ARRIVAL, node=0, tokens=4)],
+            1: [DynamicEvent(LEAVE, node=5)],
+        })
+        engine = StreamingEngine("algorithm2", network, load, generator, seed=0)
+        clock = activate_kernel_clock()
+        try:
+            engine.step()
+            engine.step()
+        finally:
+            deactivate_kernel_clock()
+        assert clock.counts["stream/events"] == 2
+        assert clock.counts["stream/recouple-fast"] == 1
+        assert clock.counts["stream/recouple-full"] == 1
 
 
 class TestStableLabelContract:

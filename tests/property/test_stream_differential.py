@@ -1,5 +1,6 @@
-"""Differential test: object and array streams agree on generated event schedules.
+"""Differential tests for dynamic streams on generated event schedules.
 
+**Object vs array backends.**
 Hypothesis draws a small topology (a 5-cycle, where leaves soon disconnect
 the path or shrink it below three nodes, or a 3x3 torus), a unit or weighted
 (w <= 3) workload and a ``ScheduledEvents`` schedule of arrivals,
@@ -13,6 +14,16 @@ a drawn round the array engine is checkpointed through canonical JSON and
 restored, and the restored engine must continue exactly as the
 uninterrupted one.
 
+**Batched vs sequential event application.**  The engine applies each
+run of arrivals and departures in a batch at once.  A plain-Python reference
+applies the same events one at a time with per-event semantics: an
+arrival adds to a known label, a departure takes at most what its label
+holds at that moment, a join attaches to the known labels among its targets,
+a leave is refused if it would disconnect the network or leave fewer than
+three nodes, and anything on an unknown label is rejected.  After every step
+the engine's post-event state (its coupling boundary), its counters and its
+timeline must match the reference's.
+
 The example count comes from the active hypothesis profile (see
 ``tests/conftest.py``): bounded for the tier-1 run, larger under
 ``--hypothesis-profile=deep``.
@@ -22,6 +33,7 @@ from __future__ import annotations
 
 import json
 
+import networkx as nx
 import numpy as np
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
@@ -136,3 +148,155 @@ def test_object_and_array_streams_agree(topology, weighted, tasks_per_node, sche
     rejected = [entry for entry in candidate.timeline if not entry["applied"]]
     event("leave rejected" if any(entry["kind"] == LEAVE for entry in rejected)
           else "no leave rejected")
+
+
+class SequentialReference:
+    """The per-label state after one event at a time (per-event semantics)."""
+
+    def __init__(self, engine):
+        state = engine.state_dict()
+        self.graph = nx.Graph()
+        self.graph.add_nodes_from(state["nodes"])
+        self.graph.add_edges_from(state["edges"])
+        if state["buckets"] is None:
+            self.buckets = {label: {1: tokens} for label, tokens in state["tokens"].items()}
+        else:
+            self.buckets = {label: dict(bucket) for label, bucket in state["buckets"].items()}
+        self.next_label = state["next_label"]
+        self.counters = {key: state[key] for key in ("arrived", "departed", "rejected_events")}
+        self.changed = self.topology_changed = False
+
+    def apply(self, event, round_index):
+        record = {"kind": event.kind, "node": event.node, "tokens": event.tokens,
+                  "attach_to": list(event.attach_to), "tag": event.tag,
+                  "round": round_index, "applied": True}
+        bucket = self.buckets.get(event.node)
+        if event.kind == ARRIVAL:
+            if bucket is None:
+                record["applied"] = False
+            else:
+                bucket[1] = bucket.get(1, 0) + event.tokens
+                self.counters["arrived"] += event.tokens
+                self.changed |= event.tokens > 0
+        elif event.kind == DEPARTURE:
+            realised = 0 if bucket is None else min(event.tokens, bucket.get(1, 0))
+            record["tokens"] = realised
+            if bucket is None:
+                record["applied"] = False
+            else:
+                bucket[1] = bucket.get(1, 0) - realised
+                self.counters["departed"] += realised
+                self.changed |= realised > 0
+        elif event.kind == JOIN:
+            attach = [label for label in event.attach_to if label in self.buckets]
+            if not attach:
+                record["applied"] = False
+            else:
+                label = self.next_label
+                self.next_label += 1
+                self.graph.add_edges_from((label, target) for target in attach)
+                self.buckets[label] = {1: event.tokens}
+                self.counters["arrived"] += event.tokens
+                record["node"], record["attach_to"] = label, attach
+                self.changed = self.topology_changed = True
+        else:
+            remaining = self.graph.copy()
+            if bucket is not None:
+                remaining.remove_node(event.node)
+            if bucket is None or len(self.buckets) <= 3 or not nx.is_connected(remaining):
+                record["applied"] = False
+            else:
+                # one task at a time, round-robin over the sorted neighbours,
+                # class by class in ascending weight
+                neighbors = sorted(self.graph.neighbors(event.node))
+                position = 0
+                for weight in sorted(bucket):
+                    for _ in range(bucket[weight]):
+                        target = self.buckets[neighbors[position % len(neighbors)]]
+                        target[weight] = target.get(weight, 0) + 1
+                        position += 1
+                record["tokens"] = sum(weight * count for weight, count in bucket.items())
+                self.graph = remaining
+                del self.buckets[event.node]
+                self.changed = self.topology_changed = True
+        if not record["applied"]:
+            self.counters["rejected_events"] += 1
+        return record
+
+    def tokens(self):
+        return {label: sum(weight * count for weight, count in bucket.items())
+                for label, bucket in sorted(self.buckets.items())}
+
+    def nonzero_buckets(self):
+        return {label: {weight: count for weight, count in sorted(bucket.items()) if count}
+                for label, bucket in sorted(self.buckets.items())}
+
+
+oracle_labels = st.integers(0, 12)
+token_events = st.one_of(
+    st.builds(lambda node, tokens: DynamicEvent(ARRIVAL, node=node, tokens=tokens),
+              oracle_labels, st.integers(0, 8)),
+    st.builds(lambda node, tokens: DynamicEvent(DEPARTURE, node=node, tokens=tokens),
+              oracle_labels, st.integers(0, 25)),
+)
+oracle_batches = st.lists(st.one_of(token_events, token_events, token_events, events),
+                          max_size=10)
+
+
+def A(node, tokens):
+    return DynamicEvent(ARRIVAL, node=node, tokens=tokens)
+
+
+def D(node, tokens):
+    return DynamicEvent(DEPARTURE, node=node, tokens=tokens)
+
+
+# arrivals and departures on one label, in either order
+@example(topology="torus", weighted=False, tasks_per_node=1, seed=1,
+         schedule=[[D(0, 5), A(0, 3), D(0, 2), A(1, 4), D(1, 6), A(1, 1)],
+                   [A(2, 2), D(2, 1), A(2, 2), D(0, 1)]])
+# over-asking and zero-token departures, on several labels, and departures
+# asking for far more than int64 arithmetic over the batch could add up
+@example(topology="torus", weighted=False, tasks_per_node=3, seed=2,
+         schedule=[[D(2, 40), D(3, 0), D(2, 0), A(4, 2), D(4, 30), D(5, 1), D(6, 2)],
+                   [D(label, 2**62) for label in range(9)] + [A(0, 1), D(0, 2**62)]])
+# unknown and departed labels
+@example(topology="cycle", weighted=True, tasks_per_node=2, seed=3,
+         schedule=[[DynamicEvent(LEAVE, node=1), A(1, 3), D(1, 2), A(12, 5), D(11, 1),
+                    D(0, 1)]])
+# a join, then events on its new label in the same batch
+@example(topology="torus", weighted=False, tasks_per_node=2, seed=4,
+         schedule=[[DynamicEvent(JOIN, attach_to=(0, 4), tokens=3), A(9, 2), D(9, 4),
+                    D(9, 1), A(10, 1)]])
+# a leave in mid-batch, then events on the label that left
+@example(topology="torus", weighted=True, tasks_per_node=3, seed=5,
+         schedule=[[A(2, 3), D(5, 1), DynamicEvent(LEAVE, node=2), A(2, 1), D(3, 50),
+                    DynamicEvent(LEAVE, node=3), D(4, 2)]])
+@given(topology=st.sampled_from(sorted(TOPOLOGIES)), weighted=st.booleans(),
+       tasks_per_node=st.integers(0, 6),
+       schedule=st.lists(oracle_batches, min_size=1, max_size=6),
+       seed=st.integers(0, 2**16))
+@settings(deadline=None)
+def test_batched_application_matches_one_event_at_a_time(topology, weighted,
+                                                         tasks_per_node, schedule, seed):
+    engine = build_engine("array", topology, weighted, tasks_per_node, schedule, seed)
+    timeline = []
+    for round_index, batch in enumerate(schedule):
+        reference = SequentialReference(engine)
+        timeline.extend(reference.apply(event, round_index) for event in batch)
+        before = engine.tokens_by_label()
+        recouplings, fast = engine.recouplings, engine.fast_recouplings
+        engine.step()
+        label = f"round {round_index}"
+        state = engine.state_dict()
+        assert engine.recouplings - recouplings == int(reference.changed), label
+        assert engine.fast_recouplings - fast == int(
+            reference.changed and not reference.topology_changed), label
+        assert engine.labels == tuple(sorted(reference.buckets)), label
+        # the coupling boundary is the state right after this round's events
+        after = state["boundary"] if reference.changed else {"tokens": before}
+        assert after["tokens"] == reference.tokens(), label
+        if engine.weighted and reference.changed:
+            assert after["buckets"] == reference.nonzero_buckets(), label
+        assert {key: state[key] for key in reference.counters} == reference.counters, label
+        assert engine.timeline == timeline, label
