@@ -15,11 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-import numpy as np
-
-from ..exceptions import ProcessError
 from ..network.graph import Edge, Network
-from ..network.spectral import AlphaScheme, compute_alphas
+from ..network.spectral import AlphaScheme, alpha_array, alphas_to_array
 from .base import ContinuousProcess, RoundFlows
 
 __all__ = ["FirstOrderDiffusion"]
@@ -52,10 +49,8 @@ class FirstOrderDiffusion(ContinuousProcess):
         check_negative_load: bool = False,
     ) -> None:
         super().__init__(network, initial_load, check_negative_load=check_negative_load)
-        if alphas is None:
-            alphas = compute_alphas(network, scheme)
-        self._alpha_array = _alphas_to_array(network, alphas)
-        self._alphas = dict(alphas)
+        self._alpha_array = (alpha_array(network, scheme) if alphas is None
+                             else alphas_to_array(network, alphas))
         speeds = network.speeds
         sources, targets = self.network.edge_endpoints
         # Pre-compute the per-edge transfer rates alpha_e / s_u and alpha_e / s_v.
@@ -64,8 +59,8 @@ class FirstOrderDiffusion(ContinuousProcess):
 
     @property
     def alphas(self) -> Dict[Edge, float]:
-        """The symmetric edge weights used by this process (copy)."""
-        return dict(self._alphas)
+        """The symmetric edge weights used by this process (a fresh dict)."""
+        return dict(zip(self.network.edges, self._alpha_array.tolist()))
 
     def _compute_flows(self) -> RoundFlows:
         sources, targets = self.network.edge_endpoints
@@ -74,15 +69,3 @@ class FirstOrderDiffusion(ContinuousProcess):
         backward = self._rate_backward * load[targets]
         return RoundFlows(self.network, forward=forward, backward=backward)
 
-
-def _alphas_to_array(network: Network, alphas: Dict[Edge, float]) -> np.ndarray:
-    """Convert an alpha mapping into an array aligned with the network edge order."""
-    array = np.zeros(network.num_edges, dtype=float)
-    for (u, v), value in alphas.items():
-        if value <= 0:
-            raise ProcessError(f"alpha for edge {(u, v)} must be positive")
-        array[network.edge_index(u, v)] = value
-    if np.any(array == 0):
-        missing = [edge for edge in network.edges if alphas.get(edge, 0) == 0]
-        raise ProcessError(f"alphas missing for edges {missing[:5]}")
-    return array

@@ -28,7 +28,7 @@ import numpy as np
 from ..exceptions import ProcessError
 from ..network.graph import Edge, Network
 from ..network.matchings import MatchingSchedule
-from ..network.spectral import AlphaScheme, compute_alphas
+from ..network.spectral import AlphaScheme, alpha_entries, compute_alphas, node_alpha_sums
 from .base import ContinuousProcess, RoundFlows
 
 __all__ = [
@@ -109,26 +109,23 @@ class GeneralLinearProcess(ContinuousProcess):
 
     def _active_rates(self) -> RoundFlows:
         """Evaluate ``P_{i,j}(t) * x_i(t)`` for the edges active this round."""
-        alphas = self._provider(self.round_index)
-        flows = RoundFlows(self.network)
-        speeds = self.network.speeds
-        if self._validate_rows and alphas:
-            sums = np.zeros(self.network.num_nodes)
-            for (u, v), alpha in alphas.items():
-                if alpha <= 0:
-                    raise ProcessError(f"alpha for edge {(u, v)} must be positive")
-                sums[u] += alpha
-                sums[v] += alpha
+        network = self.network
+        edges, alphas = alpha_entries(network, self._provider(self.round_index),
+                                      check_positive=self._validate_rows)
+        u, v = network.edge_endpoints
+        u, v = u[edges], v[edges]
+        speeds = network.speeds
+        if self._validate_rows and edges.size:
+            sums = node_alpha_sums(network.num_nodes, u, v, alphas)
             if np.any(sums >= speeds):
                 node = int(np.argmax(sums - speeds))
                 raise ProcessError(
                     f"round {self.round_index}: sum of alphas at node {node} "
                     f"({sums[node]:.4f}) must stay below its speed ({speeds[node]:.4f})"
                 )
-        for (u, v), alpha in alphas.items():
-            index = self.network.edge_index(u, v)
-            flows.forward[index] = alpha / speeds[u] * self._load[u]
-            flows.backward[index] = alpha / speeds[v] * self._load[v]
+        flows = RoundFlows(network)
+        flows.forward[edges] = alphas / speeds[u] * self._load[u]
+        flows.backward[edges] = alphas / speeds[v] * self._load[v]
         return flows
 
     def _compute_flows(self) -> RoundFlows:

@@ -26,13 +26,13 @@ from ..exceptions import ProcessError
 from ..network.graph import Edge, Network
 from ..network.spectral import (
     AlphaScheme,
-    compute_alphas,
+    alpha_array,
+    alphas_to_array,
     diffusion_matrix,
     optimal_sos_beta,
     second_largest_eigenvalue,
 )
 from .base import ContinuousProcess, RoundFlows
-from .fos import _alphas_to_array
 
 __all__ = ["SecondOrderDiffusion"]
 
@@ -64,12 +64,10 @@ class SecondOrderDiffusion(ContinuousProcess):
         check_negative_load: bool = False,
     ) -> None:
         super().__init__(network, initial_load, check_negative_load=check_negative_load)
-        if alphas is None:
-            alphas = compute_alphas(network, scheme)
-        self._alphas = dict(alphas)
-        self._alpha_array = _alphas_to_array(network, alphas)
+        self._alpha_array = (alpha_array(network, scheme) if alphas is None
+                             else alphas_to_array(network, alphas))
         if beta is None:
-            lam = second_largest_eigenvalue(diffusion_matrix(network, alphas=alphas))
+            lam = second_largest_eigenvalue(diffusion_matrix(network, alphas=self._alpha_array))
             beta = optimal_sos_beta(min(lam, 1.0 - 1e-12))
         if not 0.0 < beta <= 2.0:
             raise ProcessError(f"beta must lie in (0, 2], got {beta}")
@@ -86,8 +84,8 @@ class SecondOrderDiffusion(ContinuousProcess):
 
     @property
     def alphas(self) -> Dict[Edge, float]:
-        """The symmetric edge weights used by this process (copy)."""
-        return dict(self._alphas)
+        """The symmetric edge weights used by this process (a fresh dict)."""
+        return dict(zip(self.network.edges, self._alpha_array.tolist()))
 
     def _compute_flows(self) -> RoundFlows:
         sources, targets = self.network.edge_endpoints

@@ -41,7 +41,7 @@ from ...counter_rng import (
 )
 from ...exceptions import ProcessError
 from ...network.graph import Edge, Network
-from ...network.spectral import AlphaScheme, compute_alphas
+from ...network.spectral import AlphaScheme, alpha_array, alpha_entries
 from ..base import IntegerLoadBalancer
 
 __all__ = [
@@ -77,19 +77,19 @@ class DiffusionBaseline(IntegerLoadBalancer):
     ) -> None:
         super().__init__(network, initial_load)
         if alphas is None:
-            alphas = compute_alphas(network, scheme)
-        self._alphas = dict(alphas)
-        self._alpha_array = np.zeros(network.num_edges, dtype=float)
-        for (u, v), value in alphas.items():
-            self._alpha_array[network.edge_index(u, v)] = value
+            self._alpha_array = alpha_array(network, scheme)
+        else:
+            edges, values = alpha_entries(network, alphas, check_positive=False)
+            self._alpha_array = np.zeros(network.num_edges, dtype=float)
+            self._alpha_array[edges] = values
         if np.any(self._alpha_array <= 0):
             raise ProcessError("every edge needs a positive alpha weight")
         self._sources, self._targets = network.edge_endpoints
 
     @property
     def alphas(self) -> Dict[Edge, float]:
-        """The symmetric FOS edge weights in use (copy)."""
-        return dict(self._alphas)
+        """The symmetric FOS edge weights in use (a fresh dict)."""
+        return dict(zip(self.network.edges, self._alpha_array.tolist()))
 
     def _net_continuous_flows(self) -> np.ndarray:
         """Per-edge continuous net flow ``alpha_e (x_u/s_u - x_v/s_v)`` (canonical direction)."""
@@ -148,7 +148,7 @@ class RoundDownSecondOrder(DiffusionBaseline):
                 second_largest_eigenvalue,
             )
 
-            lam = second_largest_eigenvalue(diffusion_matrix(network, alphas=self._alphas))
+            lam = second_largest_eigenvalue(diffusion_matrix(network, alphas=self._alpha_array))
             beta = optimal_sos_beta(min(lam, 1.0 - 1e-12))
         if not 0.0 < beta <= 2.0:
             raise ProcessError(f"beta must lie in (0, 2], got {beta}")
@@ -316,7 +316,7 @@ class ExcessTokenDiffusion(DiffusionBaseline):
             )
         self._strategy = strategy
         self._rng_mode = validate_rng_mode(rng_mode)
-        self._dir_offsets = None  # built lazily: only the counter mode reads them
+        self._dir_offsets = None  # built lazily, on the first round
         self._reset_state(seed)
 
     def _reset_state(self, seed) -> None:
@@ -346,19 +346,16 @@ class ExcessTokenDiffusion(DiffusionBaseline):
 
     def _ensure_directed_arrays(self) -> None:
         """Gather the directed-edge arrays (the network's ``(sender,
-        receiver)`` planning order) shared by the counter-mode reference and
-        the columnar kernel.
+        receiver)`` planning order) shared by both rng modes and the columnar
+        kernel.
 
-        Topology data, built once on first counter-mode use — the default
-        sequential mode never reads them, so it does not pay for them."""
+        Topology data, built once on first use."""
         if self._dir_offsets is not None:
             return
         network = self.network
         order = network.directed_order
-        senders, receivers = network.directed_endpoints
-        self._dir_offsets = np.concatenate(([0], np.cumsum(network.degrees))).astype(np.int64)
-        self._dir_src = senders[order]
-        self._dir_dst = receivers[order]
+        self._dir_offsets, self._dir_dst = network.csr
+        self._dir_src = network.directed_endpoints[0][order]
         self._dir_alpha = np.concatenate((self._alpha_array, self._alpha_array))[order]
 
     def _counter_flow_plan(self):
@@ -434,6 +431,9 @@ class ExcessTokenDiffusion(DiffusionBaseline):
         self._apply_edge_moves(moves)
 
     def _execute_round_sequential(self) -> None:
+        self._ensure_directed_arrays()
+        directed_alphas = self._dir_alpha.tolist()
+        offsets = self._dir_offsets.tolist()
         speeds = self.network.speeds
         loads = self._loads.astype(float)
         moves: List[Tuple[int, int, int]] = []
@@ -442,18 +442,15 @@ class ExcessTokenDiffusion(DiffusionBaseline):
             if load <= 0:
                 continue
             neighbors = self.network.neighbors(node)
+            alphas = directed_alphas[offsets[node]:offsets[node + 1]]
             directed = []
             total_floor = 0
-            for neighbor in neighbors:
-                alpha = self._alphas[(node, neighbor) if node < neighbor else (neighbor, node)]
+            for neighbor, alpha in zip(neighbors, alphas):
                 amount = alpha / speeds[node] * load
                 floor_amount = int(math.floor(amount + 1e-12))
                 directed.append((neighbor, floor_amount))
                 total_floor += floor_amount
-            kept = load - sum(
-                self._alphas[(node, nbr) if node < nbr else (nbr, node)] / speeds[node] * load
-                for nbr in neighbors
-            )
+            kept = load - sum(alpha / speeds[node] * load for alpha in alphas)
             kept_floor = int(math.floor(kept + 1e-12))
             excess = int(round(load - total_floor - kept_floor))
             for neighbor, floor_amount in directed:

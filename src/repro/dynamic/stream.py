@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-import networkx as nx
+import networkx as nx  # repro: allow[R007] JOIN/LEAVE edit this graph (a CSR is future work)
 import numpy as np
 
 from ..backend import resolve_backend

@@ -4,18 +4,21 @@ A :class:`Network` is an undirected graph whose nodes represent processors
 (resources) and whose edges represent communication links.  Every node ``i``
 carries an integer *speed* ``s_i >= 1`` (heterogeneous processing rates, see
 Section 3 of the paper).  The class pre-computes the data every balancing
-process needs each round: neighbour lists, degrees, the edge index used to
-store per-edge flows, the read-only edge endpoint arrays and directed
-planning order the array kernels share, and convenience matrices
-(adjacency, Laplacian).
+process needs each round: the read-only int64 edge endpoint arrays, the
+directed planning order and CSR adjacency the array kernels share, and the
+degrees.  Python-object views (the edge tuple, the edge index, neighbour
+tuples, a :class:`networkx.Graph`) are built on first use and cached.
 
-Nodes are always labelled ``0 .. n-1``.  Graphs supplied as
-:class:`networkx.Graph` instances with arbitrary hashable labels are relabelled
-to integers (the original labels are kept in :attr:`Network.node_labels`).
+Nodes are always labelled ``0 .. n-1``.  :meth:`Network.from_edges` builds a
+network straight from int64 endpoint arrays; the constructor adapts a
+:class:`networkx.Graph` with arbitrary hashable labels, relabelling them to
+integers (the original labels are kept in :attr:`Network.node_labels`).
 """
 
 from __future__ import annotations
 
+import copy
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -41,10 +44,11 @@ class Network:
     ----------
     graph:
         A :class:`networkx.Graph`.  Self loops are rejected; multi-edges are
-        collapsed by networkx automatically.  The graph may be disconnected,
-        but most balancing processes only make sense on connected graphs, so
-        a warning-level validation helper :meth:`require_connected` is
-        provided.
+        collapsed.  Sortable node labels are numbered in sorted order, others
+        in insertion order; the graph itself is not kept.  The graph may be
+        disconnected, but most balancing processes only make sense on
+        connected graphs, so a validation helper :meth:`require_connected`
+        is provided.
     speeds:
         Optional sequence of integer speeds, one per node, each ``>= 1``.
         Defaults to uniform speed 1.
@@ -54,15 +58,16 @@ class Network:
     Notes
     -----
     The per-edge flow bookkeeping used throughout the library indexes
-    undirected edges by position in :attr:`edges`; :meth:`edge_index` maps an
-    unordered node pair to that position.
+    undirected edges by position in :attr:`edges` (sorted canonical pairs);
+    :meth:`edge_index` maps an unordered node pair to that position.
 
-    The edge layout is computed once here and shared by every per-round
-    consumer: :attr:`edges` is an immutable tuple returned without copying,
-    and :attr:`edge_endpoints`, :attr:`directed_endpoints` and
-    :attr:`directed_order` are read-only int64 arrays (writing to them raises
-    ``ValueError``).  Directed edge ``k < m`` is edge ``k`` traversed
-    ``u -> v``; directed edge ``m + k`` is the same edge traversed ``v -> u``.
+    The edge layout is computed once, from int64 endpoint arrays, and shared
+    by every per-round consumer: :attr:`edge_endpoints`,
+    :attr:`directed_endpoints`, :attr:`directed_order` and :attr:`csr` are
+    read-only int64 arrays (writing to them raises ``ValueError``), and
+    :attr:`edges` is an immutable tuple returned without copying.  Directed
+    edge ``k < m`` is edge ``k`` traversed ``u -> v``; directed edge ``m + k``
+    is the same edge traversed ``v -> u``.
     """
 
     def __init__(
@@ -71,51 +76,75 @@ class Network:
         speeds: Optional[Sequence[float]] = None,
         name: Optional[str] = None,
     ) -> None:
-        if graph.number_of_nodes() == 0:
+        labels = list(graph.nodes())
+        if _is_sortable(labels):
+            labels = sorted(labels)
+        index = {label: i for i, label in enumerate(labels)}
+        ends = np.fromiter(map(index.__getitem__, chain.from_iterable(graph.edges())),
+                           dtype=np.int64, count=2 * graph.number_of_edges())
+        self._build(len(labels), ends[0::2], ends[1::2], speeds, name, labels)
+
+    @classmethod
+    def from_edges(
+        cls,
+        num_nodes: int,
+        u: Sequence[int],
+        v: Sequence[int],
+        speeds: Optional[Sequence[float]] = None,
+        name: Optional[str] = None,
+    ) -> "Network":
+        """Build a network on nodes ``0 .. num_nodes-1`` from edge endpoint arrays.
+
+        Edge ``k`` joins ``u[k]`` and ``v[k]``; either orientation and
+        repeated edges are accepted.  The order of first appearance is
+        remembered only for :attr:`graph`'s adjacency order.
+        """
+        network = cls.__new__(cls)
+        network._build(int(num_nodes), np.asarray(u, dtype=np.int64),
+                       np.asarray(v, dtype=np.int64), speeds, name,
+                       list(range(int(num_nodes))))
+        return network
+
+    def _build(self, n: int, u: np.ndarray, v: np.ndarray,
+               speeds: Optional[Sequence[float]], name: Optional[str],
+               labels: List) -> None:
+        """Compute the edge layout from endpoint arrays (the one layout builder)."""
+        if n < 1:
             raise NetworkError("a network must contain at least one node")
-        if any(u == v for u, v in graph.edges()):
-            raise NetworkError("self loops are not allowed in a network")
-
-        node_labels = list(graph.nodes())
-        relabelled = nx.convert_node_labels_to_integers(
-            graph, ordering="sorted" if _is_sortable(node_labels) else "default"
-        )
-
-        self._graph: nx.Graph = relabelled
-        self.node_labels: List = sorted(node_labels) if _is_sortable(node_labels) else node_labels
-        self.name: str = name or "network"
-
-        self._n = relabelled.number_of_nodes()
-        self._edges: Tuple[Edge, ...] = tuple(sorted(
-            _canonical_edge(u, v) for u, v in relabelled.edges()
-        ))
-        self._edge_index: Dict[Edge, int] = {e: k for k, e in enumerate(self._edges)}
-        endpoints = np.array(self._edges, dtype=np.int64).reshape(-1, 2)
-        self._directed_senders = _read_only(np.concatenate((endpoints[:, 0], endpoints[:, 1])))
-        self._directed_receivers = _read_only(np.concatenate((endpoints[:, 1], endpoints[:, 0])))
-        m = len(self._edges)
-        self._edge_endpoints = (self._directed_senders[:m], self._directed_receivers[:m])
-        # A simple graph has unique (sender, receiver) pairs, so this one sort
-        # fixes the planning order of every subset of directed edges.
-        self._directed_order = _read_only(
-            np.lexsort((self._directed_receivers, self._directed_senders)))
-        self._neighbors: List[Tuple[int, ...]] = [
-            tuple(sorted(relabelled.neighbors(i))) for i in range(self._n)
-        ]
-        self._degrees = np.array([len(nbrs) for nbrs in self._neighbors], dtype=int)
-
-        if speeds is None:
-            speeds = np.ones(self._n, dtype=float)
-        speeds = np.asarray(list(speeds), dtype=float)
-        if speeds.shape != (self._n,):
+        if u.shape != v.shape or u.ndim != 1:
             raise NetworkError(
-                f"expected {self._n} speeds, got shape {speeds.shape}"
-            )
-        if np.any(speeds < 1):
-            raise NetworkError("all speeds must be >= 1 (scale so min speed is 1)")
-        if not np.all(np.isfinite(speeds)):
-            raise NetworkError("speeds must be finite")
-        self._speeds = speeds
+                f"edge endpoints must be two 1-d arrays of one length, got {u.shape} and {v.shape}")
+        if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= n):
+            raise NetworkError(f"edge endpoints must lie in 0..{n - 1}")
+        if np.any(u == v):
+            raise NetworkError("self loops are not allowed in a network")
+        self.node_labels: List = labels
+        self.name: str = name or "network"
+        self._n = n
+        # One sort of the canonical keys n*u + v (u < v) dedupes the edges and
+        # puts them in (u, v) order.
+        keys, first = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_index=True)
+        self._keys = _read_only(keys)
+        #: the edges in order of first appearance, if that is not sorted order
+        self._graph_order = (np.argsort(first) if np.any(first[1:] < first[:-1]) else None)
+        m = keys.size
+        self._directed_senders = _read_only(np.concatenate((keys // n, keys % n)))
+        self._directed_receivers = _read_only(np.concatenate((keys % n, keys // n)))
+        self._edge_endpoints = (self._directed_senders[:m], self._directed_receivers[:m])
+        # (sender, receiver) pairs are unique, so sorting their keys fixes the
+        # planning order of every subset of directed edges; it is also the CSR.
+        self._directed_order = _read_only(
+            np.argsort(self._directed_senders * n + self._directed_receivers))
+        self._degrees = np.bincount(self._directed_senders, minlength=n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self._degrees, out=indptr[1:])
+        self._csr = (_read_only(indptr),
+                     _read_only(self._directed_receivers[self._directed_order]))
+        self._speeds = _checked_speeds(speeds, n)
+        self._edges: Optional[Tuple[Edge, ...]] = None
+        self._edge_index: Optional[Dict[Edge, int]] = None
+        self._neighbors: Optional[List[Tuple[int, ...]]] = None
+        self._graph: Optional[nx.Graph] = None
 
     # ------------------------------------------------------------------ #
     # basic properties
@@ -123,7 +152,21 @@ class Network:
 
     @property
     def graph(self) -> nx.Graph:
-        """The underlying :class:`networkx.Graph` with integer labels."""
+        """A :class:`networkx.Graph` view on nodes ``0 .. n-1``, built on first use.
+
+        Edges are added in the order they were first given, so the adjacency
+        order (which networkx algorithms such as the edge colouring's line
+        graph follow) is that of the source graph.  The view is cached; do
+        not mutate it.
+        """
+        if self._graph is None:
+            u, v = self._edge_endpoints
+            if self._graph_order is not None:
+                u, v = u[self._graph_order], v[self._graph_order]
+            graph = nx.Graph()
+            graph.add_nodes_from(range(self._n))
+            graph.add_edges_from(zip(u.tolist(), v.tolist()))
+            self._graph = graph
         return self._graph
 
     @property
@@ -134,7 +177,7 @@ class Network:
     @property
     def num_edges(self) -> int:
         """Number of undirected edges."""
-        return len(self._edges)
+        return int(self._keys.size)
 
     @property
     def nodes(self) -> range:
@@ -144,6 +187,9 @@ class Network:
     @property
     def edges(self) -> Tuple[Edge, ...]:
         """All undirected edges in canonical ``(u, v), u < v`` form (shared tuple)."""
+        if self._edges is None:
+            u, v = self._edge_endpoints
+            self._edges = tuple(zip(u.tolist(), v.tolist()))
         return self._edges
 
     @property
@@ -161,6 +207,16 @@ class Network:
         """The directed edges sorted by ``(sender, receiver)`` (read-only int64)."""
         return self._directed_order
 
+    @property
+    def csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only int64 CSR adjacency ``(indptr, indices)``.
+
+        The sorted neighbours of node ``i`` are
+        ``indices[indptr[i]:indptr[i + 1]]``; position ``p`` of ``indices`` is
+        directed edge ``directed_order[p]``.
+        """
+        return self._csr
+
     def active_directed_edges(
         self, residual: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -172,7 +228,7 @@ class Network:
         receiver)`` -- the order :func:`numpy.lexsort` would give -- without
         sorting: the precomputed :attr:`directed_order` is filtered instead.
         """
-        m = len(self._edges)
+        m = self.num_edges
         order = self._directed_order
         # Integer gathers: boolean-mask indexing and np.where cost several
         # times more on the random masks a round produces.
@@ -235,11 +291,20 @@ class Network:
     def neighbors(self, node: int) -> Tuple[int, ...]:
         """Return the sorted tuple of neighbours of ``node``."""
         self._check_node(node)
+        if self._neighbors is None:
+            indptr, indices = self._csr
+            flat, bounds = indices.tolist(), indptr.tolist()
+            self._neighbors = [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
         return self._neighbors[node]
+
+    def _index_map(self) -> Dict[Edge, int]:
+        if self._edge_index is None:
+            self._edge_index = dict(zip(self.edges, range(self.num_edges)))
+        return self._edge_index
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the undirected edge ``{u, v}`` exists."""
-        return _canonical_edge(u, v) in self._edge_index
+        return _canonical_edge(u, v) in self._index_map()
 
     def edge_index(self, u: int, v: int) -> int:
         """Return the index of edge ``{u, v}`` in :attr:`edges`.
@@ -251,20 +316,46 @@ class Network:
         """
         key = _canonical_edge(u, v)
         try:
-            return self._edge_index[key]
+            return self._index_map()[key]
         except KeyError:
             raise NetworkError(f"edge {key} does not exist") from None
+
+    def edge_ids(self, u: Sequence[int], v: Sequence[int]) -> np.ndarray:
+        """Vectorised :meth:`edge_index`: the index of every pair ``{u[k], v[k]}``.
+
+        Pairs that are not edges (including self pairs and out-of-range
+        nodes) get ``-1`` instead of raising.
+        """
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        keys = np.where((lo >= 0) & (hi < self._n) & (lo < hi), lo * self._n + hi, -1)
+        if not self.num_edges:
+            return np.full(keys.shape, -1, dtype=np.int64)
+        position = np.minimum(np.searchsorted(self._keys, keys), self.num_edges - 1)
+        return np.where(self._keys[position] == keys, position, -1)
 
     def incident_edges(self, node: int) -> List[int]:
         """Return the indices of all edges incident to ``node``."""
         self._check_node(node)
-        return [self.edge_index(node, j) for j in self._neighbors[node]]
+        return [self.edge_index(node, j) for j in self.neighbors(node)]
 
     def is_connected(self) -> bool:
         """Whether the network is connected (single-node networks are)."""
-        if self._n == 1:
-            return True
-        return nx.is_connected(self._graph)
+        indptr, indices = self._csr
+        seen = np.zeros(self._n, dtype=bool)
+        seen[0] = True
+        frontier = np.zeros(1, dtype=np.int64)
+        while frontier.size:
+            # gather the CSR rows of the whole frontier in one go (breadth-first)
+            starts = indptr[frontier]
+            lengths = indptr[frontier + 1] - starts
+            ends = np.cumsum(lengths)
+            rows = np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
+            reached = np.sort(indices[rows])
+            frontier = reached[~seen[reached] & np.append(True, reached[1:] != reached[:-1])]
+            seen[frontier] = True
+        return bool(seen.all())
 
     def require_connected(self) -> None:
         """Raise :class:`NetworkError` unless the network is connected."""
@@ -278,7 +369,7 @@ class Network:
         self.require_connected()
         if self._n == 1:
             return 0
-        return int(nx.diameter(self._graph))
+        return int(nx.diameter(self.graph))
 
     # ------------------------------------------------------------------ #
     # matrices
@@ -287,9 +378,7 @@ class Network:
     def adjacency_matrix(self) -> np.ndarray:
         """Return the dense ``n x n`` adjacency matrix."""
         a = np.zeros((self._n, self._n), dtype=float)
-        for u, v in self._edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
+        a[self._directed_senders, self._directed_receivers] = 1.0
         return a
 
     def laplacian_matrix(self) -> np.ndarray:
@@ -303,15 +392,23 @@ class Network:
     # ------------------------------------------------------------------ #
 
     def with_speeds(self, speeds: Sequence[float]) -> "Network":
-        """Return a copy of this network with different node speeds."""
-        return Network(self._graph.copy(), speeds=speeds, name=self.name)
+        """Return a copy of this network with different node speeds.
+
+        The copy keeps the name and node labels and shares the (read-only)
+        edge layout.
+        """
+        network = copy.copy(self)
+        network._speeds = _checked_speeds(speeds, self._n)
+        network.node_labels = list(self.node_labels)
+        network._graph = None
+        return network
 
     def subnetwork(self, nodes: Iterable[int]) -> "Network":
         """Return the sub-network induced by ``nodes`` (relabelled 0..k-1)."""
         nodes = sorted(set(nodes))
         for node in nodes:
             self._check_node(node)
-        sub = self._graph.subgraph(nodes).copy()
+        sub = self.graph.subgraph(nodes).copy()
         speeds = [self._speeds[node] for node in nodes]
         return Network(sub, speeds=speeds, name=f"{self.name}[sub]")
 
@@ -331,6 +428,20 @@ class Network:
     def _check_node(self, node: int) -> None:
         if not (isinstance(node, (int, np.integer)) and 0 <= node < self._n):
             raise NetworkError(f"node {node!r} is not a valid node id (0..{self._n - 1})")
+
+
+def _checked_speeds(speeds: Optional[Sequence[float]], n: int) -> np.ndarray:
+    """Validate per-node speeds (default: all 1) and return them as floats."""
+    if speeds is None:
+        return np.ones(n, dtype=float)
+    speeds = np.asarray(list(speeds), dtype=float)
+    if speeds.shape != (n,):
+        raise NetworkError(f"expected {n} speeds, got shape {speeds.shape}")
+    if np.any(speeds < 1):
+        raise NetworkError("all speeds must be >= 1 (scale so min speed is 1)")
+    if not np.all(np.isfinite(speeds)):
+        raise NetworkError("speeds must be finite")
+    return speeds
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

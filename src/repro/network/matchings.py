@@ -39,22 +39,33 @@ __all__ = [
 def validate_matching(network: Network, matching: Sequence[Edge]) -> Tuple[Edge, ...]:
     """Validate that ``matching`` is a matching of ``network`` and canonicalise it.
 
+    Membership is one sorted-key lookup (:meth:`Network.edge_ids`) and
+    disjointness one ``bincount`` over the endpoints.  The result is the
+    matched edges in :attr:`Network.edges` order (sorted canonical pairs).
+
     Raises
     ------
     ScheduleError
-        If an edge is missing from the network or two edges share a node.
+        If an edge is missing from the network or two edges share a node;
+        the message names the first offending edge of ``matching``.
     """
-    seen_nodes = set()
-    canonical: List[Edge] = []
-    for (u, v) in matching:
-        if not network.has_edge(u, v):
-            raise ScheduleError(f"edge {(u, v)} is not an edge of the network")
-        edge = (u, v) if u < v else (v, u)
-        if edge[0] in seen_nodes or edge[1] in seen_nodes:
-            raise ScheduleError(f"edges in a matching must be disjoint; node clash at {edge}")
-        seen_nodes.update(edge)
-        canonical.append(edge)
-    return tuple(sorted(canonical))
+    ends = np.asarray(matching, dtype=np.int64).reshape(-1, 2)
+    edges = network.edge_ids(ends[:, 0], ends[:, 1])
+    missing = edges < 0
+    if not missing.any() and np.bincount(ends.ravel()).max(initial=0) <= 1:
+        u, v = network.edge_endpoints
+        edges = np.sort(edges)
+        return tuple(zip(u[edges].tolist(), v[edges].tolist()))
+    # The first offender: a non-edge, or an edge with an endpoint seen before.
+    _, first_seen = np.unique(ends.ravel(), return_index=True)
+    repeated = np.ones(ends.size, dtype=bool)
+    repeated[first_seen] = False
+    offender = int(np.flatnonzero(missing | repeated.reshape(-1, 2).any(axis=1))[0])
+    u, v = matching[offender]
+    if missing[offender]:
+        raise ScheduleError(f"edge {(u, v)} is not an edge of the network")
+    edge = (u, v) if u < v else (v, u)
+    raise ScheduleError(f"edges in a matching must be disjoint; node clash at {edge}")
 
 
 def edge_coloring(network: Network) -> List[Tuple[Edge, ...]]:
@@ -70,6 +81,9 @@ def edge_coloring(network: Network) -> List[Tuple[Edge, ...]]:
         return []
     line_graph = nx.line_graph(network.graph)
     coloring = nx.coloring.greedy_color(line_graph, strategy="largest_first")
+    # largest_first caches a DegreeView on the line graph, a reference cycle
+    # that only the cyclic collector would free: release the edges now.
+    line_graph.clear()
     buckets: Dict[int, List[Edge]] = {}
     for edge, color in coloring.items():
         u, v = edge

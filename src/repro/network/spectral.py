@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -32,6 +32,10 @@ from .graph import Edge, Network
 __all__ = [
     "AlphaScheme",
     "compute_alphas",
+    "alpha_array",
+    "alpha_entries",
+    "alphas_to_array",
+    "node_alpha_sums",
     "diffusion_matrix",
     "second_largest_eigenvalue",
     "laplacian_second_smallest",
@@ -79,37 +83,40 @@ def compute_alphas(network: Network, scheme: str = AlphaScheme.MAX_DEGREE_PLUS_O
     Returns
     -------
     dict
-        Mapping from canonical edge ``(u, v)`` (``u < v``) to ``alpha_{u,v}``.
+        Mapping from canonical edge ``(u, v)`` (``u < v``) to ``alpha_{u,v}``;
+        the values of :func:`alpha_array` in edge order.
     """
+    return dict(zip(network.edges, alpha_array(network, scheme).tolist()))
+
+
+def alpha_array(network: Network, scheme: str = AlphaScheme.MAX_DEGREE_PLUS_ONE) -> np.ndarray:
+    """The weights of :func:`compute_alphas` as one float array aligned with ``network.edges``."""
+    u, v = network.edge_endpoints
     degrees = network.degrees
     speeds = network.speeds
-    d_max = network.max_degree
-    alphas: Dict[Edge, float] = {}
-    for (u, v) in network.edges:
-        smin = min(speeds[u], speeds[v])
-        if scheme == AlphaScheme.MAX_DEGREE_PLUS_ONE:
-            denom = max(degrees[u], degrees[v]) + 1
-        elif scheme == AlphaScheme.HALF_MAX_DEGREE:
-            denom = 2 * max(degrees[u], degrees[v])
-        elif scheme == AlphaScheme.GLOBAL_DEGREE:
-            denom = d_max + 1
-        else:
-            raise ProcessError(
-                f"unknown alpha scheme {scheme!r}; valid schemes: {AlphaScheme.ALL}"
-            )
-        alphas[(u, v)] = float(smin) / float(denom)
+    if scheme == AlphaScheme.MAX_DEGREE_PLUS_ONE:
+        denominators = np.maximum(degrees[u], degrees[v]) + 1
+    elif scheme == AlphaScheme.HALF_MAX_DEGREE:
+        denominators = 2 * np.maximum(degrees[u], degrees[v])
+    elif scheme == AlphaScheme.GLOBAL_DEGREE:
+        denominators = np.full(u.size, network.max_degree + 1)
+    else:
+        raise ProcessError(
+            f"unknown alpha scheme {scheme!r}; valid schemes: {AlphaScheme.ALL}"
+        )
+    alphas = np.minimum(speeds[u], speeds[v]) / denominators.astype(float)
     _validate_alphas(network, alphas)
     return alphas
 
 
-def _validate_alphas(network: Network, alphas: Dict[Edge, float]) -> None:
-    """Check ``alpha_{i,j} > 0`` and ``sum_{j in N(i)} alpha_{i,j} < s_i``."""
-    sums = np.zeros(network.num_nodes)
-    for (u, v), value in alphas.items():
-        if value <= 0:
-            raise ProcessError(f"alpha for edge {(u, v)} must be positive, got {value}")
-        sums[u] += value
-        sums[v] += value
+def _validate_alphas(network: Network, alphas: np.ndarray) -> None:
+    """Check ``alpha_{i,j} > 0`` and ``sum_{j in N(i)} alpha_{i,j} < s_i`` (edge order)."""
+    nonpositive = np.flatnonzero(alphas <= 0)
+    if nonpositive.size:
+        edge = int(nonpositive[0])
+        raise ProcessError(
+            f"alpha for edge {network.edges[edge]} must be positive, got {alphas[edge]}")
+    sums = node_alpha_sums(network.num_nodes, *network.edge_endpoints, alphas)
     speeds = network.speeds
     bad = np.nonzero(sums >= speeds)[0]
     if bad.size > 0:
@@ -120,9 +127,53 @@ def _validate_alphas(network: Network, alphas: Dict[Edge, float]) -> None:
         )
 
 
+def node_alpha_sums(n: int, u: np.ndarray, v: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """``sum_{j in N(i)} alpha_{i,j}`` per node, added edge by edge (``u`` then ``v``).
+
+    ``bincount`` adds its weights in input order, so interleaving the two
+    endpoints gives the float sums of the scalar loop exactly.
+    """
+    return np.bincount(np.stack((u, v), axis=1).ravel(), weights=np.repeat(alphas, 2),
+                       minlength=n)
+
+
+def alpha_entries(network: Network, alphas: Mapping[Edge, float],
+                  check_positive: bool = True) -> Tuple[np.ndarray, np.ndarray]:
+    """The edge indices and values of an ``{edge: alpha}`` mapping, in mapping order.
+
+    Raises :class:`NetworkError` (from :meth:`Network.edge_index`) for the
+    first key that is not an edge or, with ``check_positive``,
+    :class:`ProcessError` for the first non-positive value, whichever entry
+    comes first.
+    """
+    keys = list(alphas)
+    values = np.fromiter(alphas.values(), dtype=float, count=len(keys))
+    ends = np.array(keys, dtype=np.int64).reshape(-1, 2)
+    edges = network.edge_ids(ends[:, 0], ends[:, 1])
+    nonpositive = (values <= 0) & check_positive
+    bad = np.flatnonzero(nonpositive | (edges < 0))
+    if bad.size:
+        u, v = keys[bad[0]]
+        if nonpositive[bad[0]]:
+            raise ProcessError(f"alpha for edge {(u, v)} must be positive")
+        network.edge_index(u, v)
+    return edges, values
+
+
+def alphas_to_array(network: Network, alphas: Mapping[Edge, float]) -> np.ndarray:
+    """Convert an alpha mapping into an array aligned with the network edge order."""
+    edges, values = alpha_entries(network, alphas)
+    array = np.zeros(network.num_edges, dtype=float)
+    array[edges] = values
+    if np.any(array == 0):
+        missing = [edge for edge in network.edges if alphas.get(edge, 0) == 0]
+        raise ProcessError(f"alphas missing for edges {missing[:5]}")
+    return array
+
+
 def diffusion_matrix(
     network: Network,
-    alphas: Optional[Dict[Edge, float]] = None,
+    alphas: Union[None, Mapping[Edge, float], np.ndarray] = None,
     scheme: str = AlphaScheme.MAX_DEGREE_PLUS_ONE,
 ) -> np.ndarray:
     """Return the dense diffusion matrix ``P`` of the FOS process.
@@ -130,16 +181,24 @@ def diffusion_matrix(
     ``P_{i,j} = alpha_{i,j} / s_i`` for neighbours, ``P_{i,i} = 1 - sum_j
     alpha_{i,j} / s_i`` and zero elsewhere.  ``P`` is row-stochastic, and the
     vector of speeds is a left fixed point, so repeatedly applying ``x P``
-    converges to the speed-proportional balanced allocation.
+    converges to the speed-proportional balanced allocation.  ``alphas`` is
+    an ``{edge: alpha}`` mapping or an array aligned with ``network.edges``;
+    by default it is derived from ``scheme``.
     """
     if alphas is None:
-        alphas = compute_alphas(network, scheme)
+        alphas = alpha_array(network, scheme)
+    if isinstance(alphas, np.ndarray):
+        u, v = network.edge_endpoints
+        values = alphas
+    else:
+        ends = np.array(list(alphas), dtype=np.int64).reshape(-1, 2)
+        u, v = ends[:, 0], ends[:, 1]
+        values = np.fromiter(alphas.values(), dtype=float, count=len(ends))
     n = network.num_nodes
     speeds = network.speeds
     matrix = np.zeros((n, n), dtype=float)
-    for (u, v), alpha in alphas.items():
-        matrix[u, v] = alpha / speeds[u]
-        matrix[v, u] = alpha / speeds[v]
+    matrix[u, v] = values / speeds[u]
+    matrix[v, u] = values / speeds[v]
     np.fill_diagonal(matrix, 1.0 - matrix.sum(axis=1))
     return matrix
 

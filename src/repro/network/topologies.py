@@ -9,6 +9,13 @@ random geometric graphs) used by tests, examples and ablation benchmarks.
 Every constructor returns a :class:`~repro.network.graph.Network` with uniform
 speed 1; pass the result through :meth:`Network.with_speeds` to attach a speed
 profile.
+
+The deterministic families (torus, hypercube, grid, cycle, path, complete,
+star) generate their int64 edge arrays directly and call
+:meth:`Network.from_edges`.  Node numbering and edge order are those of the
+networkx generators they replace, so :attr:`Network.graph` -- and with it the
+greedy edge colouring -- is unchanged.  The random and exotic families keep
+their networkx generators and go through the :class:`Network` adapter.
 """
 
 from __future__ import annotations
@@ -53,8 +60,7 @@ def hypercube(dimension: int) -> Network:
     """
     if dimension < 1:
         raise TopologyError("hypercube dimension must be >= 1")
-    graph = nx.hypercube_graph(dimension)
-    return Network(nx.convert_node_labels_to_integers(graph), name=f"hypercube-{dimension}")
+    return _lattice([2] * dimension, periodic=False, name=f"hypercube-{dimension}")
 
 
 def torus(side: int, dims: int = 2) -> Network:
@@ -67,46 +73,67 @@ def torus(side: int, dims: int = 2) -> Network:
         raise TopologyError("torus side must be >= 2")
     if dims < 1:
         raise TopologyError("torus dimension must be >= 1")
-    graph = nx.grid_graph(dim=[side] * dims, periodic=True)
-    return Network(
-        nx.convert_node_labels_to_integers(graph), name=f"torus-{dims}d-{side}"
-    )
+    return _lattice([side] * dims, periodic=True, name=f"torus-{dims}d-{side}")
 
 
 def grid(rows: int, cols: int) -> Network:
     """Return a non-periodic 2-dimensional grid."""
     if rows < 1 or cols < 1:
         raise TopologyError("grid dimensions must be >= 1")
-    graph = nx.grid_2d_graph(rows, cols)
-    return Network(nx.convert_node_labels_to_integers(graph), name=f"grid-{rows}x{cols}")
+    return _lattice([rows, cols], periodic=False, name=f"grid-{rows}x{cols}")
 
 
 def cycle(n: int) -> Network:
     """Return the cycle on ``n >= 3`` nodes."""
     if n < 3:
         raise TopologyError("a cycle needs at least 3 nodes")
-    return Network(nx.cycle_graph(n), name=f"cycle-{n}")
+    return _lattice([n], periodic=True, name=f"cycle-{n}")
 
 
 def path(n: int) -> Network:
     """Return the path on ``n >= 2`` nodes (worst-case diameter topology)."""
     if n < 2:
         raise TopologyError("a path needs at least 2 nodes")
-    return Network(nx.path_graph(n), name=f"path-{n}")
+    return _lattice([n], periodic=False, name=f"path-{n}")
 
 
 def complete(n: int) -> Network:
     """Return the complete graph on ``n >= 2`` nodes."""
     if n < 2:
         raise TopologyError("a complete graph needs at least 2 nodes")
-    return Network(nx.complete_graph(n), name=f"complete-{n}")
+    u, v = np.triu_indices(n, k=1)
+    return Network.from_edges(n, u, v, name=f"complete-{n}")
 
 
 def star(n: int) -> Network:
     """Return the star with one hub and ``n - 1`` leaves (``n >= 2`` nodes)."""
     if n < 2:
         raise TopologyError("a star needs at least 2 nodes")
-    return Network(nx.star_graph(n - 1), name=f"star-{n}")
+    return Network.from_edges(n, np.zeros(n - 1, dtype=np.int64), np.arange(1, n), name=f"star-{n}")
+
+
+def _lattice(sides: Sequence[int], periodic: bool, name: str) -> Network:
+    """The product of paths (or cycles, if ``periodic``) with the given side lengths.
+
+    Node ``(c_0, ..., c_{r-1})`` gets the row-major index ``sum c_k * stride_k``
+    (``c_0`` most significant), as networkx's ``grid_graph`` and
+    ``grid_2d_graph`` number them.  Edges are listed from their smaller
+    endpoint ``u`` in increasing ``u``; each node lists its larger neighbours
+    dimension by dimension from the most significant, ``c_k + 1`` before the
+    wrap-around ``side - 1`` -- the order those generators build adjacency in.
+    """
+    n = math.prod(sides)
+    strides = [math.prod(sides[k + 1:]) for k in range(len(sides))]
+    nodes = np.arange(n, dtype=np.int64)
+    later, present = [], []
+    for side, stride in zip(sides, strides):
+        coordinate = nodes // stride % side
+        later += [nodes + stride, nodes + (side - 1) * stride]
+        present += [coordinate + 1 < side, periodic & (coordinate == 0) & (side > 2)]
+    keep = np.stack(present, axis=1).ravel()
+    u = np.repeat(nodes, len(later))[keep]
+    v = np.stack(later, axis=1).ravel()[keep]
+    return Network.from_edges(n, u, v, name=name)
 
 
 def binary_tree(depth: int) -> Network:
@@ -252,16 +279,22 @@ def ring_of_cliques(num_cliques: int, clique_size: int) -> Network:
 
 def from_edge_list(edges: Sequence[Sequence[int]], speeds: Optional[Sequence[float]] = None,
                    name: str = "custom") -> Network:
-    """Build a network from an explicit edge list.
+    """Build a network from an explicit edge list (pairs, or an ``(m, 2)`` int array).
 
-    Nodes are inferred from the edge endpoints; isolated nodes cannot be
-    expressed this way (construct a :class:`networkx.Graph` directly instead).
+    Nodes are the distinct endpoints, numbered in sorted order (their values
+    are kept in :attr:`Network.node_labels`); isolated nodes cannot be
+    expressed this way (use :meth:`Network.from_edges` instead).
     """
-    if not edges:
+    ends = np.asarray(edges, dtype=np.int64)
+    if ends.size == 0:
         raise TopologyError("edge list must be non-empty")
-    graph = nx.Graph()
-    graph.add_edges_from((int(u), int(v)) for u, v in edges)
-    return Network(graph, speeds=speeds, name=name)
+    if ends.ndim != 2 or ends.shape[1] != 2:
+        raise TopologyError(f"expected an (m, 2) edge list, got shape {ends.shape}")
+    labels, index = np.unique(ends, return_inverse=True)
+    index = index.reshape(ends.shape)
+    network = Network.from_edges(labels.size, index[:, 0], index[:, 1], speeds=speeds, name=name)
+    network.node_labels = labels.tolist()
+    return network
 
 
 _NAMED = {

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-import networkx as nx
+import networkx as nx  # repro: allow[R007] all-pairs hop distances, off the run path
 import numpy as np
 
 from ..exceptions import ExperimentError

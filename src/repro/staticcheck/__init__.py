@@ -18,7 +18,7 @@ standalone) comment naming the rule and the reason::
 
     start = time.perf_counter()  # repro: allow[R002] cell timing envelope
 
-See :mod:`repro.staticcheck.rules` for the rule registry (R001-R006) and
+See :mod:`repro.staticcheck.rules` for the rule registry (R001-R007) and
 :mod:`repro.staticcheck.engine` for the visitor framework.
 """
 

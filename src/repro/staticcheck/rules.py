@@ -25,6 +25,9 @@ R005      kernel-phase-coverage          backend round kernels run under
 R006      edge-list-rebuild              per-round code reads ``Network``'s cached
                                          endpoint arrays instead of rebuilding
                                          them from ``.edges``
+R007      networkx-on-run-path           networkx is imported only in
+                                         ``network/`` (``Network.graph`` is the
+                                         on-demand view) or on marked lines
 ========  =============================  =========================================
 """
 
@@ -42,6 +45,7 @@ __all__ = [
     "ProcessBoundaryPurityRule",
     "KernelPhaseCoverageRule",
     "EdgeListRebuildRule",
+    "NetworkxOnRunPathRule",
     "ALL_RULES",
     "RULES_BY_ID",
     "BOUNDARY_TYPES",
@@ -743,6 +747,49 @@ class EdgeListRebuildRule(VisitorRule):
         return not module.is_test and not module.in_directory("network")
 
 
+# --------------------------------------------------------------------- #
+# R007 networkx-on-run-path
+# --------------------------------------------------------------------- #
+
+
+def _is_networkx(module_name: Optional[str]) -> bool:
+    """Whether an absolute import names ``networkx`` or one of its submodules."""
+    return module_name is not None and module_name.split(".")[0] == "networkx"
+
+
+class _NetworkxImportVisitor(RuleVisitor):
+    """Flag every ``import networkx`` / ``from networkx... import``."""
+
+    def _flag(self, node: ast.stmt) -> None:
+        self.report(node, (
+            "networkx imported outside network/: run-path code reads "
+            "Network's int64 arrays (edge_endpoints, csr, directed_order) and "
+            "Network.graph builds a networkx view on demand; mark a deliberate "
+            "use with '# repro: allow[R007] <reason>'"))
+
+    def visit_Import(self, node: ast.Import) -> None:
+        if any(_is_networkx(alias.name) for alias in node.names):
+            self._flag(node)
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.level == 0 and _is_networkx(node.module):
+            self._flag(node)
+        self.generic_visit(node)
+
+
+class NetworkxOnRunPathRule(VisitorRule):
+    """R007: networkx stays inside ``network/`` unless a line says why."""
+
+    rule_id = "R007"
+    name = "networkx-on-run-path"
+    description = "import networkx outside network/ without a marked reason"
+    visitor_class = _NetworkxImportVisitor
+
+    def applies_to(self, module: ModuleContext) -> bool:
+        return not module.is_test and not module.in_directory("network")
+
+
 ALL_RULES: Tuple[VisitorRule, ...] = (
     NondeterministicRngRule(),
     WallClockInLogicRule(),
@@ -750,6 +797,7 @@ ALL_RULES: Tuple[VisitorRule, ...] = (
     ProcessBoundaryPurityRule(),
     KernelPhaseCoverageRule(),
     EdgeListRebuildRule(),
+    NetworkxOnRunPathRule(),
 )
 
 RULES_BY_ID: Dict[str, VisitorRule] = {rule.rule_id: rule for rule in ALL_RULES}

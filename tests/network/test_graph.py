@@ -81,6 +81,32 @@ class TestConstruction:
         with pytest.raises(NetworkError):
             Network(graph, speeds=[np.inf, 1, 1])
 
+    def test_from_edges_dedupes_and_orders_edges(self):
+        net = Network.from_edges(4, [2, 0, 1, 2], [1, 3, 0, 1], name="four")
+        assert net.edges == ((0, 1), (0, 3), (1, 2))
+        assert net.node_labels == [0, 1, 2, 3]
+        assert net.name == "four"
+        assert net.neighbors(1) == (0, 2)
+        # the networkx view lists edges in order of first appearance
+        assert list(net.graph.edges()) == [(0, 3), (0, 1), (1, 2)]
+
+    def test_from_edges_rejects_bad_input(self):
+        with pytest.raises(NetworkError):
+            Network.from_edges(0, [], [])
+        with pytest.raises(NetworkError):
+            Network.from_edges(3, [0, 1], [1, 1])
+        with pytest.raises(NetworkError):
+            Network.from_edges(3, [0], [3])
+        with pytest.raises(NetworkError):
+            Network.from_edges(3, [0, 1], [1])
+
+    def test_adapter_does_not_keep_the_input_graph(self):
+        graph = nx.path_graph(4)
+        net = Network(graph)
+        assert net.graph is not graph
+        assert net.graph is net.graph
+        assert list(net.graph.edges()) == list(graph.edges())
+
     def test_string_labels_are_relabelled_to_integers(self):
         graph = nx.Graph()
         graph.add_edges_from([("a", "b"), ("b", "c")])
@@ -169,6 +195,19 @@ class TestDerivedNetworks:
         assert fast.total_speed == 6.0
         assert net.total_speed == 3.0  # original untouched
         assert fast.num_edges == net.num_edges
+
+    def test_with_speeds_keeps_labels_name_and_layout(self):
+        graph = nx.Graph()
+        graph.add_edges_from([("a", "b"), ("b", "c")])
+        net = Network(graph, name="abc")
+        fast = net.with_speeds([1, 2, 3])
+        assert fast.node_labels == ["a", "b", "c"]
+        assert fast.name == "abc"
+        assert fast.edges == net.edges
+        assert fast.edge_endpoints[0] is net.edge_endpoints[0]
+        np.testing.assert_array_equal(fast.speeds, [1, 2, 3])
+        with pytest.raises(NetworkError):
+            net.with_speeds([1, 2])
 
     def test_subnetwork(self):
         net = topologies.complete(5)

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.exceptions import TopologyError
+from repro.exceptions import NetworkError, TopologyError
 from repro.network import topologies
 
 
@@ -172,6 +173,26 @@ class TestFromEdgeList:
     def test_empty_rejected(self):
         with pytest.raises(TopologyError):
             topologies.from_edge_list([])
+        with pytest.raises(TopologyError):
+            topologies.from_edge_list(np.zeros((0, 2), dtype=np.int64))
+
+    def test_integer_array_accepted(self):
+        net = topologies.from_edge_list(np.array([[0, 1], [1, 2]]), name="p3")
+        assert net.edges == ((0, 1), (1, 2))
+        assert net.node_labels == [0, 1, 2]
+        assert net.name == "p3"
+
+    def test_sparse_endpoints_are_numbered_in_sorted_order(self):
+        net = topologies.from_edge_list([(10, 3), (3, 7)])
+        assert net.num_nodes == 3
+        assert net.node_labels == [3, 7, 10]
+        assert net.edges == ((0, 1), (0, 2))
+
+    def test_bad_shape_and_self_loop_rejected(self):
+        with pytest.raises(TopologyError):
+            topologies.from_edge_list(np.array([0, 1, 2]))
+        with pytest.raises(NetworkError):
+            topologies.from_edge_list([(0, 1), (2, 2)])
 
 
 class TestNamedTopology:

@@ -64,7 +64,7 @@ class TestCheckCommand:
     def test_list_rules(self, capsys):
         assert main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("R001", "R002", "R003", "R004", "R005", "R006"):
+        for rule_id in ("R001", "R002", "R003", "R004", "R005", "R006", "R007"):
             assert rule_id in out
 
     def test_show_suppressed_prints_reason(self, tmp_path, capsys):

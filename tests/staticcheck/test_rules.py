@@ -1,4 +1,4 @@
-"""Positive/negative fixture snippets for every rule (R001-R006)."""
+"""Positive/negative fixture snippets for every rule (R001-R007)."""
 
 from staticcheck_helpers import rule_ids
 
@@ -546,3 +546,49 @@ class TestEdgeListRebuild:
                     assert network.edges[index]
         """, relpath="tests/network/test_lookup.py")
         assert rule_ids(report) == []
+
+
+# --------------------------------------------------------------------- #
+# R007 networkx-on-run-path
+# --------------------------------------------------------------------- #
+
+
+class TestNetworkxOnRunPath:
+    def test_import_networkx_fires(self, check_snippet):
+        report = check_snippet("""
+            import networkx as nx
+
+            def connected(network):
+                return nx.is_connected(network.graph)
+        """, relpath="src/repro/core/check.py")
+        assert rule_ids(report) == ["R007"]
+        assert "Network.graph" in report.findings[0].message
+
+    def test_submodule_and_from_imports_fire(self, check_snippet):
+        report = check_snippet("""
+            import networkx.algorithms
+            from networkx import is_connected
+            from networkx.algorithms import coloring
+        """, relpath="src/repro/simulation/sweep.py")
+        assert rule_ids(report) == ["R007", "R007", "R007"]
+
+    def test_lookalike_modules_are_clean(self, check_snippet):
+        report = check_snippet("""
+            import networkxx
+            from .networkx import helper
+            from repro.network import topologies
+        """, relpath="src/repro/simulation/sweep.py")
+        assert rule_ids(report) == []
+
+    def test_marked_line_is_suppressed(self, check_snippet):
+        report = check_snippet("""
+            import networkx as nx  # repro: allow[R007] analysis helper
+        """, relpath="src/repro/simulation/locality.py")
+        assert rule_ids(report) == []
+
+    def test_network_package_and_tests_are_out_of_scope(self, check_snippet):
+        source = """
+            import networkx as nx
+        """
+        assert rule_ids(check_snippet(source, relpath="src/repro/network/graph.py")) == []
+        assert rule_ids(check_snippet(source, relpath="tests/network/test_graph.py")) == []
