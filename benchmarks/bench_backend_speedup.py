@@ -10,17 +10,20 @@ trajectories — the speedup is pure representation.
 The measured ladder (W in {10^4, 10^5, 10^6}) is written to
 ``BENCH_backend.json`` at the repository root as a perf record.  The
 *weighted* suite runs the same bursty stream on weighted tasks (integer
-weights 1..4, columnar weight buckets vs one task object per work item) plus
-an excess-token row (scalar counter-RNG reference vs the fully vectorised
-kernel on a 4096-node torus) and records ``BENCH_weighted.json``.
+weights 1..4, columnar weight buckets vs one task object per work item) and
+records ``BENCH_weighted.json``.
 
 The *randomized* suite measures the **round kernels** themselves (setup
-excluded, per-round seconds): the edge-keyed counter-RNG kernels of
-Algorithm 2 and randomized-rounding diffusion (scalar counter-mode reference
-vs vectorised array kernel on a 4096-node torus), plus the weighted round
-kernel in its single-weight-class scatter form and its mixed-class queue
-form — the measured reduction of the weighted per-round Python term.  It
-records ``BENCH_randomized.json``.  Run directly for the CI smoke checks::
+excluded, per-round seconds): the edge-keyed counter-RNG kernel of
+Algorithm 2 (scalar counter-mode reference vs vectorised array kernel on a
+4096-node torus), plus the weighted round kernel in its single-weight-class
+scatter form and its mixed-class queue form — the measured reduction of the
+weighted per-round Python term.  It records ``BENCH_randomized.json``.
+
+The literature baselines (randomized rounding, excess tokens) have one
+implementation for both backends, so they have no row here; the
+randomized-rounding and excess-token rows in the checked-in records are
+historical.  Run directly for the CI smoke checks::
 
     PYTHONPATH=src python benchmarks/bench_backend_speedup.py --sizes 10000 --min-speedup 2
     PYTHONPATH=src python benchmarks/bench_backend_speedup.py --suite weighted \
@@ -44,7 +47,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.dynamic.events import BurstyArrivals  # noqa: E402
 from repro.dynamic.stream import run_stream  # noqa: E402
 from repro.network import topologies  # noqa: E402
-from repro.simulation.engine import make_balancer, run_algorithm  # noqa: E402
+from repro.simulation.engine import make_balancer  # noqa: E402
 from repro.simulation.experiments import format_table  # noqa: E402
 from repro.store import write_benchmark_record  # noqa: E402
 from repro.tasks.generators import uniform_random_load  # noqa: E402
@@ -56,7 +59,6 @@ from repro.tasks.weighted import (  # noqa: E402
 SIZES = (10**4, 10**5, 10**6)
 WEIGHTED_SIZES = (10**4, 10**5)
 MAX_TASK_WEIGHT = 4
-EXCESS_NODES = 4096  # 64x64 torus for the vectorised excess-token kernel row
 ROUNDS = 12
 RANDOMIZED_SIDE = 64  # 64x64 torus = the 4096-node randomized-kernel instance
 RANDOMIZED_ROUNDS = 20
@@ -110,18 +112,7 @@ def run_weighted_one(total_weight: int, backend: str):
     return time.perf_counter() - start, result
 
 
-def run_excess_one(backend: str):
-    """One static counter-RNG excess-token run on a 4096-node torus."""
-    network = topologies.torus(64, dims=2)
-    load = uniform_random_load(network, 32 * network.num_nodes, seed=SEED)
-    start = time.perf_counter()
-    result = run_algorithm("excess-tokens", network, initial_load=load,
-                           rounds=ROUNDS, seed=SEED, backend=backend,
-                           rng_mode="counter", record_trace=True)
-    return time.perf_counter() - start, result
-
-
-def run_weighted_ladder(sizes=WEIGHTED_SIZES, include_excess=True):
+def run_weighted_ladder(sizes=WEIGHTED_SIZES):
     rows = []
     for total_weight in sizes:
         object_seconds, object_result = run_weighted_one(total_weight, "object")
@@ -135,19 +126,6 @@ def run_weighted_ladder(sizes=WEIGHTED_SIZES, include_excess=True):
             "array_seconds": round(array_seconds, 4),
             "speedup": round(object_seconds / array_seconds, 1),
             "trajectories_identical": object_result.trace_max_min == array_result.trace_max_min,
-        })
-    if include_excess:
-        scalar_seconds, scalar_result = run_excess_one("object")
-        kernel_seconds, kernel_result = run_excess_one("array")
-        rows.append({
-            "workload": f"excess-tokens counter-rng n={EXCESS_NODES}",
-            "W": int(scalar_result.total_weight),
-            "rounds": ROUNDS,
-            "recouplings": 0,
-            "object_seconds": round(scalar_seconds, 4),
-            "array_seconds": round(kernel_seconds, 4),
-            "speedup": round(scalar_seconds / kernel_seconds, 1),
-            "trajectories_identical": scalar_result.trace_max_min == kernel_result.trace_max_min,
         })
     return rows
 
@@ -166,8 +144,7 @@ def run_randomized_ladder(side=RANDOMIZED_SIDE, rounds=RANDOMIZED_ROUNDS):
     Each row times ``rounds`` calls of ``advance()`` on freshly coupled
     balancers (construction excluded), so the numbers isolate the per-round
     term the kernels are about: the O(W) object round vs the O(m) array round
-    for Algorithm 2, the per-edge move loop vs scatter-adds for
-    randomized-rounding, and the weighted per-round Python term vs the
+    for Algorithm 2, and the weighted per-round Python term vs the
     single-class scatter form / mixed-class queue form.
     """
     network = topologies.torus(side, dims=2)
@@ -180,8 +157,6 @@ def run_randomized_ladder(side=RANDOMIZED_SIDE, rounds=RANDOMIZED_ROUNDS):
                                             seed=SEED)
     specs = [
         ("algorithm2 counter-rng", "algorithm2",
-         {"initial_load": load, "rng_mode": "counter"}),
-        ("randomized-rounding counter-rng", "randomized-rounding",
          {"initial_load": load, "rng_mode": "counter"}),
         ("weighted round kernel (single class w=5)", "algorithm1",
          {"weighted_load": single_class}),
@@ -226,9 +201,7 @@ def write_record(rows, store=None) -> pathlib.Path:
 def write_weighted_record(rows, store=None) -> pathlib.Path:
     return write_benchmark_record(
         "weighted_backend_speedup",
-        ("object vs columnar weighted backend on a bursty 64-node "
-         "weighted stream, plus the counter-RNG excess-token "
-         "kernel vs its scalar reference"),
+        "object vs columnar weighted backend on a bursty 64-node weighted stream",
         rows, WEIGHTED_RECORD_PATH, store=store,
         config={"workloads": [row["workload"] for row in rows],
                 "rounds": ROUNDS},
@@ -238,11 +211,10 @@ def write_weighted_record(rows, store=None) -> pathlib.Path:
 def write_randomized_record(rows, store=None) -> pathlib.Path:
     return write_benchmark_record(
         "randomized_kernel_speedup",
-        ("per-round kernel times: scalar counter-RNG references "
-         "vs the vectorised array kernels (algorithm2 and "
-         "randomized-rounding on a torus) plus the weighted "
-         "round kernel (single-class scatter form and "
-         "mixed-class queue form)"),
+        ("per-round kernel times: the scalar counter-RNG reference "
+         "vs the vectorised array kernel (algorithm2 on a torus) "
+         "plus the weighted round kernel (single-class scatter "
+         "form and mixed-class queue form)"),
         rows, RANDOMIZED_RECORD_PATH, store=store,
         config={"kernels": [row["kernel"] for row in rows],
                 "n": rows[0]["n"] if rows else None,
@@ -278,7 +250,7 @@ def test_weighted_backend_speedup(benchmark):
 
     rows = run_once(benchmark, run_weighted_ladder)
     print_table("Object vs columnar weighted backend (8x8 torus, algorithm1, "
-                "12 rounds) + counter-RNG excess-token kernel", format_table(rows))
+                "12 rounds)", format_table(rows))
     record = write_weighted_record(rows)
     print(f"perf record written to {record}")
     # The tentpole claim: >= 10x on the 10^5-weight weighted stream.
@@ -292,11 +264,11 @@ def test_randomized_kernel_speedup(benchmark):
     from conftest import print_table, run_once
 
     rows = run_once(benchmark, run_randomized_ladder)
-    print_table("Scalar counter-RNG references vs vectorised kernels "
+    print_table("Scalar counter-RNG reference vs vectorised kernels "
                 "(64x64 torus, per-round seconds)", format_table(rows))
     record = write_randomized_record(rows)
     print(f"perf record written to {record}")
-    # The tentpole claim: >= 5x for the randomized kernels on 4096 nodes and
+    # The tentpole claim: >= 5x for the randomized kernel on 4096 nodes and
     # a measured reduction of the weighted per-round Python term.
     check(rows, min_speedup=2.0)
     for row in rows:
@@ -314,8 +286,6 @@ def main(argv=None) -> int:
     parser.add_argument("--weighted-sizes", nargs="+", type=int,
                         default=list(WEIGHTED_SIZES),
                         help="weighted-stream total weights W to benchmark")
-    parser.add_argument("--skip-excess", action="store_true",
-                        help="skip the (slow) 4096-node excess-token row")
     parser.add_argument("--randomized-side", type=int, default=RANDOMIZED_SIDE,
                         help="torus side for the randomized-kernel ladder "
                              "(side^2 nodes)")
@@ -333,8 +303,7 @@ def main(argv=None) -> int:
             print(f"perf record written to {write_record(rows, args.store)}")
         check(rows, args.min_speedup)
     if args.suite in ("weighted", "all"):
-        rows = run_weighted_ladder(args.weighted_sizes,
-                                   include_excess=not args.skip_excess)
+        rows = run_weighted_ladder(args.weighted_sizes)
         print(format_table(rows))
         if not args.no_record:
             print("perf record written to "

@@ -9,9 +9,7 @@ quickstart and ``DESIGN.md`` for the system inventory.
 from .backend import (
     BACKEND_KINDS,
     ArrayDeterministicFlowImitation,
-    ArrayExcessTokenDiffusion,
     ArrayRandomizedFlowImitation,
-    ArrayRandomizedRoundingDiffusion,
     BackendChoice,
     resolve_backend,
 )
@@ -104,8 +102,6 @@ __all__ = [
     "BackendChoice",
     "ArrayDeterministicFlowImitation",
     "ArrayRandomizedFlowImitation",
-    "ArrayExcessTokenDiffusion",
-    "ArrayRandomizedRoundingDiffusion",
     "RNG_MODES",
     "resolve_backend",
     "theorem3_discrepancy_bound",

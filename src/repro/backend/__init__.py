@@ -4,16 +4,11 @@ See :mod:`repro.backend.base` for how the ``backend=`` parameter threaded
 through the simulation engine, the dynamic streaming engine and the CLI is
 resolved, :mod:`repro.backend.weighted` for the columnar state and
 :mod:`repro.backend.flow` for the one array round of Algorithms 1 and 2.
+The literature baselines have no backend-specific code: each has one
+implementation in :mod:`repro.discrete.baselines`.
 """
 
 from .base import BACKEND_KINDS, BackendChoice, resolve_backend
-from .baselines import (
-    ArrayExcessTokenDiffusion,
-    ArrayQuasirandomDiffusion,
-    ArrayRandomizedRoundingDiffusion,
-    ArrayRoundDownDiffusion,
-    ArrayRoundDownSecondOrder,
-)
 from .flow import (
     ArrayDeterministicFlowImitation,
     ArrayFlowImitation,
@@ -28,10 +23,5 @@ __all__ = [
     "ArrayFlowImitation",
     "ArrayDeterministicFlowImitation",
     "ArrayRandomizedFlowImitation",
-    "ArrayRoundDownDiffusion",
-    "ArrayRoundDownSecondOrder",
-    "ArrayQuasirandomDiffusion",
-    "ArrayRandomizedRoundingDiffusion",
-    "ArrayExcessTokenDiffusion",
     "WeightedRunState",
 ]

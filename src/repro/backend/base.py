@@ -1,7 +1,9 @@
 """Backend resolution: which load-state representation runs a workload.
 
-A *backend* decides how the discrete workload of a balancing process is
-represented:
+A *backend* decides how the discrete workload of the flow-imitation
+algorithms (Algorithms 1 and 2) is represented.  The literature baselines
+keep an ``int64`` load vector by construction, so each has one
+implementation that every backend runs (:mod:`repro.discrete.baselines`):
 
 * ``"object"`` — one Python :class:`~repro.tasks.task.Task` per work item,
   held in a :class:`~repro.tasks.assignment.TaskAssignment`.  The original
@@ -25,8 +27,9 @@ represented:
 
 :func:`resolve_backend` reports not just the chosen backend but *why* — the
 reason lands in ``RunResult.extra["backend_reason"]`` so silent fallbacks are
-observable in benchmarks and CI.  The simulation engine picks the classes
-for the resolved backend and keeps ownership of substrate construction,
+observable in benchmarks and CI (for a baseline the reason says that one
+implementation serves every backend).  The simulation engine picks the
+classes for the resolved backend and keeps ownership of substrate construction,
 schedules and seeds, so a given ``(algorithm, substrate, seed)`` triple
 produces the same coupled system — and therefore the same trajectory — on
 every backend.
@@ -73,18 +76,9 @@ def _assignment_fallback_reason(assignment: TaskAssignment,
 def _with_rng_mode_reason(choice: BackendChoice, algorithm: Optional[str],
                           rng_mode: Optional[str]) -> BackendChoice:
     """Refine an array choice's reason with what the rng mode unlocks."""
-    if choice.name != "array" or rng_mode is None:
-        return choice
-    if algorithm == "excess-tokens":
-        if rng_mode == "counter":
-            return BackendChoice(
-                "array", "vectorised excess-token kernel (order-free counter rng)")
-        return BackendChoice(
-            "array", "shared scalar excess-token kernel (sequential rng "
-                     "is order-sensitive; use rng_mode='counter' to vectorise)")
-    if rng_mode == "counter" and algorithm in ("algorithm2", "randomized-rounding"):
-        return BackendChoice(choice.name,
-                             f"{choice.reason}, edge-keyed counter rng")
+    if (choice.name == "array" and rng_mode == "counter"
+            and algorithm in ("algorithm2", "randomized-rounding")):
+        return BackendChoice(choice.name, f"{choice.reason}, edge-keyed counter rng")
     return choice
 
 
@@ -104,9 +98,8 @@ def resolve_backend(
     tasks).  ``rng_mode`` does not change which backend is picked — the
     randomized algorithms are vectorisable either way — but it is part of the
     recorded reason: with ``rng_mode="counter"`` the array path additionally
-    carries the order-free edge-keyed draws (and, for the excess-token
-    baseline, the fully batched kernel).  The reason string makes the whole
-    decision observable.
+    carries the order-free edge-keyed draws.  The reason string makes the
+    whole decision observable.
     """
     if backend not in BACKEND_KINDS:
         raise ExperimentError(

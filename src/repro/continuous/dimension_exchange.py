@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-
 from ..exceptions import ProcessError
 from ..network.graph import Network
 from ..network.matchings import (
@@ -64,14 +63,13 @@ class DimensionExchange(ContinuousProcess):
 
     def _compute_flows(self) -> RoundFlows:
         flows = RoundFlows(self.network)
+        ids = self._schedule.matching_ids(self.round_index)
+        u, v = (ends[ids] for ends in self.network.edge_endpoints)
         speeds = self.network.speeds
-        load = self._load
-        for (u, v) in self._schedule.matching(self.round_index):
-            index = self.network.edge_index(u, v)
-            total_speed = speeds[u] + speeds[v]
-            # alpha_{u,v} = s_u s_v / (s_u + s_v); y_{u,v} = alpha / s_u * x_u.
-            flows.forward[index] = speeds[v] / total_speed * load[u]
-            flows.backward[index] = speeds[u] / total_speed * load[v]
+        total_speed = speeds[u] + speeds[v]
+        # alpha_{u,v} = s_u s_v / (s_u + s_v); y_{u,v} = alpha / s_u * x_u.
+        flows.forward[ids] = speeds[v] / total_speed * self._load[u]
+        flows.backward[ids] = speeds[u] / total_speed * self._load[v]
         return flows
 
 

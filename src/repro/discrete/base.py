@@ -184,16 +184,18 @@ class IntegerLoadBalancer(DiscreteBalancer):
         return self._loads.astype(float)
 
     def _apply_edge_moves(self, moves) -> None:
-        """Apply a list of ``(source, destination, tokens)`` moves synchronously.
+        """Apply ``(source, destination, tokens)`` moves synchronously.
 
-        All moves are computed against the pre-round load vector by the
-        subclass; this helper applies them at once and records whether any
-        load became negative.
+        ``moves`` is a ``(k, 3)`` integer array or a list of triples, all
+        computed against the pre-round load vector by the subclass; two
+        scatter-adds apply them at once, and the post-round vector records
+        whether any load became negative.
         """
-        for source, destination, tokens in moves:
-            if tokens < 0:
-                raise ProcessError("token moves must be non-negative")
-            self._loads[source] -= tokens
-            self._loads[destination] += tokens
+        moves = np.asarray(moves, dtype=np.int64).reshape(-1, 3)
+        sources, destinations, tokens = moves.T
+        if np.any(tokens < 0):
+            raise ProcessError("token moves must be non-negative")
+        np.subtract.at(self._loads, sources, tokens)
+        np.add.at(self._loads, destinations, tokens)
         if np.any(self._loads < 0):
             self._went_negative = True

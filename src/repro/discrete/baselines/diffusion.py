@@ -42,6 +42,7 @@ from ...counter_rng import (
 from ...exceptions import ProcessError
 from ...network.graph import Edge, Network
 from ...network.spectral import AlphaScheme, alpha_array, alpha_entries
+from ...obs.kernels import kernel_phase
 from ..base import IntegerLoadBalancer
 
 __all__ = [
@@ -99,15 +100,11 @@ class DiffusionBaseline(IntegerLoadBalancer):
 
     def _apply_net_moves(self, sent: np.ndarray) -> None:
         """Apply integer net moves (canonical direction, may be negative)."""
-        moves: List[Tuple[int, int, int]] = []
-        moving = np.flatnonzero(sent)
-        for u, v, amount in zip(self._sources[moving].tolist(),
-                                self._targets[moving].tolist(), sent[moving].tolist()):
-            if amount > 0:
-                moves.append((u, v, amount))
-            else:
-                moves.append((v, u, -amount))
-        self._apply_edge_moves(moves)
+        sent = np.asarray(sent, dtype=np.int64)
+        np.subtract.at(self._loads, self._sources, sent)
+        np.add.at(self._loads, self._targets, sent)
+        if np.any(self._loads < 0):
+            self._went_negative = True
 
 
 class RoundDownDiffusion(DiffusionBaseline):
@@ -226,10 +223,7 @@ class RandomizedRoundingDiffusion(DiffusionBaseline):
       entry ``e`` of the per-round score block, a pure function of
       ``(seed, round, edge)``.  Rounding the edges in any order — or all at
       once — consumes identical values, so trajectories are replayable
-      independently of edge iteration order.  The array-backend variant
-      (:class:`repro.backend.baselines.ArrayRandomizedRoundingDiffusion`)
-      shares this round verbatim and only replaces the per-edge move loop
-      with scatter-adds, so the two are bit-identical in both modes.
+      independently of edge iteration order.
     """
 
     def __init__(self, network: Network, initial_load: Sequence[int],
@@ -297,9 +291,8 @@ class ExcessTokenDiffusion(DiffusionBaseline):
       per-round score block and the ``excess`` candidates with the smallest
       scores are selected (a uniform random subset, stable-sorted so ties are
       deterministic).  Every node's draw is a pure function of
-      ``(seed, round, node, candidate-slot)`` — order-free and therefore
-      vectorisable; :class:`repro.backend.baselines.ArrayExcessTokenDiffusion`
-      is the bit-identical columnar kernel.
+      ``(seed, round, node, candidate-slot)`` — order-free, so one batched
+      round computes every node's selection at once.
     """
 
     STRATEGIES = ("random", "round-robin")
@@ -340,14 +333,9 @@ class ExcessTokenDiffusion(DiffusionBaseline):
         """How per-node randomness is drawn ("sequential" or "counter")."""
         return self._rng_mode
 
-    # ------------------------------------------------------------------ #
-    # shared round math (counter mode and the columnar kernel)
-    # ------------------------------------------------------------------ #
-
     def _ensure_directed_arrays(self) -> None:
         """Gather the directed-edge arrays (the network's ``(sender,
-        receiver)`` planning order) shared by both rng modes and the columnar
-        kernel.
+        receiver)`` planning order) shared by both rng modes.
 
         Topology data, built once on first use."""
         if self._dir_offsets is not None:
@@ -359,13 +347,7 @@ class ExcessTokenDiffusion(DiffusionBaseline):
         self._dir_alpha = np.concatenate((self._alpha_array, self._alpha_array))[order]
 
     def _counter_flow_plan(self):
-        """Vectorised directed floors and per-node excess token counts.
-
-        Shared verbatim by the scalar counter-mode reference below and the
-        columnar kernel in :mod:`repro.backend.baselines`, so the two are
-        bit-identical by construction on everything except how the random
-        candidate selection is *computed* (per-node loop vs batched argsort).
-        """
+        """Vectorised directed floors and per-node excess token counts."""
         self._ensure_directed_arrays()
         speeds = self.network.speeds
         loads = self._loads.astype(float)
@@ -387,48 +369,49 @@ class ExcessTokenDiffusion(DiffusionBaseline):
         rng = _philox_generator(self._counter_key, round_index)
         return rng.random((self.network.num_nodes, self.network.max_degree + 1))
 
-    def _counter_chosen(self, node: int, num_candidates: int, count: int,
-                        scores: np.ndarray) -> Sequence[int]:
-        """Candidate slots ``node`` forwards its excess tokens to (counter mode)."""
-        if self._strategy == "random":
-            order = np.argsort(scores[node, :num_candidates], kind="stable")
-            return order[:count]
-        offset = int(self._round_robin_offsets[node])
-        chosen = [(offset + k) % num_candidates for k in range(count)]
-        self._round_robin_offsets[node] = (offset + count) % num_candidates
-        return chosen
-
     def _execute_round(self) -> None:
         if self._rng_mode == "counter":
-            self._execute_round_counter()
+            with kernel_phase("baseline/excess-array"):
+                self._execute_round_counter()
         else:
             self._execute_round_sequential()
 
     def _execute_round_counter(self) -> None:
-        """Scalar counter-RNG reference: same flows, order-free draws.
+        """One batched round: every node's floors, excess and selection at once.
 
-        Nodes are still visited in a Python loop, but every draw depends only
-        on ``(seed, round, node)`` — iterating the nodes in any other order
-        yields the same moves, which is what the vectorised kernel exploits.
+        Node ``i`` forwards its excess tokens to the candidate slots with the
+        ``excess`` smallest entries of row ``i`` of the per-round score block
+        (one stable argsort for all rows), or to the next round-robin slots.
         """
         floors, excess = self._counter_flow_plan()
-        scores = self._counter_scores(self._round) if self._strategy == "random" else None
-        moves: List[Tuple[int, int, int]] = []
-        for node in self.network.nodes:
-            neighbors = self.network.neighbors(node)
-            base = int(self._dir_offsets[node])
-            for j, neighbor in enumerate(neighbors):
-                amount = int(floors[base + j])
-                if amount > 0:
-                    moves.append((node, neighbor, amount))
-            count = min(int(excess[node]), len(neighbors) + 1)
-            if count > 0:
-                for index in self._counter_chosen(node, len(neighbors) + 1,
-                                                  count, scores):
-                    index = int(index)
-                    if index < len(neighbors):
-                        moves.append((node, neighbors[index], 1))
-        self._apply_edge_moves(moves)
+        degrees = self.network.degrees
+        num_candidates = degrees + 1  # every node may also keep a token
+        counts = np.minimum(excess, num_candidates)
+
+        max_candidates = int(num_candidates.max())
+        columns = np.arange(max_candidates)[np.newaxis, :]
+        valid = columns < num_candidates[:, np.newaxis]
+        if self._strategy == "random":
+            scores = self._counter_scores(self._round)
+            scores = np.where(valid, scores, np.inf)
+            order = np.argsort(scores, axis=1, kind="stable")
+            ranks = np.empty_like(order)
+            np.put_along_axis(ranks, order,
+                              np.broadcast_to(columns, order.shape).copy(), axis=1)
+            chosen = ranks < counts[:, np.newaxis]
+        else:  # round-robin: slots offset..offset+count-1 modulo the candidate count
+            relative = (columns - self._round_robin_offsets[:, np.newaxis]) \
+                % num_candidates[:, np.newaxis]
+            chosen = valid & (relative < counts[:, np.newaxis])
+            self._round_robin_offsets = (self._round_robin_offsets + counts) \
+                % num_candidates
+
+        # Column j < degree(i) is node i's j-th neighbour; column degree(i)
+        # is the node itself (a token "sent to itself" is simply kept).
+        neighbor_mask = columns < degrees[:, np.newaxis]
+        extra = (chosen & neighbor_mask)[neighbor_mask].astype(np.int64)
+        self._apply_edge_moves(np.column_stack(
+            (self._dir_src, self._dir_dst, floors + extra)))
 
     def _execute_round_sequential(self) -> None:
         self._ensure_directed_arrays()

@@ -21,8 +21,7 @@ discrete baselines round ``delta``:
 
 from __future__ import annotations
 
-import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,34 +62,38 @@ class MatchingBaseline(IntegerLoadBalancer):
     def _reset_state(self, seed) -> None:
         self._schedule.reseed(seed)
 
-    def _matched_deltas(self) -> List[Tuple[int, int, float]]:
-        """Return ``(sender, receiver, delta)`` for every matched edge with positive delta."""
+    def _matched_deltas(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(senders, receivers, delta)`` of the matched edges with non-zero delta.
+
+        Entries follow the matching's edge order; ``delta > 0`` is the
+        amount the sender's makespan exceeds the balanced exchange by.
+        """
+        ids = self._schedule.matching_ids(self.round_index)
+        u, v = (ends[ids] for ends in self.network.edge_endpoints)
         speeds = self.network.speeds
         loads = self._loads.astype(float)
-        result = []
-        for (u, v) in self._schedule.matching(self.round_index):
-            delta = (speeds[v] * loads[u] - speeds[u] * loads[v]) / (speeds[u] + speeds[v])
-            if delta > 0:
-                result.append((u, v, delta))
-            elif delta < 0:
-                result.append((v, u, -delta))
-        return result
+        delta = (speeds[v] * loads[u] - speeds[u] * loads[v]) / (speeds[u] + speeds[v])
+        moving = delta != 0
+        forward = delta[moving] > 0
+        u, v = u[moving], v[moving]
+        return np.where(forward, u, v), np.where(forward, v, u), np.abs(delta[moving])
 
 
 class RoundDownMatching(MatchingBaseline):
     """Round the dimension-exchange amount of every matched edge down."""
 
     def _execute_round(self) -> None:
-        moves = []
-        for sender, receiver, delta in self._matched_deltas():
-            amount = int(math.floor(delta + 1e-12))
-            if amount > 0:
-                moves.append((sender, receiver, amount))
-        self._apply_edge_moves(moves)
+        senders, receivers, delta = self._matched_deltas()
+        amounts = np.floor(delta + 1e-12).astype(np.int64)
+        self._apply_edge_moves(np.column_stack((senders, receivers, amounts)))
 
 
 class RandomizedRoundingMatching(MatchingBaseline):
-    """Randomized rounding in the matching model ([24] / [38] style)."""
+    """Randomized rounding in the matching model ([24] / [38] style).
+
+    One uniform draw per matched edge whose amount has a non-zero fractional
+    part, in matching order.
+    """
 
     def __init__(self, network: Network, initial_load: Sequence[int],
                  schedule: MatchingSchedule, probability: str = "half",
@@ -115,16 +118,11 @@ class RandomizedRoundingMatching(MatchingBaseline):
         return self._probability
 
     def _execute_round(self) -> None:
-        moves = []
-        for sender, receiver, delta in self._matched_deltas():
-            base = int(math.floor(delta))
-            fraction = delta - base
-            if fraction == 0.0:
-                amount = base
-            elif self._probability == "half":
-                amount = base + (1 if self._rng.random() < 0.5 else 0)
-            else:
-                amount = base + (1 if self._rng.random() < fraction else 0)
-            if amount > 0:
-                moves.append((sender, receiver, amount))
-        self._apply_edge_moves(moves)
+        senders, receivers, delta = self._matched_deltas()
+        base = np.floor(delta)
+        fraction = delta - base
+        drawn = np.flatnonzero(fraction != 0.0)
+        threshold = 0.5 if self._probability == "half" else fraction[drawn]
+        amounts = base.astype(np.int64)
+        amounts[drawn] += self._rng.random(drawn.size) < threshold
+        self._apply_edge_moves(np.column_stack((senders, receivers, amounts)))

@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import copy
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 import networkx as nx
 import numpy as np
 
 from ..exceptions import NetworkError
 
-__all__ = ["Edge", "Network"]
+__all__ = ["Edge", "Network", "node_id_array"]
 
 #: An undirected edge, always stored with ``u < v``.
 Edge = Tuple[int, int]
@@ -100,9 +100,8 @@ class Network:
         remembered only for :attr:`graph`'s adjacency order.
         """
         network = cls.__new__(cls)
-        network._build(int(num_nodes), np.asarray(u, dtype=np.int64),
-                       np.asarray(v, dtype=np.int64), speeds, name,
-                       list(range(int(num_nodes))))
+        network._build(int(num_nodes), node_id_array(u), node_id_array(v),
+                       speeds, name, list(range(int(num_nodes))))
         return network
 
     def _build(self, n: int, u: np.ndarray, v: np.ndarray,
@@ -323,11 +322,11 @@ class Network:
     def edge_ids(self, u: Sequence[int], v: Sequence[int]) -> np.ndarray:
         """Vectorised :meth:`edge_index`: the index of every pair ``{u[k], v[k]}``.
 
-        Pairs that are not edges (including self pairs and out-of-range
-        nodes) get ``-1`` instead of raising.
+        Pairs that are not edges (including self pairs, out-of-range and
+        non-integer nodes) get ``-1`` instead of raising.
         """
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
+        u = node_id_array(u, error=None)
+        v = node_id_array(v, error=None)
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         keys = np.where((lo >= 0) & (hi < self._n) & (lo < hi), lo * self._n + hi, -1)
         if not self.num_edges:
@@ -428,6 +427,29 @@ class Network:
     def _check_node(self, node: int) -> None:
         if not (isinstance(node, (int, np.integer)) and 0 <= node < self._n):
             raise NetworkError(f"node {node!r} is not a valid node id (0..{self._n - 1})")
+
+
+def node_id_array(values, error: Optional[Type[Exception]] = NetworkError) -> np.ndarray:
+    """``values`` as an int64 array of node ids, never truncating.
+
+    Integers and exactly integral numbers such as ``1.0`` are accepted.  A
+    fractional or non-finite number raises ``error``; with ``error=None`` it
+    becomes ``-1``, which is no node.  Strings and ragged nesting raise
+    ``error`` (``ValueError`` when it is ``None``).
+    """
+    try:
+        array = np.asarray(values)
+        if array.dtype.kind in "biu":
+            return array.astype(np.int64, copy=False)
+        if array.dtype.kind not in "fO":
+            raise TypeError(f"got dtype {array.dtype}")
+        floats = array.astype(float)
+    except (TypeError, ValueError) as exc:
+        raise (error or ValueError)(f"node ids must be integers: {exc}") from None
+    integral = np.isfinite(floats) & (floats == np.floor(floats))
+    if error is not None and not integral.all():
+        raise error(f"node ids must be integers, got {float(floats[~integral][0])!r}")
+    return np.where(integral, floats, -1).astype(np.int64)
 
 
 def _checked_speeds(speeds: Optional[Sequence[float]], n: int) -> np.ndarray:

@@ -24,7 +24,7 @@ import networkx as nx
 import numpy as np
 
 from ..exceptions import ScheduleError
-from .graph import Edge, Network
+from .graph import Edge, Network, _read_only, node_id_array
 
 __all__ = [
     "MatchingSchedule",
@@ -36,26 +36,21 @@ __all__ = [
 ]
 
 
-def validate_matching(network: Network, matching: Sequence[Edge]) -> Tuple[Edge, ...]:
-    """Validate that ``matching`` is a matching of ``network`` and canonicalise it.
+def _matching_ids(network: Network, matching: Sequence[Edge]) -> np.ndarray:
+    """The sorted, read-only int64 edge ids of a validated matching.
 
     Membership is one sorted-key lookup (:meth:`Network.edge_ids`) and
-    disjointness one ``bincount`` over the endpoints.  The result is the
-    matched edges in :attr:`Network.edges` order (sorted canonical pairs).
-
-    Raises
-    ------
-    ScheduleError
-        If an edge is missing from the network or two edges share a node;
-        the message names the first offending edge of ``matching``.
+    disjointness one ``bincount`` over the endpoints.
     """
-    ends = np.asarray(matching, dtype=np.int64).reshape(-1, 2)
+    ends = node_id_array(matching, error=ScheduleError)
+    if ends.size == 0:
+        ends = ends.reshape(0, 2)
+    if ends.ndim != 2 or ends.shape[1] != 2:
+        raise ScheduleError(f"a matching is a sequence of (u, v) pairs, got shape {ends.shape}")
     edges = network.edge_ids(ends[:, 0], ends[:, 1])
     missing = edges < 0
     if not missing.any() and np.bincount(ends.ravel()).max(initial=0) <= 1:
-        u, v = network.edge_endpoints
-        edges = np.sort(edges)
-        return tuple(zip(u[edges].tolist(), v[edges].tolist()))
+        return _read_only(np.sort(edges))
     # The first offender: a non-edge, or an edge with an endpoint seen before.
     _, first_seen = np.unique(ends.ravel(), return_index=True)
     repeated = np.ones(ends.size, dtype=bool)
@@ -68,15 +63,30 @@ def validate_matching(network: Network, matching: Sequence[Edge]) -> Tuple[Edge,
     raise ScheduleError(f"edges in a matching must be disjoint; node clash at {edge}")
 
 
-def edge_coloring(network: Network) -> List[Tuple[Edge, ...]]:
-    """Return a proper edge colouring of the network as a list of matchings.
+def _edge_tuple(network: Network, ids: np.ndarray) -> Tuple[Edge, ...]:
+    """The canonical ``(u, v)`` pairs of the edges ``ids``."""
+    u, v = network.edge_endpoints
+    return tuple(zip(u[ids].tolist(), v[ids].tolist()))
 
-    Uses a greedy colouring of the line graph, which yields at most
-    ``2 d - 1`` colours (the paper's periodic model assumes roughly ``d``
-    matchings; greedy is within a factor two of that and keeps the
-    implementation dependency-free).  Every edge appears in exactly one
-    matching and every matching is non-empty.
+
+def validate_matching(network: Network, matching: Sequence[Edge]) -> Tuple[Edge, ...]:
+    """Validate that ``matching`` is a matching of ``network`` and canonicalise it.
+
+    The result is the matched edges in :attr:`Network.edges` order (sorted
+    canonical pairs).
+
+    Raises
+    ------
+    ScheduleError
+        If a node id is not an integer, an edge is missing from the network
+        or two edges share a node; the message names the first offending
+        edge of ``matching``.
     """
+    return _edge_tuple(network, _matching_ids(network, matching))
+
+
+def _coloring_ids(network: Network) -> List[np.ndarray]:
+    """A greedy proper edge colouring, one sorted edge-id array per colour."""
     if network.num_edges == 0:
         return []
     line_graph = nx.line_graph(network.graph)
@@ -86,41 +96,57 @@ def edge_coloring(network: Network) -> List[Tuple[Edge, ...]]:
     line_graph.clear()
     buckets: Dict[int, List[Edge]] = {}
     for edge, color in coloring.items():
-        u, v = edge
-        canonical = (u, v) if u < v else (v, u)
-        buckets.setdefault(color, []).append(canonical)
-    matchings = [
-        validate_matching(network, bucket) for _, bucket in sorted(buckets.items())
-    ]
-    return matchings
+        buckets.setdefault(color, []).append(edge)
+    return [_matching_ids(network, bucket) for _, bucket in sorted(buckets.items())]
+
+
+def edge_coloring(network: Network) -> List[Tuple[Edge, ...]]:
+    """Return a proper edge colouring of the network as a list of matchings.
+
+    Uses a greedy colouring of the line graph, which yields at most
+    ``2 d - 1`` colours (the paper's periodic model assumes roughly ``d``
+    matchings; greedy is within a factor two of that and keeps the
+    implementation dependency-free).  Every edge appears in exactly one
+    matching and every matching is non-empty.
+    """
+    return [_edge_tuple(network, ids) for ids in _coloring_ids(network)]
 
 
 class MatchingSchedule:
     """Abstract base class: a (possibly random) sequence of matchings.
 
-    Subclasses must implement :meth:`matching`.  Results are memoised so that
-    the continuous process and every discrete process coupled to it observe
-    the same matching for a given round, even across repeated queries.
+    Subclasses implement :meth:`_generate` (any sequence of node pairs,
+    validated here) or :meth:`_generate_ids` (edge ids that are a matching by
+    construction).  A round's matching is held as a sorted, read-only int64
+    array of edge indices (:meth:`matching_ids`), memoised so that the
+    continuous process and every discrete process coupled to it observe the
+    same matching for a given round, even across repeated queries.
     """
 
     def __init__(self, network: Network) -> None:
         self._network = network
-        self._cache: Dict[int, Tuple[Edge, ...]] = {}
+        self._cache: Dict[int, np.ndarray] = {}
 
     @property
     def network(self) -> Network:
         """The network the schedule is defined on."""
         return self._network
 
-    def matching(self, round_index: int) -> Tuple[Edge, ...]:
-        """Return the matching active in round ``round_index`` (cached)."""
+    def matching_ids(self, round_index: int) -> np.ndarray:
+        """The sorted edge indices of round ``round_index``'s matching (cached)."""
         if round_index < 0:
             raise ScheduleError("round index must be non-negative")
-        if round_index not in self._cache:
-            self._cache[round_index] = validate_matching(
-                self._network, self._generate(round_index)
-            )
-        return self._cache[round_index]
+        ids = self._cache.get(round_index)
+        if ids is None:
+            ids = self._cache[round_index] = self._generate_ids(round_index)
+        return ids
+
+    def matching(self, round_index: int) -> Tuple[Edge, ...]:
+        """The matching active in round ``round_index`` as canonical pairs."""
+        return _edge_tuple(self._network, self.matching_ids(round_index))
+
+    def _generate_ids(self, round_index: int) -> np.ndarray:
+        return _matching_ids(self._network, self._generate(round_index))
 
     def _generate(self, round_index: int) -> Sequence[Edge]:
         raise NotImplementedError
@@ -161,30 +187,32 @@ class PeriodicMatchingSchedule(MatchingSchedule):
     def __init__(self, network: Network, matchings: Optional[Sequence[Sequence[Edge]]] = None) -> None:
         super().__init__(network)
         if matchings is None:
-            prepared = edge_coloring(network)
+            prepared = _coloring_ids(network)
         else:
-            prepared = [validate_matching(network, m) for m in matchings]
+            prepared = [_matching_ids(network, m) for m in matchings]
         if not prepared:
             raise ScheduleError("a periodic schedule needs at least one matching")
-        covered = {edge for matching in prepared for edge in matching}
-        missing = set(network.edges) - covered
-        if missing:
+        covered = np.zeros(network.num_edges, dtype=bool)
+        for ids in prepared:
+            covered[ids] = True
+        if not covered.all():
+            missing = _edge_tuple(network, np.flatnonzero(~covered)[:5])
             raise ScheduleError(
-                f"periodic matchings must cover every edge; missing {sorted(missing)[:5]}"
+                f"periodic matchings must cover every edge; missing {list(missing)}"
             )
-        self._matchings: List[Tuple[Edge, ...]] = list(prepared)
+        self._matching_ids = prepared
 
     @property
     def matchings(self) -> List[Tuple[Edge, ...]]:
         """The underlying list of matchings (one per colour)."""
-        return list(self._matchings)
+        return [_edge_tuple(self._network, ids) for ids in self._matching_ids]
 
     @property
     def period(self) -> int:
-        return len(self._matchings)
+        return len(self._matching_ids)
 
-    def _generate(self, round_index: int) -> Sequence[Edge]:
-        return self._matchings[round_index % len(self._matchings)]
+    def _generate_ids(self, round_index: int) -> np.ndarray:
+        return self._matching_ids[round_index % len(self._matching_ids)]
 
 
 class RandomMatchingSchedule(MatchingSchedule):
@@ -200,23 +228,24 @@ class RandomMatchingSchedule(MatchingSchedule):
     def __init__(self, network: Network, seed: Optional[int] = None) -> None:
         super().__init__(network)
         self._rng = np.random.default_rng(seed)
-        self._edges = list(network.edges)
+        u, v = network.edge_endpoints
+        self._ends = (u.tolist(), v.tolist())
 
     def _reseed_rng(self, seed: Optional[int]) -> None:
         self._rng = np.random.default_rng(seed)
 
-    def _generate(self, round_index: int) -> Sequence[Edge]:
-        order = self._rng.permutation(len(self._edges))
-        used = set()
-        matching: List[Edge] = []
-        for index in order:
-            u, v = self._edges[index]
-            if u in used or v in used:
+    def _generate_ids(self, round_index: int) -> np.ndarray:
+        sources, targets = self._ends
+        order = self._rng.permutation(len(sources))
+        used = bytearray(self._network.num_nodes)
+        matched: List[int] = []
+        for index in order.tolist():
+            u, v = sources[index], targets[index]
+            if used[u] or used[v]:
                 continue
-            used.add(u)
-            used.add(v)
-            matching.append((u, v))
-        return matching
+            used[u] = used[v] = 1
+            matched.append(index)
+        return _read_only(np.sort(np.array(matched, dtype=np.int64)))
 
 
 class SingleMatchingSchedule(MatchingSchedule):
@@ -224,11 +253,11 @@ class SingleMatchingSchedule(MatchingSchedule):
 
     def __init__(self, network: Network, matching: Sequence[Edge]) -> None:
         super().__init__(network)
-        self._matching = validate_matching(network, matching)
+        self._ids = _matching_ids(network, matching)
 
     @property
     def period(self) -> int:
         return 1
 
-    def _generate(self, round_index: int) -> Sequence[Edge]:
-        return self._matching
+    def _generate_ids(self, round_index: int) -> np.ndarray:
+        return self._ids

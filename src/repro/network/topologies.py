@@ -27,7 +27,7 @@ import networkx as nx
 import numpy as np
 
 from ..exceptions import TopologyError
-from .graph import Network
+from .graph import Network, node_id_array
 
 __all__ = [
     "hypercube",
@@ -285,7 +285,7 @@ def from_edge_list(edges: Sequence[Sequence[int]], speeds: Optional[Sequence[flo
     are kept in :attr:`Network.node_labels`); isolated nodes cannot be
     expressed this way (use :meth:`Network.from_edges` instead).
     """
-    ends = np.asarray(edges, dtype=np.int64)
+    ends = node_id_array(edges, error=TopologyError)
     if ends.size == 0:
         raise TopologyError("edge list must be non-empty")
     if ends.ndim != 2 or ends.shape[1] != 2:

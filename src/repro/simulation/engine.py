@@ -20,12 +20,6 @@ from typing import Dict, List, Optional, Sequence, Type
 import numpy as np
 
 from ..backend import BACKEND_KINDS, BackendChoice, resolve_backend
-from ..backend.baselines import (
-    ArrayExcessTokenDiffusion,
-    ArrayQuasirandomDiffusion,
-    ArrayRandomizedRoundingDiffusion,
-    ArrayRoundDownDiffusion,
-)
 from ..backend.flow import (
     ArrayDeterministicFlowImitation,
     ArrayRandomizedFlowImitation,
@@ -194,31 +188,12 @@ def _build_flow_imitation(
                                         rng_mode=rng_mode)
 
 
-_DIFFUSION_CLASSES: Dict[str, Dict[str, Type[IntegerLoadBalancer]]] = {
-    "object": {
-        "round-down": RoundDownDiffusion,
-        "quasirandom": QuasirandomDiffusion,
-        "randomized-rounding": RandomizedRoundingDiffusion,
-        "excess-tokens": ExcessTokenDiffusion,
-    },
-    "array": {
-        "round-down": ArrayRoundDownDiffusion,
-        "quasirandom": ArrayQuasirandomDiffusion,
-        "randomized-rounding": ArrayRandomizedRoundingDiffusion,
-        # Sequential excess-token forwarding draws order-sensitive per-node
-        # randomness, so the shared scalar implementation is kept; the
-        # counter rng mode is order-free and takes the vectorised kernel.
-        "excess-tokens": ExcessTokenDiffusion,
-    },
+_DIFFUSION_CLASSES: Dict[str, Type[IntegerLoadBalancer]] = {
+    "round-down": RoundDownDiffusion,
+    "quasirandom": QuasirandomDiffusion,
+    "randomized-rounding": RandomizedRoundingDiffusion,
+    "excess-tokens": ExcessTokenDiffusion,
 }
-
-
-def _diffusion_class(algorithm: str, backend: str,
-                     rng_mode: str) -> Type[IntegerLoadBalancer]:
-    name = resolve_backend(backend).name
-    if name == "array" and algorithm == "excess-tokens" and rng_mode == "counter":
-        return ArrayExcessTokenDiffusion
-    return _DIFFUSION_CLASSES[name][algorithm]
 
 
 def _build_baseline(
@@ -234,12 +209,13 @@ def _build_baseline(
     # A clear error beats a silently rounded workload: the baselines balance
     # whole tokens, so fractional loads are a caller bug.
     loads = as_token_counts(initial_load, network, error=ExperimentError)
+    resolve_backend(backend)  # checks the name: every backend runs the same class
     if algorithm in DIFFUSION_BASELINES:
         if continuous_kind not in ("fos", "sos"):
             raise ExperimentError(
                 f"{algorithm!r} is a diffusion baseline; use continuous_kind 'fos'"
             )
-        cls = _diffusion_class(algorithm, backend, rng_mode)
+        cls = _DIFFUSION_CLASSES[algorithm]
         if algorithm in ("round-down", "quasirandom"):
             return cls(network, loads)
         # The randomized baselines draw order-free counter randomness on demand.
@@ -251,7 +227,6 @@ def _build_baseline(
             )
         if schedule is None:
             schedule = make_schedule(continuous_kind, network, seed=seed)
-        # Matching baselines are columnar already; both backends share them.
         if algorithm == "matching-round-down":
             return RoundDownMatching(network, loads, schedule)
         return RandomizedRoundingMatching(network, loads, schedule, seed=seed)
@@ -289,9 +264,10 @@ def make_balancer(
     integer-weight task assignments, falling back to the object backend only
     for workloads that need task objects (non-integer weights); the backends
     produce identical trajectories for any given seed, so the choice is
-    purely about speed.  ``rng_mode`` selects how the randomized processes —
-    Algorithm 2, the randomized-rounding diffusion and the excess-token
-    baseline — draw their randomness: "sequential" consumes one shared
+    purely about speed.  Each literature baseline has one implementation,
+    which every backend builds.  ``rng_mode`` selects how the randomized
+    processes — Algorithm 2, the randomized-rounding diffusion and the
+    excess-token baseline — draw their randomness: "sequential" consumes one shared
     generator in iteration order, the "counter" mode keys a Philox generator
     on ``(seed, round, edge-or-node)`` so every draw is order-free (see
     :mod:`repro.counter_rng`); deterministic algorithms ignore it.
@@ -434,12 +410,12 @@ def run_algorithm(
                                  schedule=schedule, seed=seed, backend=backend,
                                  rng_mode=rng_mode)
         w_max = 1.0
-        # The backend choice only selects classes for the diffusion baselines;
-        # report what actually ran, not just what was resolved.
-        if algorithm in MATCHING_BASELINES:
-            choice = BackendChoice(
-                choice.name, "matching baselines share one integer-vector "
-                             "implementation across backends")
+        # The backend choice selects no class for a baseline; report what
+        # actually ran, not just what was resolved.
+        reason = "literature baselines share one integer-vector implementation across backends"
+        if rng_mode == "counter" and algorithm in ("randomized-rounding", "excess-tokens"):
+            reason += ", order-free counter rng"
+        choice = BackendChoice(choice.name, reason)
 
     probe: Optional[RoundProbe] = None
     if bus is not None:

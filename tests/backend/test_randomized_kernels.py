@@ -11,11 +11,11 @@ the whole round.  These tests pin down:
 * permutation invariance: processing the per-round send requests (or edges)
   in a shuffled order yields the *same* load trajectory in counter mode,
   while the sequential per-draw stream is order-sensitive;
-* bit-identity between the scalar counter-mode references
-  (:class:`RandomizedFlowImitation`, :class:`RandomizedRoundingDiffusion`)
-  and the vectorised kernels (:class:`ArrayRandomizedFlowImitation`,
-  :class:`ArrayRandomizedRoundingDiffusion`) across topologies and
-  substrates;
+* bit-identity between the scalar counter-mode reference
+  :class:`RandomizedFlowImitation` and the vectorised kernel
+  :class:`ArrayRandomizedFlowImitation`, and between
+  :class:`RandomizedRoundingDiffusion` and its per-edge move oracle, across
+  topologies and substrates;
 * the engine plumbing: ``rng_mode`` threading through
   ``make_balancer``/``run_algorithm``/``run_stream`` and the recorded
   ``backend_reason``.
@@ -29,7 +29,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.backend.baselines import ArrayRandomizedRoundingDiffusion
+from baseline_oracles import ScalarRandomizedRoundingDiffusion
 from repro.backend.flow import ArrayRandomizedFlowImitation
 from repro.continuous.fos import FirstOrderDiffusion
 from repro.continuous.sos import SecondOrderDiffusion
@@ -267,10 +267,10 @@ class TestRandomizedRoundingCounter:
                                                                  rng_mode):
         network = TOPOLOGIES[topology]()
         load = workload(network)
-        scalar = RandomizedRoundingDiffusion(network, load, seed=9,
-                                             rng_mode=rng_mode)
-        vectorized = ArrayRandomizedRoundingDiffusion(network, load, seed=9,
-                                                      rng_mode=rng_mode)
+        scalar = ScalarRandomizedRoundingDiffusion(network, load, seed=9,
+                                                   rng_mode=rng_mode)
+        vectorized = RandomizedRoundingDiffusion(network, load, seed=9,
+                                                 rng_mode=rng_mode)
         for round_index in range(40):
             scalar.advance()
             vectorized.advance()
@@ -303,7 +303,7 @@ class TestEnginePlumbing:
         balancer = make_balancer("randomized-rounding", network,
                                  initial_load=workload(network),
                                  seed=3, backend="array", rng_mode="counter")
-        assert isinstance(balancer, ArrayRandomizedRoundingDiffusion)
+        assert type(balancer) is RandomizedRoundingDiffusion
         assert balancer.rng_mode == "counter"
 
     @pytest.mark.parametrize("algorithm", ["algorithm2", "randomized-rounding"])

@@ -6,20 +6,30 @@ import numpy as np
 import pytest
 
 from repro.backend import (
+    BACKEND_KINDS,
     ArrayDeterministicFlowImitation,
-    ArrayExcessTokenDiffusion,
     ArrayRandomizedFlowImitation,
-    ArrayRoundDownDiffusion,
     WeightedRunState,
     resolve_backend,
 )
 from repro.core.algorithm1 import DeterministicFlowImitation
 from repro.core.algorithm2 import RandomizedFlowImitation
 from repro.core.flow_imitation import FlowCoupledBalancer
-from repro.discrete.baselines.diffusion import ExcessTokenDiffusion, RoundDownDiffusion
+from repro.discrete.baselines.diffusion import (
+    ExcessTokenDiffusion,
+    QuasirandomDiffusion,
+    RandomizedRoundingDiffusion,
+    RoundDownDiffusion,
+)
+from repro.discrete.baselines.matching import RandomizedRoundingMatching, RoundDownMatching
 from repro.exceptions import ExperimentError, TaskError
 from repro.network import topologies
-from repro.simulation.engine import make_balancer, run_algorithm
+from repro.simulation.engine import (
+    DIFFUSION_BASELINES,
+    MATCHING_BASELINES,
+    make_balancer,
+    run_algorithm,
+)
 from repro.simulation.scenario import DynamicScenario, Scenario
 from repro.tasks.assignment import TaskAssignment
 from repro.tasks.generators import point_load
@@ -71,17 +81,31 @@ class TestResolution:
             make_balancer("algorithm1", topologies.cycle(4),
                           initial_load=[1, 1, 1, 1], backend="columnar")
 
-    def test_diffusion_baseline_classes_follow_backend_and_rng_mode(self):
+    def test_every_backend_builds_the_one_baseline_class(self):
         network = topologies.cycle(4)
-        cases = (("round-down", "object", "sequential", RoundDownDiffusion),
-                 ("round-down", "auto", "sequential", ArrayRoundDownDiffusion),
-                 ("excess-tokens", "array", "sequential", ExcessTokenDiffusion),
-                 ("excess-tokens", "array", "counter", ArrayExcessTokenDiffusion),
-                 ("excess-tokens", "object", "counter", ExcessTokenDiffusion))
-        for algorithm, backend, rng_mode, cls in cases:
-            balancer = make_balancer(algorithm, network, initial_load=[2] * 4,
-                                     backend=backend, rng_mode=rng_mode)
-            assert type(balancer) is cls, (algorithm, backend, rng_mode)
+        classes = {"round-down": RoundDownDiffusion,
+                   "quasirandom": QuasirandomDiffusion,
+                   "randomized-rounding": RandomizedRoundingDiffusion,
+                   "excess-tokens": ExcessTokenDiffusion,
+                   "matching-round-down": RoundDownMatching,
+                   "matching-randomized": RandomizedRoundingMatching}
+        assert sorted(classes) == sorted(DIFFUSION_BASELINES + MATCHING_BASELINES)
+        for algorithm, cls in classes.items():
+            kind = "random-matching" if algorithm.startswith("matching") else "fos"
+            for backend in BACKEND_KINDS:
+                for rng_mode in ("sequential", "counter"):
+                    balancer = make_balancer(algorithm, network, initial_load=[2] * 4,
+                                             continuous_kind=kind, backend=backend,
+                                             rng_mode=rng_mode)
+                    assert type(balancer) is cls, (algorithm, backend, rng_mode)
+
+    def test_baselines_reject_unknown_backends(self):
+        network = topologies.cycle(4)
+        for algorithm, kind in (("round-down", "fos"),
+                                ("matching-round-down", "periodic-matching")):
+            with pytest.raises(ExperimentError):
+                make_balancer(algorithm, network, initial_load=[2] * 4,
+                              continuous_kind=kind, backend="columnar")
 
 
 class TestMakeBalancerThreading:

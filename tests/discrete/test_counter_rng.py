@@ -8,8 +8,8 @@ whole round.  These tests pin down:
 
 * determinism: same seed => same draws/trajectory, different seeds differ;
 * order-freeness: visiting nodes in any order yields the same selections;
-* bit-identity between the scalar counter-mode reference and the fully
-  vectorised :class:`~repro.backend.baselines.ArrayExcessTokenDiffusion`;
+* bit-identity between the batched counter-mode round and the per-node
+  oracle :class:`baseline_oracles.ScalarExcessTokenDiffusion`;
 * the engine/CLI plumbing (``rng_mode`` threading, backend recording);
 * the clear-error satellite: non-integer loads raise instead of silently
   producing a wrong answer.
@@ -20,10 +20,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backend.baselines import ArrayExcessTokenDiffusion
+from baseline_oracles import ScalarExcessTokenDiffusion
 from repro.discrete.baselines.diffusion import RNG_MODES, ExcessTokenDiffusion
 from repro.exceptions import ExperimentError, ProcessError
 from repro.network import topologies
+from repro.obs.kernels import activate_kernel_clock, deactivate_kernel_clock
 from repro.simulation.engine import make_balancer, run_algorithm
 from repro.tasks.generators import point_load, uniform_random_load
 
@@ -85,8 +86,8 @@ class TestOrderFreeDraws:
         """Two references visiting nodes forward/backward select identically."""
         network = topologies.random_regular(20, 4, seed=3)
         load = workload(network)
-        reference = ExcessTokenDiffusion(network, load, seed=5, rng_mode="counter")
-        shuffled = ExcessTokenDiffusion(network, load, seed=5, rng_mode="counter")
+        reference = ScalarExcessTokenDiffusion(network, load, seed=5, rng_mode="counter")
+        shuffled = ScalarExcessTokenDiffusion(network, load, seed=5, rng_mode="counter")
         for round_index in range(5):
             scores_a = reference._counter_scores(round_index)
             scores_b = shuffled._counter_scores(round_index)
@@ -114,10 +115,10 @@ class TestOrderFreeDraws:
             "ring": lambda: topologies.cycle(12),
         }[topology]()
         load = workload(network)
-        scalar = ExcessTokenDiffusion(network, load, seed=9, rng_mode="counter",
-                                      strategy=strategy)
-        vectorized = ArrayExcessTokenDiffusion(network, load, seed=9,
-                                               strategy=strategy)
+        scalar = ScalarExcessTokenDiffusion(network, load, seed=9, rng_mode="counter",
+                                            strategy=strategy)
+        vectorized = ExcessTokenDiffusion(network, load, seed=9, rng_mode="counter",
+                                          strategy=strategy)
         for round_index in range(40):
             scalar.advance()
             vectorized.advance()
@@ -125,34 +126,36 @@ class TestOrderFreeDraws:
                 f"{topology}/{strategy} diverged at round {round_index}")
         assert scalar.went_negative == vectorized.went_negative
 
-    def test_vectorized_kernel_requires_counter_mode(self):
-        network = topologies.cycle(5)
-        with pytest.raises(ProcessError):
-            ArrayExcessTokenDiffusion(network, [2] * 5, rng_mode="sequential")
-
 
 class TestEnginePlumbing:
-    def test_counter_mode_selects_vectorized_kernel_on_array_backend(self):
+    def test_counter_mode_runs_the_batched_round(self):
         network = topologies.torus(4, dims=2)
-        balancer = make_balancer("excess-tokens", network,
-                                 initial_load=workload(network),
-                                 seed=3, backend="array", rng_mode="counter")
-        assert isinstance(balancer, ArrayExcessTokenDiffusion)
-        sequential = make_balancer("excess-tokens", network,
-                                   initial_load=workload(network),
-                                   seed=3, backend="array")
-        assert not isinstance(sequential, ArrayExcessTokenDiffusion)
+        clock = activate_kernel_clock()
+        try:
+            for rng_mode in ("sequential", "counter"):
+                balancer = make_balancer("excess-tokens", network,
+                                         initial_load=workload(network), seed=3,
+                                         backend="array", rng_mode=rng_mode)
+                assert type(balancer) is ExcessTokenDiffusion
+                balancer.run(2)
+                phases = clock.drain()
+                assert ("baseline/excess-array" in phases) == (rng_mode == "counter")
+        finally:
+            deactivate_kernel_clock()
 
-    def test_run_algorithm_reports_scalar_fallback_reason(self):
+    def test_run_algorithm_reports_one_implementation(self):
         network = topologies.torus(4, dims=2)
-        result = run_algorithm("excess-tokens", network,
-                               initial_load=workload(network), rounds=5, seed=3)
-        assert result.extra["backend"] == "array"
-        assert "counter" in result.extra["backend_reason"]
-        counter = run_algorithm("excess-tokens", network,
-                                initial_load=workload(network), rounds=5, seed=3,
-                                rng_mode="counter")
-        assert counter.extra["backend"] == "array"
+        for backend in ("object", "array"):
+            sequential = run_algorithm("excess-tokens", network,
+                                       initial_load=workload(network), rounds=5,
+                                       seed=3, backend=backend)
+            assert sequential.extra["backend"] == backend
+            assert "one integer-vector implementation" in sequential.extra["backend_reason"]
+            assert "counter" not in sequential.extra["backend_reason"]
+            counter = run_algorithm("excess-tokens", network,
+                                    initial_load=workload(network), rounds=5, seed=3,
+                                    backend=backend, rng_mode="counter")
+            assert "counter" in counter.extra["backend_reason"]
 
     def test_counter_recouple_equals_fresh_build(self):
         network = topologies.torus(4, dims=2)

@@ -258,6 +258,26 @@ class TestEdgeLayout:
         assert edges.size == forward.size == senders.size == receivers.size == 0
 
 
+
+class TestIntegerNodeIds:
+    """Fractional node ids are rejected, never truncated to an integer."""
+
+    def test_from_edges_rejects_fractional_endpoints(self):
+        with pytest.raises(NetworkError, match="integers"):
+            Network.from_edges(3, [0.5], [1.7])
+        with pytest.raises(NetworkError, match="integers"):
+            Network.from_edges(3, [0, 1], [1, float("nan")])
+
+    def test_from_edges_accepts_integral_floats(self):
+        net = Network.from_edges(3, [0.0, 1.0], [1, 2])
+        assert net.edges == ((0, 1), (1, 2))
+
+    def test_edge_ids_of_fractional_pairs_are_missing(self):
+        net = topologies.cycle(6)
+        assert net.edge_ids([0.5], [1]).tolist() == [-1]
+        assert net.edge_ids([0.5, 1.0, 2], [1, 2.0, 3]).tolist() == [-1, 2, 3]
+
+
 def _lexsorted_active(net, residual):
     """The per-round reference: orient the active edges, then lexsort them."""
     u, v = net.edge_endpoints

@@ -36,6 +36,19 @@ class TestValidateMatching:
         assert validate_matching(net, []) == ()
 
 
+    def test_fractional_node_ids_rejected(self):
+        net = topologies.cycle(6)
+        with pytest.raises(ScheduleError, match="integers"):
+            validate_matching(net, [(0.5, 1)])
+        assert validate_matching(net, [(1.0, 0.0)]) == ((0, 1),)
+
+    def test_malformed_pairs_raise_schedule_error(self):
+        net = topologies.cycle(6)
+        for matching in ([(0, 1, 2)], [(0, 1), (2,)], [0, 1]):
+            with pytest.raises(ScheduleError):
+                validate_matching(net, matching)
+
+
 class TestEdgeColoring:
     @pytest.mark.parametrize("builder", [
         lambda: topologies.cycle(7),

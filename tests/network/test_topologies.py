@@ -194,6 +194,14 @@ class TestFromEdgeList:
         with pytest.raises(NetworkError):
             topologies.from_edge_list([(0, 1), (2, 2)])
 
+    def test_fractional_endpoints_rejected(self):
+        with pytest.raises(TopologyError, match="integers"):
+            topologies.from_edge_list([(0.5, 1.5), (1, 2)])
+        with pytest.raises(TopologyError):
+            topologies.from_edge_list([("a", "b")])
+        net = topologies.from_edge_list([(0.0, 1.0), (1, 2)])
+        assert net.edges == ((0, 1), (1, 2))
+
 
 class TestNamedTopology:
     @pytest.mark.parametrize("name", ["hypercube", "torus", "torus3d", "cycle", "path",

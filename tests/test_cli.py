@@ -296,6 +296,15 @@ class TestStoreAndReportCommands:
             ["dynamic", "--nodes", "16", "--rounds", "40",
              "--rng-mode", "counter", "--store", str(store_path),
              "--store-label", "ci-dynamic"],
+            *(["sweep", "--algorithm", algorithm, "--continuous", continuous,
+               "--nodes", "16", "--tokens-per-node", "8", "--seeds", "1", "2",
+               "--rng-mode", "counter", "--store", str(store_path),
+               "--store-label", label]
+              for algorithm, continuous, label in (
+                  ("matching-round-down", "periodic-matching", "ci-matching-rounddown"),
+                  ("matching-randomized", "random-matching", "ci-matching-randomized"),
+                  ("excess-tokens", "fos", "ci-excess"),
+                  ("algorithm1", "periodic-matching", "ci-alg1-periodic"))),
         ):
             assert main(argv) == 0
         capsys.readouterr()
