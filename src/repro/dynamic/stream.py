@@ -7,11 +7,12 @@ Each round it
    back one :class:`~repro.dynamic.events.EventBatch` of int64 columns;
 2. applies the batch to its own mutable system state: per-label arrays over
    the sorted *stable labels* that survive node churn (speeds and an
-   ``(n, K)`` matrix of task counts per weight class) and a
-   :class:`networkx.Graph` on the same labels.  Joins and leaves split the
-   batch and are applied one by one; each run of arrivals and departures
-   between them is applied at once (see :meth:`StreamingEngine._apply_tokens`),
-   with exactly the result of applying its rows in order;
+   ``(n, K)`` matrix of task counts per weight class) and the topology as an
+   ``(m, 2)`` int64 array of edges between those labels, in sorted canonical
+   ``u < v`` order.  Joins and leaves split the batch and are applied one by
+   one; each run of arrivals and departures between them is applied at once
+   (see :meth:`StreamingEngine._apply_tokens`), with exactly the result of
+   applying its rows in order;
 3. **re-couples** the balancer whenever an event changed the workload or the
    topology — the continuous substrate of the paper's framework is only
    meaningful for a fixed graph and total load, so the discrete balancer is
@@ -56,16 +57,15 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-import networkx as nx  # repro: allow[R007] JOIN/LEAVE edit this graph (a CSR is future work)
 import numpy as np
 
 from ..backend import resolve_backend
 from ..core.flow_imitation import FlowCoupledBalancer, TaskSelectionPolicy
-from ..exceptions import ExperimentError
+from ..exceptions import CheckpointError, ExperimentError, NetworkError
 from ..obs.bus import MetricsBus
 from ..obs.kernels import kernel_phase
 from ..obs.probe import RoundProbe
-from ..network.graph import Network
+from ..network.graph import Network, node_id_array
 from ..simulation.engine import ALL_ALGORITHMS, CONTINUOUS_KINDS, make_balancer, make_schedule
 from ..simulation.results import RunResult
 from ..tasks.assignment import TaskAssignment
@@ -227,12 +227,11 @@ class StreamingEngine:
         self._generator = generator
         self._backend_reason = choice.reason
 
-        # Stable-label state: the graph and per-label arrays the events act
-        # on.  ``network`` already uses contiguous labels 0..n-1, which become
-        # the initial stable labels; joins get fresh labels beyond the maximum.
-        self._graph: nx.Graph = nx.Graph()
-        self._graph.add_nodes_from(range(network.num_nodes))
-        self._graph.add_edges_from(network.edges)
+        # Stable-label state: the edge array and per-label arrays the events
+        # act on.  ``network`` already uses contiguous labels 0..n-1, which
+        # become the initial stable labels; joins get fresh labels beyond the
+        # maximum.
+        self._edges = np.column_stack(network.edge_endpoints)
         self._load_rows(range(network.num_nodes), network.speeds, buckets)
         self._next_label = network.num_nodes
 
@@ -341,11 +340,20 @@ class StreamingEngine:
 
     def _set_rows(self, labels: Tuple[int, ...], speeds: np.ndarray,
                   counts: np.ndarray) -> None:
-        """Install new rows (only on JOIN/LEAVE) and rebuild the label index."""
+        """Install new rows (only on JOIN/LEAVE) and rebuild the label array."""
         self._labels, self._speeds, self._counts = labels, speeds, counts
-        self._rows = {label: row for row, label in enumerate(labels)}
         self._label_array = np.array(labels, dtype=np.int64)
         self._label_array.flags.writeable = False
+
+    def _find_rows(self, labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The row of every label in ``labels`` and whether it is in the system.
+
+        An unknown label gets the row it would sort into (clipped to the
+        last row) and ``False``.
+        """
+        rows = np.searchsorted(self._label_array, labels)
+        np.minimum(rows, len(self._labels) - 1, out=rows)
+        return rows, self._label_array[rows] == labels
 
     def _bucket_matrix(self, buckets: Sequence[Dict[int, int]]) -> np.ndarray:
         """The ``(n, K)`` count matrix of one ``{weight: count}`` mapping per row."""
@@ -394,7 +402,8 @@ class StreamingEngine:
     def state_dict(self) -> Dict[str, object]:
         """JSON-friendly snapshot of the full mutable stream state.
 
-        The snapshot holds the stable-label system (graph, speeds, tokens),
+        The snapshot holds the stable-label system (sorted ``nodes``, the
+        sorted canonical ``[u, v]`` label pairs of ``edges``, speeds, tokens),
         every run-level counter, the event generator's randomness position
         and the last coupling **boundary** (workload + rounds advanced since).
         :meth:`restore` re-couples at the boundary and deterministically
@@ -416,8 +425,7 @@ class StreamingEngine:
             "next_label": self._next_label,
             "backend_reason": self._backend_reason,
             "nodes": list(self._labels),
-            "edges": sorted([int(u), int(v)] if u <= v else [int(v), int(u)]
-                            for u, v in self._graph.edges()),
+            "edges": self._edges.tolist(),
             "speeds": dict(zip(self._labels, self._speeds.tolist())),
             "tokens": self._tokens_of(self._counts),
             "buckets": self._buckets_of(self._counts) if self.weighted else None,
@@ -449,10 +457,10 @@ class StreamingEngine:
         state bit-identically — the restored engine continues exactly as the
         uninterrupted run would have.  A post-replay integrity check
         verifies the replayed loads match the snapshotted ones and raises
-        :class:`~repro.exceptions.CheckpointError` otherwise.
+        :class:`~repro.exceptions.CheckpointError` otherwise; so does a
+        malformed topology (a label listed twice, a self loop, an edge or a
+        node missing from the other tables).
         """
-        from ..exceptions import CheckpointError
-
         engine = cls.__new__(cls)
         engine._config = dict(config)
         engine._generator = generator
@@ -460,15 +468,18 @@ class StreamingEngine:
             "backend_reason", "restored from checkpoint")
 
         boundary = state["boundary"]
-        engine._graph = nx.Graph()
-        engine._graph.add_nodes_from(int(node) for node in state["nodes"])
-        engine._graph.add_edges_from((int(u), int(v))
-                                     for u, v in state["edges"])
-        labels = sorted(engine._graph.nodes())
+        labels, engine._edges = cls._checked_topology(state)
         speeds = cls._int_keys(state["speeds"], float)
+        tokens = cls._int_keys(boundary["tokens"])
         # unit streams store no buckets: each label's tokens are its weight-1 count
-        buckets = cls._int_keys(boundary["buckets"] or {
-            label: {1: tokens} for label, tokens in boundary["tokens"].items()}, cls._int_keys)
+        buckets = (cls._int_keys(boundary["buckets"], cls._int_keys) if boundary["buckets"]
+                   else {label: {1: count} for label, count in tokens.items()})
+        for table, mapping in (("speeds", speeds), ("boundary tokens", tokens),
+                               ("boundary buckets", buckets)):
+            missing = [label for label in labels if label not in mapping]
+            if missing:
+                raise CheckpointError(
+                    f"malformed checkpoint: nodes {missing} have no {table}")
         engine._load_rows(labels, [speeds[label] for label in labels],
                           [buckets[label] for label in labels])
         engine._next_label = int(state["next_label"])
@@ -507,6 +518,26 @@ class StreamingEngine:
         engine._attach_bus(bus)
         return engine
 
+    @staticmethod
+    def _checked_topology(state: Dict[str, object]) -> Tuple[List[int], np.ndarray]:
+        """The sorted labels and sorted canonical edge array of a snapshot."""
+        try:
+            labels = sorted(node_id_array(state["nodes"]).tolist())
+            edges = node_id_array(state["edges"])
+        except NetworkError as exc:
+            raise CheckpointError(f"malformed checkpoint: {exc}") from None
+        if len(set(labels)) != len(labels):
+            raise CheckpointError("malformed checkpoint: a node label is listed twice")
+        if edges.size and edges.shape[1:] != (2,):
+            raise CheckpointError("malformed checkpoint: edges must be [u, v] label pairs")
+        edges = edges.reshape(-1, 2)
+        if np.any(edges[:, 0] == edges[:, 1]):
+            raise CheckpointError("malformed checkpoint: the topology has a self loop")
+        if not np.isin(edges, labels).all():
+            raise CheckpointError(
+                "malformed checkpoint: an edge names a label that is not a node")
+        return labels, np.unique(np.sort(edges, axis=1), axis=0)
+
     def _attach_bus(self, bus: Optional[MetricsBus]) -> None:
         """Send telemetry to ``bus`` (None: nowhere), probing the current balancer."""
         config = self._config
@@ -539,15 +570,23 @@ class StreamingEngine:
         np.cumsum(np.bincount(rows, minlength=len(self._labels)), out=offsets[1:])
         return WeightedLoads(self._weights[columns], self._counts[rows, columns], offsets)
 
+    @staticmethod
+    def _ranked_network(labels: np.ndarray, edges: np.ndarray, **options) -> Network:
+        """The network on the sorted ``labels`` and their ``edges``, nodes numbered by rank."""
+        ranks = np.searchsorted(labels, edges)
+        return Network.from_edges(labels.size, ranks[:, 0], ranks[:, 1], **options)
+
     def _couple(self) -> None:
         """(Re)build the network and balancer from the stable-label state."""
         self._harvest_balancer_counters()
         config = self._config
-        # Network relabels the (sorted, stable) labels to 0..n-1 in a copy of
-        # its own and keeps the originals in ``node_labels`` — the index ->
-        # stable-label mapping the StreamView contract promises to generators.
-        network = Network(self._graph, speeds=self._speeds,
-                          name=f"{config['base_name']}+dynamic")
+        # The network's indices 0..n-1 are the ranks of the sorted stable
+        # labels (sorted edges keep ``Network.graph``'s adjacency order), and
+        # ``node_labels`` maps them back -- the index -> stable-label mapping
+        # the StreamView contract promises to generators.
+        network = self._ranked_network(self._label_array, self._edges, speeds=self._speeds,
+                                       name=f"{config['base_name']}+dynamic")
+        network.node_labels = list(self._labels)
         workload = self._current_workload()
 
         couple_seed = self._couple_seed()
@@ -682,9 +721,7 @@ class StreamingEngine:
         """
         label = batch.label[start:stop]
         departures = batch.kind[start:stop] == _DEPARTURE
-        rows = np.searchsorted(self._label_array, label)
-        np.minimum(rows, len(self._labels) - 1, out=rows)
-        known = self._label_array[rows] == label
+        rows, known = self._find_rows(label)
         applied[start:stop] = known
         requested = batch.tokens[start:stop]
         bound = int(self._counts[:, 0].max()) + int(requested[~departures].sum())
@@ -734,21 +771,26 @@ class StreamingEngine:
         leave's handed-out weight), applied flag and attachment list.
         """
         if batch.kind[row] == _JOIN:
-            targets = tuple(label for label in batch.attach[row] if label in self._rows)
-            if not targets:
+            attach_to = np.array(batch.attach[row], dtype=np.int64)
+            targets = attach_to[self._find_rows(attach_to)[1]]
+            if not targets.size:
                 applied[row] = False
                 return False
             label = self._next_label
             self._next_label += 1
-            self._graph.add_node(label)
-            self._graph.add_edges_from((label, target) for target in targets)
+            # One edge per distinct target.  The new label is the largest, so
+            # edge (target, label) goes right after the edges starting at target.
+            distinct = np.unique(targets)
+            self._edges = np.insert(
+                self._edges, np.searchsorted(self._edges[:, 0], distinct, side="right"),
+                np.column_stack((distinct, np.full_like(distinct, label))), axis=0)
             joined = np.zeros((1, self._weights.size), dtype=np.int64)
             joined[0, 0] = tokens[row]
             self._set_rows(self._labels + (label,), np.append(self._speeds, 1.0),
                            np.vstack((self._counts, joined)))
             self._arrived += int(tokens[row])
             labels[row] = label
-            attach[row] = targets
+            attach[row] = tuple(targets.tolist())
             return True
 
         # LEAVE: reject anything that would disconnect the network or shrink
@@ -757,19 +799,22 @@ class StreamingEngine:
         # carried across classes: neighbour j gets ``count // d`` plus one if
         # its offset from the class's start is below ``count % d``.
         node = int(batch.label[row])
-        index = self._rows.get(node)
-        if (index is None or len(self._labels) <= 3 or not nx.is_connected(
-                nx.restricted_view(self._graph, [node], []))):
+        (index,), (known,) = self._find_rows(batch.label[row:row + 1])
+        incident = np.any(self._edges == node, axis=1)
+        remaining = self._edges[~incident]
+        if not known or len(self._labels) <= 3 or not self._ranked_network(
+                np.delete(self._label_array, index), remaining).is_connected():
             applied[row] = False
             return False
-        neighbors = sorted(self._graph.neighbors(node))
-        self._graph.remove_node(node)
+        ends = self._edges[incident]
+        neighbors = np.sort(ends[ends != node])
+        self._edges = remaining
         orphans = self._counts[index]
-        degree = len(neighbors)
+        degree = neighbors.size
         starts = np.cumsum(orphans) - orphans
         offsets = (np.arange(degree) - starts[:, None]) % degree
         shares = orphans[:, None] // degree + (offsets < orphans[:, None] % degree)
-        self._counts[[self._rows[label] for label in neighbors]] += shares.T
+        self._counts[self._find_rows(neighbors)[0]] += shares.T
         tokens[row] = int(orphans @ self._weights)
         self._set_rows(self._labels[:index] + self._labels[index + 1:],
                        np.delete(self._speeds, index), np.delete(self._counts, index, axis=0))

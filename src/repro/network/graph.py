@@ -7,7 +7,9 @@ Section 3 of the paper).  The class pre-computes the data every balancing
 process needs each round: the read-only int64 edge endpoint arrays, the
 directed planning order and CSR adjacency the array kernels share, and the
 degrees.  Python-object views (the edge tuple, the edge index, neighbour
-tuples, a :class:`networkx.Graph`) are built on first use and cached.
+tuples, a :class:`networkx.Graph`) are built on first use and cached;
+connectivity, hop distances and the diameter are breadth-first searches over
+the CSR (:meth:`Network.distances_from`).
 
 Nodes are always labelled ``0 .. n-1``.  :meth:`Network.from_edges` builds a
 network straight from int64 endpoint arrays; the constructor adapts a
@@ -339,22 +341,30 @@ class Network:
         self._check_node(node)
         return [self.edge_index(node, j) for j in self.neighbors(node)]
 
-    def is_connected(self) -> bool:
-        """Whether the network is connected (single-node networks are)."""
+    def distances_from(self, source: int) -> np.ndarray:
+        """Hop distance from ``source`` to every node (int64, ``-1`` where unreachable)."""
+        self._check_node(source)
         indptr, indices = self._csr
-        seen = np.zeros(self._n, dtype=bool)
-        seen[0] = True
-        frontier = np.zeros(1, dtype=np.int64)
+        distances = np.full(self._n, -1, dtype=np.int64)
+        distances[source] = 0
+        frontier = np.array([source], dtype=np.int64)
+        hops = 0
         while frontier.size:
+            hops += 1
             # gather the CSR rows of the whole frontier in one go (breadth-first)
             starts = indptr[frontier]
             lengths = indptr[frontier + 1] - starts
             ends = np.cumsum(lengths)
             rows = np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
             reached = np.sort(indices[rows])
-            frontier = reached[~seen[reached] & np.append(True, reached[1:] != reached[:-1])]
-            seen[frontier] = True
-        return bool(seen.all())
+            frontier = reached[(distances[reached] < 0)
+                               & np.append(True, reached[1:] != reached[:-1])]
+            distances[frontier] = hops
+        return distances
+
+    def is_connected(self) -> bool:
+        """Whether the network is connected (single-node networks are)."""
+        return bool(np.all(self.distances_from(0) >= 0))
 
     def require_connected(self) -> None:
         """Raise :class:`NetworkError` unless the network is connected."""
@@ -364,11 +374,13 @@ class Network:
             )
 
     def diameter(self) -> int:
-        """Return the graph diameter (requires a connected network)."""
+        """Return the graph diameter (requires a connected network).
+
+        One breadth-first search per node: ``O(n (n + m))`` time, ``O(n)``
+        memory.
+        """
         self.require_connected()
-        if self._n == 1:
-            return 0
-        return int(nx.diameter(self.graph))
+        return max(int(self.distances_from(node).max()) for node in self.nodes)
 
     # ------------------------------------------------------------------ #
     # matrices

@@ -10,8 +10,8 @@ This module quantifies that claim for the flow-imitation algorithms.  Each
 :class:`~repro.tasks.task.Task` optionally records its ``origin`` node; after
 a run we can measure the graph distance between every task's origin and its
 final location and summarise the displacement distribution.  The ablation
-benchmark ``benchmarks/bench_locality.py`` compares the displacement of
-Algorithm 1 under the different task-selection policies.
+benchmark ``benchmarks/bench_ablation_selection_policy.py`` compares the
+displacement of Algorithm 1 under the different task-selection policies.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-import networkx as nx  # repro: allow[R007] all-pairs hop distances, off the run path
 import numpy as np
 
 from ..exceptions import ExperimentError
@@ -57,20 +56,31 @@ def task_displacements(assignment: TaskAssignment,
     """Return the graph distance from origin to current node for every task.
 
     Tasks without a recorded origin are skipped; dummy tasks are skipped
-    unless ``include_dummies`` is set.
+    unless ``include_dummies`` is set.  Distances come from one breadth-first
+    search per distinct origin (:meth:`Network.distances_from`), so memory
+    stays ``O(n)`` plus the tasks.
     """
     network: Network = assignment.network
     network.require_connected()
-    lengths = dict(nx.all_pairs_shortest_path_length(network.graph))
-    displacements: List[int] = []
+    origins: List[int] = []
+    nodes: List[int] = []
     for node in network.nodes:
         for task in assignment.tasks_at(node):
             if task.is_dummy and not include_dummies:
                 continue
             if task.origin is None:
                 continue
-            displacements.append(int(lengths[task.origin][node]))
-    return displacements
+            origins.append(task.origin)
+            nodes.append(node)
+    # group the tasks by origin; each group reads one BFS, freed before the next
+    origin_array = np.array(origins, dtype=np.int64)
+    order = np.argsort(origin_array, kind="stable")
+    distinct, starts = np.unique(origin_array[order], return_index=True)
+    node_array = np.array(nodes, dtype=np.int64)
+    displacements = np.empty(len(origins), dtype=np.int64)
+    for origin, group in zip(distinct.tolist(), np.split(order, starts[1:])):
+        displacements[group] = network.distances_from(origin)[node_array[group]]
+    return displacements.tolist()
 
 
 def summarize_displacements(assignment: TaskAssignment,

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import pathlib
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -241,6 +242,27 @@ class TestCheckpointValidation:
         scenario = _scenario(rounds=6)
         with pytest.raises(ExperimentError, match="checkpoint_path"):
             run_dynamic_scenario(scenario, checkpoint_every=2)
+
+    # Edits of the golden unit_mixed state (nodes 0..12 and 14..17, string
+    # keys as read back from JSON); node 12 keeps its edge [0, 12].
+    MALFORMED = {
+        "edge-to-unknown-label": lambda state: state["edges"].append([0, 1000000]),
+        "self-loop": lambda state: state["edges"].append([3, 3]),
+        "fractional-label": lambda state: state["edges"].append([0.5, 1]),
+        "edge-of-three-labels": lambda state: state["edges"].append([0, 1, 2]),
+        "node-listed-twice": lambda state: state["nodes"].append(4),
+        "node-dropped-edges-kept": lambda state: state["nodes"].remove(12),
+        "speed-missing": lambda state: state["speeds"].pop("5"),
+        "boundary-tokens-missing": lambda state: state["boundary"]["tokens"].pop("5"),
+    }
+
+    @pytest.mark.parametrize("damage", sorted(MALFORMED))
+    def test_malformed_topology_rejected(self, damage):
+        checkpoint = read_checkpoint(DATA / "unit_mixed.ckpt.json")
+        state = copy.deepcopy(checkpoint.state)
+        self.MALFORMED[damage](state)
+        with pytest.raises(CheckpointError, match="malformed checkpoint"):
+            restore_engine(replace(checkpoint, state=state))
 
 
 class TestGoldenCheckpoints:

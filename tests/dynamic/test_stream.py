@@ -263,6 +263,34 @@ class TestStableLabelContract:
         assert engine.labels == (0, 2, 3, 4)
         assert list(engine.view().network.node_labels) == [0, 2, 3, 4]
 
+    def test_network_and_view_follow_joins_and_leaves(self):
+        network = topologies.cycle(5)
+        generator = ScheduledEvents({
+            0: [DynamicEvent(JOIN, attach_to=(0, 3), tokens=2)],
+            1: [DynamicEvent(LEAVE, node=1)],
+            2: [DynamicEvent(JOIN, attach_to=(5, 2), tokens=1), DynamicEvent(LEAVE, node=4)],
+        })
+        engine = StreamingEngine("algorithm1", network, np.array([2, 2, 2, 2, 2]),
+                                 generator, seed=0)
+        for labels in [(0, 1, 2, 3, 4, 5), (0, 2, 3, 4, 5), (0, 2, 3, 5, 6)]:
+            engine.step()
+            assert engine.labels == labels
+            assert engine.network.node_labels == list(engine.labels)
+            assert engine.view().network is engine.network
+            # the network's edges are the engine's label edges, renumbered
+            assert [[labels[u], labels[v]] for u, v in engine.network.edges] == \
+                engine.state_dict()["edges"]
+
+    @pytest.mark.parametrize("algorithm", ["algorithm1", "algorithm2"])
+    def test_full_recouples_never_build_the_networkx_view(self, algorithm):
+        network, load = torus_instance()
+        generator = make_event_generator("churn", network, 6, seed=5)
+        engine = StreamingEngine(algorithm, network, load, generator, seed=5)
+        for _ in range(60):
+            engine.step()
+            assert engine.network._graph is None
+        assert engine.recouplings - engine.fast_recouplings > 0
+
 
 class TestCounterAccumulation:
     """Failure-mode counters survive re-couplings instead of being discarded."""

@@ -11,7 +11,10 @@ and a sort of the relabelled graph's edges.  Four axes are checked:
 (b) the :class:`Network` adapter equals :meth:`Network.from_edges` and the
     oracle on generated graphs with int, shuffled, string and unsortable
     labels;
-(c) the numpy BFS of :meth:`Network.is_connected` equals ``nx.is_connected``;
+(c) the numpy BFS of :meth:`Network.distances_from` equals
+    ``nx.single_source_shortest_path_length``, and :meth:`Network.is_connected`
+    and :meth:`Network.diameter` built on it equal ``nx.is_connected`` and
+    ``nx.diameter``;
 (d) :func:`edge_coloring` equals the greedy ``largest_first`` colouring of the
     oracle graph's line graph on every named family, which pins the periodic
     matching schedules.
@@ -206,6 +209,22 @@ def test_edge_ids_equals_edge_index(graph, data):
 @given(graph=labelled_graphs(max_nodes=16))
 def test_is_connected_equals_networkx(graph):
     assert Network(graph).is_connected() == nx.is_connected(graph)
+
+
+@given(graph=labelled_graphs(max_nodes=16))
+def test_distances_and_diameter_equal_networkx(graph):
+    network = Network(graph)
+    oracle = reference_network(graph).graph
+    for source in network.nodes:
+        lengths = nx.single_source_shortest_path_length(oracle, source)
+        distances = network.distances_from(source)
+        assert distances.dtype == np.int64
+        assert distances.tolist() == [lengths.get(node, -1) for node in network.nodes]
+    if nx.is_connected(graph):
+        assert network.diameter() == nx.diameter(graph)
+    else:
+        with pytest.raises(NetworkError):
+            network.diameter()
 
 
 @pytest.mark.parametrize("graph,expected", [

@@ -21,8 +21,9 @@ arrival adds to a known label, a departure takes at most what its label
 holds at that moment, a join attaches to the known labels among its targets,
 a leave is refused if it would disconnect the network or leave fewer than
 three nodes, and anything on an unknown label is rejected.  After every step
-the engine's post-event state (its coupling boundary), its counters and its
-timeline must match the reference's.
+the engine's post-event state (its coupling boundary and its sorted edge
+array), its counters and its timeline must match the reference's, whose
+topology is a networkx graph.
 
 The example count comes from the active hypothesis profile (see
 ``tests/conftest.py``): bounded for the tier-1 run, larger under
@@ -272,6 +273,12 @@ def D(node, tokens):
 @example(topology="torus", weighted=True, tasks_per_node=3, seed=5,
          schedule=[[A(2, 3), D(5, 1), DynamicEvent(LEAVE, node=2), A(2, 1), D(3, 50),
                     DynamicEvent(LEAVE, node=3), D(4, 2)]])
+# a join whose targets repeat a known label and name unknown ones gets one
+# edge per distinct known target; its log keeps the filtered list as given
+@example(topology="torus", weighted=False, tasks_per_node=2, seed=6,
+         schedule=[[DynamicEvent(JOIN, attach_to=(4, 4, 99, 0), tokens=2), A(9, 1)],
+                   [DynamicEvent(JOIN, attach_to=(9, 12, 9), tokens=0),
+                    DynamicEvent(LEAVE, node=4)]])
 @given(topology=st.sampled_from(sorted(TOPOLOGIES)), weighted=st.booleans(),
        tasks_per_node=st.integers(0, 6),
        schedule=st.lists(oracle_batches, min_size=1, max_size=6),
@@ -293,6 +300,7 @@ def test_batched_application_matches_one_event_at_a_time(topology, weighted,
         assert engine.fast_recouplings - fast == int(
             reference.changed and not reference.topology_changed), label
         assert engine.labels == tuple(sorted(reference.buckets)), label
+        assert state["edges"] == sorted(sorted(edge) for edge in reference.graph.edges()), label
         # the coupling boundary is the state right after this round's events
         after = state["boundary"] if reference.changed else {"tokens": before}
         assert after["tokens"] == reference.tokens(), label

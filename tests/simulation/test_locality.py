@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 
 from repro.continuous.fos import FirstOrderDiffusion
@@ -10,7 +11,7 @@ from repro.exceptions import ExperimentError
 from repro.network import topologies
 from repro.simulation.locality import summarize_displacements, task_displacements
 from repro.tasks.assignment import TaskAssignment
-from repro.tasks.generators import balanced_load, point_load
+from repro.tasks.generators import balanced_load, point_load, uniform_random_load
 from repro.tasks.task import TaskFactory
 
 
@@ -52,6 +53,22 @@ class TestDisplacements:
         assignment.add(0, factory.create_dummy(origin=2))
         assert task_displacements(assignment) == []
         assert task_displacements(assignment, include_dummies=True) == [2]
+
+    @pytest.mark.parametrize("include_dummies", [False, True])
+    def test_torus_run_equals_all_pairs_networkx_distances(self, include_dummies):
+        net = topologies.torus(5, dims=2)
+        assignment = assignment_with_origins(net, uniform_random_load(net, 25 * 6, seed=2))
+        balancer = DeterministicFlowImitation(
+            FirstOrderDiffusion(net, assignment.loads()), assignment)
+        balancer.run(15)
+        lengths = dict(nx.all_pairs_shortest_path_length(net.graph))
+        expected = [lengths[task.origin][node]
+                    for node in net.nodes for task in balancer.assignment.tasks_at(node)
+                    if include_dummies or not task.is_dummy]
+        displacements = task_displacements(balancer.assignment,
+                                           include_dummies=include_dummies)
+        assert displacements == expected
+        assert max(displacements) > 0
 
 
 class TestSummary:
