@@ -40,10 +40,7 @@ from repro.simulation.parallel import (  # noqa: E402
     run_cells,
     timing_summary,
 )
-from repro.simulation.scenario import (  # noqa: E402
-    DynamicScenario,
-    run_dynamic_scenario,
-)
+from repro.simulation.scenario import Scenario, run_scenario  # noqa: E402
 from repro.store import write_benchmark_record  # noqa: E402
 
 RECORD_PATH = REPO_ROOT / "BENCH_fault_recovery.json"
@@ -60,11 +57,11 @@ def build_cells(scale: str):
     return [
         GridCell(
             kind="dynamic",
-            spec=DynamicScenario(
+            spec=Scenario(
                 name=f"recover-{index}", algorithm="randomized-rounding",
                 topology="torus", num_nodes=spec["nodes"],
-                tokens_per_node=8, events="mixed", rounds=spec["rounds"],
-                seed=100 + index, rng_mode="counter"),
+                tokens_per_node=8, workload="uniform", events="mixed",
+                rounds=spec["rounds"], seed=100 + index, rng_mode="counter"),
             index=index)
         for index in range(spec["cells"])
     ]
@@ -111,13 +108,14 @@ def grid_recovery_rows(scale: str, workers: int):
 
 def checkpoint_recovery_rows(scale: str, tmp_dir: pathlib.Path):
     spec = SCALES[scale]
-    scenario = DynamicScenario(
+    scenario = Scenario(
         name="recover-stream", algorithm="randomized-rounding",
         topology="torus", num_nodes=spec["nodes"], tokens_per_node=8,
-        events="mixed", rounds=spec["rounds"], seed=11, rng_mode="counter")
+        workload="uniform", events="mixed", rounds=spec["rounds"], seed=11,
+        rng_mode="counter")
 
     start = time.perf_counter()
-    baseline = run_dynamic_scenario(scenario)
+    baseline = run_scenario(scenario)
     plain_wall = time.perf_counter() - start
 
     # checkpoint every `cadence` rounds; simulate a crash by resuming from
@@ -125,14 +123,13 @@ def checkpoint_recovery_rows(scale: str, tmp_dir: pathlib.Path):
     mid_path = tmp_dir / "mid.checkpoint.json"
     final_path = tmp_dir / "final.checkpoint.json"
     kill_round = (spec["rounds"] // (2 * spec["cadence"])) * spec["cadence"]
-    killed = DynamicScenario(**{**scenario.to_dict(), "rounds": kill_round})
-    run_dynamic_scenario(killed, checkpoint_every=spec["cadence"],
-                         checkpoint_path=mid_path)
+    killed = Scenario(**{**scenario.to_dict(), "rounds": kill_round})
+    run_scenario(killed, checkpoint_every=spec["cadence"],
+                 checkpoint_path=mid_path)
 
     start = time.perf_counter()
-    checkpointed = run_dynamic_scenario(scenario,
-                                        checkpoint_every=spec["cadence"],
-                                        checkpoint_path=final_path)
+    checkpointed = run_scenario(scenario, checkpoint_every=spec["cadence"],
+                                checkpoint_path=final_path)
     checkpointed_wall = time.perf_counter() - start
     assert checkpointed.trace_max_min == baseline.trace_max_min, (
         "checkpointing changed the trajectory")

@@ -36,7 +36,7 @@ from repro.simulation.parallel import (  # noqa: E402
     sweep_cells,
     timing_summary,
 )
-from repro.simulation.scenario import DynamicScenario, expand_seeds  # noqa: E402
+from repro.simulation.scenario import Scenario, expand_seeds  # noqa: E402
 from repro.simulation.sweep import SweepConfiguration  # noqa: E402
 from repro.store import write_benchmark_record  # noqa: E402
 
@@ -71,10 +71,10 @@ def build_grid(scale: str = "full"):
         algorithm="algorithm2", topology="torus", num_nodes=spec["sweep_nodes"],
         tokens_per_node=32, workload="uniform", rng_mode="counter")
     cells = sweep_cells([configuration], seeds)
-    base = DynamicScenario(
+    base = Scenario(
         name="bench-parallel", algorithm="algorithm2", topology="torus",
-        num_nodes=spec["dynamic_nodes"], tokens_per_node=16, events="burst",
-        rounds=spec["dynamic_rounds"], rng_mode="counter")
+        num_nodes=spec["dynamic_nodes"], tokens_per_node=16, workload="uniform",
+        events="burst", rounds=spec["dynamic_rounds"], rng_mode="counter")
     cells += [GridCell(kind="dynamic", spec=scenario, index=len(seeds) + offset)
               for offset, scenario in enumerate(expand_seeds(base, seeds))]
     return cells

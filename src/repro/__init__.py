@@ -39,7 +39,6 @@ from .network import (
 )
 from .simulation import (
     ALL_ALGORITHMS,
-    DynamicScenario,
     GridCell,
     RunResult,
     Scenario,
@@ -52,7 +51,6 @@ from .simulation import (
     merge_sweeps,
     run_algorithm,
     run_cells,
-    run_dynamic_scenario,
     run_scenario,
     run_sweep,
     sweep_cells,
@@ -133,10 +131,8 @@ __all__ = [
     "ALL_ALGORITHMS",
     "RunResult",
     "Scenario",
-    "DynamicScenario",
     "run_algorithm",
     "run_scenario",
-    "run_dynamic_scenario",
     "expand_seeds",
     "compare_algorithms",
     "determine_balancing_time",

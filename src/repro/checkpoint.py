@@ -22,8 +22,9 @@ What a checkpoint holds
 * the run's **traces so far** and total horizon, so the resumed
   :class:`~repro.simulation.results.RunResult` covers the whole run from
   round 0;
-* a ``version`` and free-form ``meta`` (the CLI stores the originating
-  :class:`~repro.simulation.scenario.DynamicScenario` so ``repro resume``
+* a ``version`` and free-form ``meta``
+  (:func:`~repro.simulation.scenario.run_scenario` stores the originating
+  event :class:`~repro.simulation.scenario.Scenario` so ``repro resume``
   can rebuild the event generator by itself).
 
 Restoration re-couples the balancer at the boundary with the original
@@ -210,9 +211,9 @@ def _generator_from_meta(checkpoint: StreamCheckpoint) -> EventGenerator:
             "this checkpoint carries no scenario metadata; pass a freshly "
             "constructed event generator of the original shape to resume it")
     from .dynamic.events import make_event_generator
-    from .simulation.scenario import DynamicScenario
+    from .simulation.scenario import Scenario
 
-    scenario = DynamicScenario.from_dict(dict(scenario_data))
+    scenario = Scenario.from_dict(dict(scenario_data))
     network = scenario.build_network()
     seeds = scenario._purpose_seeds()
     return make_event_generator(scenario.events, network,

@@ -21,8 +21,10 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
+from .exceptions import ReproError
 from .network import topologies
-from .simulation.engine import ALL_ALGORITHMS, BACKEND_KINDS, RNG_MODES, compare_algorithms
+from .simulation.engine import (ALL_ALGORITHMS, BACKEND_KINDS, CONTINUOUS_KINDS, RNG_MODES,
+                                compare_algorithms)
 from .simulation.workloads import WORKLOADS
 from .simulation.experiments import (
     continuous_convergence_rows,
@@ -37,6 +39,32 @@ from .simulation.experiments import (
 from .tasks.generators import point_load
 
 __all__ = ["build_parser", "main"]
+
+
+def _spec_flags() -> argparse.ArgumentParser:
+    """The parent parser of the experiment flags of ``compare``, ``dynamic``,
+    ``sweep`` and ``grid``.
+
+    Built fresh per subcommand, like :func:`_grid_flags`, so a command's
+    ``set_defaults`` keeps its own default without leaking into the others.
+    """
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--nodes", type=int, default=64,
+                       help="approximate number of nodes (grid: the size of bare "
+                            "--topologies entries)")
+    flags.add_argument("--tokens-per-node", type=int, default=32,
+                       help="workload density: total tokens divided by n")
+    flags.add_argument("--continuous", default="fos", choices=list(CONTINUOUS_KINDS),
+                       help="continuous substrate (re-coupled after each event "
+                            "of a dynamic stream)")
+    flags.add_argument("--backend", default="auto", choices=list(BACKEND_KINDS),
+                       help="load-state backend (array = vectorized fast path)")
+    flags.add_argument("--rng-mode", default="sequential", choices=list(RNG_MODES),
+                       help="randomized-draw mode (algorithm2, randomized-rounding, "
+                            "excess-tokens): sequential draws or the order-free "
+                            "edge/node-keyed counter RNG, which makes sharded and "
+                            "serial runs draw bit-identical randomness")
+    return flags
 
 
 def _grid_flags() -> argparse.ArgumentParser:
@@ -82,23 +110,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    compare = subparsers.add_parser("compare", help="compare algorithms on one instance")
+    compare = subparsers.add_parser("compare", parents=[_spec_flags()],
+                                    help="compare algorithms on one instance "
+                                         "(all tokens start on node 0)")
     compare.add_argument("--topology", default="torus",
                          help="topology family name (see repro.network.topologies.named_topology)")
-    compare.add_argument("--nodes", type=int, default=64, help="approximate number of nodes")
-    compare.add_argument("--tokens-per-node", type=int, default=32,
-                         help="total tokens divided by n (all placed on node 0)")
     compare.add_argument("--algorithms", nargs="+", default=["round-down", "algorithm1", "algorithm2"],
                          choices=list(ALL_ALGORITHMS), help="algorithms to run")
-    compare.add_argument("--continuous", default="fos",
-                         choices=["fos", "sos", "periodic-matching", "random-matching"],
-                         help="continuous substrate")
-    compare.add_argument("--backend", default="auto", choices=list(BACKEND_KINDS),
-                         help="load-state backend (array = vectorized fast path)")
-    compare.add_argument("--rng-mode", default="sequential", choices=list(RNG_MODES),
-                         help="randomized-draw mode (algorithm2, randomized-rounding, "
-                              "excess-tokens): sequential draws or the "
-                              "order-free edge/node-keyed counter RNG")
     compare.add_argument("--seed", type=int, default=7)
 
     table1 = subparsers.add_parser("table1", help="reproduce the Table 1 comparison")
@@ -126,28 +144,18 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--csv", help="optional path to append the result row as CSV")
 
     dynamic = subparsers.add_parser(
-        "dynamic", parents=[_grid_flags()],
-        help="run a balancer under a streaming (time-varying) workload")
+        "dynamic", parents=[_spec_flags(), _grid_flags()],
+        help="run a balancer under a streaming (time-varying) workload that "
+             "starts uniform random")
+    dynamic.set_defaults(tokens_per_node=8)
     dynamic.add_argument("--scenario", default="burst",
                          help="event profile name (see repro.dynamic.EVENT_PROFILES)")
     dynamic.add_argument("--algorithm", default="algorithm2", choices=list(ALL_ALGORITHMS))
     dynamic.add_argument("--topology", default="torus")
-    dynamic.add_argument("--nodes", type=int, default=64)
-    dynamic.add_argument("--tokens-per-node", type=int, default=8,
-                         help="density of the initial (uniform random) workload")
-    dynamic.add_argument("--continuous", default="fos",
-                         choices=["fos", "sos", "periodic-matching", "random-matching"],
-                         help="continuous substrate to re-couple after each event")
     dynamic.add_argument("--rounds", type=int, default=240, help="stream horizon")
-    dynamic.add_argument("--backend", default="auto", choices=list(BACKEND_KINDS),
-                         help="load-state backend (array = vectorized fast path)")
     dynamic.add_argument("--max-task-weight", type=int, default=1,
                          help="start from weighted tasks with integer weights in "
                               "[1, W] (algorithm1 only; events stream unit tokens)")
-    dynamic.add_argument("--rng-mode", default="sequential", choices=list(RNG_MODES),
-                         help="randomized-draw mode (algorithm2, randomized-rounding, "
-                              "excess-tokens): sequential draws or the "
-                              "order-free edge/node-keyed counter RNG")
     dynamic.add_argument("--seed", type=int, default=7)
     dynamic.add_argument("--seeds", nargs="+", type=int, default=None,
                          help="run a grid of seeds instead of the single --seed "
@@ -190,26 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "(every Nth round)")
     resume.add_argument("--csv", help="optional path to write the summary row as CSV")
 
-    sweep = subparsers.add_parser("sweep", parents=[_grid_flags()],
+    sweep = subparsers.add_parser("sweep", parents=[_spec_flags(), _grid_flags()],
                                   help="run one configuration over several seeds")
     sweep.set_defaults(workers=1)
     sweep.add_argument("--algorithm", required=True, choices=list(ALL_ALGORITHMS))
     sweep.add_argument("--topology", default="torus")
-    sweep.add_argument("--nodes", type=int, default=64)
-    sweep.add_argument("--tokens-per-node", type=int, default=32)
-    sweep.add_argument("--workload", default="point", choices=sorted(WORKLOADS))
-    sweep.add_argument("--continuous", default="fos",
-                       choices=["fos", "sos", "periodic-matching", "random-matching"])
-    sweep.add_argument("--backend", default="auto", choices=list(BACKEND_KINDS),
-                       help="load-state backend (array = vectorized fast path)")
-    sweep.add_argument("--rng-mode", default="sequential", choices=list(RNG_MODES),
-                       help="randomized-draw mode; 'counter' makes sharded and "
-                            "serial runs draw bit-identical randomness")
-    sweep.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3, 4, 5])
-    sweep.add_argument("--legacy-seeding", action="store_true",
-                       help="reuse one integer for topology/workload/schedule/"
-                            "algorithm randomness (the historical, correlated "
-                            "behaviour)")
     sweep.add_argument("--store", help="append each (seed, run) record — with "
                                        "trajectory and timing envelope — to "
                                        "this JSONL run store")
@@ -217,27 +210,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="label the stored records carry")
 
     grid = subparsers.add_parser(
-        "grid", parents=[_grid_flags()],
+        "grid", parents=[_spec_flags(), _grid_flags()],
         help="sharded sweep grid: algorithms x topologies x seeds")
     grid.add_argument("--algorithms", nargs="+", required=True,
                       choices=list(ALL_ALGORITHMS))
     grid.add_argument("--topologies", nargs="+", default=["torus:64"],
                       help="grid cells as 'family' or 'family:size' "
                            "(e.g. torus:64 cycle:16); bare names use --nodes")
-    grid.add_argument("--nodes", type=int, default=64,
-                      help="default size for bare --topologies entries")
-    grid.add_argument("--tokens-per-node", type=int, default=32)
-    grid.add_argument("--workload", default="point", choices=sorted(WORKLOADS))
-    grid.add_argument("--continuous", default="fos",
-                      choices=["fos", "sos", "periodic-matching", "random-matching"])
-    grid.add_argument("--backend", default="auto", choices=list(BACKEND_KINDS),
-                      help="load-state backend (array = vectorized fast path)")
-    grid.add_argument("--rng-mode", default="sequential", choices=list(RNG_MODES),
-                      help="randomized-draw mode; 'counter' makes sharded and "
-                           "serial runs draw bit-identical randomness")
-    grid.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3, 4, 5])
-    grid.add_argument("--legacy-seeding", action="store_true",
-                      help="reuse one integer seed per run for every component")
+    for command in (sweep, grid):
+        command.add_argument("--workload", default="point", choices=sorted(WORKLOADS))
+        command.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3, 4, 5])
+        command.add_argument("--legacy-seeding", action="store_true",
+                             help="reuse one integer for topology/workload/schedule/"
+                                  "algorithm randomness (the historical, correlated "
+                                  "behaviour)")
 
     audit = subparsers.add_parser(
         "audit", help="run a flow-imitation algorithm and check the paper's invariants each round")
@@ -357,6 +343,40 @@ def _run_grid(args, cells, label: str):
     return outcomes
 
 
+def _print_stream_summary(runs, warmup: int, csv: Optional[str]) -> None:
+    """Print the summary table and burst recoveries of finished streams.
+
+    ``runs`` pairs each stream's :class:`RunResult` with the leading columns
+    of its row: the scenario name, and for ``dynamic`` the seed, which then
+    also prefixes its recovery lines.  ``warmup`` trace entries are left out
+    of ``time_in_band``; ``csv`` optionally receives the rows.
+    """
+    from .core.algorithm1 import theorem3_discrepancy_bound
+    from .dynamic.metrics import recovery_report, summarize_dynamic
+    from .simulation.reporting import rows_to_csv
+
+    rows = []
+    for head, result in runs:
+        band = theorem3_discrepancy_bound(result.max_degree, result.max_task_weight)
+        rows.append({**head, **result.as_dict(),
+                     **summarize_dynamic(result, band, start=warmup)})
+    print(format_table(rows, columns=[*runs[0][0], "algorithm", "n", "rounds",
+                                      "events", "arrivals", "departures",
+                                      "recouplings", "steady_state", "band",
+                                      "time_in_band", "max_min"]))
+    for (head, result), row in zip(runs, rows):
+        where = f"seed {head['seed']}, " if "seed" in head else ""
+        for burst in recovery_report(result, row["band"]):
+            recovered = burst["recovery_time"]
+            recovery = (f"recovered in {recovered} rounds"
+                        if recovered is not None else "did NOT recover")
+            print(f"  {where}burst at round {burst['round']}: peak discrepancy "
+                  f"{burst['peak']:.1f}, {recovery} (band {row['band']:.1f})")
+    if csv:
+        rows_to_csv(rows, csv)
+        print(f"wrote {csv}")
+
+
 def _finish_instrumentation(trace_path: Optional[str], tracer, renderer) -> None:
     """Close the progress line, then write the Chrome trace + hot kernels."""
     if renderer is not None:
@@ -375,6 +395,11 @@ def _finish_instrumentation(trace_path: Optional[str], tracer, renderer) -> None
           f"or https://ui.perfetto.dev")
 
 
+#: Commands that read a user-written scenario, checkpoint or run store: a
+#: :class:`~repro.exceptions.ReproError` from them prints ``error: ...`` and
+#: exits 2 instead of a traceback.
+_INPUT_COMMANDS = ("scenario", "dynamic", "resume", "report", "trace")
+
 #: ``args`` attributes that point at on-disk artifacts a run may have
 #: partially written — surfaced on ^C so the user knows what survived.
 _ARTIFACT_ARGS = ("store", "csv", "trace", "checkpoint_path", "checkpoint",
@@ -387,6 +412,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run_command(args, parser)
+    except ReproError as exc:
+        # a bad scenario, checkpoint or store is the user's input, not a bug
+        if args.command not in _INPUT_COMMANDS:
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except KeyboardInterrupt:
         # The grid driver has already cancelled its futures and torn the
         # pool down on the way out; store appends are fsync'd per record
@@ -447,19 +478,16 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
             rows_to_csv([row], args.csv)
             print(f"wrote {args.csv}")
     elif args.command == "dynamic":
-        from .core.algorithm1 import theorem3_discrepancy_bound
-        from .dynamic.metrics import recovery_report, summarize_dynamic
-        from .simulation.reporting import rows_to_csv
         from .simulation.parallel import GridCell
-        from .simulation.scenario import DynamicScenario, expand_seeds, run_dynamic_scenario
+        from .simulation.scenario import Scenario, expand_seeds, run_scenario
 
-        scenario = DynamicScenario(
+        scenario = Scenario(
             name=f"cli-{args.scenario}", algorithm=args.algorithm,
             topology=args.topology, num_nodes=args.nodes,
-            tokens_per_node=args.tokens_per_node, continuous_kind=args.continuous,
-            events=args.scenario, rounds=args.rounds, seed=args.seed,
-            backend=args.backend, max_task_weight=args.max_task_weight,
-            rng_mode=args.rng_mode,
+            tokens_per_node=args.tokens_per_node, workload="uniform",
+            continuous_kind=args.continuous, events=args.scenario,
+            rounds=args.rounds, seed=args.seed, backend=args.backend,
+            max_task_weight=args.max_task_weight, rng_mode=args.rng_mode,
         )
         if args.checkpoint_every is not None and args.seeds:
             parser.error("--checkpoint-every applies to single runs; for "
@@ -481,7 +509,7 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
             bus, tracer, renderer = _instrument(
                 args.telemetry, args.trace, False, 0, label="dynamic")
             start = time.perf_counter()  # repro: allow[R002] run timing envelope
-            result = run_dynamic_scenario(
+            result = run_scenario(
                 scenario, bus=bus, checkpoint_every=args.checkpoint_every,
                 checkpoint_path=args.checkpoint_path)
             # repro: allow[R002] run timing envelope (stored, never in logic)
@@ -491,34 +519,14 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
                 print(f"checkpointed every {args.checkpoint_every} round(s) "
                       f"to {args.checkpoint_path}")
         scenarios, results, timings = map(list, zip(*runs))
-        rows = []
-        for cell, result in zip(scenarios, results):
-            band = theorem3_discrepancy_bound(result.max_degree,
-                                              result.max_task_weight)
-            summary = summarize_dynamic(result, band, start=args.warmup)
-            rows.append({"scenario": args.scenario, "seed": cell.seed,
-                         **result.as_dict(), **summary})
         first = results[0]
         print(f"dynamic '{args.scenario}' stream: {args.algorithm} on "
               f"{first.network_name} ({first.num_nodes} nodes after "
               f"{first.rounds} rounds, continuous={args.continuous}, "
               f"backend={args.backend}, {len(results)} seed(s))")
-        print(format_table(rows, columns=["scenario", "seed", "algorithm", "n",
-                                          "rounds", "events", "arrivals",
-                                          "departures", "recouplings",
-                                          "steady_state", "band",
-                                          "time_in_band", "max_min"]))
-        for cell, result, row in zip(scenarios, results, rows):
-            for burst in recovery_report(result, row["band"]):
-                recovered = burst["recovery_time"]
-                recovery = (f"recovered in {recovered} rounds"
-                            if recovered is not None else "did NOT recover")
-                print(f"  seed {cell.seed}, burst at round {burst['round']}: "
-                      f"peak discrepancy {burst['peak']:.1f}, {recovery} "
-                      f"(band {row['band']:.1f})")
-        if args.csv:
-            rows_to_csv(rows, args.csv)
-            print(f"wrote {args.csv}")
+        _print_stream_summary([({"scenario": args.scenario, "seed": cell.seed}, result)
+                               for cell, result in zip(scenarios, results)],
+                              args.warmup, args.csv)
         if args.store:
             from .store import RunStore, record_run
 
@@ -532,85 +540,38 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
             print(f"stored {len(results)} record(s) in {store.path}")
     elif args.command == "resume":
         from .checkpoint import read_checkpoint, resume_stream
-        from .core.algorithm1 import theorem3_discrepancy_bound
-        from .dynamic.metrics import recovery_report, summarize_dynamic
-        from .exceptions import CheckpointError
-        from .simulation.reporting import rows_to_csv
 
-        try:
-            checkpoint = read_checkpoint(args.checkpoint)
-            horizon = args.rounds if args.rounds is not None \
-                else checkpoint.total_rounds
-            meta = checkpoint.meta or {}
-            name = (meta.get("scenario") or {}).get("name", "resume")
-            print(f"resuming '{name}' from {args.checkpoint}: round "
-                  f"{checkpoint.round_index} of {horizon} "
-                  f"({checkpoint.config['algorithm']}, "
-                  f"rng_mode={checkpoint.config['rng_mode']}, config "
-                  f"{checkpoint.config_hash[:10]})")
-            bus, tracer, renderer = _instrument(
-                args.telemetry, None, False, 0, label="resume")
-            result = resume_stream(checkpoint, rounds=args.rounds, bus=bus,
-                                   checkpoint_every=args.checkpoint_every,
-                                   checkpoint_path=args.checkpoint)
-        except CheckpointError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        band = theorem3_discrepancy_bound(result.max_degree,
-                                          result.max_task_weight)
-        summary = summarize_dynamic(result, band, start=args.warmup)
-        row = {"scenario": name, **result.as_dict(), **summary}
-        print(format_table([row], columns=["scenario", "algorithm", "n",
-                                           "rounds", "events", "arrivals",
-                                           "departures", "recouplings",
-                                           "steady_state", "band",
-                                           "time_in_band", "max_min"]))
-        for burst in recovery_report(result, band):
-            recovered = burst["recovery_time"]
-            recovery = (f"recovered in {recovered} rounds"
-                        if recovered is not None else "did NOT recover")
-            print(f"  burst at round {burst['round']}: peak discrepancy "
-                  f"{burst['peak']:.1f}, {recovery} (band {band:.1f})")
-        if args.csv:
-            rows_to_csv([row], args.csv)
-            print(f"wrote {args.csv}")
-    elif args.command == "sweep":
+        checkpoint = read_checkpoint(args.checkpoint)
+        horizon = args.rounds if args.rounds is not None \
+            else checkpoint.total_rounds
+        meta = checkpoint.meta or {}
+        name = (meta.get("scenario") or {}).get("name", "resume")
+        print(f"resuming '{name}' from {args.checkpoint}: round "
+              f"{checkpoint.round_index} of {horizon} "
+              f"({checkpoint.config['algorithm']}, "
+              f"rng_mode={checkpoint.config['rng_mode']}, config "
+              f"{checkpoint.config_hash[:10]})")
+        bus, tracer, renderer = _instrument(
+            args.telemetry, None, False, 0, label="resume")
+        result = resume_stream(checkpoint, rounds=args.rounds, bus=bus,
+                               checkpoint_every=args.checkpoint_every,
+                               checkpoint_path=args.checkpoint)
+        _print_stream_summary([({"scenario": name}, result)], args.warmup, args.csv)
+    elif args.command in ("sweep", "grid"):
         from .simulation.parallel import merge_sweeps, sweep_cells
         from .simulation.sweep import SweepConfiguration
 
-        configuration = SweepConfiguration(
-            algorithm=args.algorithm, topology=args.topology, num_nodes=args.nodes,
-            tokens_per_node=args.tokens_per_node, workload=args.workload,
-            continuous_kind=args.continuous, backend=args.backend,
-            rng_mode=args.rng_mode,
-        )
-        # stored runs record their traces so they diff as trajectories
-        cells = sweep_cells([configuration], args.seeds,
-                            record_trace=bool(args.store),
-                            legacy_seeding=args.legacy_seeding)
-        outcomes = _run_grid(args, cells, "sweep")
-        if outcomes is None:
-            return 1
-        print(format_table([merge_sweeps([configuration], outcomes)[0].as_row()]))
-        if args.store:
-            from .store import RunStore, record_sweep_outcomes
-
-            # the outcome envelopes carry per-run timing and worker pids
-            store = RunStore(args.store)
-            record_sweep_outcomes(store, args.store_label, outcomes)
-            print(f"stored {len(outcomes)} record(s) in {store.path}")
-    elif args.command == "grid":
-        from .simulation.parallel import merge_sweeps, sweep_cells
-        from .simulation.sweep import SweepConfiguration
-
-        pairs = []
-        for entry in args.topologies:
-            family, _, size = entry.partition(":")
-            try:
-                pairs.append((family, int(size) if size else args.nodes))
-            except ValueError:
-                parser.error(f"invalid --topologies entry {entry!r}: expected "
-                             f"'family' or 'family:size' with an integer size")
+        if args.command == "sweep":
+            algorithms, pairs = [args.algorithm], [(args.topology, args.nodes)]
+        else:
+            algorithms, pairs = args.algorithms, []
+            for entry in args.topologies:
+                family, _, size = entry.partition(":")
+                try:
+                    pairs.append((family, int(size) if size else args.nodes))
+                except ValueError:
+                    parser.error(f"invalid --topologies entry {entry!r}: expected "
+                                 f"'family' or 'family:size' with an integer size")
         configurations = [
             SweepConfiguration(
                 algorithm=algorithm, topology=topology, num_nodes=size,
@@ -619,16 +580,25 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
                 rng_mode=args.rng_mode,
             )
             for topology, size in pairs
-            for algorithm in args.algorithms
+            for algorithm in algorithms
         ]
-        outcomes = _run_grid(args, sweep_cells(configurations, args.seeds,
-                                               legacy_seeding=args.legacy_seeding),
-                             "grid")
+        store_path = getattr(args, "store", None)
+        # stored runs record their traces so they diff as trajectories
+        cells = sweep_cells(configurations, args.seeds, record_trace=bool(store_path),
+                            legacy_seeding=args.legacy_seeding)
+        outcomes = _run_grid(args, cells, args.command)
         if outcomes is None:
             return 1
         print(format_table([result.as_row()
                             for result in merge_sweeps(configurations, outcomes)
                             if result.runs]))
+        if store_path:
+            from .store import RunStore, record_sweep_outcomes
+
+            # the outcome envelopes carry per-run timing and worker pids
+            store = RunStore(store_path)
+            record_sweep_outcomes(store, args.store_label, outcomes)
+            print(f"stored {len(outcomes)} record(s) in {store.path}")
     elif args.command == "audit":
         from .continuous.fos import FirstOrderDiffusion
         from .core.algorithm1 import DeterministicFlowImitation
@@ -655,7 +625,6 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
             print(f"  VIOLATION round {violation.round_index}: "
                   f"{violation.invariant} — {violation.detail}")
     elif args.command == "report":
-        from .exceptions import ExperimentError
         from .store import (
             RunStore,
             check_store_regression,
@@ -664,55 +633,46 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
             render_comparison,
         )
 
-        try:
-            store = RunStore(args.store)
-            records = store.records()
-            if args.check_regression:
-                if not args.baseline_store:
-                    parser.error("--check-regression requires --baseline-store")
-                baseline = RunStore(args.baseline_store).records()
-                outcome = check_store_regression(
-                    baseline, records,
-                    max_metric_drift=args.max_metric_drift,
-                    max_trace_drift=args.max_trace_drift,
-                    max_timing_ratio=args.max_timing_ratio)
-                print(outcome.summary())
-                if outcome.violations:
-                    print(format_table([violation.as_row()
-                                        for violation in outcome.violations]))
-                return 0 if outcome.ok else 1
-            if args.diff:
-                base = store.select(args.diff[0], records)
-                cand = store.select(args.diff[1], records)
-                print(f"baseline:  {base.label} ({base.config_hash[:10]}, "
-                      f"{base.created})")
-                print(f"candidate: {cand.label} ({cand.config_hash[:10]}, "
-                      f"{cand.created})")
-                print(format_table(diff_rows(base, cand)))
-                if not args.no_chart:
-                    print(render_comparison([base, cand]))
-            else:
-                print(f"{len(records)} record(s) in {store.path}")
-                print(format_table(comparison_rows(records)))
-                if not args.no_chart:
-                    print(render_comparison(records))
-        except ExperimentError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        store = RunStore(args.store)
+        records = store.records()
+        if args.check_regression:
+            if not args.baseline_store:
+                parser.error("--check-regression requires --baseline-store")
+            baseline = RunStore(args.baseline_store).records()
+            outcome = check_store_regression(
+                baseline, records,
+                max_metric_drift=args.max_metric_drift,
+                max_trace_drift=args.max_trace_drift,
+                max_timing_ratio=args.max_timing_ratio)
+            print(outcome.summary())
+            if outcome.violations:
+                print(format_table([violation.as_row()
+                                    for violation in outcome.violations]))
+            return 0 if outcome.ok else 1
+        if args.diff:
+            base = store.select(args.diff[0], records)
+            cand = store.select(args.diff[1], records)
+            print(f"baseline:  {base.label} ({base.config_hash[:10]}, "
+                  f"{base.created})")
+            print(f"candidate: {cand.label} ({cand.config_hash[:10]}, "
+                  f"{cand.created})")
+            print(format_table(diff_rows(base, cand)))
+            if not args.no_chart:
+                print(render_comparison([base, cand]))
+        else:
+            print(f"{len(records)} record(s) in {store.path}")
+            print(format_table(comparison_rows(records)))
+            if not args.no_chart:
+                print(render_comparison(records))
     elif args.command == "trace":
         import json
         import pathlib
 
-        from .exceptions import ExperimentError
         from .obs.trace import chrome_from_records, hot_kernel_rows
         from .store import RunStore
 
-        try:
-            store = RunStore(args.store)
-            records = store.records()
-        except ExperimentError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        store = RunStore(args.store)
+        records = store.records()
         print(f"{len(records)} record(s) in {store.path}")
         rows = hot_kernel_rows(records, top=args.top)
         if rows:

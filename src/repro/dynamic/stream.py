@@ -943,9 +943,10 @@ def run_stream(
     round, atomically; :func:`repro.checkpoint.resume_stream` continues an
     interrupted run from the latest snapshot **bit-identically** to the
     uninterrupted run.  ``checkpoint_meta`` is stored verbatim in each
-    snapshot (the CLI puts the originating
-    :class:`~repro.simulation.scenario.DynamicScenario` there so ``repro
-    resume`` can rebuild the event generator without extra arguments).
+    snapshot (:func:`~repro.simulation.scenario.run_scenario` puts the
+    originating event :class:`~repro.simulation.scenario.Scenario` there so
+    ``repro resume`` can rebuild the event generator without extra
+    arguments).
     """
     if rounds < 0:
         raise ExperimentError("rounds must be non-negative")

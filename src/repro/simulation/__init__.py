@@ -17,15 +17,7 @@ from .engine import (
 from .locality import DisplacementSummary, summarize_displacements, task_displacements
 from .parallel import CellOutcome, GridCell, merge_sweeps, run_cells, sweep_cells
 from .results import RunResult
-from .scenario import (
-    DynamicScenario,
-    Scenario,
-    expand_seeds,
-    load_dynamic_scenario,
-    load_scenario,
-    run_dynamic_scenario,
-    run_scenario,
-)
+from .scenario import Scenario, expand_seeds, load_scenario, run_scenario
 from .seeding import PurposeSeeds, purpose_seeds
 from .sweep import SweepConfiguration, SweepResult, run_sweep, run_sweep_cell
 from .workloads import WORKLOADS
@@ -36,11 +28,8 @@ __all__ = [
     "summarize_displacements",
     "task_displacements",
     "Scenario",
-    "DynamicScenario",
     "load_scenario",
-    "load_dynamic_scenario",
     "run_scenario",
-    "run_dynamic_scenario",
     "expand_seeds",
     "SweepConfiguration",
     "SweepResult",

@@ -2,17 +2,18 @@
 
 Seed x configuration grids are embarrassingly parallel: every (cell, seed)
 run is a pure function of a small, picklable spec — a
-:class:`~repro.simulation.sweep.SweepConfiguration` plus a seed, a
-:class:`~repro.simulation.scenario.Scenario`, or a
-:class:`~repro.simulation.scenario.DynamicScenario`.  This module shards a
-grid of such cells across a :class:`~concurrent.futures.ProcessPoolExecutor`
-and merges the per-run :class:`~repro.simulation.results.RunResult`s back in
-grid order, **bit-identically** to the serial path:
+:class:`~repro.simulation.scenario.Scenario` (static, or a stream when its
+``events`` is set), or a :class:`~repro.simulation.sweep.SweepConfiguration`
+plus a seed, which stands for the scenario
+:meth:`~repro.simulation.sweep.SweepConfiguration.scenario` returns.  This
+module shards a grid of such cells across a
+:class:`~concurrent.futures.ProcessPoolExecutor` and merges the per-run
+:class:`~repro.simulation.results.RunResult`s back in grid order,
+**bit-identically** to the serial path:
 
-* every worker executes exactly the same per-cell function the serial loop
-  uses (:func:`repro.simulation.sweep.run_sweep_cell`,
-  :func:`~repro.simulation.scenario.run_scenario`,
-  :func:`~repro.simulation.scenario.run_dynamic_scenario`);
+* every worker executes exactly the same per-cell call the serial loop
+  makes, :func:`~repro.simulation.scenario.run_scenario` of the cell's
+  scenario;
 * per-purpose seed derivation (:mod:`repro.simulation.seeding`) makes each
   run a pure function of its spec — nothing depends on which worker runs it
   or in what order;
@@ -51,7 +52,8 @@ The rest of the grid API builds and merges cells: :func:`sweep_cells`
 flattens a configuration x seed grid, and :func:`merge_sweeps` groups the
 outcomes back into one :class:`~repro.simulation.sweep.SweepResult` per
 configuration.  Scenario grids are lists of ``GridCell(kind="scenario" |
-"dynamic", spec=scenario, index=i)``.
+"dynamic", spec=scenario, index=i)``; the ``kind`` is a label for records
+and telemetry, and every cell runs through the same call.
 """
 
 from __future__ import annotations
@@ -71,8 +73,8 @@ from ..obs.bus import MetricsBus
 from ..obs.kernels import activate_kernel_clock, deactivate_kernel_clock
 from ..obs.relay import CapturedEvent, TelemetryRecorder, relay_outcome
 from .results import RunResult
-from .scenario import DynamicScenario, Scenario, run_dynamic_scenario, run_scenario
-from .sweep import SweepConfiguration, SweepResult, run_sweep_cell
+from .scenario import Scenario, run_scenario
+from .sweep import SweepConfiguration, SweepResult
 
 __all__ = [
     "GridCell",
@@ -86,10 +88,8 @@ __all__ = [
     "timing_summary",
 ]
 
-_SWEEP = "sweep"
-_SCENARIO = "scenario"
-_DYNAMIC = "dynamic"
-_KINDS = (_SWEEP, _SCENARIO, _DYNAMIC)
+#: The labels a cell may carry (sweep configuration, static or event scenario).
+_KINDS = ("sweep", "scenario", "dynamic")
 
 
 @dataclass(frozen=True)
@@ -97,22 +97,30 @@ class GridCell:
     """One schedulable unit of a grid: a picklable spec plus its grid position.
 
     ``index`` is the cell's position in the caller's grid (used to merge
-    results back in grid order); for sweep cells ``seed`` is the per-run
-    seed and the remaining fields forward the sweep options.
+    results back in grid order).  A :class:`Scenario` spec runs as is; a
+    :class:`SweepConfiguration` spec runs at ``seed`` with the remaining
+    sweep options (see :meth:`scenario`).  ``kind`` labels the cell in
+    records, telemetry and failure reports; it never selects the runner.
     """
 
     kind: str
-    spec: Union[SweepConfiguration, Scenario, DynamicScenario]
+    spec: Union[SweepConfiguration, Scenario]
     index: int
     seed: Optional[int] = None
     record_trace: bool = False
-    max_rounds: int = 200_000
     legacy_seeding: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ExperimentError(
                 f"unknown grid cell kind {self.kind!r}; valid kinds: {_KINDS}")
+
+    def scenario(self) -> Scenario:
+        """The scenario this cell runs."""
+        if isinstance(self.spec, Scenario):
+            return self.spec
+        return self.spec.scenario(self.seed, legacy_seeding=self.legacy_seeding,
+                                  record_trace=self.record_trace)
 
 
 @dataclass(frozen=True)
@@ -194,16 +202,7 @@ def _execute_cell(cell: GridCell, capture: bool = False,
         activate_kernel_clock()
     try:
         start = time.perf_counter()  # repro: allow[R002] cell timing envelope
-        if cell.kind == _SWEEP:
-            result = run_sweep_cell(cell.spec, cell.seed,
-                                    record_trace=cell.record_trace,
-                                    max_rounds=cell.max_rounds,
-                                    legacy_seeding=cell.legacy_seeding,
-                                    bus=bus)
-        elif cell.kind == _SCENARIO:
-            result = run_scenario(cell.spec, bus=bus)
-        else:
-            result = run_dynamic_scenario(cell.spec, bus=bus)
+        result = run_scenario(cell.scenario(), bus=bus)
         # repro: allow[R002] cell timing envelope (CellOutcome.seconds)
         seconds = time.perf_counter() - start
     finally:
@@ -255,9 +254,9 @@ def default_workers(num_cells: int) -> int:
 
 
 def _cell_label(cell: GridCell) -> str:
-    if cell.kind == _SWEEP:
+    if isinstance(cell.spec, SweepConfiguration):
         return f"{cell.spec.label()} seed={cell.seed}"
-    return getattr(cell.spec, "name", repr(cell.spec))
+    return cell.spec.name
 
 
 def _emit_cell_done(bus, outcome: CellOutcome, position: int) -> None:
@@ -652,15 +651,13 @@ def timing_summary(outcomes: Sequence[CellOutcome],
 
 def sweep_cells(configurations: Sequence[SweepConfiguration],
                 seeds: Sequence[int], record_trace: bool = False,
-                max_rounds: int = 200_000,
                 legacy_seeding: bool = False) -> List[GridCell]:
     """Flatten a configuration x seed grid into schedulable cells."""
     if not seeds:
         raise ExperimentError("at least one seed is required")
     return [
-        GridCell(kind=_SWEEP, spec=configuration, index=index, seed=seed,
-                 record_trace=record_trace, max_rounds=max_rounds,
-                 legacy_seeding=legacy_seeding)
+        GridCell(kind="sweep", spec=configuration, index=index, seed=seed,
+                 record_trace=record_trace, legacy_seeding=legacy_seeding)
         for index, configuration in enumerate(configurations)
         for seed in seeds
     ]

@@ -5,7 +5,10 @@ matching schedules, random workloads) make single runs noisy.  A
 :class:`SweepConfiguration` describes one experimental cell (algorithm,
 topology, workload, substrate); :func:`run_sweep` executes it over several
 seeds and returns a :class:`SweepResult` with per-metric
-:class:`~repro.analysis.aggregate.SampleStatistics`.
+:class:`~repro.analysis.aggregate.SampleStatistics`.  Each (cell, seed) run
+is the static :class:`~repro.simulation.scenario.Scenario` that
+:meth:`SweepConfiguration.scenario` returns, executed by the one cell runner
+:func:`~repro.simulation.scenario.run_scenario`.
 
 Each (cell, seed) run derives **independent child seeds** for the topology
 sample, the workload placement, the matching schedule and the algorithm's
@@ -33,10 +36,8 @@ from typing import Dict, List, Sequence
 
 from ..analysis.aggregate import SampleStatistics, summarize_samples
 from ..exceptions import ExperimentError
-from ..network import topologies
-from .engine import ALL_ALGORITHMS, BACKEND_KINDS, RNG_MODES, make_schedule, run_algorithm
 from .results import RunResult
-from .seeding import purpose_seeds
+from .scenario import Scenario, run_scenario
 from .workloads import WORKLOADS
 
 __all__ = [
@@ -90,6 +91,17 @@ class SweepConfiguration:
         return (f"{self.algorithm} on {self.topology}(n~{self.num_nodes}) "
                 f"[{self.workload}, {self.continuous_kind}]")
 
+    def scenario(self, seed: int, legacy_seeding: bool = False,
+                 record_trace: bool = False) -> Scenario:
+        """The static :class:`~repro.simulation.scenario.Scenario` of one (cell, seed) run.
+
+        Sweeps seed per purpose unless ``legacy_seeding`` asks for the
+        historical reuse of one integer; the scenario validates the fields.
+        """
+        return Scenario(name=self.label(), seed=seed, record_trace=record_trace,
+                        seeding="legacy" if legacy_seeding else "per-purpose",
+                        **vars(self))
+
 
 @dataclass
 class SweepResult:
@@ -137,67 +149,32 @@ class SweepResult:
         }
 
 
-def _validate_configuration(configuration: SweepConfiguration) -> None:
-    if configuration.algorithm not in ALL_ALGORITHMS:
-        raise ExperimentError(f"unknown algorithm {configuration.algorithm!r}")
-    if configuration.workload not in WORKLOADS:
-        raise ExperimentError(
-            f"unknown workload {configuration.workload!r}; valid: {sorted(WORKLOADS)}"
-        )
-    if configuration.backend not in BACKEND_KINDS:
-        raise ExperimentError(
-            f"unknown backend {configuration.backend!r}; valid: {BACKEND_KINDS}")
-    if configuration.rng_mode not in RNG_MODES:
-        raise ExperimentError(
-            f"unknown rng mode {configuration.rng_mode!r}; valid: {RNG_MODES}")
-
-
 def run_sweep_cell(configuration: SweepConfiguration, seed: int,
-                   record_trace: bool = False, max_rounds: int = 200_000,
-                   legacy_seeding: bool = False, bus=None) -> RunResult:
+                   record_trace: bool = False, legacy_seeding: bool = False,
+                   bus=None) -> RunResult:
     """Execute one (configuration, seed) run — the unit of sweep sharding.
 
-    This is the pure function both the serial loop of :func:`run_sweep` and
-    the process-pool workers of :mod:`repro.simulation.parallel` call, which
-    is what makes parallel merges bit-identical to serial ones.  The seed
-    spawns independent child streams for the topology, the workload, the
-    matching schedule and the algorithm (see
-    :mod:`repro.simulation.seeding`); ``legacy_seeding=True`` restores the
-    historical single-integer reuse.
+    The run is :func:`~repro.simulation.scenario.run_scenario` of
+    :meth:`SweepConfiguration.scenario`, the same call the process-pool
+    workers of :mod:`repro.simulation.parallel` make, which is what makes
+    parallel merges bit-identical to serial ones.  The seed spawns
+    independent child streams for the topology, the workload, the matching
+    schedule and the algorithm (see :mod:`repro.simulation.seeding`);
+    ``legacy_seeding=True`` restores the historical single-integer reuse.
 
-    ``bus`` forwards a :class:`~repro.obs.bus.MetricsBus` to
-    :func:`~repro.simulation.engine.run_algorithm`, streaming per-round
-    telemetry from the cell.  In a process-pool worker this is the worker's
-    private capture bus; the driver relays the captured stream back onto the
-    main bus with ``(worker, cell, seed)`` attribution (see
-    :mod:`repro.obs.relay`).
+    ``bus`` forwards a :class:`~repro.obs.bus.MetricsBus` to the engine,
+    streaming per-round telemetry from the cell.  In a process-pool worker
+    this is the worker's private capture bus; the driver relays the captured
+    stream back onto the main bus with ``(worker, cell, seed)`` attribution
+    (see :mod:`repro.obs.relay`).
     """
-    _validate_configuration(configuration)
-    seeds = purpose_seeds(seed, legacy=legacy_seeding)
-    network = topologies.named_topology(
-        configuration.topology, configuration.num_nodes, seed=seeds.topology)
-    load = WORKLOADS[configuration.workload](
-        network, configuration.tokens_per_node, seeds.workload)
-    schedule = make_schedule(configuration.continuous_kind, network,
-                             seed=seeds.schedule)
-    return run_algorithm(
-        configuration.algorithm,
-        network,
-        initial_load=load,
-        continuous_kind=configuration.continuous_kind,
-        schedule=schedule,
-        seed=seeds.algorithm,
-        record_trace=record_trace,
-        max_rounds=max_rounds,
-        backend=configuration.backend,
-        rng_mode=configuration.rng_mode,
-        bus=bus,
-    )
+    return run_scenario(configuration.scenario(seed, legacy_seeding=legacy_seeding,
+                                               record_trace=record_trace), bus=bus)
 
 
 def run_sweep(configuration: SweepConfiguration, seeds: Sequence[int],
-              record_trace: bool = False, max_rounds: int = 200_000,
-              legacy_seeding: bool = False, bus=None) -> SweepResult:
+              record_trace: bool = False, legacy_seeding: bool = False,
+              bus=None) -> SweepResult:
     """Run one configuration once per seed, serially, and aggregate the results.
 
     Each seed spawns independent child streams for the topology sample (for
@@ -210,13 +187,11 @@ def run_sweep(configuration: SweepConfiguration, seeds: Sequence[int],
     This in-process loop is the reference the sharded grid driver
     (:mod:`repro.simulation.parallel`) is checked against bit for bit.
     """
-    _validate_configuration(configuration)
     if not seeds:
         raise ExperimentError("at least one seed is required")
     result = SweepResult(configuration=configuration)
     for seed in seeds:
         result.runs.append(
             run_sweep_cell(configuration, seed, record_trace=record_trace,
-                           max_rounds=max_rounds, legacy_seeding=legacy_seeding,
-                           bus=bus))
+                           legacy_seeding=legacy_seeding, bus=bus))
     return result

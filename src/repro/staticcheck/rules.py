@@ -442,8 +442,7 @@ class UnorderedIterationRule(VisitorRule):
 #: registry when a new spec type starts travelling.
 BOUNDARY_TYPES: FrozenSet[str] = frozenset({
     "GridCell", "CellFailure", "CellOutcome", "FaultPlan", "Scenario",
-    "DynamicScenario", "SweepConfiguration", "StreamCheckpoint",
-    "CapturedEvent",
+    "SweepConfiguration", "StreamCheckpoint", "CapturedEvent",
 })
 
 #: Annotation names that mean "not picklable" or "not canonically

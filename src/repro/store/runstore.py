@@ -40,6 +40,7 @@ import numpy as np
 
 from ..exceptions import ExperimentError
 from ..simulation.results import RunResult
+from ..simulation.scenario import Scenario
 
 __all__ = [
     "RunRecord",
@@ -329,7 +330,11 @@ def record_sweep_outcomes(store: RunStore, label: str, outcomes,
     records = []
     for outcome in outcomes:
         cell = outcome.cell
-        config = {**asdict(cell.spec), "seed": cell.seed,
+        # to_dict plus seeding is the dict (and config hash) scenario cells
+        # were stored with before ``events`` became a Scenario field
+        spec = ({**cell.spec.to_dict(), "seeding": cell.spec.seeding}
+                if isinstance(cell.spec, Scenario) else asdict(cell.spec))
+        config = {**spec, "seed": cell.seed,
                   "legacy_seeding": cell.legacy_seeding, "kind": cell.kind}
         timing = {"seconds": outcome.seconds, "worker_pid": outcome.worker_pid}
         if getattr(outcome, "attempts", 1) > 1:

@@ -30,7 +30,7 @@ from repro.simulation.engine import (
     make_balancer,
     run_algorithm,
 )
-from repro.simulation.scenario import DynamicScenario, Scenario
+from repro.simulation.scenario import Scenario
 from repro.tasks.assignment import TaskAssignment
 from repro.tasks.generators import point_load
 from repro.tasks.task import Task
@@ -175,7 +175,9 @@ class TestScenarioThreading:
 
     def test_dynamic_scenario_validates_backend(self):
         with pytest.raises(ExperimentError):
-            DynamicScenario(name="s", algorithm="algorithm1", backend="frobnicate")
+            Scenario(name="s", algorithm="algorithm1", tokens_per_node=8,
+                     workload="uniform", events="burst", rounds=240,
+                     backend="frobnicate")
 
 
 class TestSharedRunState:

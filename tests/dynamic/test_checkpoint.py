@@ -22,7 +22,7 @@ from repro.dynamic.events import make_event_generator
 from repro.dynamic.stream import StreamingEngine
 from repro.exceptions import CheckpointError, ExperimentError
 from repro.faults import truncate_checkpoint
-from repro.simulation.scenario import DynamicScenario, run_dynamic_scenario
+from repro.simulation.scenario import Scenario, run_scenario
 from repro.store.runstore import canonical_json
 
 
@@ -30,10 +30,10 @@ def _scenario(rng_mode="counter", backend="auto", algorithm="randomized-rounding
               max_task_weight=1, rounds=24, **overrides):
     params = dict(
         name="ckpt", algorithm=algorithm, topology="cycle", num_nodes=10,
-        tokens_per_node=6, rounds=rounds, events="mixed", seed=13,
+        tokens_per_node=6, workload="uniform", rounds=rounds, events="mixed", seed=13,
         rng_mode=rng_mode, backend=backend, max_task_weight=max_task_weight)
     params.update(overrides)
-    return DynamicScenario(**params)
+    return Scenario(**params)
 
 
 def _build_engine(scenario):
@@ -74,7 +74,7 @@ class TestResumeBitIdentity:
                                                          backend):
         """Kill at ANY round, resume, and get the exact same trajectory."""
         scenario = _scenario(rng_mode=rng_mode, backend=backend)
-        baseline = run_dynamic_scenario(scenario)
+        baseline = run_scenario(scenario)
 
         engine = _build_engine(scenario)
         trace = [engine.current_discrepancy()]
@@ -100,7 +100,7 @@ class TestResumeBitIdentity:
 
     def test_weighted_stream_resumes_bit_identically(self, tmp_path):
         scenario = _scenario(algorithm="algorithm1", max_task_weight=4)
-        baseline = run_dynamic_scenario(scenario)
+        baseline = run_scenario(scenario)
         engine = _build_engine(scenario)
         trace = [engine.current_discrepancy()]
         totals = [float(engine.total_real_load())]
@@ -121,9 +121,9 @@ class TestResumeBitIdentity:
     def test_any_checkpoint_cadence_end_state_identical(self, tmp_path,
                                                         cadence):
         scenario = _scenario(rounds=20)
-        baseline = run_dynamic_scenario(scenario)
+        baseline = run_scenario(scenario)
         path = tmp_path / "cadence.json"
-        checkpointed = run_dynamic_scenario(scenario, checkpoint_every=cadence,
+        checkpointed = run_scenario(scenario, checkpoint_every=cadence,
                                             checkpoint_path=path)
         # checkpointing is observation-only: the run itself is unchanged
         assert checkpointed.trace_max_min == baseline.trace_max_min
@@ -133,11 +133,11 @@ class TestResumeBitIdentity:
         assert resumed.extra == baseline.extra
 
     def test_scenario_meta_rebuilds_generator(self, tmp_path):
-        """run_dynamic_scenario embeds the scenario; resume needs no inputs."""
+        """run_scenario embeds the scenario; resume needs no inputs."""
         scenario = _scenario(rounds=18)
-        baseline = run_dynamic_scenario(scenario)
+        baseline = run_scenario(scenario)
         path = tmp_path / "meta.json"
-        run_dynamic_scenario(scenario, checkpoint_every=7,
+        run_scenario(scenario, checkpoint_every=7,
                              checkpoint_path=path)
         resumed = resume_stream(path)  # generator rebuilt from meta
         assert resumed.trace_max_min == baseline.trace_max_min
@@ -145,9 +145,9 @@ class TestResumeBitIdentity:
     def test_resume_continues_past_stored_horizon(self, tmp_path):
         scenario = _scenario(rounds=10)
         longer = _scenario(rounds=16)
-        baseline = run_dynamic_scenario(longer)
+        baseline = run_scenario(longer)
         path = tmp_path / "extend.json"
-        run_dynamic_scenario(scenario, checkpoint_every=10,
+        run_scenario(scenario, checkpoint_every=10,
                              checkpoint_path=path,)
         resumed = resume_stream(path, generator=_fresh_generator(scenario),
                                 rounds=16)
@@ -241,7 +241,7 @@ class TestCheckpointValidation:
     def test_checkpoint_every_requires_target(self):
         scenario = _scenario(rounds=6)
         with pytest.raises(ExperimentError, match="checkpoint_path"):
-            run_dynamic_scenario(scenario, checkpoint_every=2)
+            run_scenario(scenario, checkpoint_every=2)
 
     # Edits of the golden unit_mixed state (nodes 0..12 and 14..17, string
     # keys as read back from JSON); node 12 keeps its edge [0, 12].
@@ -304,9 +304,19 @@ class TestGoldenCheckpoints:
             for label, bucket in expected["buckets_by_label"].items()}
 
     @pytest.mark.parametrize("name", NAMES)
+    def test_embedded_scenario_round_trips_byte_for_byte(self, name):
+        """The stored scenario is exactly what Scenario.to_dict writes.
+
+        Checkpoints are canonical JSON, so the comparison is in that form.
+        """
+        stored = read_checkpoint(DATA / f"{name}.ckpt.json").meta["scenario"]
+        assert canonical_json(Scenario.from_dict(stored).to_dict()) == canonical_json(stored)
+        assert canonical_json(stored) in (DATA / f"{name}.ckpt.json").read_text()
+
+    @pytest.mark.parametrize("name", NAMES)
     def test_a_fresh_run_writes_the_same_checkpoint(self, name):
         checkpoint = read_checkpoint(DATA / f"{name}.ckpt.json")
-        scenario = DynamicScenario.from_dict(checkpoint.meta["scenario"])
+        scenario = Scenario.from_dict(checkpoint.meta["scenario"])
         engine = _build_engine(scenario)
         trace = [engine.current_discrepancy()]
         totals = [float(engine.total_real_load())]

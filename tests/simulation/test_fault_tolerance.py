@@ -24,18 +24,18 @@ from repro.simulation.parallel import (
     run_cells,
     timing_summary,
 )
-from repro.simulation.scenario import DynamicScenario
+from repro.simulation.scenario import Scenario
 
 
 def _cells(count=5, rounds=24):
     return [
         GridCell(
             kind="dynamic",
-            spec=DynamicScenario(
+            spec=Scenario(
                 name=f"ft-{index}", algorithm="randomized-rounding",
                 topology="cycle", num_nodes=10, tokens_per_node=5,
-                rounds=rounds, events="mixed", seed=50 + index,
-                rng_mode="counter"),
+                workload="uniform", rounds=rounds, events="mixed",
+                seed=50 + index, rng_mode="counter"),
             index=index)
         for index in range(count)
     ]

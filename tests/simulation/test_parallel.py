@@ -20,13 +20,7 @@ from repro.simulation.parallel import (
     sweep_cells,
     timing_summary,
 )
-from repro.simulation.scenario import (
-    DynamicScenario,
-    Scenario,
-    expand_seeds,
-    run_dynamic_scenario,
-    run_scenario,
-)
+from repro.simulation.scenario import Scenario, expand_seeds, run_scenario
 from repro.simulation.sweep import SweepConfiguration, run_sweep
 
 WORKER_COUNTS = (1, 2, 4)
@@ -84,11 +78,11 @@ class TestWorkerCountInvariance:
 
     @pytest.mark.parametrize("rng_mode", ["sequential", "counter"])
     def test_dynamic_trajectories_identical_across_worker_counts(self, rng_mode):
-        base = DynamicScenario(name="inv", algorithm="algorithm2", topology="torus",
-                               num_nodes=16, tokens_per_node=6, rounds=40,
-                               rng_mode=rng_mode)
+        base = Scenario(name="inv", algorithm="algorithm2", topology="torus",
+                        num_nodes=16, tokens_per_node=6, workload="uniform",
+                        events="burst", rounds=40, rng_mode=rng_mode)
         scenarios = expand_seeds(base, [1, 2, 3, 4])
-        serial = [run_dynamic_scenario(scenario) for scenario in scenarios]
+        serial = [run_scenario(scenario) for scenario in scenarios]
         for workers in WORKER_COUNTS[1:]:
             sharded = scenario_results("dynamic", scenarios, workers)
             assert [r.trace_max_min for r in sharded] == \
@@ -178,8 +172,9 @@ class TestGridApi:
 
     def test_dynamic_grid_preserves_order(self):
         scenarios = expand_seeds(
-            DynamicScenario(name="ord", algorithm="round-down", topology="cycle",
-                            num_nodes=8, tokens_per_node=4, rounds=12), [9, 8, 7])
+            Scenario(name="ord", algorithm="round-down", topology="cycle",
+                     num_nodes=8, tokens_per_node=4, workload="uniform",
+                     events="burst", rounds=12), [9, 8, 7])
         results = scenario_results("dynamic", scenarios, workers=2)
         assert len(results) == 3
 

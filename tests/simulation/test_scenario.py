@@ -8,13 +8,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ExperimentError
-from repro.simulation.scenario import (
-    DynamicScenario,
-    Scenario,
-    load_scenario,
-    run_dynamic_scenario,
-    run_scenario,
-)
+from repro.simulation.scenario import Scenario, load_scenario, run_scenario
 from repro.simulation.seeding import PurposeSeeds
 
 
@@ -151,14 +145,14 @@ class TestSeedingModes:
 
     def test_dynamic_events_purpose_decorrelates_arrivals(self):
         base = dict(name="dyn", algorithm="round-down", topology="cycle",
-                    num_nodes=8, tokens_per_node=4, events="poisson",
-                    rounds=40, seed=11)
-        legacy = DynamicScenario(**base)
-        per_purpose = DynamicScenario(**base, seeding="per-purpose")
+                    num_nodes=8, tokens_per_node=4, workload="uniform",
+                    events="poisson", rounds=40, seed=11)
+        legacy = Scenario(**base)
+        per_purpose = Scenario(**base, seeding="per-purpose")
         assert "seeding" not in legacy.to_dict()
-        assert DynamicScenario.from_dict(per_purpose.to_dict()) == per_purpose
-        a = run_dynamic_scenario(legacy)
-        b = run_dynamic_scenario(per_purpose)
+        assert Scenario.from_dict(per_purpose.to_dict()) == per_purpose
+        a = run_scenario(legacy)
+        b = run_scenario(per_purpose)
         assert a.event_timeline != b.event_timeline
 
 
@@ -190,3 +184,108 @@ class TestRunScenario:
                             num_nodes=8, tokens_per_node=8, rounds=3, seed=1)
         result = run_scenario(scenario)
         assert result.rounds == 3
+
+
+class TestFieldTypes:
+    """``from_dict`` (the loader of scenario files and checkpoints) checks types."""
+
+    INT_FIELDS = ["num_nodes", "tokens_per_node", "base_load", "seed", "max_task_weight"]
+    STR_FIELDS = ["name", "algorithm", "topology", "workload", "speed_profile",
+                  "continuous_kind", "backend", "rng_mode", "seeding"]
+    BAD = ([(name, value) for name in INT_FIELDS for value in ("64", 2.7, 1.0, True)]
+           + [(name, value) for name in STR_FIELDS for value in (3, None, ["torus"])]
+           + [("rounds", value) for value in ("5", 1.5, False)]
+           + [("events", 1), ("record_trace", 1), ("record_trace", "yes")])
+
+    @pytest.mark.parametrize("name,value", BAD)
+    def test_wrong_types_rejected_naming_the_field(self, name, value):
+        data = {"name": "typed", "algorithm": "algorithm1", name: value}
+        with pytest.raises(ExperimentError, match=f"scenario field '{name}' must be"):
+            Scenario.from_dict(data)
+
+    @pytest.mark.parametrize("rounds", [None, 0, 5])
+    def test_rounds_accepts_int_or_null(self, rounds):
+        data = {"name": "typed", "algorithm": "algorithm1", "rounds": rounds}
+        assert Scenario.from_dict(data).rounds == rounds
+
+
+class TestEventScenarios:
+    STREAM = dict(name="stream", algorithm="algorithm2", topology="cycle", num_nodes=8,
+                  tokens_per_node=4, workload="uniform", events="burst", rounds=12)
+
+    def test_requires_rounds(self):
+        with pytest.raises(ExperimentError, match="rounds"):
+            Scenario(**{**self.STREAM, "rounds": None})
+
+    @pytest.mark.parametrize("field,value", [("base_load", 2), ("record_trace", True)])
+    def test_rejects_static_only_fields(self, field, value):
+        with pytest.raises(ExperimentError, match=field):
+            Scenario(**self.STREAM, **{field: value})
+
+    def test_to_dict_keeps_the_historical_key_order(self):
+        assert list(Scenario(**self.STREAM).to_dict()) == [
+            "name", "algorithm", "topology", "num_nodes", "tokens_per_node", "workload",
+            "speed_profile", "continuous_kind", "events", "rounds", "seed", "backend",
+            "max_task_weight", "rng_mode"]
+        assert list(Scenario(name="static", algorithm="algorithm1").to_dict()) == [
+            "name", "algorithm", "topology", "num_nodes", "tokens_per_node", "workload",
+            "speed_profile", "continuous_kind", "base_load", "rounds", "seed",
+            "record_trace", "backend", "max_task_weight", "rng_mode"]
+
+    def test_scenarios_are_frozen(self):
+        import dataclasses
+
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Scenario(**self.STREAM).rounds = 3
+
+    def test_checkpoints_need_an_event_scenario(self, tmp_path):
+        static = Scenario(name="static", algorithm="round-down", topology="cycle",
+                          num_nodes=8, tokens_per_node=4, rounds=3)
+        with pytest.raises(ExperimentError, match="event scenarios"):
+            run_scenario(static, checkpoint_every=1, checkpoint_path=tmp_path / "c.json")
+        with pytest.raises(ExperimentError, match="event scenarios"):
+            run_scenario(static, checkpoint_path=tmp_path / "c.json")
+
+
+class TestSweepCellsAreScenarios:
+    """A sweep cell is the static scenario its configuration describes.
+
+    The reference is the sweep runner's historical body: topology, workload
+    and schedule drawn from the purpose seeds, then ``run_algorithm``.
+    """
+
+    @staticmethod
+    def reference(configuration, seed, legacy):
+        from repro.network import topologies
+        from repro.simulation.engine import make_schedule, run_algorithm
+        from repro.simulation.seeding import purpose_seeds
+        from repro.simulation.workloads import WORKLOADS
+
+        seeds = purpose_seeds(seed, legacy=legacy)
+        network = topologies.named_topology(configuration.topology,
+                                            configuration.num_nodes, seed=seeds.topology)
+        load = WORKLOADS[configuration.workload](network, configuration.tokens_per_node,
+                                                 seeds.workload)
+        return run_algorithm(
+            configuration.algorithm, network, initial_load=load,
+            continuous_kind=configuration.continuous_kind,
+            schedule=make_schedule(configuration.continuous_kind, network,
+                                   seed=seeds.schedule),
+            seed=seeds.algorithm, record_trace=True, backend=configuration.backend,
+            rng_mode=configuration.rng_mode)
+
+    @pytest.mark.parametrize("legacy", [False, True])
+    @pytest.mark.parametrize("kind,algorithm", [
+        ("fos", "algorithm2"), ("sos", "algorithm1"),
+        ("periodic-matching", "matching-round-down"),
+        ("random-matching", "matching-randomized")])
+    def test_sweep_cell_equals_reference(self, kind, algorithm, legacy):
+        from repro.simulation.sweep import SweepConfiguration, run_sweep_cell
+
+        configuration = SweepConfiguration(
+            algorithm=algorithm, topology="expander", num_nodes=12, tokens_per_node=6,
+            workload="uniform", continuous_kind=kind, rng_mode="sequential")
+        result = run_sweep_cell(configuration, 5, record_trace=True, legacy_seeding=legacy)
+        expected = self.reference(configuration, 5, legacy)
+        assert result.as_dict() == expected.as_dict()
+        assert result.trace_max_min == expected.trace_max_min

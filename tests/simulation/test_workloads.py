@@ -22,7 +22,7 @@ class TestSharedRegistry:
     def test_sweep_and_scenario_share_one_registry(self):
         """The two entry points must select from the same object — no drift."""
         assert sweep_module.WORKLOADS is WORKLOADS
-        assert scenario_module._WORKLOADS is WORKLOADS
+        assert scenario_module.WORKLOADS is WORKLOADS
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_NAMES))
     def test_every_workload_generates_integer_loads(self, name):

@@ -219,14 +219,14 @@ class TestRecordSweepOutcomes:
     def test_retry_and_failure_metadata_stored(self, tmp_path):
         from repro.faults import FaultPlan
         from repro.simulation.parallel import GridCell, run_cells
-        from repro.simulation.scenario import DynamicScenario
+        from repro.simulation.scenario import Scenario
 
         cells = [GridCell(kind="dynamic",
-                          spec=DynamicScenario(
+                          spec=Scenario(
                               name=f"s{i}", algorithm="randomized-rounding",
                               topology="cycle", num_nodes=8, tokens_per_node=4,
-                              rounds=8, events="mixed", seed=i,
-                              rng_mode="counter"),
+                              workload="uniform", rounds=8, events="mixed",
+                              seed=i, rng_mode="counter"),
                           index=i)
                  for i in range(3)]
         plan = FaultPlan(raise_at={0: 1, 2: 99})
@@ -241,6 +241,28 @@ class TestRecordSweepOutcomes:
         failure = records[2].timing["failure"]
         assert failure["kind"] == "error"
         assert failure["attempts"] == 2
+
+    def test_scenario_cell_config_keeps_its_stored_shape(self, tmp_path):
+        """A scenario cell stores every field once stored, and no ``events=None``."""
+        from repro.simulation.parallel import GridCell
+        from repro.simulation.scenario import Scenario
+
+        stream = Scenario(name="s", algorithm="round-down", topology="cycle",
+                          num_nodes=8, tokens_per_node=4, workload="uniform",
+                          events="mixed", rounds=4, seed=1, rng_mode="counter")
+        static = Scenario(name="t", algorithm="round-down", topology="cycle",
+                          num_nodes=8, tokens_per_node=4, rounds=4)
+        cells = [GridCell(kind="dynamic", spec=stream, index=0),
+                 GridCell(kind="scenario", spec=static, index=1)]
+        records = record_sweep_outcomes(RunStore(tmp_path / "cells.jsonl"), "cells",
+                                        run_cells(cells, workers=1))
+        common = {"name", "algorithm", "topology", "num_nodes", "tokens_per_node",
+                  "workload", "speed_profile", "continuous_kind", "rounds", "seed",
+                  "backend", "max_task_weight", "rng_mode", "seeding",
+                  "legacy_seeding", "kind"}
+        assert set(records[0].config) == common | {"events"}
+        assert set(records[1].config) == common | {"base_load", "record_trace"}
+        assert records[0].config["seeding"] == "legacy"
 
 
 class TestBenchWriter:

@@ -22,6 +22,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compare", "--algorithms", "frobnicate"])
 
+    @pytest.mark.parametrize("argv,tokens,workers", [
+        (["compare"], 32, None), (["dynamic"], 8, None),
+        (["sweep", "--algorithm", "algorithm1"], 32, 1),
+        (["grid", "--algorithms", "algorithm1"], 32, None)])
+    def test_shared_experiment_flags_keep_per_command_defaults(self, argv, tokens, workers):
+        from repro.simulation.engine import CONTINUOUS_KINDS
+
+        args = build_parser().parse_args(argv)
+        assert (args.nodes, args.tokens_per_node, args.continuous, args.backend,
+                args.rng_mode) == (64, tokens, "fos", "auto", "sequential")
+        assert getattr(args, "workers", None) == workers
+        for kind in CONTINUOUS_KINDS:
+            assert build_parser().parse_args([*argv, "--continuous", kind]).continuous == kind
+
 
 class TestCommands:
     def test_compare_command_output(self, capsys):
@@ -144,10 +158,34 @@ class TestCommands:
         assert "seed 1" in output and "seed 2" in output
 
     def test_dynamic_rejects_unknown_profile(self, capsys):
-        from repro.exceptions import ExperimentError
+        assert main(["dynamic", "--scenario", "tsunami"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown events 'tsunami'")
+        assert "Traceback" not in captured.err
 
-        with pytest.raises(ExperimentError):
-            main(["dynamic", "--scenario", "tsunami"])
+    def test_dynamic_invalid_combination_exits_2(self, capsys):
+        # the scenario is valid; the engine rejects the pairing at run time
+        assert main(["dynamic", "--nodes", "16", "--rounds", "4",
+                     "--algorithm", "round-down",
+                     "--continuous", "random-matching"]) == 2
+        assert "error: 'round-down' is a diffusion baseline" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("topology", "nope", "nope"),
+        ("num_nodes", "64", "scenario field 'num_nodes' must be int"),
+        ("rounds", "5", "scenario field 'rounds' must be int or null"),
+    ])
+    def test_scenario_bad_input_exits_2(self, capsys, tmp_path, field, value, message):
+        import json
+
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "bad", "algorithm": "algorithm1",
+                                    "num_nodes": 8, field: value}))
+        assert main(["scenario", "--file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert captured.out == ""
 
     def test_audit_command(self, capsys):
         exit_code = main(["audit", "--algorithm", "algorithm1", "--topology", "cycle",
@@ -278,36 +316,38 @@ class TestStoreAndReportCommands:
         assert "[engine]" not in captured.out  # telemetry stays off stdout
 
     def test_ci_baseline_store_matches_fresh_runs(self, tmp_path, capsys):
-        """The checked-in CI baseline must stay reproducible bit-for-bit."""
-        import pathlib
+        """The checked-in CI baseline must stay reproducible bit-for-bit.
 
-        baseline = (pathlib.Path(__file__).resolve().parent.parent
-                    / "ci" / "baseline_store.jsonl")
+        The commands are read from the CI workflow's "Record
+        regression-candidate run store" step, so this test re-runs exactly
+        what CI gates on; a changed config hash is a coverage violation.
+        """
+        import pathlib
+        import shlex
+
+        from repro.store import RunStore, check_store_regression
+
+        root = pathlib.Path(__file__).resolve().parent.parent
+        baseline = root / "ci" / "baseline_store.jsonl"
+        workflow = (root / ".github" / "workflows" / "ci.yml").read_text()
+        step = workflow.split("- name: Record regression-candidate run store")[1]
+        step = step.split("- name:")[0].replace("\\\n", " ")
         store_path = tmp_path / "fresh.jsonl"
-        for argv in (
-            ["sweep", "--algorithm", "algorithm2", "--nodes", "16",
-             "--tokens-per-node", "8", "--seeds", "1", "2",
-             "--rng-mode", "counter", "--store", str(store_path),
-             "--store-label", "ci-sweep"],
-            ["sweep", "--algorithm", "round-down", "--nodes", "16",
-             "--tokens-per-node", "8", "--seeds", "1",
-             "--rng-mode", "counter", "--store", str(store_path),
-             "--store-label", "ci-rounddown"],
-            ["dynamic", "--nodes", "16", "--rounds", "40",
-             "--rng-mode", "counter", "--store", str(store_path),
-             "--store-label", "ci-dynamic"],
-            *(["sweep", "--algorithm", algorithm, "--continuous", continuous,
-               "--nodes", "16", "--tokens-per-node", "8", "--seeds", "1", "2",
-               "--rng-mode", "counter", "--store", str(store_path),
-               "--store-label", label]
-              for algorithm, continuous, label in (
-                  ("matching-round-down", "periodic-matching", "ci-matching-rounddown"),
-                  ("matching-randomized", "random-matching", "ci-matching-randomized"),
-                  ("excess-tokens", "fos", "ci-excess"),
-                  ("algorithm1", "periodic-matching", "ci-alg1-periodic"))),
-        ):
+        commands = [shlex.split(line.split("python -m repro.cli", 1)[1])
+                    for line in step.splitlines() if "python -m repro.cli" in line]
+        assert [argv[0] for argv in commands] == ["sweep", "sweep", "dynamic", "sweep",
+                                                  "sweep", "sweep", "sweep"]
+        for argv in commands:
+            argv[argv.index("--store") + 1] = str(store_path)
             assert main(argv) == 0
         capsys.readouterr()
+        baseline_records = RunStore(baseline).records()
+        fresh = RunStore(store_path).records()
+        assert sorted(record.config_hash for record in fresh) == \
+            sorted(record.config_hash for record in baseline_records)
+        outcome = check_store_regression(baseline_records, fresh,
+                                         max_metric_drift=0.0, max_trace_drift=0.0)
+        assert outcome.ok, outcome.summary()
         exit_code = main(["report", "--store", str(store_path),
                           "--check-regression", "--baseline-store",
                           str(baseline)])
