@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from .exceptions import ReproError
 from .network import topologies
 from .simulation.engine import (ALL_ALGORITHMS, BACKEND_KINDS, CONTINUOUS_KINDS, RNG_MODES,
-                                compare_algorithms)
+                                compare_algorithms, default_algorithms)
 from .simulation.workloads import WORKLOADS
 from .simulation.experiments import (
     continuous_convergence_rows,
@@ -115,8 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
                                          "(all tokens start on node 0)")
     compare.add_argument("--topology", default="torus",
                          help="topology family name (see repro.network.topologies.named_topology)")
-    compare.add_argument("--algorithms", nargs="+", default=["round-down", "algorithm1", "algorithm2"],
-                         choices=list(ALL_ALGORITHMS), help="algorithms to run")
+    compare.add_argument("--algorithms", nargs="+", choices=list(ALL_ALGORITHMS),
+                         help="algorithms to run (default: the substrate's round-down "
+                              "baseline, algorithm1 and algorithm2)")
     compare.add_argument("--seed", type=int, default=7)
 
     table1 = subparsers.add_parser("table1", help="reproduce the Table 1 comparison")
@@ -395,10 +396,10 @@ def _finish_instrumentation(trace_path: Optional[str], tracer, renderer) -> None
           f"or https://ui.perfetto.dev")
 
 
-#: Commands that read a user-written scenario, checkpoint or run store: a
-#: :class:`~repro.exceptions.ReproError` from them prints ``error: ...`` and
-#: exits 2 instead of a traceback.
-_INPUT_COMMANDS = ("scenario", "dynamic", "resume", "report", "trace")
+#: Commands that read a user-written scenario, checkpoint or run store, or
+#: build one instance from flags: a :class:`~repro.exceptions.ReproError` from
+#: them prints ``error: ...`` and exits 2 instead of a traceback.
+_INPUT_COMMANDS = ("compare", "scenario", "dynamic", "resume", "report", "trace")
 
 #: ``args`` attributes that point at on-disk artifacts a run may have
 #: partially written — surfaced on ^C so the user knows what survived.
@@ -438,9 +439,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _run_command(args, parser: argparse.ArgumentParser) -> int:
     """Dispatch one parsed command (the body of :func:`main`)."""
     if args.command == "compare":
+        algorithms = args.algorithms or default_algorithms(args.continuous)
         network = topologies.named_topology(args.topology, args.nodes, seed=args.seed)
         load = point_load(network, args.tokens_per_node * network.num_nodes)
-        results = compare_algorithms(network, load, args.algorithms,
+        results = compare_algorithms(network, load, algorithms,
                                      continuous_kind=args.continuous, seed=args.seed,
                                      backend=args.backend, rng_mode=args.rng_mode)
         rows = [result.as_dict() for result in results]

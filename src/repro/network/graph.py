@@ -8,8 +8,8 @@ process needs each round: the read-only int64 edge endpoint arrays, the
 directed planning order and CSR adjacency the array kernels share, and the
 degrees.  Python-object views (the edge tuple, the edge index, neighbour
 tuples, a :class:`networkx.Graph`) are built on first use and cached;
-connectivity, hop distances and the diameter are breadth-first searches over
-the CSR (:meth:`Network.distances_from`).
+connectivity (cached too), hop distances and the diameter are breadth-first
+searches over the CSR (:meth:`Network.distances_from`).
 
 Nodes are always labelled ``0 .. n-1``.  :meth:`Network.from_edges` builds a
 network straight from int64 endpoint arrays; the constructor adapts a
@@ -126,9 +126,10 @@ class Network:
         # puts them in (u, v) order.
         keys, first = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_index=True)
         self._keys = _read_only(keys)
-        #: the edges in order of first appearance, if that is not sorted order
-        self._graph_order = (np.argsort(first) if np.any(first[1:] < first[:-1]) else None)
         m = keys.size
+        # the edges in order of first appearance (usually sorted order already)
+        self._input_order = _read_only(
+            np.argsort(first) if np.any(first[1:] < first[:-1]) else np.arange(m))
         self._directed_senders = _read_only(np.concatenate((keys // n, keys % n)))
         self._directed_receivers = _read_only(np.concatenate((keys % n, keys // n)))
         self._edge_endpoints = (self._directed_senders[:m], self._directed_receivers[:m])
@@ -146,6 +147,7 @@ class Network:
         self._edge_index: Optional[Dict[Edge, int]] = None
         self._neighbors: Optional[List[Tuple[int, ...]]] = None
         self._graph: Optional[nx.Graph] = None
+        self._connected: Optional[bool] = None
 
     # ------------------------------------------------------------------ #
     # basic properties
@@ -155,15 +157,13 @@ class Network:
     def graph(self) -> nx.Graph:
         """A :class:`networkx.Graph` view on nodes ``0 .. n-1``, built on first use.
 
-        Edges are added in the order they were first given, so the adjacency
-        order (which networkx algorithms such as the edge colouring's line
-        graph follow) is that of the source graph.  The view is cached; do
-        not mutate it.
+        Edges are added in :attr:`input_order`, so the adjacency order that
+        networkx algorithms follow is that of the source graph.  The view is
+        cached; do not mutate it.
         """
         if self._graph is None:
             u, v = self._edge_endpoints
-            if self._graph_order is not None:
-                u, v = u[self._graph_order], v[self._graph_order]
+            u, v = u[self._input_order], v[self._input_order]
             graph = nx.Graph()
             graph.add_nodes_from(range(self._n))
             graph.add_edges_from(zip(u.tolist(), v.tolist()))
@@ -197,6 +197,15 @@ class Network:
     def edge_endpoints(self) -> Tuple[np.ndarray, np.ndarray]:
         """Read-only int64 arrays ``(u, v)`` of the canonical edge endpoints."""
         return self._edge_endpoints
+
+    @property
+    def input_order(self) -> np.ndarray:
+        """The edge ids in the order the edges were first given (read-only int64).
+
+        :attr:`graph` adds its edges in this order, and the periodic
+        matchings' edge colouring breaks ties by it.
+        """
+        return self._input_order
 
     @property
     def directed_endpoints(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -363,8 +372,10 @@ class Network:
         return distances
 
     def is_connected(self) -> bool:
-        """Whether the network is connected (single-node networks are)."""
-        return bool(np.all(self.distances_from(0) >= 0))
+        """Whether the network is connected (single-node networks are; cached)."""
+        if self._connected is None:
+            self._connected = bool(np.all(self.distances_from(0) >= 0))
+        return self._connected
 
     def require_connected(self) -> None:
         """Raise :class:`NetworkError` unless the network is connected."""

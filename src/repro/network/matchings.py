@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..exceptions import ScheduleError
@@ -86,28 +85,78 @@ def validate_matching(network: Network, matching: Sequence[Edge]) -> Tuple[Edge,
 
 
 def _coloring_ids(network: Network) -> List[np.ndarray]:
-    """A greedy proper edge colouring, one sorted edge-id array per colour."""
-    if network.num_edges == 0:
+    """A greedy proper edge colouring, one sorted edge-id array per colour.
+
+    Edges are coloured in the order :func:`edge_coloring` documents, each with
+    the lowest colour free at both endpoints (one used-colour bitmask per
+    node).
+    """
+    m, n = network.num_edges, network.num_nodes
+    if m == 0:
         return []
-    line_graph = nx.line_graph(network.graph)
-    coloring = nx.coloring.greedy_color(line_graph, strategy="largest_first")
-    # largest_first caches a DegreeView on the line graph, a reference cycle
-    # that only the cyclic collector would free: release the edges now.
-    line_graph.clear()
-    buckets: Dict[int, List[Edge]] = {}
-    for edge, color in coloring.items():
-        buckets.setdefault(color, []).append(edge)
-    return [_matching_ids(network, bucket) for _, bucket in sorted(buckets.items())]
+    u, v = network.edge_endpoints
+    degrees = network.degrees
+    # Every node's incident edges in the order the edges were given.
+    given = network.input_order
+    ends = np.concatenate((u[given], v[given]))
+    by_node = np.lexsort((np.tile(np.arange(m), 2), ends))
+    incident, owner = np.tile(given, 2)[by_node], ends[by_node]
+    # All pairs (i < j) of each node's incident edges, node by node: slot s
+    # pairs with the `later[s]` slots after it.
+    start = np.repeat(np.cumsum(degrees) - degrees, degrees)
+    later = start + degrees[owner] - 1 - np.arange(2 * m)
+    first = np.repeat(np.arange(2 * m), later)
+    second = first + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later) + 1
+    a, b = incident[first], incident[second]
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    # The line graph's node order follows the iteration order of a Python set
+    # of sorted edge-tuple pairs, so build that set with the same insertions.
+    # Its members are the listed tuples themselves: their identities say which
+    # pair each set slot holds, without hashing them again.
+    edges = network.edges
+    pairs = list(zip(map(edges.__getitem__, low.tolist()), map(edges.__getitem__, high.tolist())))
+    listed = np.fromiter(map(id, pairs), dtype=np.uint64, count=len(pairs))
+    visited = np.fromiter(map(id, set(pairs)), dtype=np.uint64, count=len(pairs))
+    visit = np.empty(len(pairs), dtype=np.int64)
+    visit[np.argsort(visited)] = np.argsort(listed)
+    seen = np.concatenate((incident[degrees[owner] == 1],
+                           np.stack((low[visit], high[visit]), axis=1).ravel()))
+    first_seen = np.full(m, seen.size)
+    np.minimum.at(first_seen, seen, np.arange(seen.size))
+    order = np.lexsort((first_seen, -(degrees[u] + degrees[v])))
+    masks = [0] * n
+    colours = []
+    for x, y in zip(u[order].tolist(), v[order].tolist()):
+        used = masks[x] | masks[y]
+        free = ~used & (used + 1)
+        masks[x] |= free
+        masks[y] |= free
+        colours.append(free.bit_length() - 1)
+    colour = np.empty(m, dtype=np.int64)
+    colour[order] = colours
+    by_colour = np.argsort(colour, kind="stable")
+    return [_read_only(ids) for ids in np.split(by_colour, np.cumsum(np.bincount(colour))[:-1])]
 
 
 def edge_coloring(network: Network) -> List[Tuple[Edge, ...]]:
     """Return a proper edge colouring of the network as a list of matchings.
 
-    Uses a greedy colouring of the line graph, which yields at most
-    ``2 d - 1`` colours (the paper's periodic model assumes roughly ``d``
-    matchings; greedy is within a factor two of that and keeps the
-    implementation dependency-free).  Every edge appears in exactly one
-    matching and every matching is non-empty.
+    The colouring is the greedy ``largest_first`` colouring of the line graph
+    as networkx computes it (``greedy_color(line_graph(network.graph),
+    "largest_first")``), built from the edge arrays without either graph.
+    Edges are coloured in a stable descending sort on ``deg(u) + deg(v)``;
+    equal degrees keep the line graph's node order:
+
+    1. each edge at a degree-1 endpoint, by that endpoint;
+    2. then the edges in order of first appearance in the Python set of
+       sorted edge pairs ``((a, b), (c, d))`` filled with the pairs of every
+       node's incident edges, node by node, in :attr:`Network.input_order`.
+
+    Each edge takes the lowest colour free at both endpoints, so there are at
+    most ``2 d - 1`` colours (the paper's periodic model assumes roughly
+    ``d`` matchings).  Every edge appears in exactly one matching, every
+    matching is non-empty and sorted, and colour ``c`` is matching ``c``.
+    networkx itself is only the test oracle.
     """
     return [_edge_tuple(network, ids) for ids in _coloring_ids(network)]
 

@@ -15,7 +15,7 @@ experiment harness and the benchmarks:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Type
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -63,6 +63,8 @@ __all__ = [
     "ALL_ALGORITHMS",
     "BACKEND_KINDS",
     "RNG_MODES",
+    "check_substrate",
+    "default_algorithms",
     "make_schedule",
     "make_continuous",
     "make_balancer",
@@ -77,7 +79,29 @@ DIFFUSION_BASELINES = ("round-down", "quasirandom", "randomized-rounding", "exce
 MATCHING_BASELINES = ("matching-round-down", "matching-randomized")
 ALL_ALGORITHMS = FLOW_IMITATION_ALGORITHMS + DIFFUSION_BASELINES + MATCHING_BASELINES
 
+_DIFFUSION_KINDS = ("fos", "sos")
 _MATCHING_KINDS = ("periodic-matching", "random-matching")
+
+
+def check_substrate(algorithm: str, continuous_kind: str) -> None:
+    """Raise :class:`ExperimentError` unless ``algorithm`` runs on ``continuous_kind``.
+
+    The flow-imitation algorithms run on every substrate; a diffusion
+    baseline needs a diffusion kind and a matching baseline a matching kind.
+    """
+    if algorithm in DIFFUSION_BASELINES and continuous_kind not in _DIFFUSION_KINDS:
+        raise ExperimentError(
+            f"{algorithm!r} is a diffusion baseline; use continuous_kind 'fos' or 'sos'")
+    if algorithm in MATCHING_BASELINES and continuous_kind not in _MATCHING_KINDS:
+        raise ExperimentError(
+            f"{algorithm!r} is a matching baseline; use continuous_kind "
+            "'periodic-matching' or 'random-matching'")
+
+
+def default_algorithms(continuous_kind: str) -> Tuple[str, ...]:
+    """The round-down baseline of ``continuous_kind`` plus Algorithms 1 and 2."""
+    baseline = "matching-round-down" if continuous_kind in _MATCHING_KINDS else "round-down"
+    return (baseline,) + FLOW_IMITATION_ALGORITHMS
 
 
 def make_schedule(continuous_kind: str, network: Network,
@@ -210,21 +234,14 @@ def _build_baseline(
     # whole tokens, so fractional loads are a caller bug.
     loads = as_token_counts(initial_load, network, error=ExperimentError)
     resolve_backend(backend)  # checks the name: every backend runs the same class
+    check_substrate(algorithm, continuous_kind)
     if algorithm in DIFFUSION_BASELINES:
-        if continuous_kind not in ("fos", "sos"):
-            raise ExperimentError(
-                f"{algorithm!r} is a diffusion baseline; use continuous_kind 'fos'"
-            )
         cls = _DIFFUSION_CLASSES[algorithm]
         if algorithm in ("round-down", "quasirandom"):
             return cls(network, loads)
         # The randomized baselines draw order-free counter randomness on demand.
         return cls(network, loads, seed=seed, rng_mode=rng_mode)
     if algorithm in MATCHING_BASELINES:
-        if continuous_kind not in _MATCHING_KINDS:
-            raise ExperimentError(
-                f"{algorithm!r} is a matching baseline; use a matching continuous_kind"
-            )
         if schedule is None:
             schedule = make_schedule(continuous_kind, network, seed=seed)
         if algorithm == "matching-round-down":
@@ -531,6 +548,7 @@ def compare_algorithms(
     for algorithm in algorithms:
         if algorithm not in ALL_ALGORITHMS:
             raise ExperimentError(f"unknown algorithm {algorithm!r}")
+        check_substrate(algorithm, continuous_kind)
     schedule = make_schedule(continuous_kind, network, seed=seed)
     if rounds is None:
         rounds = determine_balancing_time(

@@ -33,7 +33,7 @@ from ..network import topologies
 from ..network.graph import Network
 from ..tasks import generators
 from .engine import (ALL_ALGORITHMS, BACKEND_KINDS, CONTINUOUS_KINDS,
-                     RNG_MODES, make_schedule, run_algorithm)
+                     RNG_MODES, check_substrate, make_schedule, run_algorithm)
 from .results import RunResult
 from .seeding import PurposeSeeds, purpose_seeds
 from .workloads import WORKLOADS
@@ -179,6 +179,7 @@ class Scenario:
             if getattr(self, name) not in valid:
                 raise ExperimentError(
                     f"unknown {name} {getattr(self, name)!r}; valid: {valid}")
+        check_substrate(self.algorithm, self.continuous_kind)
         if self.max_task_weight < 1:
             raise ExperimentError("max_task_weight must be at least 1")
         if self.num_nodes < 2:

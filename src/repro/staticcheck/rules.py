@@ -26,8 +26,10 @@ R006      edge-list-rebuild              per-round code reads ``Network``'s cach
                                          endpoint arrays instead of rebuilding
                                          them from ``.edges``
 R007      networkx-on-run-path           networkx is imported only in
-                                         ``network/`` (``Network.graph`` is the
-                                         on-demand view) or on marked lines
+                                         ``network/graph.py`` (``Network.graph``
+                                         is the on-demand view),
+                                         ``network/topologies.py`` or on marked
+                                         lines
 ========  =============================  =========================================
 """
 
@@ -761,7 +763,8 @@ class _NetworkxImportVisitor(RuleVisitor):
 
     def _flag(self, node: ast.stmt) -> None:
         self.report(node, (
-            "networkx imported outside network/: run-path code reads "
+            "networkx imported outside network/graph.py and "
+            "network/topologies.py: run-path code reads "
             "Network's int64 arrays (edge_endpoints, csr, directed_order) and "
             "Network.graph builds a networkx view on demand; mark a deliberate "
             "use with '# repro: allow[R007] <reason>'"))
@@ -777,16 +780,23 @@ class _NetworkxImportVisitor(RuleVisitor):
         self.generic_visit(node)
 
 
+#: the modules that may import networkx: the adapter and view, and the
+#: generators of the families that are not built from arrays
+_NETWORKX_MODULES = frozenset({"graph.py", "topologies.py"})
+
+
 class NetworkxOnRunPathRule(VisitorRule):
-    """R007: networkx stays inside ``network/`` unless a line says why."""
+    """R007: networkx stays in the network adapter and the generators unless a line says why."""
 
     rule_id = "R007"
     name = "networkx-on-run-path"
-    description = "import networkx outside network/ without a marked reason"
+    description = ("import networkx outside network/graph.py and network/topologies.py "
+                   "without a marked reason")
     visitor_class = _NetworkxImportVisitor
 
     def applies_to(self, module: ModuleContext) -> bool:
-        return not module.is_test and not module.in_directory("network")
+        return not module.is_test and not (
+            module.in_directory("network") and module.filename in _NETWORKX_MODULES)
 
 
 ALL_RULES: Tuple[VisitorRule, ...] = (

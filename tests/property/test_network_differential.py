@@ -15,9 +15,11 @@ and a sort of the relabelled graph's edges.  Four axes are checked:
     ``nx.single_source_shortest_path_length``, and :meth:`Network.is_connected`
     and :meth:`Network.diameter` built on it equal ``nx.is_connected`` and
     ``nx.diameter``;
-(d) :func:`edge_coloring` equals the greedy ``largest_first`` colouring of the
-    oracle graph's line graph on every named family, which pins the periodic
-    matching schedules.
+(d) :func:`edge_coloring`, built from the edge arrays, equals networkx's
+    greedy ``largest_first`` colouring of the oracle graph's line graph on
+    every named family and on generated ``Network.from_edges`` inputs with
+    shuffled, reversed and repeated edges, which pins the periodic matching
+    schedules; building one never builds the networkx view.
 
 The vectorised alpha setup and ``validate_matching`` are checked against
 their scalar loops as well, and a run of Algorithms 1 and 2 on FOS and SOS
@@ -39,7 +41,8 @@ from hypothesis import strategies as st
 from repro.exceptions import NetworkError, ProcessError, ScheduleError
 from repro.network import topologies
 from repro.network.graph import Network
-from repro.network.matchings import edge_coloring, validate_matching
+from repro.network.matchings import (PeriodicMatchingSchedule, edge_coloring,
+                                     validate_matching)
 from repro.network.spectral import AlphaScheme, compute_alphas, node_alpha_sums
 from repro.continuous.fos import FirstOrderDiffusion
 from repro.simulation.engine import run_algorithm
@@ -299,6 +302,41 @@ def test_edge_coloring_equals_reference_line_graph_coloring(name, n):
     network = topologies.named_topology(name, n, seed=seed)
     assert network.edges == reference_network(graph).edges
     assert edge_coloring(network) == reference_coloring(reference_network(graph).graph)
+
+
+@st.composite
+def edge_lists(draw, max_nodes=14):
+    """``Network.from_edges`` arguments: a random graph plus a star with leaves.
+
+    The edges come in a shuffled order (so first appearance is unsorted),
+    some reversed and some repeated.
+    """
+    n = draw(st.integers(2, max_nodes))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda pair: pair[0] != pair[1]), max_size=2 * n))
+    centre = draw(st.integers(0, n - 1))
+    pairs += [(centre, leaf) for leaf in draw(st.sets(st.integers(0, n - 1))) if leaf != centre]
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=n))
+    pairs = draw(st.permutations(pairs))
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [(b, a) if flip else (a, b) for (a, b), flip in zip(pairs, flips)]
+
+
+@given(edges=edge_lists())
+def test_edge_coloring_equals_reference_on_generated_edge_lists(edges):
+    n, pairs = edges
+    network = Network.from_edges(n, [a for a, _ in pairs], [b for _, b in pairs])
+    assert edge_coloring(network) == reference_coloring(network.graph)
+
+
+def test_periodic_schedule_never_builds_the_networkx_view(monkeypatch):
+    def forbidden(self):
+        raise AssertionError("Network.graph was built for the edge colouring")
+
+    monkeypatch.setattr(Network, "graph", property(forbidden))
+    schedule = PeriodicMatchingSchedule(topologies.torus(8))
+    assert schedule.period >= 4
 
 
 # --------------------------------------------------------------------- #

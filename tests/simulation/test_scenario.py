@@ -29,6 +29,17 @@ class TestScenarioValidation:
         with pytest.raises(ExperimentError):
             Scenario(name="bad", **keyword_arguments)
 
+    @pytest.mark.parametrize("algorithm,continuous_kind", [
+        ("round-down", "random-matching"),
+        ("excess-tokens", "periodic-matching"),
+        ("matching-round-down", "fos"),
+        ("matching-randomized", "sos"),
+    ])
+    def test_baseline_on_the_wrong_substrate_rejected(self, algorithm, continuous_kind):
+        # the same rule the engine applies, checked before anything is built
+        with pytest.raises(ExperimentError, match=f"{algorithm!r} is a (diffusion|matching) "):
+            Scenario(name="bad", algorithm=algorithm, continuous_kind=continuous_kind)
+
     def test_invalid_numbers_rejected(self):
         with pytest.raises(ExperimentError):
             Scenario(name="bad", algorithm="algorithm1", num_nodes=1)
@@ -178,6 +189,22 @@ class TestRunScenario:
                             base_load=4, seed=6)
         result = run_scenario(scenario)
         assert result.final_max_min >= 0
+
+    def test_static_cell_checks_connectivity_once(self, monkeypatch):
+        from repro.network.graph import Network
+
+        calls = []
+        breadth_first = Network.distances_from
+
+        def counted(network, source):
+            calls.append(source)
+            return breadth_first(network, source)
+
+        monkeypatch.setattr(Network, "distances_from", counted)
+        scenario = Scenario(name="once", algorithm="algorithm2", topology="torus",
+                            num_nodes=16, tokens_per_node=8, seed=2)
+        assert run_scenario(scenario).rounds > 0
+        assert calls == [0]
 
     def test_fixed_rounds_scenario(self):
         scenario = Scenario(name="short", algorithm="round-down", topology="cycle",

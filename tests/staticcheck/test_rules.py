@@ -586,9 +586,22 @@ class TestNetworkxOnRunPath:
         """, relpath="src/repro/simulation/locality.py")
         assert rule_ids(report) == []
 
-    def test_network_package_and_tests_are_out_of_scope(self, check_snippet):
+    def test_adapter_generators_and_tests_are_out_of_scope(self, check_snippet):
         source = """
             import networkx as nx
         """
         assert rule_ids(check_snippet(source, relpath="src/repro/network/graph.py")) == []
+        assert rule_ids(check_snippet(source, relpath="src/repro/network/topologies.py")) == []
         assert rule_ids(check_snippet(source, relpath="tests/network/test_graph.py")) == []
+
+    def test_rest_of_network_package_fires(self, check_snippet):
+        # the edge colouring is built from Network's arrays; networkx is its
+        # test oracle only
+        report = check_snippet("""
+            import networkx as nx
+
+            def line_graph(network):
+                return nx.line_graph(network.graph)
+        """, relpath="src/repro/network/matchings.py")
+        assert rule_ids(report) == ["R007"]
+        assert "network/graph.py" in report.findings[0].message

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.network import topologies
 
 
 class TestParser:
@@ -163,12 +164,37 @@ class TestCommands:
         assert captured.err.startswith("error: unknown events 'tsunami'")
         assert "Traceback" not in captured.err
 
-    def test_dynamic_invalid_combination_exits_2(self, capsys):
-        # the scenario is valid; the engine rejects the pairing at run time
+    def test_dynamic_invalid_combination_exits_2(self, capsys, monkeypatch):
+        # the scenario rejects the pairing before any network is built
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("a network was built")
+
+        monkeypatch.setattr(topologies, "named_topology", unbuilt)
         assert main(["dynamic", "--nodes", "16", "--rounds", "4",
                      "--algorithm", "round-down",
                      "--continuous", "random-matching"]) == 2
         assert "error: 'round-down' is a diffusion baseline" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("continuous,baseline", [
+        ("fos", "round-down"), ("sos", "round-down"),
+        ("periodic-matching", "matching-round-down"),
+        ("random-matching", "matching-round-down")])
+    def test_compare_defaults_to_the_substrates_baseline(self, capsys, continuous, baseline):
+        assert main(["compare", "--topology", "cycle", "--nodes", "8",
+                     "--tokens-per-node", "4", "--continuous", continuous]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [row.split()[0] for row in rows] == [baseline, "algorithm1", "algorithm2"]
+
+    @pytest.mark.parametrize("continuous,algorithm,message", [
+        ("random-matching", "round-down", "'round-down' is a diffusion baseline"),
+        ("fos", "matching-randomized", "'matching-randomized' is a matching baseline")])
+    def test_compare_invalid_pair_exits_2(self, capsys, continuous, algorithm, message):
+        assert main(["compare", "--nodes", "16", "--continuous", continuous,
+                     "--algorithms", "algorithm1", algorithm]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
 
     @pytest.mark.parametrize("field,value,message", [
         ("topology", "nope", "nope"),
