@@ -157,7 +157,7 @@ def run_randomized_ladder(side=RANDOMIZED_SIDE, rounds=RANDOMIZED_ROUNDS):
                                             seed=SEED)
     specs = [
         ("algorithm2 counter-rng", "algorithm2",
-         {"initial_load": load, "rng_mode": "counter"}),
+         {"initial_load": load}),
         ("weighted round kernel (single class w=5)", "algorithm1",
          {"weighted_load": single_class}),
         (f"weighted round kernel (mixed w<={MAX_TASK_WEIGHT})", "algorithm1",
@@ -172,8 +172,7 @@ def run_randomized_ladder(side=RANDOMIZED_SIDE, rounds=RANDOMIZED_ROUNDS):
                 algorithm, network,
                 initial_load=spec.get("initial_load"),
                 weighted_load=spec.get("weighted_load"),
-                seed=SEED, backend=backend,
-                rng_mode=spec.get("rng_mode", "sequential"))
+                seed=SEED, backend=backend)
             per_round[backend] = _timed_rounds(balancer, rounds)
             finals[backend] = balancer.loads()
         rows.append({

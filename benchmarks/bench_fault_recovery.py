@@ -61,7 +61,7 @@ def build_cells(scale: str):
                 name=f"recover-{index}", algorithm="randomized-rounding",
                 topology="torus", num_nodes=spec["nodes"],
                 tokens_per_node=8, workload="uniform", events="mixed",
-                rounds=spec["rounds"], seed=100 + index, rng_mode="counter"),
+                rounds=spec["rounds"], seed=100 + index),
             index=index)
         for index in range(spec["cells"])
     ]
@@ -111,8 +111,7 @@ def checkpoint_recovery_rows(scale: str, tmp_dir: pathlib.Path):
     scenario = Scenario(
         name="recover-stream", algorithm="randomized-rounding",
         topology="torus", num_nodes=spec["nodes"], tokens_per_node=8,
-        workload="uniform", events="mixed", rounds=spec["rounds"], seed=11,
-        rng_mode="counter")
+        workload="uniform", events="mixed", rounds=spec["rounds"], seed=11)
 
     start = time.perf_counter()
     baseline = run_scenario(scenario)

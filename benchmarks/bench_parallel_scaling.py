@@ -69,12 +69,12 @@ def build_grid(scale: str = "full"):
     seeds = list(spec["seeds"])
     configuration = SweepConfiguration(
         algorithm="algorithm2", topology="torus", num_nodes=spec["sweep_nodes"],
-        tokens_per_node=32, workload="uniform", rng_mode="counter")
+        tokens_per_node=32, workload="uniform")
     cells = sweep_cells([configuration], seeds)
     base = Scenario(
         name="bench-parallel", algorithm="algorithm2", topology="torus",
         num_nodes=spec["dynamic_nodes"], tokens_per_node=16, workload="uniform",
-        events="burst", rounds=spec["dynamic_rounds"], rng_mode="counter")
+        events="burst", rounds=spec["dynamic_rounds"])
     cells += [GridCell(kind="dynamic", spec=scenario, index=len(seeds) + offset)
               for offset, scenario in enumerate(expand_seeds(base, seeds))]
     return cells

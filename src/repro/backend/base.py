@@ -73,11 +73,9 @@ def _assignment_fallback_reason(assignment: TaskAssignment,
     return None
 
 
-def _with_rng_mode_reason(choice: BackendChoice, algorithm: Optional[str],
-                          rng_mode: Optional[str]) -> BackendChoice:
-    """Refine an array choice's reason with what the rng mode unlocks."""
-    if (choice.name == "array" and rng_mode == "counter"
-            and algorithm in ("algorithm2", "randomized-rounding")):
+def _with_rng_reason(choice: BackendChoice, algorithm: Optional[str]) -> BackendChoice:
+    """Refine an array choice's reason for the edge-keyed randomized algorithms."""
+    if choice.name == "array" and algorithm in ("algorithm2", "randomized-rounding"):
         return BackendChoice(choice.name, f"{choice.reason}, edge-keyed counter rng")
     return choice
 
@@ -87,7 +85,6 @@ def resolve_backend(
     assignment: Optional[TaskAssignment] = None,
     weighted: Optional[WeightedLoads] = None,
     algorithm: Optional[str] = None,
-    rng_mode: Optional[str] = None,
 ) -> BackendChoice:
     """Resolve a requested backend to a concrete one, with the reason why.
 
@@ -95,11 +92,9 @@ def resolve_backend(
     integer token vectors, :class:`WeightedLoads` and integer-weight task
     assignments; it falls back to the object backend only when the workload
     genuinely needs task objects (non-integer weights, pre-existing dummy
-    tasks).  ``rng_mode`` does not change which backend is picked — the
-    randomized algorithms are vectorisable either way — but it is part of the
-    recorded reason: with ``rng_mode="counter"`` the array path additionally
-    carries the order-free edge-keyed draws.  The reason string makes the
-    whole decision observable.
+    tasks).  For the edge-keyed randomized algorithms the reason also notes
+    that the array path carries the order-free counter draws.  The reason
+    string makes the whole decision observable.
     """
     if backend not in BACKEND_KINDS:
         raise ExperimentError(
@@ -122,4 +117,4 @@ def resolve_backend(
             choice = BackendChoice("array", "unit-token counts")
     else:
         choice = BackendChoice("array", "integer token counts")
-    return _with_rng_mode_reason(choice, algorithm, rng_mode)
+    return _with_rng_reason(choice, algorithm)

@@ -22,12 +22,9 @@ an accident, and the ordering details below exist to preserve it:
 
 * active edges are processed in ``(sender, receiver)`` order — exactly the
   order in which :meth:`FlowImitationBalancer._execute_round` visits its
-  per-sender request lists — so Algorithm 2 consumes the *same* random draws
-  in the *same* order from the same seeded generator (numpy's ``Generator``
-  produces identical streams for scalar and vectorised uniform draws); in
-  ``rng_mode="counter"`` the ordering no longer matters for the draws at all
-  (each edge owns its entry of the per-round Philox score block, see
-  :mod:`repro.counter_rng`) but is kept so the FIFO real/dummy split still
+  per-sender request lists.  Algorithm 2's draws do not depend on it (each
+  edge owns its entry of the per-round Philox score block, see
+  :mod:`repro.counter_rng`); the order is kept so the FIFO real/dummy split
   matches;
 * the send counts are drawn for every active edge before the state picks
   the round's form, so the draws never depend on which form runs;
@@ -53,7 +50,7 @@ from ..continuous.base import ContinuousProcess
 from ..core.algorithm1 import theorem3_discrepancy_bound
 from ..core.algorithm2 import theorem8_max_avg_bound
 from ..core.flow_imitation import FlowCoupledBalancer, RoundReport, TaskSelectionPolicy
-from ..counter_rng import edge_scores, normalize_counter_seed, validate_rng_mode
+from ..counter_rng import edge_scores, normalize_counter_seed
 from ..exceptions import ProcessError
 from ..network.graph import Network
 from ..obs.kernels import kernel_phase
@@ -234,12 +231,8 @@ class ArrayDeterministicFlowImitation(ArrayFlowImitation):
 class ArrayRandomizedFlowImitation(ArrayFlowImitation):
     """Algorithm 2 on the array backend: randomized rounding of the residual.
 
-    In the default ``"sequential"`` rng mode the round's draws come from one
-    shared generator consumed in planning order — one batched call produces
-    the same stream the object backend consumes edge by edge.  In the
-    ``"counter"`` mode (:mod:`repro.counter_rng`) each active edge fancy-
-    indexes its entry of the per-round Philox score block, bit-identical to
-    the scalar counter-mode reference
+    Each active edge fancy-indexes its entry of the per-round Philox score
+    block (:mod:`repro.counter_rng`), bit-identical to the scalar reference
     (:class:`~repro.core.algorithm2.RandomizedFlowImitation`) by
     construction: both read ``edge_scores(seed, round)[edge]``.
     """
@@ -249,20 +242,13 @@ class ArrayRandomizedFlowImitation(ArrayFlowImitation):
         continuous: ContinuousProcess,
         initial_load: Workload,
         seed: Optional[int] = None,
-        rng_mode: str = "sequential",
     ) -> None:
         super().__init__(continuous, initial_load)
         if not self._unit_tokens_only:
             raise ProcessError(
                 "Algorithm 2 balances identical unit-weight tokens only; "
                 f"found a task of weight {self._state.max_weight()}")
-        self._rng_mode = validate_rng_mode(rng_mode)
         self._reset_rng(seed)
-
-    @property
-    def rng_mode(self) -> str:
-        """How per-edge rounding randomness is drawn ("sequential" or "counter")."""
-        return self._rng_mode
 
     def discrepancy_bound(self, constant: float = 1.0) -> float:
         """The Theorem 8(1) shape ``d/4 + c sqrt(d log n)`` for this instance."""
@@ -277,18 +263,11 @@ class ArrayRandomizedFlowImitation(ArrayFlowImitation):
         super()._reset_workload(workload)
 
     def _reset_rng(self, seed: Optional[int]) -> None:
-        if self._rng_mode == "counter":
-            self._counter_key = normalize_counter_seed(seed)
-        else:
-            self._rng = np.random.default_rng(seed)
+        self._counter_key = normalize_counter_seed(seed)
 
     def _edge_amounts(self, magnitude: np.ndarray, edges: np.ndarray) -> np.ndarray:
         base = np.floor(magnitude)
         fraction = magnitude - base
-        if self._rng_mode == "counter":
-            draws = edge_scores(self._counter_key, self._round,
-                                self.network.num_edges)[edges]
-        else:
-            draws = self._rng.random(magnitude.size)
+        draws = edge_scores(self._counter_key, self._round, self.network.num_edges)[edges]
         round_up = draws < fraction
         return (base + round_up).astype(np.int64)

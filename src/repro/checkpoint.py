@@ -4,10 +4,11 @@ A long dynamic run (:func:`repro.dynamic.stream.run_stream`) historically
 lost everything on a crash.  This module snapshots a
 :class:`~repro.dynamic.stream.StreamingEngine` to a single JSON file and
 restores it such that the resumed trajectory is **bit-identical** to the
-uninterrupted run — under ``rng_mode="counter"`` exactly (every randomized
-draw is a pure function of ``(seed, round, edge)``), and in practice for
-``"sequential"`` runs too, because restoration replays the post-boundary
-rounds instead of guessing at RNG internals.
+uninterrupted run: every randomized draw is a pure function of
+``(seed, round, edge-or-node)``, and restoration replays the post-boundary
+rounds instead of serialising RNG internals.  A checkpoint whose
+configuration names another rng mode than ``"counter"`` is rejected with
+:class:`~repro.exceptions.CheckpointError`.
 
 What a checkpoint holds
 -----------------------
@@ -50,7 +51,7 @@ from typing import Dict, List, Optional, Union
 
 from .dynamic.events import EventGenerator
 from .dynamic.stream import StreamingEngine, _drive_stream
-from .exceptions import CheckpointError
+from .exceptions import CheckpointError, ExperimentError
 from .simulation.results import RunResult
 from .store.runstore import canonical_json, config_hash
 
@@ -213,7 +214,10 @@ def _generator_from_meta(checkpoint: StreamCheckpoint) -> EventGenerator:
     from .dynamic.events import make_event_generator
     from .simulation.scenario import Scenario
 
-    scenario = Scenario.from_dict(dict(scenario_data))
+    try:
+        scenario = Scenario.from_dict(dict(scenario_data))
+    except ExperimentError as exc:
+        raise CheckpointError(f"invalid checkpoint scenario metadata: {exc}") from None
     network = scenario.build_network()
     seeds = scenario._purpose_seeds()
     return make_event_generator(scenario.events, network,
@@ -249,7 +253,7 @@ def resume_stream(source: Union[PathLike, StreamCheckpoint],
     ``checkpoint_every`` rounds (default target: the source path when
     ``source`` is a path).  Returns the **whole run's**
     :class:`~repro.simulation.results.RunResult` — traces start at round 0
-    and, under counter RNG, are bit-identical to the uninterrupted run's.
+    and are bit-identical to the uninterrupted run's.
     """
     if isinstance(source, StreamCheckpoint):
         checkpoint = source

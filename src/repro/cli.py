@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .exceptions import ReproError
 from .network import topologies
-from .simulation.engine import (ALL_ALGORITHMS, BACKEND_KINDS, CONTINUOUS_KINDS, RNG_MODES,
+from .simulation.engine import (ALL_ALGORITHMS, BACKEND_KINDS, CONTINUOUS_KINDS,
                                 compare_algorithms, default_algorithms)
 from .simulation.workloads import WORKLOADS
 from .simulation.experiments import (
@@ -59,11 +59,6 @@ def _spec_flags() -> argparse.ArgumentParser:
                             "of a dynamic stream)")
     flags.add_argument("--backend", default="auto", choices=list(BACKEND_KINDS),
                        help="load-state backend (array = vectorized fast path)")
-    flags.add_argument("--rng-mode", default="sequential", choices=list(RNG_MODES),
-                       help="randomized-draw mode (algorithm2, randomized-rounding, "
-                            "excess-tokens): sequential draws or the order-free "
-                            "edge/node-keyed counter RNG, which makes sharded and "
-                            "serial runs draw bit-identical randomness")
     return flags
 
 
@@ -444,7 +439,7 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
         load = point_load(network, args.tokens_per_node * network.num_nodes)
         results = compare_algorithms(network, load, algorithms,
                                      continuous_kind=args.continuous, seed=args.seed,
-                                     backend=args.backend, rng_mode=args.rng_mode)
+                                     backend=args.backend)
         rows = [result.as_dict() for result in results]
         print(format_table(rows, columns=["algorithm", "network", "n", "max_degree",
                                           "rounds", "max_min", "max_avg",
@@ -489,7 +484,7 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
             tokens_per_node=args.tokens_per_node, workload="uniform",
             continuous_kind=args.continuous, events=args.scenario,
             rounds=args.rounds, seed=args.seed, backend=args.backend,
-            max_task_weight=args.max_task_weight, rng_mode=args.rng_mode,
+            max_task_weight=args.max_task_weight,
         )
         if args.checkpoint_every is not None and args.seeds:
             parser.error("--checkpoint-every applies to single runs; for "
@@ -550,8 +545,7 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
         name = (meta.get("scenario") or {}).get("name", "resume")
         print(f"resuming '{name}' from {args.checkpoint}: round "
               f"{checkpoint.round_index} of {horizon} "
-              f"({checkpoint.config['algorithm']}, "
-              f"rng_mode={checkpoint.config['rng_mode']}, config "
+              f"({checkpoint.config['algorithm']}, config "
               f"{checkpoint.config_hash[:10]})")
         bus, tracer, renderer = _instrument(
             args.telemetry, None, False, 0, label="resume")
@@ -579,7 +573,6 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
                 algorithm=algorithm, topology=topology, num_nodes=size,
                 tokens_per_node=args.tokens_per_node, workload=args.workload,
                 continuous_kind=args.continuous, backend=args.backend,
-                rng_mode=args.rng_mode,
             )
             for topology, size in pairs
             for algorithm in algorithms

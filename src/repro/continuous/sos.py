@@ -21,17 +21,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-
 from ..exceptions import ProcessError
 from ..network.graph import Edge, Network
-from ..network.spectral import (
-    AlphaScheme,
-    alpha_array,
-    alphas_to_array,
-    diffusion_matrix,
-    optimal_sos_beta,
-    second_largest_eigenvalue,
-)
+from ..network.spectral import AlphaScheme, alpha_array, alphas_to_array, sos_beta
 from .base import ContinuousProcess, RoundFlows
 
 __all__ = ["SecondOrderDiffusion"]
@@ -67,8 +59,7 @@ class SecondOrderDiffusion(ContinuousProcess):
         self._alpha_array = (alpha_array(network, scheme) if alphas is None
                              else alphas_to_array(network, alphas))
         if beta is None:
-            lam = second_largest_eigenvalue(diffusion_matrix(network, alphas=self._alpha_array))
-            beta = optimal_sos_beta(min(lam, 1.0 - 1e-12))
+            beta = sos_beta(network, self._alpha_array)
         if not 0.0 < beta <= 2.0:
             raise ProcessError(f"beta must lie in (0, 2], got {beta}")
         self._beta = float(beta)

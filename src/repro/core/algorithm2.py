@@ -29,7 +29,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..continuous.base import ContinuousProcess
-from ..counter_rng import edge_scores, normalize_counter_seed, validate_rng_mode
+from ..counter_rng import edge_scores, normalize_counter_seed
 from ..exceptions import ProcessError
 from ..tasks.assignment import TaskAssignment
 from ..tasks.task import Task
@@ -72,16 +72,12 @@ class RandomizedFlowImitation(FlowImitationBalancer):
     assignment:
         The discrete workload at time 0; every task must be a unit token.
     seed:
-        Seed of the rounding randomness.
-    rng_mode:
-        How the per-edge rounding draws are produced (see
-        :mod:`repro.counter_rng`).  ``"sequential"`` (default) consumes one
-        shared generator in edge iteration order — the original scheme.
-        ``"counter"`` keys a Philox generator on ``(seed, round)`` and gives
-        edge ``e`` entry ``e`` of the per-round score block, so every draw is
-        a pure function of ``(seed, round, edge)``: iterating the send
-        requests in any order yields the same load trajectory, and the
-        vectorised kernel
+        Seed of the rounding randomness.  The per-edge draws come from a
+        Philox generator keyed on ``(seed, round)`` (see
+        :mod:`repro.counter_rng`): edge ``e`` reads entry ``e`` of the
+        per-round score block, so every draw is a pure function of
+        ``(seed, round, edge)``.  Iterating the send requests in any order
+        yields the same load trajectory, and the vectorised kernel
         (:class:`repro.backend.flow.ArrayRandomizedFlowImitation`) is
         bit-identical to this scalar reference.
     """
@@ -91,7 +87,6 @@ class RandomizedFlowImitation(FlowImitationBalancer):
         continuous: ContinuousProcess,
         assignment: TaskAssignment,
         seed: Optional[int] = None,
-        rng_mode: str = "sequential",
     ) -> None:
         super().__init__(continuous, assignment, max_task_weight=1.0)
         not_tokens = [
@@ -105,13 +100,7 @@ class RandomizedFlowImitation(FlowImitationBalancer):
                 "Algorithm 2 balances identical unit-weight tokens only; "
                 f"found a task of weight {not_tokens[0].weight}"
             )
-        self._rng_mode = validate_rng_mode(rng_mode)
         self._reset_rng(seed)
-
-    @property
-    def rng_mode(self) -> str:
-        """How per-edge rounding randomness is drawn ("sequential" or "counter")."""
-        return self._rng_mode
 
     def discrepancy_bound(self, constant: float = 1.0) -> float:
         """The Theorem 8(1) shape ``d/4 + c sqrt(d log n)`` for this instance."""
@@ -119,27 +108,21 @@ class RandomizedFlowImitation(FlowImitationBalancer):
                                       self.network.num_nodes, constant)
 
     def _reset_rng(self, seed: Optional[int]) -> None:
-        if self._rng_mode == "counter":
-            self._counter_key = normalize_counter_seed(seed)
-            self._scores_round = -1
-            self._scores: Optional[np.ndarray] = None
-        else:
-            self._rng = np.random.default_rng(seed)
+        self._counter_key = normalize_counter_seed(seed)
+        self._scores_round = -1
+        self._scores: Optional[np.ndarray] = None
 
     def _rounding_uniform(self, source: int, destination: int) -> float:
         """The uniform draw that rounds this edge's residual this round.
 
-        In counter mode the draw is the edge's entry of the per-round score
-        block — order-free by construction; the sequential mode consumes the
-        shared stream exactly as before.
+        The edge's entry of the per-round score block — order-free by
+        construction.
         """
-        if self._rng_mode == "counter":
-            if self._scores_round != self._round:
-                self._scores = edge_scores(self._counter_key, self._round,
-                                           self.network.num_edges)
-                self._scores_round = self._round
-            return float(self._scores[self.network.edge_index(source, destination)])
-        return float(self._rng.random())
+        if self._scores_round != self._round:
+            self._scores = edge_scores(self._counter_key, self._round,
+                                       self.network.num_edges)
+            self._scores_round = self._round
+        return float(self._scores[self.network.edge_index(source, destination)])
 
     def _reset_workload(self, workload) -> None:
         from ..tasks.weighted import WeightedLoads

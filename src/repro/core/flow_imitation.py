@@ -409,8 +409,8 @@ class FlowImitationBalancer(FlowCoupledBalancer):
         The canonical planning order — senders ascending, receivers ascending
         within a sender — which the array backend reads from the network's
         precomputed :attr:`~repro.network.graph.Network.directed_order`.
-        Overridable so permutation tests can prove that counter-mode
-        (``rng_mode="counter"``) load trajectories do not depend on it.
+        Overridable so permutation tests can prove that Algorithm 2's
+        counter-based load trajectories do not depend on it.
         """
         for node in sorted(requests):
             for neighbor, edge_idx, amount in sorted(requests[node]):

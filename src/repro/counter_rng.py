@@ -1,17 +1,15 @@
-"""Counter-based (Philox) randomness shared by every ``rng_mode="counter"`` process.
+"""Counter-based (Philox) randomness shared by every randomized process.
 
-The default ``"sequential"`` rng mode draws from one shared ``numpy``
-generator whose stream advances with every draw, so the value an edge or a
-node receives depends on how many draws were consumed before it — the
-trajectory is tied to the iteration order and cannot be batched.  The
-``"counter"`` mode replaces the shared stream with a *counter-based*
-generator (Philox4x64) keyed on ``(seed, round)``: the draw of entity ``k``
-in round ``t`` is entry ``k`` of the per-round score block, a pure function
-of ``(seed, round, k)``.  Draws are therefore **order-free** — iterating the
+Every randomized process draws from a *counter-based* generator
+(Philox4x64) keyed on ``(seed, round)``: the draw of entity ``k`` in round
+``t`` is entry ``k`` of the per-round score block, a pure function of
+``(seed, round, k)``.  Draws are therefore **order-free** — iterating the
 entities in any order, or computing all of them at once in a vectorised
 kernel, yields bit-identical values — which is what makes the array kernels
 in :mod:`repro.backend` possible and what keeps trajectories replayable
-across sharded or asynchronous drivers.
+across sharded, resumed or asynchronous drivers.  Theorem 8 needs only an
+independent coin per (round, edge) or (round, node), which this keying
+gives.
 
 Three keying schemes share this module:
 
@@ -36,27 +34,27 @@ import numpy as np
 __all__ = [
     "RNG_MODES",
     "OFFSET_STREAM",
-    "validate_rng_mode",
+    "require_counter_rng",
     "philox_generator",
     "normalize_counter_seed",
     "edge_scores",
 ]
 
-#: Valid values of every ``rng_mode=`` parameter.
-RNG_MODES = ("sequential", "counter")
+#: Valid values of the ``rng_mode`` fields and keywords that recorded
+#: formats (scenarios, sweep configurations, stream configs) still name.
+RNG_MODES = ("counter",)
 
 
-def validate_rng_mode(rng_mode: str, error: type = None) -> str:
-    """Return ``rng_mode`` or raise ``error`` (default: ``ProcessError``).
+def require_counter_rng(rng_mode: str, error: type) -> str:
+    """Return ``rng_mode`` or raise ``error`` naming the only valid mode.
 
-    The single validation shared by every process and the engine, so the
-    accepted modes cannot diverge between entry points.
+    The single validation behind every entry point that still accepts an
+    ``rng_mode``, so the accepted modes cannot diverge between them.
     """
     if rng_mode not in RNG_MODES:
-        if error is None:
-            from .exceptions import ProcessError as error
-        raise error(f"unknown rng mode {rng_mode!r}; valid: {RNG_MODES}")
+        raise error(f"unknown rng mode {rng_mode!r}; the only rng mode is 'counter'")
     return rng_mode
+
 
 _MASK64 = (1 << 64) - 1
 

@@ -1,7 +1,6 @@
 """Discrete baselines from the prior literature, used for the comparison tables."""
 
 from .diffusion import (
-    RNG_MODES,
     DiffusionBaseline,
     ExcessTokenDiffusion,
     QuasirandomDiffusion,
@@ -17,7 +16,6 @@ from .matching import (
 from .random_walk import RandomWalkFineBalancer, TwoPhaseRandomWalkBalancer
 
 __all__ = [
-    "RNG_MODES",
     "DiffusionBaseline",
     "RoundDownDiffusion",
     "RoundDownSecondOrder",

@@ -26,27 +26,23 @@ paper's introduction and the framework of [37].
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from ...counter_rng import (
     OFFSET_STREAM as _OFFSET_STREAM,
-    RNG_MODES,
     edge_scores,
     normalize_counter_seed,
     philox_generator as _philox_generator,
-    validate_rng_mode,
 )
 from ...exceptions import ProcessError
 from ...network.graph import Edge, Network
-from ...network.spectral import AlphaScheme, alpha_array, alpha_entries
+from ...network.spectral import AlphaScheme, alpha_array, alpha_entries, sos_beta
 from ...obs.kernels import kernel_phase
 from ..base import IntegerLoadBalancer
 
 __all__ = [
-    "RNG_MODES",
     "DiffusionBaseline",
     "RoundDownDiffusion",
     "RoundDownSecondOrder",
@@ -139,14 +135,7 @@ class RoundDownSecondOrder(DiffusionBaseline):
                  scheme: str = AlphaScheme.MAX_DEGREE_PLUS_ONE) -> None:
         super().__init__(network, initial_load, alphas=alphas, scheme=scheme)
         if beta is None:
-            from ...network.spectral import (
-                diffusion_matrix,
-                optimal_sos_beta,
-                second_largest_eigenvalue,
-            )
-
-            lam = second_largest_eigenvalue(diffusion_matrix(network, alphas=self._alpha_array))
-            beta = optimal_sos_beta(min(lam, 1.0 - 1e-12))
+            beta = sos_beta(network, self._alpha_array)
         if not 0.0 < beta <= 2.0:
             raise ProcessError(f"beta must lie in (0, 2], got {beta}")
         self._beta = float(beta)
@@ -213,52 +202,30 @@ class RandomizedRoundingDiffusion(DiffusionBaseline):
     equal to its fractional part, so the expected discrete flow matches the
     continuous flow.  Rounding up on too many edges can create negative load.
 
-    The rounding randomness comes in two **rng modes** (see
-    :mod:`repro.counter_rng`):
-
-    * ``"sequential"`` (default) — one shared ``numpy`` generator whose
-      stream advances by ``m`` draws per round; the draw an edge receives is
-      tied to its position in that stream.
-    * ``"counter"`` — Philox keyed on ``(seed, round)``: edge ``e``'s draw is
-      entry ``e`` of the per-round score block, a pure function of
-      ``(seed, round, edge)``.  Rounding the edges in any order — or all at
-      once — consumes identical values, so trajectories are replayable
-      independently of edge iteration order.
+    The rounding draws are counter-based (see :mod:`repro.counter_rng`):
+    edge ``e``'s draw is entry ``e`` of the per-round Philox score block, a
+    pure function of ``(seed, round, edge)``.  Rounding the edges in any
+    order — or all at once — consumes identical values, so trajectories are
+    replayable independently of edge iteration order.
     """
 
     def __init__(self, network: Network, initial_load: Sequence[int],
                  alphas: Optional[Dict[Edge, float]] = None,
                  scheme: str = AlphaScheme.MAX_DEGREE_PLUS_ONE,
-                 seed: Optional[int] = None,
-                 rng_mode: str = "sequential") -> None:
+                 seed: Optional[int] = None) -> None:
         super().__init__(network, initial_load, alphas=alphas, scheme=scheme)
-        self._rng_mode = validate_rng_mode(rng_mode)
         self._reset_state(seed)
 
     def _reset_state(self, seed) -> None:
-        if self._rng_mode == "counter":
-            self._counter_key = normalize_counter_seed(seed)
-        else:
-            self._rng = np.random.default_rng(seed)
-
-    @property
-    def rng_mode(self) -> str:
-        """How per-edge rounding randomness is drawn ("sequential" or "counter")."""
-        return self._rng_mode
-
-    def _rounding_draws(self) -> np.ndarray:
-        """This round's per-edge uniform draws (edge-keyed in counter mode)."""
-        if self._rng_mode == "counter":
-            return edge_scores(self._counter_key, self._round, self.network.num_edges)
-        return self._rng.random(self.network.num_edges)
+        self._counter_key = normalize_counter_seed(seed)
 
     def _execute_round(self) -> None:
         net = self._net_continuous_flows()
         magnitude = np.abs(net)
         base = np.floor(magnitude)
         fraction = magnitude - base
-        round_up = self._rounding_draws() < fraction
-        sent_magnitude = base + round_up.astype(float)
+        draws = edge_scores(self._counter_key, self._round, self.network.num_edges)
+        sent_magnitude = base + (draws < fraction).astype(float)
         sent = np.sign(net) * sent_magnitude
         self._apply_net_moves(sent.astype(int))
 
@@ -280,19 +247,13 @@ class ExcessTokenDiffusion(DiffusionBaseline):
     * ``"round-robin"`` — neighbours served in round-robin order starting from
       a random offset that advances every round.
 
-    Per-node randomness comes in two **rng modes**:
-
-    * ``"sequential"`` (default) — one shared ``numpy`` generator consumed in
-      node order, exactly the original scheme.  The draw a node receives
-      depends on how many draws earlier nodes consumed, so the trajectory is
-      tied to the node iteration order and cannot be vectorised.
-    * ``"counter"`` — a *counter-based* (Philox) generator keyed on
-      ``(seed, round)``; node ``i``'s draws are the ``i``-th row of the
-      per-round score block and the ``excess`` candidates with the smallest
-      scores are selected (a uniform random subset, stable-sorted so ties are
-      deterministic).  Every node's draw is a pure function of
-      ``(seed, round, node, candidate-slot)`` — order-free, so one batched
-      round computes every node's selection at once.
+    Per-node randomness is counter-based (:mod:`repro.counter_rng`): node
+    ``i``'s draws are the ``i``-th row of the per-round Philox score block
+    and the ``excess`` candidates with the smallest scores are selected (a
+    uniform random subset, stable-sorted so ties are deterministic).  Every
+    node's draw is a pure function of ``(seed, round, node,
+    candidate-slot)`` — order-free, so one batched round computes every
+    node's selection at once.
     """
 
     STRATEGIES = ("random", "round-robin")
@@ -300,42 +261,30 @@ class ExcessTokenDiffusion(DiffusionBaseline):
     def __init__(self, network: Network, initial_load: Sequence[int],
                  alphas: Optional[Dict[Edge, float]] = None,
                  scheme: str = AlphaScheme.MAX_DEGREE_PLUS_ONE,
-                 seed: Optional[int] = None, strategy: str = "random",
-                 rng_mode: str = "sequential") -> None:
+                 seed: Optional[int] = None, strategy: str = "random") -> None:
         super().__init__(network, initial_load, alphas=alphas, scheme=scheme)
         if strategy not in self.STRATEGIES:
             raise ProcessError(
                 f"unknown excess-token strategy {strategy!r}; valid: {self.STRATEGIES}"
             )
         self._strategy = strategy
-        self._rng_mode = validate_rng_mode(rng_mode)
         self._dir_offsets = None  # built lazily, on the first round
         self._reset_state(seed)
 
     def _reset_state(self, seed) -> None:
-        if self._rng_mode == "counter":
-            self._counter_key = normalize_counter_seed(seed)
-            offsets_rng = _philox_generator(self._counter_key, _OFFSET_STREAM)
-            self._round_robin_offsets = offsets_rng.integers(
-                0, np.maximum(self.network.degrees, 1))
-        else:
-            self._rng = np.random.default_rng(seed)
-            self._round_robin_offsets = self._rng.integers(
-                0, np.maximum(self.network.degrees, 1))
+        self._counter_key = normalize_counter_seed(seed)
+        offsets_rng = _philox_generator(self._counter_key, _OFFSET_STREAM)
+        self._round_robin_offsets = offsets_rng.integers(
+            0, np.maximum(self.network.degrees, 1))
 
     @property
     def strategy(self) -> str:
         """The excess-token distribution strategy in use."""
         return self._strategy
 
-    @property
-    def rng_mode(self) -> str:
-        """How per-node randomness is drawn ("sequential" or "counter")."""
-        return self._rng_mode
-
     def _ensure_directed_arrays(self) -> None:
         """Gather the directed-edge arrays (the network's ``(sender,
-        receiver)`` planning order) shared by both rng modes.
+        receiver)`` planning order).
 
         Topology data, built once on first use."""
         if self._dir_offsets is not None:
@@ -346,7 +295,7 @@ class ExcessTokenDiffusion(DiffusionBaseline):
         self._dir_src = network.directed_endpoints[0][order]
         self._dir_alpha = np.concatenate((self._alpha_array, self._alpha_array))[order]
 
-    def _counter_flow_plan(self):
+    def _flow_plan(self):
         """Vectorised directed floors and per-node excess token counts."""
         self._ensure_directed_arrays()
         speeds = self.network.speeds
@@ -370,20 +319,17 @@ class ExcessTokenDiffusion(DiffusionBaseline):
         return rng.random((self.network.num_nodes, self.network.max_degree + 1))
 
     def _execute_round(self) -> None:
-        if self._rng_mode == "counter":
-            with kernel_phase("baseline/excess-array"):
-                self._execute_round_counter()
-        else:
-            self._execute_round_sequential()
+        with kernel_phase("baseline/excess-array"):
+            self._batched_round()
 
-    def _execute_round_counter(self) -> None:
+    def _batched_round(self) -> None:
         """One batched round: every node's floors, excess and selection at once.
 
         Node ``i`` forwards its excess tokens to the candidate slots with the
         ``excess`` smallest entries of row ``i`` of the per-round score block
         (one stable argsort for all rows), or to the next round-robin slots.
         """
-        floors, excess = self._counter_flow_plan()
+        floors, excess = self._flow_plan()
         degrees = self.network.degrees
         num_candidates = degrees + 1  # every node may also keep a token
         counts = np.minimum(excess, num_candidates)
@@ -412,46 +358,3 @@ class ExcessTokenDiffusion(DiffusionBaseline):
         extra = (chosen & neighbor_mask)[neighbor_mask].astype(np.int64)
         self._apply_edge_moves(np.column_stack(
             (self._dir_src, self._dir_dst, floors + extra)))
-
-    def _execute_round_sequential(self) -> None:
-        self._ensure_directed_arrays()
-        directed_alphas = self._dir_alpha.tolist()
-        offsets = self._dir_offsets.tolist()
-        speeds = self.network.speeds
-        loads = self._loads.astype(float)
-        moves: List[Tuple[int, int, int]] = []
-        for node in self.network.nodes:
-            load = loads[node]
-            if load <= 0:
-                continue
-            neighbors = self.network.neighbors(node)
-            alphas = directed_alphas[offsets[node]:offsets[node + 1]]
-            directed = []
-            total_floor = 0
-            for neighbor, alpha in zip(neighbors, alphas):
-                amount = alpha / speeds[node] * load
-                floor_amount = int(math.floor(amount + 1e-12))
-                directed.append((neighbor, floor_amount))
-                total_floor += floor_amount
-            kept = load - sum(alpha / speeds[node] * load for alpha in alphas)
-            kept_floor = int(math.floor(kept + 1e-12))
-            excess = int(round(load - total_floor - kept_floor))
-            for neighbor, floor_amount in directed:
-                if floor_amount > 0:
-                    moves.append((node, neighbor, floor_amount))
-            if excess > 0:
-                # Distribute the excess tokens among N(i) plus the node itself,
-                # without replacement; a token "sent to itself" is simply kept.
-                candidates = list(neighbors) + [node]
-                count = min(excess, len(candidates))
-                if self._strategy == "random":
-                    chosen = self._rng.choice(len(candidates), size=count, replace=False)
-                else:
-                    offset = int(self._round_robin_offsets[node])
-                    chosen = [(offset + k) % len(candidates) for k in range(count)]
-                    self._round_robin_offsets[node] = (offset + count) % len(candidates)
-                for index in chosen:
-                    target = candidates[int(index)]
-                    if target != node:
-                        moves.append((node, target, 1))
-        self._apply_edge_moves(moves)

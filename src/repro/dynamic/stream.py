@@ -61,6 +61,7 @@ import numpy as np
 
 from ..backend import resolve_backend
 from ..core.flow_imitation import FlowCoupledBalancer, TaskSelectionPolicy
+from ..counter_rng import require_counter_rng
 from ..exceptions import CheckpointError, ExperimentError, NetworkError
 from ..obs.bus import MetricsBus
 from ..obs.kernels import kernel_phase
@@ -182,9 +183,10 @@ class StreamingEngine:
         seed: Optional[int] = None,
         selection_policy: str = TaskSelectionPolicy.FIFO,
         backend: str = "auto",
-        rng_mode: str = "sequential",
+        rng_mode: str = "counter",
         bus: Optional[MetricsBus] = None,
     ) -> None:
+        require_counter_rng(rng_mode, error=ExperimentError)
         if algorithm not in ALL_ALGORITHMS:
             raise ExperimentError(
                 f"unknown algorithm {algorithm!r}; valid algorithms: {ALL_ALGORITHMS}")
@@ -215,8 +217,7 @@ class StreamingEngine:
         # "auto" resolves unit-token and weighted streams alike to the array
         # backend's one columnar state; either backend gives the same
         # trajectory.
-        choice = resolve_backend(backend, weighted=weighted, algorithm=algorithm,
-                                 rng_mode=rng_mode)
+        choice = resolve_backend(backend, weighted=weighted, algorithm=algorithm)
         self._config: Dict[str, Any] = {
             "algorithm": algorithm, "continuous_kind": continuous_kind,
             "seed": seed, "selection_policy": selection_policy,
@@ -461,6 +462,7 @@ class StreamingEngine:
         malformed topology (a label listed twice, a self loop, an edge or a
         node missing from the other tables).
         """
+        require_counter_rng(config.get("rng_mode"), error=CheckpointError)
         engine = cls.__new__(cls)
         engine._config = dict(config)
         engine._generator = generator
@@ -598,7 +600,7 @@ class StreamingEngine:
             weighted_load=workload if self.weighted else None,
             continuous_kind=config["continuous_kind"], schedule=schedule,
             seed=couple_seed, selection_policy=config["selection_policy"],
-            backend=config["resolved_backend"], rng_mode=config["rng_mode"],
+            backend=config["resolved_backend"],
         )
         if self._probe is not None:
             self._balancer.attach_probe(self._probe)
@@ -919,7 +921,6 @@ def run_stream(
     seed: Optional[int] = None,
     selection_policy: str = TaskSelectionPolicy.FIFO,
     backend: str = "auto",
-    rng_mode: str = "sequential",
     bus: Optional[MetricsBus] = None,
     checkpoint_every: Optional[int] = None,
     checkpoint_path=None,
@@ -957,7 +958,7 @@ def run_stream(
     engine = StreamingEngine(algorithm, network, initial_load, generator,
                              continuous_kind=continuous_kind, seed=seed,
                              selection_policy=selection_policy, backend=backend,
-                             rng_mode=rng_mode, bus=bus)
+                             bus=bus)
     return _drive_stream(engine, rounds, [engine.current_discrepancy()],
                          [float(engine.total_real_load())],
                          checkpoint_every, checkpoint_path, checkpoint_meta)

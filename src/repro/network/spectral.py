@@ -41,6 +41,7 @@ __all__ = [
     "laplacian_second_smallest",
     "spectral_gap",
     "optimal_sos_beta",
+    "sos_beta",
     "SpectralSummary",
     "spectral_summary",
     "predicted_fos_rounds",
@@ -242,6 +243,16 @@ def optimal_sos_beta(lambda_value: float) -> float:
     if not 0.0 <= lambda_value < 1.0:
         raise ProcessError(f"lambda must lie in [0, 1), got {lambda_value}")
     return 2.0 / (1.0 + math.sqrt(1.0 - lambda_value**2))
+
+
+def sos_beta(network: Network, alpha_array: np.ndarray) -> float:
+    """The optimal SOS ``beta`` of the diffusion matrix with these edge weights.
+
+    ``alpha_array`` is aligned with ``network.edges``; ``lambda`` is capped
+    just below 1 so :func:`optimal_sos_beta` stays defined.
+    """
+    lam = second_largest_eigenvalue(diffusion_matrix(network, alphas=alpha_array))
+    return optimal_sos_beta(min(lam, 1.0 - 1e-12))
 
 
 @dataclass(frozen=True)

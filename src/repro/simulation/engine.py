@@ -38,6 +38,7 @@ from ..discrete.baselines.diffusion import (
     QuasirandomDiffusion,
     RandomizedRoundingDiffusion,
     RoundDownDiffusion,
+    RoundDownSecondOrder,
 )
 from ..discrete.baselines.matching import RandomizedRoundingMatching, RoundDownMatching
 from ..exceptions import ConvergenceError, ExperimentError
@@ -47,7 +48,7 @@ from ..network.matchings import (
     PeriodicMatchingSchedule,
     RandomMatchingSchedule,
 )
-from ..counter_rng import RNG_MODES, validate_rng_mode
+from ..counter_rng import require_counter_rng
 from ..obs.bus import MetricsBus
 from ..obs.probe import RoundProbe
 from ..tasks.assignment import TaskAssignment
@@ -62,7 +63,6 @@ __all__ = [
     "MATCHING_BASELINES",
     "ALL_ALGORITHMS",
     "BACKEND_KINDS",
-    "RNG_MODES",
     "check_substrate",
     "default_algorithms",
     "make_schedule",
@@ -88,10 +88,17 @@ def check_substrate(algorithm: str, continuous_kind: str) -> None:
 
     The flow-imitation algorithms run on every substrate; a diffusion
     baseline needs a diffusion kind and a matching baseline a matching kind.
+    On ``"sos"`` only ``round-down`` has a second-order form
+    (:class:`~repro.discrete.baselines.diffusion.RoundDownSecondOrder`).
     """
-    if algorithm in DIFFUSION_BASELINES and continuous_kind not in _DIFFUSION_KINDS:
-        raise ExperimentError(
-            f"{algorithm!r} is a diffusion baseline; use continuous_kind 'fos' or 'sos'")
+    if algorithm in DIFFUSION_BASELINES:
+        kinds = _DIFFUSION_KINDS if algorithm == "round-down" else ("fos",)
+        if continuous_kind == "sos" and continuous_kind not in kinds:
+            raise ExperimentError(
+                f"{algorithm!r} has no second-order form; use continuous_kind 'fos'")
+        if continuous_kind not in kinds:
+            raise ExperimentError(f"{algorithm!r} is a diffusion baseline; use "
+                                  f"continuous_kind {' or '.join(map(repr, kinds))}")
     if algorithm in MATCHING_BASELINES and continuous_kind not in _MATCHING_KINDS:
         raise ExperimentError(
             f"{algorithm!r} is a matching baseline; use continuous_kind "
@@ -165,7 +172,6 @@ def _build_flow_imitation(
     seed: Optional[int],
     selection_policy: str,
     backend: str,
-    rng_mode: str,
 ) -> FlowCoupledBalancer:
     counts = None
     if assignment is not None:
@@ -186,8 +192,7 @@ def _build_flow_imitation(
         if algorithm == "algorithm1":
             return DeterministicFlowImitation(continuous, assignment,
                                               selection_policy=selection_policy)
-        return RandomizedFlowImitation(continuous, assignment, seed=seed,
-                                       rng_mode=rng_mode)
+        return RandomizedFlowImitation(continuous, assignment, seed=seed)
     if assignment is not None and assignment.total_dummy_weight() > 0:
         # resolve_backend routes these to the object backend; the array
         # state would otherwise turn the dummies into real tasks.
@@ -208,8 +213,7 @@ def _build_flow_imitation(
         raise ExperimentError(
             "Algorithm 2 balances identical unit-weight tokens only; "
             "weighted workloads require algorithm1")
-    return ArrayRandomizedFlowImitation(continuous, workload, seed=seed,
-                                        rng_mode=rng_mode)
+    return ArrayRandomizedFlowImitation(continuous, workload, seed=seed)
 
 
 _DIFFUSION_CLASSES: Dict[str, Type[IntegerLoadBalancer]] = {
@@ -228,7 +232,6 @@ def _build_baseline(
     schedule: Optional[MatchingSchedule],
     seed: Optional[int],
     backend: str,
-    rng_mode: str = "sequential",
 ) -> DiscreteBalancer:
     # A clear error beats a silently rounded workload: the baselines balance
     # whole tokens, so fractional loads are a caller bug.
@@ -236,11 +239,12 @@ def _build_baseline(
     resolve_backend(backend)  # checks the name: every backend runs the same class
     check_substrate(algorithm, continuous_kind)
     if algorithm in DIFFUSION_BASELINES:
+        if continuous_kind == "sos":  # check_substrate lets only round-down through
+            return RoundDownSecondOrder(network, loads)
         cls = _DIFFUSION_CLASSES[algorithm]
         if algorithm in ("round-down", "quasirandom"):
             return cls(network, loads)
-        # The randomized baselines draw order-free counter randomness on demand.
-        return cls(network, loads, seed=seed, rng_mode=rng_mode)
+        return cls(network, loads, seed=seed)
     if algorithm in MATCHING_BASELINES:
         if schedule is None:
             schedule = make_schedule(continuous_kind, network, seed=seed)
@@ -263,7 +267,7 @@ def make_balancer(
     seed: Optional[int] = None,
     selection_policy: str = TaskSelectionPolicy.FIFO,
     backend: str = "auto",
-    rng_mode: str = "sequential",
+    rng_mode: str = "counter",
 ) -> DiscreteBalancer:
     """Construct (and couple) a discrete balancer of the requested kind.
 
@@ -282,18 +286,17 @@ def make_balancer(
     for workloads that need task objects (non-integer weights); the backends
     produce identical trajectories for any given seed, so the choice is
     purely about speed.  Each literature baseline has one implementation,
-    which every backend builds.  ``rng_mode`` selects how the randomized
-    processes — Algorithm 2, the randomized-rounding diffusion and the
-    excess-token baseline — draw their randomness: "sequential" consumes one shared
-    generator in iteration order, the "counter" mode keys a Philox generator
-    on ``(seed, round, edge-or-node)`` so every draw is order-free (see
-    :mod:`repro.counter_rng`); deterministic algorithms ignore it.
+    which every backend builds.  The randomized processes — Algorithm 2,
+    the randomized-rounding diffusion and the excess-token baseline — key
+    every draw on ``(seed, round, edge-or-node)`` (see
+    :mod:`repro.counter_rng`); ``rng_mode`` accepts only ``"counter"`` and
+    is kept for callers that name it.
     """
     if algorithm not in ALL_ALGORITHMS:
         raise ExperimentError(
             f"unknown algorithm {algorithm!r}; valid algorithms: {ALL_ALGORITHMS}"
         )
-    validate_rng_mode(rng_mode, error=ExperimentError)
+    require_counter_rng(rng_mode, error=ExperimentError)
     workloads_given = sum(w is not None for w in (initial_load, assignment, weighted_load))
     if workloads_given != 1:
         raise ExperimentError(
@@ -301,15 +304,14 @@ def make_balancer(
     if algorithm in FLOW_IMITATION_ALGORITHMS:
         return _build_flow_imitation(algorithm, network, initial_load, assignment,
                                      weighted_load, continuous_kind, schedule, seed,
-                                     selection_policy, backend, rng_mode)
+                                     selection_policy, backend)
     if assignment is not None or weighted_load is not None:
         raise ExperimentError(
             "task assignments (weighted tasks) are only supported by the "
             "flow-imitation algorithms"
         )
     return _build_baseline(algorithm, network, initial_load,
-                           continuous_kind, schedule, seed, backend,
-                           rng_mode=rng_mode)
+                           continuous_kind, schedule, seed, backend)
 
 
 def run_algorithm(
@@ -327,7 +329,6 @@ def run_algorithm(
     max_rounds: int = 200_000,
     selection_policy: str = TaskSelectionPolicy.FIFO,
     backend: str = "auto",
-    rng_mode: str = "sequential",
     bus: Optional[MetricsBus] = None,
     audit: bool = False,
 ) -> RunResult:
@@ -356,11 +357,6 @@ def run_algorithm(
         vectorised array backend whenever the workload allows it.  The
         backend actually used — and why — is recorded in
         ``result.extra["backend"]`` / ``extra["backend_reason"]``.
-    rng_mode:
-        How the randomized processes (Algorithm 2, randomized-rounding
-        diffusion, excess tokens) draw their randomness: "sequential", or the
-        order-free edge/node-keyed "counter" mode of
-        :mod:`repro.counter_rng`; deterministic algorithms ignore it.
     bus:
         Optional :class:`~repro.obs.bus.MetricsBus`: the run emits
         ``run_start`` / per-round ``round`` / ``run_end`` telemetry events
@@ -403,8 +399,7 @@ def run_algorithm(
     original_weight = float(reference_load.sum())
 
     choice = resolve_backend(backend, assignment=assignment,
-                             weighted=weighted_load, algorithm=algorithm,
-                             rng_mode=rng_mode)
+                             weighted=weighted_load, algorithm=algorithm)
     if is_flow_imitation:
         # Pass the already-resolved concrete backend so the object path does
         # not repeat the per-task integer-weight scan of the resolution.
@@ -413,7 +408,6 @@ def run_algorithm(
             weighted_load=weighted_load,
             continuous_kind=continuous_kind, schedule=schedule, seed=seed,
             selection_policy=selection_policy, backend=choice.name,
-            rng_mode=rng_mode,
         )
         w_max = balancer.w_max  # type: ignore[union-attr]
     else:
@@ -424,25 +418,24 @@ def run_algorithm(
             )
         balancer = make_balancer(algorithm, network, initial_load=reference_load,
                                  continuous_kind=continuous_kind,
-                                 schedule=schedule, seed=seed, backend=backend,
-                                 rng_mode=rng_mode)
+                                 schedule=schedule, seed=seed, backend=backend)
         w_max = 1.0
         # The backend choice selects no class for a baseline; report what
         # actually ran, not just what was resolved.
         reason = "literature baselines share one integer-vector implementation across backends"
-        if rng_mode == "counter" and algorithm in ("randomized-rounding", "excess-tokens"):
+        if algorithm in ("randomized-rounding", "excess-tokens"):
             reason += ", order-free counter rng"
         choice = BackendChoice(choice.name, reason)
 
     probe: Optional[RoundProbe] = None
     if bus is not None:
         probe = RoundProbe(bus, source="engine", context={
-            "algorithm": algorithm, "backend": choice.name, "rng_mode": rng_mode})
+            "algorithm": algorithm, "backend": choice.name, "rng_mode": "counter"})
         balancer.attach_probe(probe)
         bus.emit("run_start", "engine", algorithm=algorithm,
                  network=network.name, n=network.num_nodes,
                  max_degree=network.max_degree, continuous=continuous_kind,
-                 backend=choice.name, rng_mode=rng_mode, seed=seed,
+                 backend=choice.name, rng_mode="counter", seed=seed,
                  rounds=rounds, total_weight=original_weight)
 
     auditor = None
@@ -536,7 +529,6 @@ def compare_algorithms(
     record_trace: bool = False,
     max_rounds: int = 200_000,
     backend: str = "auto",
-    rng_mode: str = "sequential",
 ) -> List[RunResult]:
     """Run several algorithms on the same instance for the same number of rounds.
 
@@ -571,7 +563,6 @@ def compare_algorithms(
                 record_trace=record_trace,
                 max_rounds=max_rounds,
                 backend=backend,
-                rng_mode=rng_mode,
             )
         )
     return results

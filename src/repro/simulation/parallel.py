@@ -17,9 +17,9 @@ module shards a grid of such cells across a
 * per-purpose seed derivation (:mod:`repro.simulation.seeding`) makes each
   run a pure function of its spec — nothing depends on which worker runs it
   or in what order;
-* for randomized algorithms, ``rng_mode="counter"`` keys every draw on
-  ``(seed, round, edge-or-node)`` so trajectories are exactly reproducible
-  regardless of scheduling.
+* the randomized algorithms key every draw on ``(seed, round,
+  edge-or-node)`` (:mod:`repro.counter_rng`), so trajectories are exactly
+  reproducible regardless of scheduling.
 
 Results come back wrapped in :class:`CellOutcome` envelopes carrying
 per-cell wall-clock timing and the worker pid, so drivers (and the

@@ -32,8 +32,9 @@ from ..exceptions import ExperimentError
 from ..network import topologies
 from ..network.graph import Network
 from ..tasks import generators
+from ..counter_rng import require_counter_rng
 from .engine import (ALL_ALGORITHMS, BACKEND_KINDS, CONTINUOUS_KINDS,
-                     RNG_MODES, check_substrate, make_schedule, run_algorithm)
+                     check_substrate, make_schedule, run_algorithm)
 from .results import RunResult
 from .seeding import PurposeSeeds, purpose_seeds
 from .workloads import WORKLOADS
@@ -127,9 +128,9 @@ class Scenario:
         ``[1, max_task_weight]`` (algorithm1 only) — the weighted-task
         setting of the paper's Theorem 3.
     rng_mode:
-        How the randomized processes (algorithm2, randomized-rounding,
-        excess-tokens) draw their randomness: "sequential" or the order-free,
-        vectorisable edge/node-keyed "counter" mode.
+        Always ``"counter"``: the randomized processes key every draw on
+        ``(seed, round, edge-or-node)`` (:mod:`repro.counter_rng`).  The
+        field stays because stored configurations and checkpoints name it.
     seeding:
         How ``seed`` is distributed over the randomized components:
         ``"legacy"`` (default) reuses the one integer everywhere — the
@@ -154,7 +155,7 @@ class Scenario:
     record_trace: bool = False
     backend: str = "auto"
     max_task_weight: int = 1
-    rng_mode: str = "sequential"
+    rng_mode: str = "counter"
     seeding: str = "legacy"
 
     def __post_init__(self) -> None:
@@ -170,7 +171,7 @@ class Scenario:
         choices: Dict[str, Sequence[str]] = {
             "algorithm": ALL_ALGORITHMS, "continuous_kind": CONTINUOUS_KINDS,
             "workload": sorted(WORKLOADS), "speed_profile": sorted(_SPEED_PROFILES),
-            "backend": BACKEND_KINDS, "rng_mode": RNG_MODES, "seeding": SEEDING_MODES}
+            "backend": BACKEND_KINDS, "seeding": SEEDING_MODES}
         if self.events is not None:
             from ..dynamic.events import EVENT_PROFILES
 
@@ -179,6 +180,7 @@ class Scenario:
             if getattr(self, name) not in valid:
                 raise ExperimentError(
                     f"unknown {name} {getattr(self, name)!r}; valid: {valid}")
+        require_counter_rng(self.rng_mode, error=ExperimentError)
         check_substrate(self.algorithm, self.continuous_kind)
         if self.max_task_weight < 1:
             raise ExperimentError("max_task_weight must be at least 1")
@@ -304,7 +306,7 @@ def run_scenario(scenario: Scenario, bus=None, checkpoint_every: Optional[int] =
     load = scenario.build_weighted_load(network) if weighted else scenario.build_load(network)
     common: Dict[str, Any] = dict(
         rounds=scenario.rounds, continuous_kind=scenario.continuous_kind,
-        seed=seeds.algorithm, backend=scenario.backend, rng_mode=scenario.rng_mode, bus=bus)
+        seed=seeds.algorithm, backend=scenario.backend, bus=bus)
     if scenario.events is not None:
         from ..dynamic.events import make_event_generator
         from ..dynamic.stream import run_stream

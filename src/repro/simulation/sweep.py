@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from ..analysis.aggregate import SampleStatistics, summarize_samples
+from ..counter_rng import require_counter_rng
 from ..exceptions import ExperimentError
 from .results import RunResult
 from .scenario import Scenario, run_scenario
@@ -73,8 +74,8 @@ class SweepConfiguration:
     backend:
         Load-state backend ("auto", "object", "array"); see :mod:`repro.backend`.
     rng_mode:
-        How randomized processes draw ("sequential", or the order-free
-        "counter" mode of :mod:`repro.counter_rng`).
+        Always ``"counter"`` (:mod:`repro.counter_rng`); kept because the
+        run store's config hashes include it.
     """
 
     algorithm: str
@@ -84,7 +85,10 @@ class SweepConfiguration:
     workload: str = "point"
     continuous_kind: str = "fos"
     backend: str = "auto"
-    rng_mode: str = "sequential"
+    rng_mode: str = "counter"
+
+    def __post_init__(self) -> None:
+        require_counter_rng(self.rng_mode, error=ExperimentError)
 
     def label(self) -> str:
         """A compact human-readable label for tables."""

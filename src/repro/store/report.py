@@ -8,7 +8,7 @@ renders side-by-side comparison tables and sparkline trace charts
 from a stored baseline:
 
 * **trajectory drift** — pointwise deviation of the stored max-min traces
-  beyond ``max_trace_drift``.  Under ``rng_mode="counter"`` trajectories are
+  beyond ``max_trace_drift``.  Counter-based draws make trajectories
   bit-exact across processes and machines, so the default tolerance is 0.0:
   any drift means the algorithms changed behaviour.
 * **metric drift** — the final discrepancies worsened by more than

@@ -14,10 +14,11 @@ Identity model
 ``config_hash`` is the SHA-256 of the *canonical JSON* of the configuration
 (sorted keys, no whitespace), so two runs are comparable iff their hashes
 match — regardless of dict ordering, process, machine or commit.  The seeds
-are part of the configuration: with ``rng_mode="counter"`` a (config, seeds)
-pair pins the entire trajectory bit-for-bit (see
-``tests/store/test_determinism.py``), which is what turns stored trajectories
-into exact regression oracles rather than noisy statistics.
+are part of the configuration: every randomized draw is keyed on
+``(seed, round, edge-or-node)``, so a (config, seeds) pair pins the entire
+trajectory bit-for-bit (see ``tests/store/test_determinism.py``), which is
+what turns stored trajectories into exact regression oracles rather than
+noisy statistics.
 
 The environment fingerprint and timestamps are deliberately *excluded* from
 the hash: they describe where a run happened, not what it computed.

@@ -1,24 +1,22 @@
 """Edge-keyed counter RNG for Algorithm 2 and randomized-rounding diffusion.
 
-In ``rng_mode="counter"`` every rounding draw is a pure function of
-``(seed, round, edge)`` — Philox keyed on ``(seed, round)`` with one score
-per edge (:mod:`repro.counter_rng`) — so the draws are independent of the
-order the edges are visited in, which is what lets the array kernels batch
-the whole round.  These tests pin down:
+Every rounding draw is a pure function of ``(seed, round, edge)`` — Philox
+keyed on ``(seed, round)`` with one score per edge
+(:mod:`repro.counter_rng`) — so the draws are independent of the order the
+edges are visited in, which is what lets the array kernels batch the whole
+round.  These tests pin down:
 
-* determinism: same seed => same trajectory; different seeds and the
-  sequential mode differ;
+* determinism: same seed => same trajectory; different seeds differ;
 * permutation invariance: processing the per-round send requests (or edges)
-  in a shuffled order yields the *same* load trajectory in counter mode,
-  while the sequential per-draw stream is order-sensitive;
-* bit-identity between the scalar counter-mode reference
+  in a shuffled order yields the *same* load trajectory;
+* bit-identity between the scalar reference
   :class:`RandomizedFlowImitation` and the vectorised kernel
   :class:`ArrayRandomizedFlowImitation`, and between
   :class:`RandomizedRoundingDiffusion` and its per-edge move oracle, across
   topologies and substrates;
-* the engine plumbing: ``rng_mode`` threading through
-  ``make_balancer``/``run_algorithm``/``run_stream`` and the recorded
-  ``backend_reason``.
+* the engine plumbing through ``make_balancer``/``run_algorithm``/
+  ``run_stream``, the recorded ``backend_reason`` and the rejection of any
+  ``rng_mode`` other than ``"counter"``.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from repro.continuous.sos import SecondOrderDiffusion
 from repro.core.algorithm2 import RandomizedFlowImitation
 from repro.counter_rng import RNG_MODES, edge_scores
 from repro.discrete.baselines.diffusion import RandomizedRoundingDiffusion
-from repro.exceptions import ExperimentError, ProcessError
+from repro.exceptions import ExperimentError
 from repro.network import topologies
 from repro.simulation.engine import make_balancer, run_algorithm
 from repro.tasks.assignment import TaskAssignment
@@ -62,12 +60,12 @@ def trajectory(balancer, rounds):
     return np.array(trace)
 
 
-def make_algorithm2(network, load, seed, rng_mode, cls=RandomizedFlowImitation):
+def make_algorithm2(network, load, seed, cls=RandomizedFlowImitation):
     continuous = FirstOrderDiffusion(network, np.asarray(load, dtype=float))
     if cls is ArrayRandomizedFlowImitation:
-        return cls(continuous, load, seed=seed, rng_mode=rng_mode)
+        return cls(continuous, load, seed=seed)
     assignment = TaskAssignment.from_unit_loads(network, load)
-    return cls(continuous, assignment, seed=seed, rng_mode=rng_mode)
+    return cls(continuous, assignment, seed=seed)
 
 
 class ReorderedRandomized(RandomizedFlowImitation):
@@ -87,14 +85,14 @@ class ReorderedRandomized(RandomizedFlowImitation):
 class ShuffledEdgeRandomizedRounding(RandomizedRoundingDiffusion):
     """Scalar per-edge replay of randomized rounding in a shuffled edge order.
 
-    Looks each edge's draw up by edge index (the counter-mode contract) while
+    Looks each edge's draw up by edge index (the counter-RNG contract) while
     visiting the edges in a per-round shuffled order — bit-identical to the
     stock vectorised round if and only if the draws are order-free.
     """
 
     def _execute_round(self) -> None:
         net = self._net_continuous_flows()
-        draws = self._rounding_draws()
+        draws = edge_scores(self._counter_key, self._round, net.size)
         sent = np.zeros(net.size, dtype=np.int64)
         order = list(range(net.size))
         random.Random(self._round).shuffle(order)
@@ -106,60 +104,28 @@ class ShuffledEdgeRandomizedRounding(RandomizedRoundingDiffusion):
         self._apply_net_moves(sent)
 
 
-class SequentialPerEdgeDraws(RandomizedRoundingDiffusion):
-    """Sequential-stream emulation consuming one draw per edge in shuffled order.
-
-    This is what a reordered scalar implementation would do against the
-    shared sequential generator — and why the sequential mode cannot be
-    reordered or batched per edge.
-    """
-
-    def _execute_round(self) -> None:
-        net = self._net_continuous_flows()
-        sent = np.zeros(net.size, dtype=np.int64)
-        order = list(range(net.size))
-        random.Random(self._round).shuffle(order)
-        for edge in order:
-            magnitude = abs(float(net[edge]))
-            base = math.floor(magnitude)
-            amount = int(base) + (1 if self._rng.random() < magnitude - base else 0)
-            sent[edge] = amount if net[edge] > 0 else -amount
-        self._apply_net_moves(sent)
-
-
 class TestAlgorithm2CounterDeterminism:
     def test_same_seed_same_trajectory(self):
         network = topologies.torus(4, dims=2)
         load = workload(network)
-        runs = [trajectory(make_algorithm2(network, load, 11, "counter"), 30)
+        runs = [trajectory(make_algorithm2(network, load, 11), 30)
                 for _ in range(2)]
         assert np.array_equal(runs[0], runs[1])
 
     def test_different_seeds_differ(self):
         network = topologies.torus(4, dims=2)
         load = workload(network)
-        a = trajectory(make_algorithm2(network, load, 1, "counter"), 30)
-        b = trajectory(make_algorithm2(network, load, 2, "counter"), 30)
+        a = trajectory(make_algorithm2(network, load, 1), 30)
+        b = trajectory(make_algorithm2(network, load, 2), 30)
         assert not np.array_equal(a, b)
-
-    def test_counter_and_sequential_are_distinct_processes(self):
-        network = topologies.torus(4, dims=2)
-        load = workload(network)
-        counter = trajectory(make_algorithm2(network, load, 1, "counter"), 30)
-        sequential = trajectory(make_algorithm2(network, load, 1, "sequential"), 30)
-        assert not np.array_equal(counter, sequential)
 
     def test_unknown_rng_mode_rejected(self):
         network = topologies.cycle(5)
-        with pytest.raises(ProcessError):
-            make_algorithm2(network, [2] * 5, 1, "quantum")
-        with pytest.raises(ProcessError):
-            make_algorithm2(network, [2] * 5, 1, "quantum",
-                            cls=ArrayRandomizedFlowImitation)
-        with pytest.raises(ExperimentError):
-            run_algorithm("algorithm2", network, initial_load=[2] * 5,
-                          rounds=3, rng_mode="quantum")
-        assert RNG_MODES == ("sequential", "counter")
+        for backend in ("object", "array"):
+            with pytest.raises(ExperimentError, match="only rng mode is 'counter'"):
+                make_balancer("algorithm2", network, initial_load=[2] * 5,
+                              backend=backend, rng_mode="quantum")
+        assert RNG_MODES == ("counter",)
 
 
 class TestAlgorithm2PermutationInvariance:
@@ -167,29 +133,16 @@ class TestAlgorithm2PermutationInvariance:
         """Shuffled request iteration => identical physical load trajectory."""
         network = topologies.random_regular(20, 4, seed=3)
         load = workload(network)
-        canonical = make_algorithm2(network, load, 5, "counter")
-        shuffled = make_algorithm2(network, load, 5, "counter",
-                                   cls=ReorderedRandomized)
+        canonical = make_algorithm2(network, load, 5)
+        shuffled = make_algorithm2(network, load, 5, cls=ReorderedRandomized)
         assert np.array_equal(trajectory(canonical, 30), trajectory(shuffled, 30))
-
-    def test_sequential_trajectory_is_order_sensitive(self):
-        """The same shuffle changes the draws — and the trajectory — in
-        sequential mode, which is exactly why it cannot be vectorised."""
-        network = topologies.random_regular(20, 4, seed=3)
-        load = workload(network)
-        canonical = make_algorithm2(network, load, 5, "sequential")
-        shuffled = make_algorithm2(network, load, 5, "sequential",
-                                   cls=ReorderedRandomized)
-        assert not np.array_equal(trajectory(canonical, 30),
-                                  trajectory(shuffled, 30))
 
     @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
     def test_vectorized_kernel_bit_identical_to_scalar_reference(self, topology):
         network = TOPOLOGIES[topology]()
         load = workload(network)
-        scalar = make_algorithm2(network, load, 9, "counter")
-        vectorized = make_algorithm2(network, load, 9, "counter",
-                                     cls=ArrayRandomizedFlowImitation)
+        scalar = make_algorithm2(network, load, 9)
+        vectorized = make_algorithm2(network, load, 9, cls=ArrayRandomizedFlowImitation)
         for round_index in range(40):
             scalar.advance()
             vectorized.advance()
@@ -202,17 +155,15 @@ class TestAlgorithm2PermutationInvariance:
                            vectorized.discrete_cumulative_flows())
 
     def test_bit_identity_survives_dummy_creation(self):
-        """An overshooting SOS forces the infinite source; the counter-mode
-        kernels must still agree on loads and the real/dummy split."""
+        """An overshooting SOS forces the infinite source; the kernels must
+        still agree on loads and the real/dummy split."""
         network = topologies.random_regular(30, 5, seed=4)
         load = point_load(network, 600)
         scalar = RandomizedFlowImitation(
             SecondOrderDiffusion(network, load.astype(float), beta=1.9),
-            TaskAssignment.from_unit_loads(network, load),
-            seed=3, rng_mode="counter")
+            TaskAssignment.from_unit_loads(network, load), seed=3)
         vectorized = ArrayRandomizedFlowImitation(
-            SecondOrderDiffusion(network, load.astype(float), beta=1.9),
-            load, seed=3, rng_mode="counter")
+            SecondOrderDiffusion(network, load.astype(float), beta=1.9), load, seed=3)
         for _ in range(50):
             scalar.advance()
             vectorized.advance()
@@ -224,16 +175,12 @@ class TestAlgorithm2PermutationInvariance:
 
 
 class TestRandomizedRoundingCounter:
-    def test_same_seed_same_trajectory_and_modes_differ(self):
+    def test_same_seed_same_trajectory(self):
         network = topologies.torus(4, dims=2)
         load = workload(network)
-        a = trajectory(RandomizedRoundingDiffusion(network, load, seed=7,
-                                                   rng_mode="counter"), 30)
-        b = trajectory(RandomizedRoundingDiffusion(network, load, seed=7,
-                                                   rng_mode="counter"), 30)
-        sequential = trajectory(RandomizedRoundingDiffusion(network, load, seed=7), 30)
+        a = trajectory(RandomizedRoundingDiffusion(network, load, seed=7), 30)
+        b = trajectory(RandomizedRoundingDiffusion(network, load, seed=7), 30)
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, sequential)
 
     def test_edge_scores_are_a_pure_function(self):
         first = edge_scores(5, 3, 64)
@@ -246,42 +193,28 @@ class TestRandomizedRoundingCounter:
         """A scalar replay over shuffled edges matches the stock round."""
         network = topologies.random_regular(20, 4, seed=3)
         load = workload(network)
-        stock = RandomizedRoundingDiffusion(network, load, seed=5,
-                                            rng_mode="counter")
-        shuffled = ShuffledEdgeRandomizedRounding(network, load, seed=5,
-                                                 rng_mode="counter")
+        stock = RandomizedRoundingDiffusion(network, load, seed=5)
+        shuffled = ShuffledEdgeRandomizedRounding(network, load, seed=5)
         assert np.array_equal(trajectory(stock, 30), trajectory(shuffled, 30))
 
-    def test_sequential_draws_are_order_sensitive(self):
-        """Consuming the shared stream one edge at a time in shuffled order
-        diverges from the canonical block consumption."""
-        network = topologies.random_regular(20, 4, seed=3)
-        load = workload(network)
-        stock = RandomizedRoundingDiffusion(network, load, seed=5)
-        shuffled = SequentialPerEdgeDraws(network, load, seed=5)
-        assert not np.array_equal(trajectory(stock, 30), trajectory(shuffled, 30))
-
     @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
-    @pytest.mark.parametrize("rng_mode", sorted(RNG_MODES))
-    def test_vectorized_kernel_bit_identical_to_scalar_reference(self, topology,
-                                                                 rng_mode):
+    def test_vectorized_kernel_bit_identical_to_scalar_reference(self, topology):
         network = TOPOLOGIES[topology]()
         load = workload(network)
-        scalar = ScalarRandomizedRoundingDiffusion(network, load, seed=9,
-                                                   rng_mode=rng_mode)
-        vectorized = RandomizedRoundingDiffusion(network, load, seed=9,
-                                                 rng_mode=rng_mode)
+        scalar = ScalarRandomizedRoundingDiffusion(network, load, seed=9)
+        vectorized = RandomizedRoundingDiffusion(network, load, seed=9)
         for round_index in range(40):
             scalar.advance()
             vectorized.advance()
             assert np.array_equal(scalar.loads(), vectorized.loads()), (
-                f"{topology}/{rng_mode} diverged at round {round_index}")
+                f"{topology} diverged at round {round_index}")
         assert scalar.went_negative == vectorized.went_negative
 
     def test_unknown_rng_mode_rejected(self):
         network = topologies.cycle(5)
-        with pytest.raises(ProcessError):
-            RandomizedRoundingDiffusion(network, [2] * 5, rng_mode="quantum")
+        with pytest.raises(ExperimentError, match="only rng mode is 'counter'"):
+            make_balancer("randomized-rounding", network, initial_load=[2] * 5,
+                          rng_mode="sequential")
 
 
 class TestEnginePlumbing:
@@ -291,12 +224,10 @@ class TestEnginePlumbing:
                                  initial_load=workload(network),
                                  seed=3, backend="array", rng_mode="counter")
         assert isinstance(balancer, ArrayRandomizedFlowImitation)
-        assert balancer.rng_mode == "counter"
         scalar = make_balancer("algorithm2", network,
                                initial_load=workload(network),
                                seed=3, backend="object", rng_mode="counter")
         assert isinstance(scalar, RandomizedFlowImitation)
-        assert scalar.rng_mode == "counter"
 
     def test_counter_mode_reaches_the_diffusion_kernel(self):
         network = topologies.torus(4, dims=2)
@@ -304,7 +235,6 @@ class TestEnginePlumbing:
                                  initial_load=workload(network),
                                  seed=3, backend="array", rng_mode="counter")
         assert type(balancer) is RandomizedRoundingDiffusion
-        assert balancer.rng_mode == "counter"
 
     @pytest.mark.parametrize("algorithm", ["algorithm2", "randomized-rounding"])
     def test_backends_agree_through_run_algorithm(self, algorithm):
@@ -313,20 +243,12 @@ class TestEnginePlumbing:
         results = {
             backend: run_algorithm(algorithm, network, initial_load=load,
                                    rounds=25, seed=9, backend=backend,
-                                   rng_mode="counter", record_trace=True)
+                                   record_trace=True)
             for backend in ("object", "array")
         }
         assert results["object"].trace_max_min == results["array"].trace_max_min
         assert results["array"].extra["backend"] == "array"
         assert "counter" in results["array"].extra["backend_reason"]
-
-    def test_sequential_reason_does_not_mention_counter_for_algorithm2(self):
-        network = topologies.torus(4, dims=2)
-        result = run_algorithm("algorithm2", network,
-                               initial_load=workload(network),
-                               rounds=5, seed=3)
-        assert result.extra["backend"] == "array"
-        assert "counter" not in result.extra["backend_reason"]
 
     def test_counter_recouple_equals_fresh_build(self):
         network = topologies.torus(4, dims=2)
@@ -350,8 +272,7 @@ class TestEnginePlumbing:
             load = uniform_random_load(network, 6 * network.num_nodes, seed=17)
             generator = make_event_generator("burst", network, 6, seed=17)
             return run_stream(algorithm, network, load, generator,
-                              rounds=50, seed=17, backend=backend,
-                              rng_mode="counter")
+                              rounds=50, seed=17, backend=backend)
 
         object_result, array_result = one("object"), one("array")
         assert object_result.trace_max_min == array_result.trace_max_min

@@ -93,11 +93,9 @@ class TestResolution:
         for algorithm, cls in classes.items():
             kind = "random-matching" if algorithm.startswith("matching") else "fos"
             for backend in BACKEND_KINDS:
-                for rng_mode in ("sequential", "counter"):
-                    balancer = make_balancer(algorithm, network, initial_load=[2] * 4,
-                                             continuous_kind=kind, backend=backend,
-                                             rng_mode=rng_mode)
-                    assert type(balancer) is cls, (algorithm, backend, rng_mode)
+                balancer = make_balancer(algorithm, network, initial_load=[2] * 4,
+                                         continuous_kind=kind, backend=backend)
+                assert type(balancer) is cls, (algorithm, backend)
 
     def test_baselines_reject_unknown_backends(self):
         network = topologies.cycle(4)

@@ -3,12 +3,13 @@
 Each class here is a per-edge (or per-node) Python loop that the library
 once ran itself and has since replaced by whole-array operations:
 
-* :class:`ScalarMoves` applies moves one at a time, as
-  ``IntegerLoadBalancer._apply_edge_moves`` did, and builds the per-edge
-  move list of the diffusion baselines' ``_apply_net_moves``;
+* :class:`ScalarEdgeMoves` applies moves one at a time, as
+  ``IntegerLoadBalancer._apply_edge_moves`` did, and :class:`ScalarMoves`
+  also builds the per-edge move list of the diffusion baselines'
+  ``_apply_net_moves``;
 * the ``Scalar*Diffusion`` classes are the diffusion baselines on that
   move path; :class:`ScalarExcessTokenDiffusion` also visits the nodes one
-  by one in counter rng mode, selecting each node's excess targets with
+  by one, selecting each node's excess targets with
   :meth:`~ScalarExcessTokenDiffusion._counter_chosen`;
 * :class:`ScalarDimensionExchange` and the ``Scalar*Matching`` classes walk
   the round's matching edge by edge, drawing one scalar per rounded edge;
@@ -16,7 +17,11 @@ once ran itself and has since replaced by whole-array operations:
   edge tuples, validated like any user-supplied matching.
 
 The differential suite (``tests/property/test_baseline_differential.py``)
-and the unit tests compare the library against them round by round.
+and the unit tests compare the library against them round by round.  An
+oracle works by overriding library methods by name, so every method it
+defines must name a method of its library class, except the helpers listed
+in :data:`ORACLE_HELPERS`; the suite checks this, because an override left
+behind by a rename would make the oracle the library itself.
 """
 
 from __future__ import annotations
@@ -41,9 +46,12 @@ from repro.network.matchings import MatchingSchedule, RandomMatchingSchedule
 
 Move = Tuple[int, int, int]
 
+#: Methods an oracle defines for its own use, overriding nothing.
+ORACLE_HELPERS = frozenset({"_counter_chosen"})
 
-class ScalarMoves:
-    """Per-move application and the per-edge net-move list."""
+
+class ScalarEdgeMoves:
+    """Per-move application."""
 
     def _apply_edge_moves(self, moves) -> None:
         for source, destination, tokens in moves:
@@ -53,6 +61,10 @@ class ScalarMoves:
             self._loads[destination] += tokens
         if np.any(self._loads < 0):
             self._went_negative = True
+
+
+class ScalarMoves(ScalarEdgeMoves):
+    """Per-move application and the per-edge net-move list."""
 
     def _apply_net_moves(self, sent) -> None:
         moves: List[Move] = []
@@ -84,7 +96,7 @@ class ScalarRandomizedRoundingDiffusion(ScalarMoves, RandomizedRoundingDiffusion
 
 
 class ScalarExcessTokenDiffusion(ScalarMoves, ExcessTokenDiffusion):
-    """Excess tokens with a per-node loop in counter rng mode too."""
+    """Excess tokens with a per-node loop instead of the batched round."""
 
     def _counter_chosen(self, node: int, num_candidates: int, count: int,
                         scores: np.ndarray):
@@ -97,8 +109,8 @@ class ScalarExcessTokenDiffusion(ScalarMoves, ExcessTokenDiffusion):
         self._round_robin_offsets[node] = (offset + count) % num_candidates
         return chosen
 
-    def _execute_round_counter(self) -> None:
-        floors, excess = self._counter_flow_plan()
+    def _batched_round(self) -> None:
+        floors, excess = self._flow_plan()
         scores = self._counter_scores(self._round) if self._strategy == "random" else None
         moves: List[Move] = []
         for node in self.network.nodes:
@@ -133,7 +145,7 @@ class ScalarDimensionExchange(DimensionExchange):
         return flows
 
 
-class ScalarMatchedDeltas(ScalarMoves):
+class ScalarMatchedDeltas(ScalarEdgeMoves):
     """``(sender, receiver, delta)`` for every matched edge, one at a time."""
 
     def _matched_deltas(self) -> List[Tuple[int, int, float]]:

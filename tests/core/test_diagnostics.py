@@ -217,9 +217,8 @@ class TestEngineAuditIntegration:
         network = topologies.torus(4, dims=2)
         kwargs = dict(initial_load=point_load(network, 256), rounds=10,
                       seed=3, record_trace=True)
-        plain = run_algorithm("algorithm2", network, rng_mode="counter", **kwargs)
-        audited = run_algorithm("algorithm2", network, rng_mode="counter",
-                                audit=True, **kwargs)
+        plain = run_algorithm("algorithm2", network, **kwargs)
+        audited = run_algorithm("algorithm2", network, audit=True, **kwargs)
         assert audited.trace_max_min == plain.trace_max_min
 
     def test_audit_with_probe_interplay(self):

@@ -1,16 +1,17 @@
 """Counter-based RNG for the excess-token baseline.
 
-In ``rng_mode="counter"`` every per-node draw is a pure function of
-``(seed, round, node, candidate-slot)`` — Philox keyed on ``(seed, round)``
-with per-node score rows — so the draws are independent of the order nodes
-are visited in, which is exactly what lets the columnar kernel batch the
-whole round.  These tests pin down:
+Every per-node draw is a pure function of ``(seed, round, node,
+candidate-slot)`` — Philox keyed on ``(seed, round)`` with per-node score
+rows — so the draws are independent of the order nodes are visited in,
+which is exactly what lets the columnar kernel batch the whole round.  These tests pin down:
 
 * determinism: same seed => same draws/trajectory, different seeds differ;
 * order-freeness: visiting nodes in any order yields the same selections;
 * bit-identity between the batched counter-mode round and the per-node
   oracle :class:`baseline_oracles.ScalarExcessTokenDiffusion`;
-* the engine/CLI plumbing (``rng_mode`` threading, backend recording);
+* the engine plumbing (the batched round, backend recording) and the
+  rejection of the retired ``"sequential"`` rng mode wherever an
+  ``rng_mode`` is still accepted;
 * the clear-error satellite: non-integer loads raise instead of silently
   producing a wrong answer.
 """
@@ -21,7 +22,8 @@ import numpy as np
 import pytest
 
 from baseline_oracles import ScalarExcessTokenDiffusion
-from repro.discrete.baselines.diffusion import RNG_MODES, ExcessTokenDiffusion
+from repro.counter_rng import RNG_MODES
+from repro.discrete.baselines.diffusion import ExcessTokenDiffusion
 from repro.exceptions import ExperimentError, ProcessError
 from repro.network import topologies
 from repro.obs.kernels import activate_kernel_clock, deactivate_kernel_clock
@@ -48,8 +50,7 @@ class TestCounterDeterminism:
         network = topologies.torus(4, dims=2)
         load = workload(network)
         runs = [
-            trajectory(ExcessTokenDiffusion(network, load, seed=11,
-                                            rng_mode="counter", strategy=strategy), 30)
+            trajectory(ExcessTokenDiffusion(network, load, seed=11, strategy=strategy), 30)
             for _ in range(2)
         ]
         assert np.array_equal(runs[0], runs[1])
@@ -57,28 +58,16 @@ class TestCounterDeterminism:
     def test_different_seeds_differ(self):
         network = topologies.torus(4, dims=2)
         load = workload(network)
-        a = trajectory(ExcessTokenDiffusion(network, load, seed=1,
-                                            rng_mode="counter"), 30)
-        b = trajectory(ExcessTokenDiffusion(network, load, seed=2,
-                                            rng_mode="counter"), 30)
+        a = trajectory(ExcessTokenDiffusion(network, load, seed=1), 30)
+        b = trajectory(ExcessTokenDiffusion(network, load, seed=2), 30)
         assert not np.array_equal(a, b)
-
-    def test_counter_and_sequential_are_distinct_processes(self):
-        network = topologies.torus(4, dims=2)
-        load = workload(network)
-        counter = trajectory(ExcessTokenDiffusion(network, load, seed=1,
-                                                  rng_mode="counter"), 30)
-        sequential = trajectory(ExcessTokenDiffusion(network, load, seed=1), 30)
-        assert not np.array_equal(counter, sequential)
 
     def test_unknown_rng_mode_rejected(self):
         network = topologies.cycle(5)
-        with pytest.raises(ProcessError):
-            ExcessTokenDiffusion(network, [2] * 5, rng_mode="quantum")
-        with pytest.raises(ExperimentError):
-            run_algorithm("excess-tokens", network, initial_load=[2] * 5,
-                          rounds=3, rng_mode="quantum")
-        assert RNG_MODES == ("sequential", "counter")
+        with pytest.raises(ExperimentError, match="only rng mode is 'counter'"):
+            make_balancer("excess-tokens", network, initial_load=[2] * 5,
+                          rng_mode="quantum")
+        assert RNG_MODES == ("counter",)
 
 
 class TestOrderFreeDraws:
@@ -86,8 +75,8 @@ class TestOrderFreeDraws:
         """Two references visiting nodes forward/backward select identically."""
         network = topologies.random_regular(20, 4, seed=3)
         load = workload(network)
-        reference = ScalarExcessTokenDiffusion(network, load, seed=5, rng_mode="counter")
-        shuffled = ScalarExcessTokenDiffusion(network, load, seed=5, rng_mode="counter")
+        reference = ScalarExcessTokenDiffusion(network, load, seed=5)
+        shuffled = ScalarExcessTokenDiffusion(network, load, seed=5)
         for round_index in range(5):
             scores_a = reference._counter_scores(round_index)
             scores_b = shuffled._counter_scores(round_index)
@@ -115,10 +104,8 @@ class TestOrderFreeDraws:
             "ring": lambda: topologies.cycle(12),
         }[topology]()
         load = workload(network)
-        scalar = ScalarExcessTokenDiffusion(network, load, seed=9, rng_mode="counter",
-                                            strategy=strategy)
-        vectorized = ExcessTokenDiffusion(network, load, seed=9, rng_mode="counter",
-                                          strategy=strategy)
+        scalar = ScalarExcessTokenDiffusion(network, load, seed=9, strategy=strategy)
+        vectorized = ExcessTokenDiffusion(network, load, seed=9, strategy=strategy)
         for round_index in range(40):
             scalar.advance()
             vectorized.advance()
@@ -132,41 +119,37 @@ class TestEnginePlumbing:
         network = topologies.torus(4, dims=2)
         clock = activate_kernel_clock()
         try:
-            for rng_mode in ("sequential", "counter"):
+            for backend in ("object", "array"):
                 balancer = make_balancer("excess-tokens", network,
                                          initial_load=workload(network), seed=3,
-                                         backend="array", rng_mode=rng_mode)
+                                         backend=backend)
                 assert type(balancer) is ExcessTokenDiffusion
                 balancer.run(2)
-                phases = clock.drain()
-                assert ("baseline/excess-array" in phases) == (rng_mode == "counter")
+                assert "baseline/excess-array" in clock.drain()
         finally:
             deactivate_kernel_clock()
 
     def test_run_algorithm_reports_one_implementation(self):
         network = topologies.torus(4, dims=2)
         for backend in ("object", "array"):
-            sequential = run_algorithm("excess-tokens", network,
-                                       initial_load=workload(network), rounds=5,
-                                       seed=3, backend=backend)
-            assert sequential.extra["backend"] == backend
-            assert "one integer-vector implementation" in sequential.extra["backend_reason"]
-            assert "counter" not in sequential.extra["backend_reason"]
-            counter = run_algorithm("excess-tokens", network,
-                                    initial_load=workload(network), rounds=5, seed=3,
-                                    backend=backend, rng_mode="counter")
-            assert "counter" in counter.extra["backend_reason"]
+            result = run_algorithm("excess-tokens", network,
+                                   initial_load=workload(network), rounds=5,
+                                   seed=3, backend=backend)
+            assert result.extra["backend"] == backend
+            assert result.extra["backend_reason"] == (
+                "literature baselines share one integer-vector implementation "
+                "across backends, order-free counter rng")
 
     def test_counter_recouple_equals_fresh_build(self):
         network = topologies.torus(4, dims=2)
         first = workload(network, seed=0)
         second = workload(network, seed=1)
         recoupled = make_balancer("excess-tokens", network, initial_load=first,
-                                  seed=5, backend="array", rng_mode="counter")
+                                  seed=5, backend="array")
         recoupled.run(10)
         recoupled.recouple(second, seed=77)
         fresh = make_balancer("excess-tokens", network, initial_load=second,
-                              seed=77, backend="array", rng_mode="counter")
+                              seed=77, backend="array")
         assert np.array_equal(trajectory(recoupled, 15), trajectory(fresh, 15))
 
     def test_counter_streams_match_across_backends(self):
@@ -178,12 +161,42 @@ class TestEnginePlumbing:
             load = uniform_random_load(network, 6 * network.num_nodes, seed=17)
             generator = make_event_generator("burst", network, 6, seed=17)
             return run_stream("excess-tokens", network, load, generator,
-                              rounds=50, seed=17, backend=backend,
-                              rng_mode="counter")
+                              rounds=50, seed=17, backend=backend)
 
         object_result, array_result = one("object"), one("array")
         assert object_result.trace_max_min == array_result.trace_max_min
         assert object_result.trace_total_weight == array_result.trace_total_weight
+
+
+class TestRetiredRngMode:
+    """The sequential rng mode is gone: every entry point that still names an
+    ``rng_mode`` (recorded formats, outside callers) rejects it by name.
+    ``make_balancer`` is covered by the ``test_unknown_rng_mode_rejected``
+    tests."""
+
+    def test_scenario_from_dict_rejects_sequential(self):
+        from repro.simulation.scenario import Scenario
+
+        with pytest.raises(ExperimentError, match="only rng mode is 'counter'"):
+            Scenario.from_dict({"name": "old", "algorithm": "algorithm2",
+                                "rng_mode": "sequential"})
+        assert Scenario(name="new", algorithm="algorithm2").rng_mode == "counter"
+
+    def test_sweep_configuration_rejects_sequential(self):
+        from repro.simulation.sweep import SweepConfiguration
+
+        with pytest.raises(ExperimentError, match="only rng mode is 'counter'"):
+            SweepConfiguration(algorithm="algorithm2", rng_mode="sequential")
+
+    def test_streaming_engine_rejects_sequential(self):
+        from repro.dynamic.events import make_event_generator
+        from repro.dynamic.stream import StreamingEngine
+
+        network = topologies.cycle(5)
+        with pytest.raises(ExperimentError, match="only rng mode is 'counter'"):
+            StreamingEngine("algorithm2", network, [2] * 5,
+                            make_event_generator("burst", network, 2, seed=1),
+                            rng_mode="sequential")
 
 
 class TestNonIntegerLoadValidation:

@@ -26,12 +26,12 @@ from repro.simulation.scenario import Scenario, run_scenario
 from repro.store.runstore import canonical_json
 
 
-def _scenario(rng_mode="counter", backend="auto", algorithm="randomized-rounding",
+def _scenario(backend="auto", algorithm="randomized-rounding",
               max_task_weight=1, rounds=24, **overrides):
     params = dict(
         name="ckpt", algorithm=algorithm, topology="cycle", num_nodes=10,
         tokens_per_node=6, workload="uniform", rounds=rounds, events="mixed", seed=13,
-        rng_mode=rng_mode, backend=backend, max_task_weight=max_task_weight)
+        backend=backend, max_task_weight=max_task_weight)
     params.update(overrides)
     return Scenario(**params)
 
@@ -68,12 +68,10 @@ def _json_round_trip(checkpoint):
 
 
 class TestResumeBitIdentity:
-    @pytest.mark.parametrize("rng_mode", ["counter", "sequential"])
     @pytest.mark.parametrize("backend", ["object", "array"])
-    def test_resume_at_every_round_matches_uninterrupted(self, rng_mode,
-                                                         backend):
+    def test_resume_at_every_round_matches_uninterrupted(self, backend):
         """Kill at ANY round, resume, and get the exact same trajectory."""
-        scenario = _scenario(rng_mode=rng_mode, backend=backend)
+        scenario = _scenario(backend=backend)
         baseline = run_scenario(scenario)
 
         engine = _build_engine(scenario)
@@ -242,6 +240,24 @@ class TestCheckpointValidation:
         scenario = _scenario(rounds=6)
         with pytest.raises(ExperimentError, match="checkpoint_path"):
             run_scenario(scenario, checkpoint_every=2)
+
+    def test_retired_sequential_rng_mode_rejected(self, tmp_path):
+        """A checkpoint of a sequential-rng run, consistent hash and all, is
+        refused loudly — by the metadata path and the explicit-generator path."""
+        golden = read_checkpoint(DATA / "unit_mixed.ckpt.json")
+        meta = copy.deepcopy(golden.meta)
+        meta["scenario"]["rng_mode"] = "sequential"
+        old = StreamCheckpoint(config={**golden.config, "rng_mode": "sequential"},
+                               state=golden.state, total_rounds=golden.total_rounds,
+                               trace_max_min=golden.trace_max_min,
+                               trace_total_weight=golden.trace_total_weight, meta=meta)
+        path = write_checkpoint(old, tmp_path / "sequential.json")
+        checkpoint = read_checkpoint(path)  # the hash is consistent
+        with pytest.raises(CheckpointError, match="only rng mode is 'counter'"):
+            resume_stream(path)
+        generator = _fresh_generator(Scenario.from_dict(golden.meta["scenario"]))
+        with pytest.raises(CheckpointError, match="only rng mode is 'counter'"):
+            restore_engine(checkpoint, generator=generator)
 
     # Edits of the golden unit_mixed state (nodes 0..12 and 14..17, string
     # keys as read back from JSON); node 12 keeps its edge [0, 12].

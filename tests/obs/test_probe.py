@@ -24,8 +24,7 @@ def run_once(bus=None, algorithm="algorithm2", rounds=12, **kwargs):
     network = topologies.torus(4, dims=2)
     load = point_load(network, 32 * network.num_nodes)
     return run_algorithm(algorithm, network, initial_load=load, rounds=rounds,
-                         seed=5, record_trace=True, rng_mode="counter",
-                         bus=bus, **kwargs)
+                         seed=5, record_trace=True, bus=bus, **kwargs)
 
 
 class TestEngineProbe:
@@ -104,7 +103,7 @@ class TestStreamProbe:
         load = uniform_random_load(network, 8 * network.num_nodes, seed=3)
         generator = BurstyArrivals(32, period=5, first_round=2, seed=3)
         return run_stream("algorithm2", network, load, generator, rounds=15,
-                          seed=3, rng_mode="counter", bus=bus)
+                          seed=3, bus=bus)
 
     def test_trajectory_identical_with_and_without_bus(self):
         plain = self.run_stream_once()

@@ -1,7 +1,7 @@
 """Differential test: the object and array backends agree on generated inputs.
 
 Hypothesis draws a small topology, a workload (unit counts, one weight class
-or mixed weights), an algorithm with its selection policy or rng mode, a
+or mixed weights), an algorithm with its selection policy, a
 diffusion substrate and one mid-run ``recouple`` onto a second generated
 workload.  Both backends must then produce the same loads (with and without
 dummies), cumulative discrete flows and round reports after every round.
@@ -53,10 +53,8 @@ workloads = st.fixed_dictionaries({
 })
 
 algorithms = st.one_of(
-    st.tuples(st.just("algorithm1"), st.sampled_from(TaskSelectionPolicy.ALL),
-              st.just("sequential")),
-    st.tuples(st.just("algorithm2"), st.just(TaskSelectionPolicy.FIFO),
-              st.sampled_from(["sequential", "counter"])),
+    st.tuples(st.just("algorithm1"), st.sampled_from(TaskSelectionPolicy.ALL)),
+    st.tuples(st.just("algorithm2"), st.just(TaskSelectionPolicy.FIFO)),
 )
 
 
@@ -77,11 +75,10 @@ def build_workload(network, spec, unit_only):
                                            seed=spec["seed"])
 
 
-def build(backend, algorithm, network, workload, substrate, policy, rng_mode, seed):
+def build(backend, algorithm, network, workload, substrate, policy, seed):
     key = "weighted_load" if isinstance(workload, WeightedLoads) else "initial_load"
     return make_balancer(algorithm, network, continuous_kind=substrate, seed=seed,
-                         selection_policy=policy, rng_mode=rng_mode,
-                         backend=backend, **{key: workload})
+                         selection_policy=policy, backend=backend, **{key: workload})
 
 
 def assert_same_round(reference, candidate, label):
@@ -101,37 +98,37 @@ def assert_same_round(reference, candidate, label):
 @example(topology="torus16",
          first=dict(kind="mixed", tasks_per_node=4, placement="point", weight=4, seed=1),
          second=dict(kind="single", tasks_per_node=2, placement="point", weight=3, seed=2),
-         algorithm=("algorithm1", TaskSelectionPolicy.LARGEST_FIRST, "sequential"),
+         algorithm=("algorithm1", TaskSelectionPolicy.LARGEST_FIRST),
          substrate="sos", rounds_before=6, rounds_after=6, seed=5)
 @example(topology="torus16",
          first=dict(kind="unit", tasks_per_node=4, placement="point", weight=2, seed=1),
          second=dict(kind="unit", tasks_per_node=2, placement="point", weight=2, seed=2),
-         algorithm=("algorithm2", TaskSelectionPolicy.FIFO, "counter"),
+         algorithm=("algorithm2", TaskSelectionPolicy.FIFO),
          substrate="sos", rounds_before=6, rounds_after=6, seed=5)
 @example(topology="torus16",
          first=dict(kind="mixed", tasks_per_node=4, placement="point", weight=4, seed=1),
          second=dict(kind="mixed", tasks_per_node=2, placement="point", weight=3, seed=2),
-         algorithm=("algorithm1", TaskSelectionPolicy.FIFO, "sequential"),
+         algorithm=("algorithm1", TaskSelectionPolicy.FIFO),
          substrate="sos", rounds_before=6, rounds_after=6, seed=5)
 @example(topology="torus16",
          first=dict(kind="mixed", tasks_per_node=4, placement="point", weight=4, seed=1),
          second=dict(kind="mixed", tasks_per_node=2, placement="point", weight=3, seed=2),
-         algorithm=("algorithm1", TaskSelectionPolicy.SMALLEST_FIRST, "sequential"),
+         algorithm=("algorithm1", TaskSelectionPolicy.SMALLEST_FIRST),
          substrate="sos", rounds_before=6, rounds_after=6, seed=5)
 @example(topology="torus16",
          first=dict(kind="unit", tasks_per_node=4, placement="point", weight=2, seed=1),
          second=dict(kind="unit", tasks_per_node=2, placement="point", weight=2, seed=2),
-         algorithm=("algorithm1", TaskSelectionPolicy.FIFO, "sequential"),
+         algorithm=("algorithm1", TaskSelectionPolicy.FIFO),
          substrate="sos", rounds_before=6, rounds_after=6, seed=5)
 @settings(deadline=None)
 def test_object_and_array_backends_agree(topology, first, second, algorithm,
                                          substrate, rounds_before, rounds_after,
                                          seed):
-    name, policy, rng_mode = algorithm
+    name, policy = algorithm
     unit_only = name == "algorithm2"
     network = network_for(topology)
     pair = [build(backend, name, network, build_workload(network, first, unit_only),
-                  substrate, policy, rng_mode, seed)
+                  substrate, policy, seed)
             for backend in ("object", "array")]
     for round_index in range(rounds_before):
         for balancer in pair:

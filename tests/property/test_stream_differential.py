@@ -25,6 +25,14 @@ the engine's post-event state (its coupling boundary and its sorted edge
 array), its counters and its timeline must match the reference's, whose
 topology is a networkx graph.
 
+**Fast vs full re-coupling.**  A load-only change (arrivals and departures)
+re-couples in place: the balancer rewinds onto the new workload and keeps
+its network, schedule and substrate data.  An engine whose every
+re-coupling is the full rebuild instead must run exactly the same stream on
+every substrate, for unit and weighted workloads and both algorithms: the
+same traces, timeline, per-label state and snapshot, apart from the count
+of fast re-couplings.
+
 The example count comes from the active hypothesis profile (see
 ``tests/conftest.py``): bounded for the tier-1 run, larger under
 ``--hypothesis-profile=deep``.
@@ -72,14 +80,17 @@ events = st.one_of(
 schedules = st.lists(st.lists(events, max_size=3), min_size=1, max_size=12)
 
 
-def build_engine(backend, topology, weighted, tasks_per_node, schedule, seed):
+def build_engine(backend, topology, weighted, tasks_per_node, schedule, seed,
+                 algorithm=None, continuous_kind="fos", cls=StreamingEngine):
     network = TOPOLOGIES[topology]()
     counts = uniform_random_load(network, tasks_per_node * network.num_nodes, seed=seed)
     load = (weighted_loads_from_task_counts(counts, max_weight=3, seed=seed)
             if weighted else counts)
     generator = ScheduledEvents(dict(enumerate(schedule)))
-    return StreamingEngine("algorithm1" if weighted else "algorithm2", network, load,
-                           generator, seed=seed, backend=backend, rng_mode="counter")
+    if algorithm is None:
+        algorithm = "algorithm1" if weighted else "algorithm2"
+    return cls(algorithm, network, load, generator, continuous_kind=continuous_kind,
+               seed=seed, backend=backend, rng_mode="counter")
 
 
 def assert_same_state(reference, candidate, label):
@@ -308,3 +319,44 @@ def test_batched_application_matches_one_event_at_a_time(topology, weighted,
             assert after["buckets"] == reference.nonzero_buckets(), label
         assert {key: state[key] for key in reference.counters} == reference.counters, label
         assert engine.timeline == timeline, label
+
+
+class FullRecoupleEngine(StreamingEngine):
+    """Re-couples a load-only change by the full rebuild, not the in-place rewind."""
+
+    def _recouple_loads(self):
+        self._couple()
+
+
+def without_fast_count(state):
+    return {key: value for key, value in state.items() if key != "fast_recouplings"}
+
+
+@given(topology=st.sampled_from(sorted(TOPOLOGIES)),
+       continuous_kind=st.sampled_from(["fos", "sos", "periodic-matching", "random-matching"]),
+       algorithm_and_weighted=st.sampled_from([("algorithm1", False), ("algorithm1", True),
+                                               ("algorithm2", False)]),
+       backend=st.sampled_from(["object", "array"]), tasks_per_node=st.integers(0, 6),
+       schedule=st.lists(st.lists(token_events, max_size=4), min_size=1, max_size=8),
+       extra_rounds=st.integers(0, 3), seed=st.integers(0, 2**16))
+@settings(deadline=None)
+def test_fast_recouple_matches_full_recouple(topology, continuous_kind,
+                                             algorithm_and_weighted, backend,
+                                             tasks_per_node, schedule, extra_rounds, seed):
+    algorithm, weighted = algorithm_and_weighted
+    fast, full = [build_engine(backend, topology, weighted, tasks_per_node, schedule, seed,
+                               algorithm=algorithm, continuous_kind=continuous_kind, cls=cls)
+                  for cls in (StreamingEngine, FullRecoupleEngine)]
+    for round_index in range(len(schedule) + extra_rounds):
+        fast.step()
+        full.step()
+        label = f"round {round_index}"
+        assert full.current_discrepancy() == fast.current_discrepancy(), label
+        assert full.total_real_load() == fast.total_real_load(), label
+        assert full.timeline == fast.timeline, label
+        assert full.tokens_by_label() == fast.tokens_by_label(), label
+        assert without_fast_count(full.state_dict()) == without_fast_count(fast.state_dict()), \
+            label
+    assert full.fast_recouplings == 0
+    assert fast.recouplings == full.recouplings
+    event("fast re-coupled" if fast.fast_recouplings else "no re-coupling")

@@ -13,6 +13,7 @@ from repro.network import topologies
 from repro.simulation.engine import (
     compare_algorithms,
     determine_balancing_time,
+    make_balancer,
     make_continuous,
     make_schedule,
     run_algorithm,
@@ -49,6 +50,22 @@ class TestFactories:
     def test_determine_balancing_time_positive(self, torus, load):
         T = determine_balancing_time(torus, load, "fos")
         assert T > 0
+
+    def test_round_down_on_sos_is_the_second_order_baseline(self, torus, load):
+        from repro.discrete.baselines.diffusion import RoundDownSecondOrder
+        from repro.network.spectral import alpha_array, sos_beta
+
+        balancer = make_balancer("round-down", torus, initial_load=load,
+                                 continuous_kind="sos")
+        assert type(balancer) is RoundDownSecondOrder
+        continuous = SecondOrderDiffusion(torus, load)
+        assert balancer.beta == continuous.beta == sos_beta(torus, alpha_array(torus))
+
+    @pytest.mark.parametrize("algorithm", ["quasirandom", "randomized-rounding",
+                                           "excess-tokens"])
+    def test_first_order_baselines_rejected_on_sos(self, torus, load, algorithm):
+        with pytest.raises(ExperimentError, match="has no second-order form"):
+            make_balancer(algorithm, torus, initial_load=load, continuous_kind="sos")
 
     def test_sos_balances_no_slower_than_fos_on_cycle(self):
         net = topologies.cycle(24)

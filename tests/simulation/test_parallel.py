@@ -3,7 +3,8 @@
 The load-bearing property is **worker-count invariance**: the same grid run
 at ``workers=1``, ``2`` and ``4`` must produce bit-identical results — the
 merge is deterministic and every run is a pure function of its (cell, seed)
-spec.  For randomized algorithms this is checked in both ``rng_mode``s.
+spec.  Randomized algorithms are included: their counter-based draws do not
+depend on which worker runs a cell.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from repro.simulation.sweep import SweepConfiguration, run_sweep
 WORKER_COUNTS = (1, 2, 4)
 
 
-def small_config(rng_mode="sequential", algorithm="algorithm2"):
+def small_config(algorithm="algorithm2"):
     return SweepConfiguration(algorithm=algorithm, topology="torus", num_nodes=16,
-                              tokens_per_node=8, workload="uniform",
-                              rng_mode=rng_mode)
+                              tokens_per_node=8, workload="uniform")
 
 
 def scenario_results(kind, scenarios, workers):
@@ -46,9 +46,8 @@ def run_signature(run):
 
 
 class TestWorkerCountInvariance:
-    @pytest.mark.parametrize("rng_mode", ["sequential", "counter"])
-    def test_sweep_identical_across_worker_counts(self, rng_mode):
-        config = small_config(rng_mode)
+    def test_sweep_identical_across_worker_counts(self):
+        config = small_config()
         seeds = [1, 2, 3, 4]
         cells = sweep_cells([config], seeds, record_trace=True)
         results = [run_sweep(config, seeds, record_trace=True)] + [
@@ -76,11 +75,10 @@ class TestWorkerCountInvariance:
             tables.append([result.as_row() for result in results])
         assert tables[0] == tables[1] == tables[2]
 
-    @pytest.mark.parametrize("rng_mode", ["sequential", "counter"])
-    def test_dynamic_trajectories_identical_across_worker_counts(self, rng_mode):
+    def test_dynamic_trajectories_identical_across_worker_counts(self):
         base = Scenario(name="inv", algorithm="algorithm2", topology="torus",
                         num_nodes=16, tokens_per_node=6, workload="uniform",
-                        events="burst", rounds=40, rng_mode=rng_mode)
+                        events="burst", rounds=40)
         scenarios = expand_seeds(base, [1, 2, 3, 4])
         serial = [run_scenario(scenario) for scenario in scenarios]
         for workers in WORKER_COUNTS[1:]:

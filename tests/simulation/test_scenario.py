@@ -40,6 +40,10 @@ class TestScenarioValidation:
         with pytest.raises(ExperimentError, match=f"{algorithm!r} is a (diffusion|matching) "):
             Scenario(name="bad", algorithm=algorithm, continuous_kind=continuous_kind)
 
+    def test_first_order_baseline_on_sos_rejected(self):
+        with pytest.raises(ExperimentError, match="no second-order form"):
+            Scenario(name="bad", algorithm="randomized-rounding", continuous_kind="sos")
+
     def test_invalid_numbers_rejected(self):
         with pytest.raises(ExperimentError):
             Scenario(name="bad", algorithm="algorithm1", num_nodes=1)
@@ -298,8 +302,7 @@ class TestSweepCellsAreScenarios:
             continuous_kind=configuration.continuous_kind,
             schedule=make_schedule(configuration.continuous_kind, network,
                                    seed=seeds.schedule),
-            seed=seeds.algorithm, record_trace=True, backend=configuration.backend,
-            rng_mode=configuration.rng_mode)
+            seed=seeds.algorithm, record_trace=True, backend=configuration.backend)
 
     @pytest.mark.parametrize("legacy", [False, True])
     @pytest.mark.parametrize("kind,algorithm", [
@@ -311,7 +314,7 @@ class TestSweepCellsAreScenarios:
 
         configuration = SweepConfiguration(
             algorithm=algorithm, topology="expander", num_nodes=12, tokens_per_node=6,
-            workload="uniform", continuous_kind=kind, rng_mode="sequential")
+            workload="uniform", continuous_kind=kind)
         result = run_sweep_cell(configuration, 5, record_trace=True, legacy_seeding=legacy)
         expected = self.reference(configuration, 5, legacy)
         assert result.as_dict() == expected.as_dict()

@@ -30,8 +30,7 @@ def engine_result(seed=7, rounds=10):
     network = topologies.torus(4, dims=2)
     load = point_load(network, 32 * network.num_nodes)
     return run_algorithm("algorithm2", network, initial_load=load,
-                         rounds=rounds, seed=seed, record_trace=True,
-                         rng_mode="counter")
+                         rounds=rounds, seed=seed, record_trace=True)
 
 
 class TestConfigHash:

@@ -31,8 +31,11 @@ class TestParser:
         from repro.simulation.engine import CONTINUOUS_KINDS
 
         args = build_parser().parse_args(argv)
-        assert (args.nodes, args.tokens_per_node, args.continuous, args.backend,
-                args.rng_mode) == (64, tokens, "fos", "auto", "sequential")
+        assert (args.nodes, args.tokens_per_node, args.continuous,
+                args.backend) == (64, tokens, "fos", "auto")
+        assert not hasattr(args, "rng_mode")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*argv, "--rng-mode", "counter"])
         assert getattr(args, "workers", None) == workers
         for kind in CONTINUOUS_KINDS:
             assert build_parser().parse_args([*argv, "--continuous", kind]).continuous == kind
@@ -104,8 +107,7 @@ class TestCommands:
     def test_sweep_command_with_workers(self, capsys):
         exit_code = main(["sweep", "--algorithm", "algorithm2", "--topology", "torus",
                           "--nodes", "16", "--tokens-per-node", "8",
-                          "--seeds", "1", "2", "3", "--workers", "2",
-                          "--rng-mode", "counter"])
+                          "--seeds", "1", "2", "3", "--workers", "2"])
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "algorithm2" in output
@@ -152,7 +154,7 @@ class TestCommands:
                           "--topology", "torus", "--nodes", "16",
                           "--tokens-per-node", "6", "--rounds", "60",
                           "--seeds", "1", "2", "--workers", "2",
-                          "--warmup", "5", "--rng-mode", "counter"])
+                          "--warmup", "5"])
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "2 seed(s)" in output
@@ -187,7 +189,8 @@ class TestCommands:
 
     @pytest.mark.parametrize("continuous,algorithm,message", [
         ("random-matching", "round-down", "'round-down' is a diffusion baseline"),
-        ("fos", "matching-randomized", "'matching-randomized' is a matching baseline")])
+        ("fos", "matching-randomized", "'matching-randomized' is a matching baseline"),
+        ("sos", "randomized-rounding", "'randomized-rounding' has no second-order form")])
     def test_compare_invalid_pair_exits_2(self, capsys, continuous, algorithm, message):
         assert main(["compare", "--nodes", "16", "--continuous", continuous,
                      "--algorithms", "algorithm1", algorithm]) == 2
@@ -228,7 +231,6 @@ class TestStoreAndReportCommands:
         exit_code = main(["sweep", "--algorithm", "algorithm2",
                           "--topology", "torus", "--nodes", "16",
                           "--tokens-per-node", "8", "--seeds", "1", "2",
-                          "--rng-mode", "counter",
                           "--store", str(store_path),
                           "--store-label", "test-sweep"])
         assert exit_code == 0
@@ -250,7 +252,7 @@ class TestStoreAndReportCommands:
 
         store_path = tmp_path / "runs.jsonl"
         exit_code = main(["dynamic", "--nodes", "16", "--rounds", "20",
-                          "--rng-mode", "counter", "--store", str(store_path),
+                          "--store", str(store_path),
                           "--store-label", "test-dyn"])
         assert exit_code == 0
         record = RunStore(store_path).records()[0]
@@ -276,6 +278,27 @@ class TestStoreAndReportCommands:
         assert exit_code == 0
         output = capsys.readouterr().out
         assert "final_max_min" in output and "delta" in output
+
+    def test_report_reads_records_of_the_retired_sequential_mode(self, tmp_path, capsys):
+        """Stores written before the counter RNG became the only mode still report."""
+        import json
+
+        from repro.store.runstore import config_hash
+
+        old = tmp_path / "old.jsonl"
+        lines = []
+        for line in self._populate(tmp_path / "runs.jsonl").read_text().splitlines():
+            record = json.loads(line)
+            record["config"]["rng_mode"] = "sequential"
+            record["config_hash"] = config_hash(record["config"])
+            lines.append(json.dumps(record))
+        old.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--store", str(old), "--diff", "#0", "#1",
+                     "--no-chart"]) == 0
+        assert "final_max_min" in capsys.readouterr().out
+        assert main(["report", "--store", str(old)]) == 0
+        assert "2 record(s)" in capsys.readouterr().out
 
     def test_report_missing_store_exits_2(self, tmp_path, capsys):
         exit_code = main(["report", "--store", str(tmp_path / "nope.jsonl")])
@@ -334,7 +357,7 @@ class TestStoreAndReportCommands:
         exit_code = main(["sweep", "--algorithm", "algorithm2",
                           "--topology", "torus", "--nodes", "16",
                           "--tokens-per-node", "8", "--seeds", "1",
-                          "--rng-mode", "counter", "--telemetry", "5"])
+                          "--telemetry", "5"])
         assert exit_code == 0
         captured = capsys.readouterr()
         assert "[engine] run_start" in captured.err
@@ -387,7 +410,7 @@ class TestStoreAndReportCommands:
         exit_code = main(["sweep", "--algorithm", "algorithm2",
                           "--topology", "torus", "--nodes", "16",
                           "--tokens-per-node", "8", "--seeds", "1",
-                          "--rng-mode", "counter", "--store", str(store_path),
+                          "--store", str(store_path),
                           "--telemetry", "10"])
         assert exit_code == 0
         captured = capsys.readouterr()
@@ -457,7 +480,7 @@ class TestFaultToleranceCLI:
     def test_dynamic_checkpoint_then_resume_round_trip(self, tmp_path, capsys):
         checkpoint = tmp_path / "run.checkpoint.json"
         exit_code = main(["dynamic", "--nodes", "12", "--rounds", "20",
-                          "--rng-mode", "counter", "--seed", "7",
+                          "--seed", "7",
                           "--checkpoint-every", "5",
                           "--checkpoint-path", str(checkpoint)])
         assert exit_code == 0
@@ -484,7 +507,7 @@ class TestFaultToleranceCLI:
 
         checkpoint = tmp_path / "run.checkpoint.json"
         assert main(["dynamic", "--nodes", "8", "--rounds", "8",
-                     "--rng-mode", "counter", "--checkpoint-every", "4",
+                     "--checkpoint-every", "4",
                      "--checkpoint-path", str(checkpoint)]) == 0
         truncate_checkpoint(checkpoint, keep_fraction=0.4)
         capsys.readouterr()
