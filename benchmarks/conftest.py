@@ -1,11 +1,9 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the pytest-benchmark entry points of the CI gate scripts.
 
-Every benchmark regenerates one table or figure of the paper (see the
-experiment index in ``DESIGN.md``): it runs the corresponding experiment from
-:mod:`repro.simulation.experiments` under ``pytest-benchmark``, prints the
-resulting rows as a plain-text table, and asserts the qualitative shape the
-paper reports.  Absolute timings are a by-product; the printed tables are the
-reproduction artefacts.
+``bench_backend_speedup.py``, ``bench_parallel_scaling.py`` and
+``bench_fault_recovery.py`` each run their measurement once under
+``pytest-benchmark`` and print the rows as a plain-text table.  The paper's
+tables and claims are evaluated by ``repro claims`` (:mod:`repro.simulation.claims`).
 """
 
 from __future__ import annotations

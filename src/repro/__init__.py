@@ -3,7 +3,8 @@
 This package reproduces "A Simple Approach for Adapting Continuous Load
 Balancing Processes to Discrete Settings" (Akbari, Berenbrink & Sauerwald,
 PODC 2012).  The public API is re-exported here; see ``README.md`` for a
-quickstart and ``DESIGN.md`` for the system inventory.
+quickstart, the repository layout and the reproduction record
+(``CLAIMS.json``, written by ``repro claims``).
 """
 
 from .backend import (

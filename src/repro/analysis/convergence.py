@@ -6,8 +6,8 @@ The balancing time of a continuous process ``A`` is
 
 (Section 3).  This module measures ``T^A`` empirically, records traces of the
 distance to the balanced state, and compares measured times against the
-spectral predictions of Section 2.1 (used by
-``benchmarks/bench_continuous_convergence.py``).
+spectral predictions of Section 2.1 (used by the ``convergence`` entry of
+:mod:`repro.simulation.claims`).
 """
 
 from __future__ import annotations

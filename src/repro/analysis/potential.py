@@ -11,9 +11,9 @@ quadratic potential ``Phi(t) = sum_i (x_i(t) - s_i W / S)^2``:
 
 This module records per-round potential traces for any process (continuous or
 discrete), estimates the empirical per-round drop factor, and evaluates the
-"large potential" threshold of [34] — the ablation benchmark
-``benchmarks/bench_potential_drop.py`` uses it to show that the classical
-analysis matches the simulation and where it stops being informative.
+"large potential" threshold of [34] — the ``potential-drop`` entry of
+:mod:`repro.simulation.claims` uses it to show that the classical analysis
+matches the simulation and where it stops being informative.
 """
 
 from __future__ import annotations

@@ -49,6 +49,9 @@ __all__ = ["BACKEND_KINDS", "BackendChoice", "resolve_backend"]
 #: Valid values of every ``backend=`` parameter.
 BACKEND_KINDS = ("auto", "object", "array")
 
+#: The algorithms a backend selects classes for; every other is a baseline.
+_FLOW_IMITATION = ("algorithm1", "algorithm2")
+
 
 @dataclass(frozen=True)
 class BackendChoice:
@@ -73,11 +76,12 @@ def _assignment_fallback_reason(assignment: TaskAssignment,
     return None
 
 
-def _with_rng_reason(choice: BackendChoice, algorithm: Optional[str]) -> BackendChoice:
-    """Refine an array choice's reason for the edge-keyed randomized algorithms."""
-    if choice.name == "array" and algorithm in ("algorithm2", "randomized-rounding"):
-        return BackendChoice(choice.name, f"{choice.reason}, edge-keyed counter rng")
-    return choice
+def _baseline_choice(backend: str, algorithm: str) -> BackendChoice:
+    """What a literature baseline runs on: its one integer-vector implementation."""
+    reason = "literature baselines share one integer-vector implementation across backends"
+    if algorithm in ("randomized-rounding", "excess-tokens"):
+        reason += ", order-free counter rng"
+    return BackendChoice("object" if backend == "object" else "array", reason)
 
 
 def resolve_backend(
@@ -92,14 +96,19 @@ def resolve_backend(
     integer token vectors, :class:`WeightedLoads` and integer-weight task
     assignments; it falls back to the object backend only when the workload
     genuinely needs task objects (non-integer weights, pre-existing dummy
-    tasks).  For the edge-keyed randomized algorithms the reason also notes
-    that the array path carries the order-free counter draws.  The reason
-    string makes the whole decision observable.
+    tasks).  For Algorithm 2 the reason also notes that the array path
+    carries the edge-keyed counter draws.  A literature baseline
+    (``algorithm`` other than ``"algorithm1"`` / ``"algorithm2"``) has one
+    implementation for every backend, and its reason says so, whether it
+    runs statically or as a stream.  The reason string makes the whole
+    decision observable.
     """
     if backend not in BACKEND_KINDS:
         raise ExperimentError(
             f"unknown backend {backend!r}; valid backends: {BACKEND_KINDS}"
         )
+    if algorithm is not None and algorithm not in _FLOW_IMITATION:
+        return _baseline_choice(backend, algorithm)
     if backend == "object":
         return BackendChoice("object", "requested explicitly")
     if assignment is not None:
@@ -117,4 +126,6 @@ def resolve_backend(
             choice = BackendChoice("array", "unit-token counts")
     else:
         choice = BackendChoice("array", "integer token counts")
-    return _with_rng_reason(choice, algorithm)
+    if choice.name == "array" and algorithm == "algorithm2":
+        return BackendChoice(choice.name, f"{choice.reason}, edge-keyed counter rng")
+    return choice

@@ -7,9 +7,9 @@ Compare algorithms on a hypercube::
     repro-loadbalance compare --topology hypercube --nodes 64 \
         --algorithms round-down algorithm1 algorithm2
 
-Regenerate the Table 1 comparison::
+Evaluate the paper's Table 1 claims::
 
-    repro-loadbalance table1 --size small
+    repro-loadbalance claims --only table1
 
 The CLI is intentionally thin: it parses arguments, calls the experiment
 harness and prints plain-text tables.
@@ -23,19 +23,12 @@ from typing import Optional, Sequence
 
 from .exceptions import ReproError
 from .network import topologies
+from .simulation.claims import (REGISTRY, evaluate_claims, failed_claims, format_claims,
+                                record_json)
 from .simulation.engine import (ALL_ALGORITHMS, BACKEND_KINDS, CONTINUOUS_KINDS,
                                 compare_algorithms, default_algorithms)
 from .simulation.workloads import WORKLOADS
-from .simulation.experiments import (
-    continuous_convergence_rows,
-    format_table,
-    initial_load_condition_rows,
-    scaling_in_n_rows,
-    table1_rows,
-    table2_rows,
-    theorem3_rows,
-    theorem8_rows,
-)
+from .simulation.experiments import format_table
 from .tasks.generators import point_load
 
 __all__ = ["build_parser", "main"]
@@ -115,25 +108,13 @@ def build_parser() -> argparse.ArgumentParser:
                               "baseline, algorithm1 and algorithm2)")
     compare.add_argument("--seed", type=int, default=7)
 
-    table1 = subparsers.add_parser("table1", help="reproduce the Table 1 comparison")
-    table1.add_argument("--size", default="small", choices=["small", "medium", "large"])
-    table1.add_argument("--seed", type=int, default=7)
-
-    table2 = subparsers.add_parser("table2", help="reproduce the Table 2 comparison")
-    table2.add_argument("--size", default="small", choices=["small", "medium", "large"])
-    table2.add_argument("--matching", default="random-matching",
-                        choices=["periodic-matching", "random-matching"])
-    table2.add_argument("--seed", type=int, default=7)
-
-    subparsers.add_parser("theorem3", help="validate the Theorem 3 bound (Algorithm 1)")
-    subparsers.add_parser("theorem8", help="validate the Theorem 8 bound (Algorithm 2)")
-    subparsers.add_parser("convergence", help="continuous balancing times vs spectral predictions")
-
-    scaling = subparsers.add_parser("scaling", help="discrepancy as n grows at fixed degree")
-    scaling.add_argument("--family", default="torus")
-    scaling.add_argument("--sizes", nargs="+", type=int, default=[16, 36, 64, 100])
-
-    subparsers.add_parser("initial-load", help="sweep of the sufficient-initial-load condition")
+    claims = subparsers.add_parser(
+        "claims", help="evaluate the paper's claims on fixed instances "
+                       "(exit 1 when one fails)")
+    claims.add_argument("--only", nargs="+", choices=list(REGISTRY), metavar="ID",
+                        help=f"evaluate only these entries: {', '.join(REGISTRY)}")
+    claims.add_argument("--json", action="store_true",
+                        help="print the JSON record checked in as CLAIMS.json")
 
     scenario = subparsers.add_parser("scenario", help="run a scenario described by a JSON file")
     scenario.add_argument("--file", required=True, help="path to the scenario JSON file")
@@ -445,22 +426,10 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
                                           "rounds", "max_min", "max_avg",
                                           "dummy_tokens", "went_negative",
                                           "backend"]))
-    elif args.command == "table1":
-        rows = table1_rows(size=args.size, seed=args.seed)
-        print(format_table(rows))
-    elif args.command == "table2":
-        rows = table2_rows(size=args.size, matching_kind=args.matching, seed=args.seed)
-        print(format_table(rows))
-    elif args.command == "theorem3":
-        print(format_table(theorem3_rows()))
-    elif args.command == "theorem8":
-        print(format_table(theorem8_rows()))
-    elif args.command == "convergence":
-        print(format_table(continuous_convergence_rows()))
-    elif args.command == "scaling":
-        print(format_table(scaling_in_n_rows(family=args.family, sizes=args.sizes)))
-    elif args.command == "initial-load":
-        print(format_table(initial_load_condition_rows()))
+    elif args.command == "claims":
+        record = evaluate_claims(args.only)
+        print(record_json(record) if args.json else format_claims(record))
+        return 1 if failed_claims(record) else 0
     elif args.command == "scenario":
         from .simulation.reporting import rows_to_csv
         from .simulation.scenario import load_scenario, run_scenario

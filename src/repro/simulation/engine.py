@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from ..backend import BACKEND_KINDS, BackendChoice, resolve_backend
+from ..backend import BACKEND_KINDS, resolve_backend
 from ..backend.flow import (
     ArrayDeterministicFlowImitation,
     ArrayRandomizedFlowImitation,
@@ -420,12 +420,6 @@ def run_algorithm(
                                  continuous_kind=continuous_kind,
                                  schedule=schedule, seed=seed, backend=backend)
         w_max = 1.0
-        # The backend choice selects no class for a baseline; report what
-        # actually ran, not just what was resolved.
-        reason = "literature baselines share one integer-vector implementation across backends"
-        if algorithm in ("randomized-rounding", "excess-tokens"):
-            reason += ", order-free counter rng"
-        choice = BackendChoice(choice.name, reason)
 
     probe: Optional[RoundProbe] = None
     if bus is not None:

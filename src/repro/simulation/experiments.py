@@ -1,10 +1,11 @@
 """Experiment harness: the parameter sweeps behind every table and figure.
 
-Each function reproduces one experiment from DESIGN.md's experiment index and
-returns a list of plain dictionaries (one per table row / figure point).  The
-benchmarks in ``benchmarks/`` call these functions, print the rows with
-:func:`format_table` and assert the qualitative shape the paper reports
-(who is independent of ``n``, who wins, by roughly what factor).
+Each function reproduces one of the paper's tables or figures and returns a
+list of plain dictionaries (one per table row / figure point).  The claims
+registry (:mod:`repro.simulation.claims`, ``repro claims``) runs them on
+fixed instances, prints the rows with :func:`format_table` and checks the
+shape the paper reports (who is independent of ``n``, who wins, by roughly
+what factor) as claim rows with margins.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "DEFAULT_TABLE1_ALGORITHMS",
     "DEFAULT_TABLE2_ALGORITHMS",
     "table1_graph_families",
-    "table2_graph_families",
     "table1_rows",
     "table2_rows",
     "theorem3_rows",
@@ -71,39 +71,14 @@ DEFAULT_TABLE2_ALGORITHMS = (
 )
 
 
-def table1_graph_families(size: str = "small", seed: int = 7) -> Dict[str, Network]:
-    """The four graph classes of Table 1 at a laptop-friendly size.
-
-    ``size`` is ``"small"`` (fast, used by the test-suite), ``"medium"``
-    (benchmark default) or ``"large"``.
-    """
-    if size == "small":
-        return {
-            "arbitrary (geometric)": topologies.random_geometric(48, seed=seed),
-            "expander (4-regular)": topologies.random_regular(48, 4, seed=seed),
-            "hypercube": topologies.hypercube(5),
-            "torus (2d)": topologies.torus(7, dims=2),
-        }
-    if size == "medium":
-        return {
-            "arbitrary (geometric)": topologies.random_geometric(128, seed=seed),
-            "expander (4-regular)": topologies.random_regular(128, 4, seed=seed),
-            "hypercube": topologies.hypercube(7),
-            "torus (2d)": topologies.torus(12, dims=2),
-        }
-    if size == "large":
-        return {
-            "arbitrary (geometric)": topologies.random_geometric(256, seed=seed),
-            "expander (4-regular)": topologies.random_regular(256, 4, seed=seed),
-            "hypercube": topologies.hypercube(8),
-            "torus (2d)": topologies.torus(16, dims=2),
-        }
-    raise ExperimentError(f"unknown size {size!r}; expected 'small', 'medium' or 'large'")
-
-
-def table2_graph_families(size: str = "small", seed: int = 7) -> Dict[str, Network]:
-    """The graph classes used for the matching-model comparison (Table 2)."""
-    return table1_graph_families(size=size, seed=seed)
+def table1_graph_families(seed: int = 7) -> Dict[str, Network]:
+    """The four graph classes of Tables 1 and 2 at a laptop-friendly size (32-49 nodes)."""
+    return {
+        "arbitrary (geometric)": topologies.random_geometric(48, seed=seed),
+        "expander (4-regular)": topologies.random_regular(48, 4, seed=seed),
+        "hypercube": topologies.hypercube(5),
+        "torus (2d)": topologies.torus(7, dims=2),
+    }
 
 
 def _point_load_instance(network: Network, tokens_per_node: int) -> np.ndarray:
@@ -112,43 +87,35 @@ def _point_load_instance(network: Network, tokens_per_node: int) -> np.ndarray:
 
 
 def table1_rows(
-    size: str = "small",
     algorithms: Sequence[str] = DEFAULT_TABLE1_ALGORITHMS,
     tokens_per_node: int = 32,
     seed: int = 7,
-    record_trace: bool = False,
 ) -> List[Dict[str, object]]:
     """Reproduce Table 1: final discrepancies of diffusion algorithms per graph class."""
     rows: List[Dict[str, object]] = []
-    for family, network in table1_graph_families(size=size, seed=seed).items():
+    for family, network in table1_graph_families(seed=seed).items():
         load = _point_load_instance(network, tokens_per_node)
-        results = compare_algorithms(
-            network, load, algorithms, continuous_kind="fos", seed=seed,
-            record_trace=record_trace,
-        )
+        results = compare_algorithms(network, load, algorithms, continuous_kind="fos",
+                                     seed=seed)
         for result in results:
             rows.append(_result_row(family, network, result))
     return rows
 
 
 def table2_rows(
-    size: str = "small",
     algorithms: Sequence[str] = DEFAULT_TABLE2_ALGORITHMS,
     matching_kind: str = "random-matching",
     tokens_per_node: int = 32,
     seed: int = 7,
-    record_trace: bool = False,
 ) -> List[Dict[str, object]]:
     """Reproduce Table 2: final discrepancies in the matching model per graph class."""
     if matching_kind not in ("periodic-matching", "random-matching"):
         raise ExperimentError("matching_kind must be 'periodic-matching' or 'random-matching'")
     rows: List[Dict[str, object]] = []
-    for family, network in table2_graph_families(size=size, seed=seed).items():
+    for family, network in table1_graph_families(seed=seed).items():
         load = _point_load_instance(network, tokens_per_node)
-        results = compare_algorithms(
-            network, load, algorithms, continuous_kind=matching_kind, seed=seed,
-            record_trace=record_trace,
-        )
+        results = compare_algorithms(network, load, algorithms,
+                                     continuous_kind=matching_kind, seed=seed)
         for result in results:
             row = _result_row(family, network, result)
             row["matching_kind"] = matching_kind
@@ -202,7 +169,6 @@ def theorem3_rows(
                 "max_min": result.final_max_min,
                 "max_avg": result.final_max_avg,
                 "bound": bound,
-                "within_bound": result.final_max_min <= bound + 1e-9,
                 "used_infinite_source": result.used_infinite_source,
             })
     return rows
@@ -302,13 +268,12 @@ def convergence_trace_rows(
 
 
 def continuous_convergence_rows(
-    size: str = "small",
     tokens_per_node: int = 32,
     seed: int = 7,
 ) -> List[Dict[str, object]]:
     """Measure continuous balancing times against the spectral predictions of Section 2.1."""
     rows: List[Dict[str, object]] = []
-    for family, network in table1_graph_families(size=size, seed=seed).items():
+    for family, network in table1_graph_families(seed=seed).items():
         load = _point_load_instance(network, tokens_per_node)
         summary = spectral_summary(network)
         for kind in ("fos", "sos", "periodic-matching", "random-matching"):
@@ -336,12 +301,18 @@ def initial_load_condition_rows(
 ) -> List[Dict[str, object]]:
     """Sweep the balanced base load and record when the infinite source is needed.
 
-    Theorem 3(2) / Theorem 8(2) require a base load of ``d * w_max`` (resp.
-    ``d/4 + O(sqrt(d log n))``) per speed unit for the max-min bound to hold
-    without dummy tokens; this sweep shows the transition empirically.
+    Theorem 3(2) (Algorithm 1) / Theorem 8(2) (Algorithm 2) require a base
+    load of ``d * w_max`` (resp. ``d/4 + O(sqrt(d log n))``) per speed unit
+    for the max-min bound to hold without dummy tokens; ``required_level``
+    is the threshold of ``algorithm``'s theorem, and every row records
+    whether the source was used.
     """
     if network is None:
         network = topologies.torus(6, dims=2)
+    if algorithm == "algorithm2":
+        required = theorem8_required_base_load(network.max_degree, network.num_nodes)
+    else:
+        required = theorem3_required_base_load(network.max_degree, 1.0)
     rows: List[Dict[str, object]] = []
     for level in base_levels:
         load = point_load(network, tokens_on_hotspot) + balanced_load(network, level)
@@ -349,7 +320,7 @@ def initial_load_condition_rows(
                                continuous_kind="fos", seed=seed)
         rows.append({
             "base_level": level,
-            "required_level": theorem3_required_base_load(network.max_degree, 1.0),
+            "required_level": required,
             "dummy_tokens": result.dummy_tokens,
             "used_infinite_source": result.used_infinite_source,
             "max_min": result.final_max_min,

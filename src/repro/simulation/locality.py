@@ -9,8 +9,8 @@ information".
 This module quantifies that claim for the flow-imitation algorithms.  Each
 :class:`~repro.tasks.task.Task` optionally records its ``origin`` node; after
 a run we can measure the graph distance between every task's origin and its
-final location and summarise the displacement distribution.  The ablation
-benchmark ``benchmarks/bench_ablation_selection_policy.py`` compares the
+final location and summarise the displacement distribution.  The
+``selection-policy`` entry of :mod:`repro.simulation.claims` compares the
 displacement of Algorithm 1 under the different task-selection policies.
 """
 

@@ -105,6 +105,24 @@ class TestResolution:
                 make_balancer(algorithm, network, initial_load=[2] * 4,
                               continuous_kind=kind, backend="columnar")
 
+    @pytest.mark.parametrize("algorithm", DIFFUSION_BASELINES + MATCHING_BASELINES)
+    def test_static_and_stream_runs_give_a_baseline_one_reason(self, algorithm):
+        from repro.dynamic.events import BurstyArrivals
+        from repro.dynamic.stream import run_stream
+
+        network = topologies.torus(4, dims=2)
+        kind = "random-matching" if algorithm.startswith("matching") else "fos"
+        load = [4] * network.num_nodes
+        for backend in BACKEND_KINDS:
+            static = run_algorithm(algorithm, network, initial_load=load, rounds=3,
+                                   continuous_kind=kind, seed=1, backend=backend)
+            stream = run_stream(algorithm, network, load,
+                                BurstyArrivals(8, period=2, first_round=1, seed=1),
+                                rounds=3, continuous_kind=kind, seed=1, backend=backend)
+            assert static.extra["backend_reason"] == stream.extra["backend_reason"]
+            assert static.extra["backend"] == stream.extra["backend"]
+            assert static.extra["backend_reason"].startswith("literature baselines share")
+
 
 class TestMakeBalancerThreading:
     def test_array_backend_builds_array_classes(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.exceptions import ExperimentError
@@ -24,19 +26,15 @@ from repro.simulation.experiments import (
 
 class TestGraphFamilies:
     def test_small_families(self):
-        families = table1_graph_families(size="small", seed=1)
+        families = table1_graph_families(seed=1)
         assert set(families) == {"arbitrary (geometric)", "expander (4-regular)",
                                  "hypercube", "torus (2d)"}
         assert all(net.is_connected() for net in families.values())
 
-    def test_unknown_size(self):
-        with pytest.raises(ExperimentError):
-            table1_graph_families(size="galactic")
-
 
 class TestTableRows:
     def test_table1_rows_structure(self):
-        rows = table1_rows(size="small", algorithms=("round-down", "algorithm1"),
+        rows = table1_rows(algorithms=("round-down", "algorithm1"),
                            tokens_per_node=8, seed=3)
         assert len(rows) == 4 * 2  # four graph families, two algorithms
         for row in rows:
@@ -45,7 +43,7 @@ class TestTableRows:
             assert row["max_min"] >= 0
 
     def test_table2_rows_structure(self):
-        rows = table2_rows(size="small", algorithms=("matching-round-down", "algorithm1"),
+        rows = table2_rows(algorithms=("matching-round-down", "algorithm1"),
                            matching_kind="periodic-matching", tokens_per_node=8, seed=3)
         assert len(rows) == 4 * 2
         assert all(row["matching_kind"] == "periodic-matching" for row in rows)
@@ -66,7 +64,6 @@ class TestTheoremRows:
                              tasks_per_node=8, max_speed=2, seed=5)
         assert len(rows) == 2
         for row in rows:
-            assert row["within_bound"]
             assert not row["used_infinite_source"]
             assert row["max_min"] <= row["bound"] + 1e-9
 
@@ -98,15 +95,21 @@ class TestFigureRows:
         assert all(row["max_min"] == pytest.approx(8 * 16) for row in first)
 
     def test_continuous_convergence_rows(self):
-        rows = continuous_convergence_rows(size="small", tokens_per_node=8, seed=2)
+        rows = continuous_convergence_rows(tokens_per_node=8, seed=2)
         kinds = {row["kind"] for row in rows}
         assert kinds == {"fos", "sos", "periodic-matching", "random-matching"}
         assert all(row["measured_T"] > 0 for row in rows)
         assert all(0 <= row["lambda"] < 1 for row in rows)
 
-    def test_initial_load_condition_rows(self):
-        rows = initial_load_condition_rows(base_levels=(0, 4), tokens_on_hotspot=64, seed=1)
+    @pytest.mark.parametrize("algorithm,required", [
+        ("algorithm1", 4.0),  # Theorem 3(2): d * w_max on the 6x6 torus
+        ("algorithm2", 1.0 + 2.0 * math.sqrt(4 * math.log(36))),  # Theorem 8(2): 8.57
+    ])
+    def test_initial_load_condition_rows(self, algorithm, required):
+        rows = initial_load_condition_rows(base_levels=(0, 4), tokens_on_hotspot=64,
+                                           algorithm=algorithm, seed=1)
         assert len(rows) == 2
+        assert [row["required_level"] for row in rows] == pytest.approx([required] * 2)
         # At (or above) the required level the infinite source must stay unused.
         above = [row for row in rows if row["base_level"] >= row["required_level"]]
         assert all(not row["used_infinite_source"] for row in above)

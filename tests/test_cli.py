@@ -59,17 +59,6 @@ class TestCommands:
         assert exit_code == 0
         assert "matching-round-down" in capsys.readouterr().out
 
-    def test_initial_load_command(self, capsys):
-        exit_code = main(["initial-load"])
-        assert exit_code == 0
-        assert "base_level" in capsys.readouterr().out
-
-    def test_scaling_command(self, capsys):
-        exit_code = main(["scaling", "--family", "cycle", "--sizes", "8", "16"])
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "algorithm" in output
-
     def test_scenario_command(self, capsys, tmp_path):
         from repro.simulation.scenario import Scenario
 
