@@ -43,7 +43,7 @@ from .metrics import (
     summarize_dynamic,
     time_in_band,
 )
-from .stream import StreamingEngine, run_stream
+from .stream import EventTimeline, StreamingEngine, run_stream
 
 __all__ = [
     "ARRIVAL",
@@ -65,6 +65,7 @@ __all__ = [
     "CompositeGenerator",
     "make_event_generator",
     "StreamingEngine",
+    "EventTimeline",
     "run_stream",
     "steady_state_discrepancy",
     "recovery_time",

@@ -16,9 +16,10 @@ behaviour over time:
 All functions operate on the ``trace_max_min`` / ``event_timeline`` fields of
 a :class:`~repro.simulation.results.RunResult` produced by
 :func:`repro.dynamic.stream.run_stream`, so they can also be applied to
-traces loaded from disk.  Trace index ``t`` is the state *after* round
-``t - 1`` (index 0 is the initial state); an event applied at the start of
-round ``t`` therefore first shows up at trace index ``t + 1``.
+traces loaded from disk (a plain list of event dicts works as a timeline).
+Trace index ``t`` is the state *after* round ``t - 1`` (index 0 is the
+initial state); an event applied at the start of round ``t`` therefore first
+shows up at trace index ``t + 1``.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 
 from ..exceptions import ExperimentError
 from ..simulation.results import RunResult
+from .stream import EventTimeline
 
 __all__ = [
     "steady_state_discrepancy",
@@ -69,7 +71,18 @@ def recovery_time(trace: Sequence[float], event_round: int, band: float) -> Opti
 
 def burst_rounds(timeline: Sequence[Dict[str, object]],
                  tag: str = "burst") -> List[int]:
-    """Rounds at which applied events with the given tag fired."""
+    """Rounds at which applied events with the given tag fired.
+
+    A stream's :class:`~repro.dynamic.stream.EventTimeline` is scanned with
+    one mask over its ``round``/``tag``/``applied`` columns; any other
+    sequence of event dicts is read entry by entry.
+    """
+    if isinstance(timeline, EventTimeline):
+        if tag not in timeline.tags:
+            return []
+        chosen = ((timeline.column("tag") == timeline.tags.index(tag))
+                  & (timeline.column("applied") == 1))
+        return timeline.column("round")[chosen].tolist()
     return [int(entry["round"]) for entry in timeline
             if entry.get("tag") == tag and entry.get("applied")]
 

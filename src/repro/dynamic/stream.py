@@ -34,9 +34,11 @@ preserves connectivity, which every balancing process in this library
 requires.  Events on labels that are not in the system are rejected too.
 
 The timeline of every event seen is kept as int64 columns (round, kind,
-label, realised tokens, applied, tag), appended once per round; the
+label, realised tokens, applied, tag), appended once per round.  The
 ``timeline`` property, ``result().event_timeline`` and
-``state_dict()["timeline"]`` build its list of dicts on demand.
+``state_dict()["timeline"]`` are O(1) :class:`EventTimeline` views that read
+like the list of event dicts and render a row only when it is read; the
+checkpoint writer and the burst scan read their columns directly.
 
 **Weighted streams.**  The initial workload may be a weighted
 :class:`~repro.tasks.assignment.TaskAssignment` or columnar
@@ -55,7 +57,10 @@ per-task objects.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+import secrets
+from bisect import bisect_left
+from collections.abc import Sequence
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -88,25 +93,125 @@ from .events import (
     StreamView,
 )
 
-__all__ = ["run_stream", "StreamingEngine"]
+__all__ = ["run_stream", "StreamingEngine", "EventTimeline"]
 
 _DEPARTURE, _JOIN = KIND_CODES[DEPARTURE], KIND_CODES[JOIN]
+
+
+#: The event log's columns, in row order.
+_COLUMNS = ("round", "kind", "node", "tokens", "applied", "tag")
+_ROUND, _KIND, _LABEL, _TOKENS, _APPLIED, _TAG = range(len(_COLUMNS))
+
+
+class EventTimeline(Sequence):
+    """Read-only view of an event log's first ``len(self)`` rows.
+
+    Behaves like the list of JSON-friendly event dicts it stands for -- O(1)
+    ``len``, a fresh dict per item, negative indices and slices, ``==``
+    against lists and other timelines and the list's ``repr`` -- without
+    building them: rows are rendered only when read.  The log only ever
+    appends past the rows a view covers, so a view is a stable snapshot.
+    Columnar readers (checkpoints, :func:`repro.dynamic.metrics.burst_rounds`)
+    use :meth:`column`, :meth:`rows`, :attr:`tags` and :meth:`attachments`
+    instead.
+    ``lineage`` names the live log the rows came from; a checkpoint appends
+    to an existing sidecar only for the same lineage.
+    """
+
+    __slots__ = ("_rows", "_tags", "_attach_rows", "_attach_to", "_attached", "lineage")
+
+    def __init__(self, rows: np.ndarray, tags: Tuple[str, ...], attach_rows: List[int],
+                 attach_to: List[Tuple[int, ...]], attached: int, lineage: str) -> None:
+        self._rows = rows[:]
+        self._rows.flags.writeable = False
+        self._tags = tags
+        self._attach_rows, self._attach_to, self._attached = attach_rows, attach_to, attached
+        self.lineage = lineage
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step == 1:
+                return self._records(start, max(start, stop))
+            return [self._records(row, row + 1)[0] for row in range(start, stop, step)]
+        row = range(len(self))[index]
+        return self._records(row, row + 1)[0]
+
+    def __iter__(self):
+        return iter(self._records(0, len(self)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (EventTimeline, list)):
+            return len(other) == len(self) and self._records(0, len(self)) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(self._records(0, len(self)))
+
+    def __deepcopy__(self, memo) -> "EventTimeline":
+        return self  # immutable: ``dataclasses.asdict`` of a result need not copy it
+
+    @property
+    def tags(self) -> Tuple[str, ...]:
+        """The tag table the ``tag`` column indexes."""
+        return self._tags
+
+    def column(self, name: str) -> np.ndarray:
+        """One int64 column (read-only): round, kind, node, tokens, applied or tag.
+
+        ``node`` holds :data:`~repro.dynamic.events.NO_LABEL` for a rejected
+        join; ``applied`` is 0/1; ``tag`` indexes :attr:`tags`.
+        """
+        return self._rows[:, _COLUMNS.index(name)]
+
+    def rows(self, start: int = 0) -> np.ndarray:
+        """The rows from ``start`` on, as a read-only ``(R, 6)`` int64 array in column order."""
+        return self._rows[start:]
+
+    def attachments(self) -> List[Tuple[int, Tuple[int, ...]]]:
+        """``(row, attachment labels)`` of every row with a non-empty ``attach_to``."""
+        return list(zip(self._attach_rows[:self._attached],
+                        self._attach_to[:self._attached]))
+
+    def _records(self, start: int, stop: int) -> List[Dict[str, object]]:
+        """Rows ``start:stop`` as fresh JSON-friendly dicts."""
+        tags = self._tags
+        records = [{"kind": EVENT_KINDS[kind],
+                    "node": None if kind == _JOIN and label == NO_LABEL else label,
+                    "tokens": tokens, "attach_to": [], "tag": tags[tag],
+                    "round": round_index, "applied": applied == 1}
+                   for round_index, kind, label, tokens, applied, tag
+                   in zip(*self._rows[start:stop].T.tolist())]
+        rows = self._attach_rows
+        for position in range(bisect_left(rows, start, 0, self._attached),
+                              bisect_left(rows, stop, 0, self._attached)):
+            records[rows[position] - start]["attach_to"] = list(self._attach_to[position])
+        return records
 
 
 class _EventLog:
     """The event timeline as int64 columns, appended once per round.
 
     One row per event: round, kind code, label, realised tokens, applied
-    (0/1) and an index into ``tags``; ``attach`` maps a row to its
-    attachment labels.  Capacity doubles as rows arrive.
+    (0/1) and an index into ``tags``; ``attach`` lists, in row order, the
+    rows with attachment labels.  Capacity doubles as rows arrive.  Rows are
+    never rewritten, so :meth:`view` is an O(1) snapshot.  ``lineage``
+    names this log (see :class:`EventTimeline`).
     """
 
-    def __init__(self) -> None:
-        self._rows = np.empty((64, 6), dtype=np.int64)
+    def __init__(self, lineage: Optional[str] = None) -> None:
+        self._rows = np.empty((64, len(_COLUMNS)), dtype=np.int64)
         self._size = 0
         self._tags: List[str] = []
         self._tag_codes: Dict[str, int] = {}
-        self._attach: Dict[int, Tuple[int, ...]] = {}
+        self._attach_rows: List[int] = []
+        self._attach_to: List[Tuple[int, ...]] = []
+        self.lineage = lineage if lineage is not None else secrets.token_hex(8)
 
     def append(self, rounds, kinds, labels, tokens, applied, tags: Sequence[str],
                tag_column, attach: Dict[int, Tuple[int, ...]]) -> None:
@@ -115,17 +220,24 @@ class _EventLog:
         if not size:
             return
         end = self._size + size
-        if end > len(self._rows):
-            grown = np.empty((max(end, 2 * len(self._rows)), 6), dtype=np.int64)
+        self._reserve(end)
+        block = self._rows[self._size:end]
+        block[:, _ROUND], block[:, _KIND], block[:, _LABEL] = rounds, kinds, labels
+        block[:, _TOKENS], block[:, _APPLIED] = tokens, applied
+        block[:, _TAG] = np.array([self._tag_code(tag) for tag in tags],
+                                  dtype=np.int64)[tag_column]
+        for row in sorted(attach):
+            if attach[row]:
+                self._attach_rows.append(self._size + row)
+                self._attach_to.append(tuple(attach[row]))
+        self._size = end
+
+    def _reserve(self, rows: int) -> None:
+        if rows > len(self._rows):
+            grown = np.empty((max(rows, 2 * len(self._rows), 64), len(_COLUMNS)),
+                             dtype=np.int64)
             grown[:self._size] = self._rows[:self._size]
             self._rows = grown
-        block = self._rows[self._size:end]
-        block[:, 0], block[:, 1], block[:, 2] = rounds, kinds, labels
-        block[:, 3], block[:, 4] = tokens, applied
-        block[:, 5] = np.array([self._tag_code(tag) for tag in tags],
-                               dtype=np.int64)[tag_column]
-        self._attach.update((self._size + row, targets) for row, targets in attach.items())
-        self._size = end
 
     def _tag_code(self, tag: str) -> int:
         code = self._tag_codes.get(tag)
@@ -134,35 +246,45 @@ class _EventLog:
             self._tags.append(tag)
         return code
 
-    def records(self) -> List[Dict[str, object]]:
-        """The timeline as fresh JSON-friendly dicts, in chronological order."""
-        tags = self._tags
-        records = [{"kind": EVENT_KINDS[kind],
-                    "node": None if kind == _JOIN and label == NO_LABEL else label,
-                    "tokens": tokens, "attach_to": [], "tag": tags[tag],
-                    "round": round_index, "applied": applied == 1}
-                   for round_index, kind, label, tokens, applied, tag
-                   in zip(*self._rows[:self._size].T.tolist())]
-        for row, targets in self._attach.items():
-            records[row]["attach_to"] = list(targets)
-        return records
+    def view(self) -> EventTimeline:
+        """The timeline of every row appended so far."""
+        return EventTimeline(self._rows[:self._size], tuple(self._tags), self._attach_rows,
+                             self._attach_to, len(self._attach_rows), self.lineage)
 
     @classmethod
-    def from_records(cls, records: Sequence[Dict[str, object]]) -> "_EventLog":
-        """The log of a :meth:`records` list (e.g. read back from a checkpoint)."""
-        log = cls()
-        tags = list(dict.fromkeys(str(record["tag"]) for record in records))
-        code = {tag: index for index, tag in enumerate(tags)}
-        log.append([int(record["round"]) for record in records],
-                   [KIND_CODES[str(record["kind"])] for record in records],
-                   [NO_LABEL if record["node"] is None else int(record["node"])
-                    for record in records],
-                   [int(record["tokens"]) for record in records],
-                   [bool(record["applied"]) for record in records],
-                   tags, [code[str(record["tag"])] for record in records],
-                   {row: tuple(int(label) for label in record["attach_to"])
-                    for row, record in enumerate(records) if record["attach_to"]})
+    def from_columns(cls, rows: np.ndarray, tags: Sequence[str],
+                     attachments: Sequence[Tuple[int, Tuple[int, ...]]],
+                     lineage: Optional[str] = None) -> "_EventLog":
+        """The log of ``rows`` (an ``(R, 6)`` int64 array), its tag table and attachments.
+
+        The log adopts ``rows`` without copying it: the array is full, so the
+        first append moves the rows to a new one and never writes to it.
+        """
+        log = cls(lineage)
+        log._rows = np.ascontiguousarray(rows, dtype=np.int64).reshape(-1, len(_COLUMNS))
+        log._size = len(log._rows)
+        for tag in tags:
+            log._tag_code(str(tag))
+        for row, targets in attachments:
+            if targets:
+                log._attach_rows.append(int(row))
+                log._attach_to.append(tuple(int(label) for label in targets))
         return log
+
+    @classmethod
+    def from_timeline(cls, timeline: Sequence[Dict[str, Any]]) -> "_EventLog":
+        """A fresh log (new lineage) of a timeline view (sharing its rows) or of event dicts."""
+        if isinstance(timeline, EventTimeline):
+            return cls.from_columns(timeline._rows, timeline.tags, timeline.attachments())
+        tags = list(dict.fromkeys(str(record["tag"]) for record in timeline))
+        code = {tag: index for index, tag in enumerate(tags)}
+        rows = np.array([[int(record["round"]), KIND_CODES[str(record["kind"])],
+                          NO_LABEL if record["node"] is None else int(record["node"]),
+                          int(record["tokens"]), bool(record["applied"]),
+                          code[str(record["tag"])]] for record in timeline],
+                        dtype=np.int64).reshape(-1, len(_COLUMNS))
+        return cls.from_columns(rows, tags, [(row, record["attach_to"]) for row, record
+                                             in enumerate(timeline) if record["attach_to"]])
 
 
 class StreamingEngine:
@@ -291,9 +413,9 @@ class StreamingEngine:
         return self._config["resolved_backend"]
 
     @property
-    def timeline(self) -> List[Dict[str, object]]:
-        """Chronological record of all events seen so far (fresh dicts)."""
-        return self._log.records()
+    def timeline(self) -> EventTimeline:
+        """Chronological record of all events seen so far (a read-only view)."""
+        return self._log.view()
 
     @property
     def labels(self) -> Tuple[int, ...]:
@@ -401,9 +523,11 @@ class StreamingEngine:
         return dict(self._config)
 
     def state_dict(self) -> Dict[str, object]:
-        """JSON-friendly snapshot of the full mutable stream state.
+        """Snapshot of the full mutable stream state, O(n·K) plus the timeline view.
 
-        The snapshot holds the stable-label system (sorted ``nodes``, the
+        Every value is JSON-friendly except ``timeline``, an
+        :class:`EventTimeline` (the run store's canonical JSON renders it as
+        its list of dicts).  The snapshot holds the stable-label system (sorted ``nodes``, the
         sorted canonical ``[u, v]`` label pairs of ``edges``, speeds, tokens),
         every run-level counter, the event generator's randomness position
         and the last coupling **boundary** (workload + rounds advanced since).
@@ -435,7 +559,7 @@ class StreamingEngine:
                                      if self.weighted else None),
                          "clamped_tokens": self._boundary_clamped,
                          "rounds_since": self._rounds_since_boundary},
-            "timeline": self._log.records(),
+            "timeline": self._log.view(),
             "generator": self._generator.state_dict(),
         }
 
@@ -460,7 +584,9 @@ class StreamingEngine:
         verifies the replayed loads match the snapshotted ones and raises
         :class:`~repro.exceptions.CheckpointError` otherwise; so does a
         malformed topology (a label listed twice, a self loop, an edge or a
-        node missing from the other tables).
+        node missing from the other tables).  ``state["timeline"]`` may be an
+        :class:`EventTimeline` or a list of event dicts; the engine logs into
+        a copy of it under a new lineage.
         """
         require_counter_rng(config.get("rng_mode"), error=CheckpointError)
         engine = cls.__new__(cls)
@@ -496,7 +622,7 @@ class StreamingEngine:
         engine._dummy_tokens = int(state["dummy_tokens"])
         engine._used_infinite_source = bool(state["used_infinite_source"])
         engine._went_negative = bool(state["went_negative"])
-        engine._log = _EventLog.from_records(state["timeline"])
+        engine._log = _EventLog.from_timeline(state["timeline"])
 
         engine._balancer = None
         engine._attach_bus(None)

@@ -27,7 +27,10 @@ the dynamic stream's step outside the balancer: ``"stream/events"``
 (generating and applying a round's event batch), ``"stream/recouple-fast"``
 (the in-place load re-coupling) and ``"stream/recouple-full"`` (the rebuild
 after a join or leave).  A stream's phases land in the kernel phases of the
-balancing round that follows them.
+balancing round that follows them.  Checkpoints report
+``"checkpoint/write"``, ``"checkpoint/read"`` and ``"checkpoint/replay"``
+(restoring an engine: re-coupling at the boundary and replaying the rounds
+since).
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 __all__ = ["RunResult"]
 
@@ -51,7 +51,13 @@ class RunResult:
         Optional chronological record of the workload/topology events of a
         dynamic run (:mod:`repro.dynamic`).  Each entry is the JSON-friendly
         dictionary of one applied (or rejected) event, with at least
-        ``round``, ``kind``, ``node``, ``tokens`` and ``applied`` keys.
+        ``round``, ``kind``, ``node``, ``tokens`` and ``applied`` keys.  A
+        stream stores a read-only
+        :class:`~repro.dynamic.stream.EventTimeline` over its event log: it
+        reads, compares and prints like that list of dicts (fresh dicts on
+        every access) and :func:`~repro.store.runstore.result_payload`
+        renders it as one, but ``len`` is O(1) and no dict is built until a
+        row is read.
     extra:
         Free-form additional measurements (e.g. the spectral gap), plus the
         observability keys every engine run records: ``"backend"`` (the
@@ -77,7 +83,7 @@ class RunResult:
     went_negative: bool = False
     trace_max_min: Optional[List[float]] = None
     trace_total_weight: Optional[List[float]] = None
-    event_timeline: Optional[List[Dict[str, object]]] = None
+    event_timeline: Optional[Sequence[Dict[str, object]]] = None
     extra: Dict[str, object] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, object]:

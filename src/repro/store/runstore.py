@@ -34,6 +34,7 @@ import platform
 import subprocess
 import time
 import warnings
+from collections import abc
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
@@ -58,8 +59,14 @@ __all__ = [
 PathLike = Union[str, pathlib.Path]
 
 
+#: Exact types ``_jsonify`` returns unchanged (numpy scalar subclasses are converted).
+_PLAIN_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
 def _jsonify(value):
-    """Recursively convert numpy scalars/arrays so ``json.dumps`` succeeds."""
+    """Recursively convert numpy scalars/arrays and sequence views to plain JSON values."""
+    if type(value) in _PLAIN_TYPES:
+        return value
     if isinstance(value, dict):
         return {str(key): _jsonify(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -72,6 +79,9 @@ def _jsonify(value):
         return float(value)
     if isinstance(value, np.bool_):
         return bool(value)
+    if isinstance(value, abc.Sequence) and not isinstance(value, (str, bytes)):
+        # e.g. a stream's EventTimeline view: rendered as its list of dicts
+        return [_jsonify(item) for item in value]
     return value
 
 

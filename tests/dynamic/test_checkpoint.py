@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import pathlib
 from dataclasses import asdict, replace
 
@@ -22,6 +23,8 @@ from repro.dynamic.events import make_event_generator
 from repro.dynamic.stream import StreamingEngine
 from repro.exceptions import CheckpointError, ExperimentError
 from repro.faults import truncate_checkpoint
+from repro.obs import kernels
+from repro.obs.kernels import activate_kernel_clock, deactivate_kernel_clock
 from repro.simulation.scenario import Scenario, run_scenario
 from repro.store.runstore import canonical_json
 
@@ -229,10 +232,10 @@ class TestCheckpointValidation:
 
     def test_trace_length_mismatch_rejected(self, tmp_path):
         path = self._written(tmp_path)
-        data = json.loads(path.read_text())
-        data["trace_max_min"] = data["trace_max_min"][:-2]
-        # keep the config hash valid: only the traces were damaged
-        path.write_text(json.dumps(data))
+        checkpoint = read_checkpoint(path)
+        # keep the files consistent: only the traces were damaged
+        write_checkpoint(replace(checkpoint, trace_max_min=checkpoint.trace_max_min[:-2]),
+                         path)
         with pytest.raises(CheckpointError, match="trace length"):
             resume_stream(path, generator=_fresh_generator(_scenario(rounds=8)))
 
@@ -347,3 +350,176 @@ class TestGoldenCheckpoints:
         assert fresh.state == checkpoint.state
         assert fresh.trace_max_min == checkpoint.trace_max_min
         assert fresh.trace_total_weight == checkpoint.trace_total_weight
+
+
+def _sidecar(path):
+    """The sidecar a version 2 checkpoint file points at."""
+    return path.parent / json.loads(path.read_text())["history"]["file"]
+
+
+def _step_and_write(engine, path, rounds, trace, totals, total_rounds):
+    for _ in range(rounds):
+        engine.step()
+        trace.append(engine.current_discrepancy())
+        totals.append(float(engine.total_real_load()))
+    return write_checkpoint(checkpoint_engine(engine, total_rounds=total_rounds,
+                                              trace=trace, totals=totals), path)
+
+
+class TestSidecar:
+    """The version 2 layout: JSON state plus an append-only history sidecar."""
+
+    ROUNDS = 24
+
+    def _run(self, tmp_path, seed=13, name="ckpt.json", stop=12, cadence=4):
+        """Drive a run to ``stop`` writing every ``cadence`` rounds; return path and sizes."""
+        scenario = _scenario(seed=seed, rounds=self.ROUNDS)
+        engine = _build_engine(scenario)
+        trace = [engine.current_discrepancy()]
+        totals = [float(engine.total_real_load())]
+        path = tmp_path / name
+        sizes = []
+        while engine.round_index < stop:
+            _step_and_write(engine, path, cadence, trace, totals, self.ROUNDS)
+            sizes.append(_sidecar(path).read_bytes())
+        return scenario, engine, path, sizes
+
+    def test_the_json_holds_no_history(self, tmp_path):
+        _, engine, path, _ = self._run(tmp_path)
+        data = json.loads(path.read_text())
+        assert data["version"] == CHECKPOINT_VERSION == 2
+        assert "timeline" not in data["state"] and "trace_max_min" not in data
+        assert data["history"]["events"] == len(engine.timeline)
+        assert data["history"]["trace"] == engine.round_index + 1
+        assert data["history"]["bytes"] == _sidecar(path).stat().st_size
+
+    def test_writes_append_only_the_new_rows(self, tmp_path):
+        _, engine, path, sizes = self._run(tmp_path, stop=16)
+        assert len({json.loads(path.read_text())["history"]["file"]}) == 1
+        for before, after in zip(sizes, sizes[1:]):
+            assert after.startswith(before) and len(after) > len(before)
+        # rewriting the same snapshot appends nothing
+        write_checkpoint(read_checkpoint(path), path)
+        assert _sidecar(path).read_bytes() == sizes[-1]
+
+    def test_resume_rewrites_then_appends(self, tmp_path):
+        scenario, _, path, _ = self._run(tmp_path)
+        old = _sidecar(path)
+        result = resume_stream(path, generator=_fresh_generator(scenario),
+                               checkpoint_every=4)
+        new = _sidecar(path)
+        assert new != old and not old.exists()
+        assert result.trace_max_min == run_scenario(scenario).trace_max_min
+        resumed = resume_stream(path, generator=_fresh_generator(scenario))
+        assert resumed.trace_max_min == result.trace_max_min
+        assert resumed.event_timeline == result.event_timeline
+
+    def test_trailing_bytes_past_the_offsets_are_ignored(self, tmp_path):
+        scenario, engine, path, _ = self._run(tmp_path)
+        baseline = run_scenario(scenario)
+        with open(_sidecar(path), "ab") as handle:
+            handle.write(b"half-written block from a crash")
+        assert resume_stream(path, generator=_fresh_generator(scenario)).trace_max_min \
+            == baseline.trace_max_min
+        # the next write of the same run drops them and appends after the offsets
+        trace = list(read_checkpoint(path).trace_max_min)
+        totals = list(read_checkpoint(path).trace_total_weight)
+        _step_and_write(engine, path, 4, trace, totals, self.ROUNDS)
+        assert b"half-written" not in _sidecar(path).read_bytes()
+        resumed = resume_stream(path, generator=_fresh_generator(scenario))
+        assert resumed.trace_max_min == baseline.trace_max_min
+        assert resumed.event_timeline == baseline.event_timeline
+
+    def test_short_sidecar_rejected(self, tmp_path):
+        _, _, path, _ = self._run(tmp_path)
+        sidecar = _sidecar(path)
+        with open(sidecar, "rb+") as handle:
+            handle.truncate(sidecar.stat().st_size - 5)
+        with pytest.raises(CheckpointError, match="ends at byte"):
+            read_checkpoint(path)
+
+    def test_missing_sidecar_rejected(self, tmp_path):
+        _, _, path, _ = self._run(tmp_path)
+        _sidecar(path).unlink()
+        with pytest.raises(CheckpointError, match="cannot be read"):
+            read_checkpoint(path)
+
+    def test_damaged_block_rejected(self, tmp_path):
+        _, _, path, _ = self._run(tmp_path)
+        sidecar = _sidecar(path)
+        data = bytearray(sidecar.read_bytes())
+        data[-3] ^= 0xFF
+        sidecar.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="damaged block"):
+            read_checkpoint(path)
+
+    def test_another_runs_sidecar_is_never_appended_to(self, tmp_path):
+        """A second run writing to the same path starts its own sidecar.
+
+        Its first write already holds more rows than the first run's, so
+        only the lineage tells the two histories apart.
+        """
+        _, _, path, _ = self._run(tmp_path, seed=13, stop=4)
+        first = _sidecar(path)
+        witness = tmp_path / "witness"
+        os.link(first, witness)  # keeps the first sidecar's bytes after it is removed
+        before = witness.read_bytes()
+        other, _, _, _ = self._run(tmp_path, seed=14, stop=16, cadence=8)
+        assert _sidecar(path) != first and not first.exists()
+        assert witness.read_bytes() == before
+        resumed = resume_stream(path, generator=_fresh_generator(other))
+        assert resumed.trace_max_min == run_scenario(other).trace_max_min
+        assert len(list(tmp_path.glob("ckpt.json.*.history"))) == 1
+
+    def test_an_older_snapshot_of_the_same_run_gets_a_fresh_sidecar(self, tmp_path):
+        scenario = _scenario(rounds=self.ROUNDS)
+        engine = _build_engine(scenario)
+        trace, totals = [engine.current_discrepancy()], [float(engine.total_real_load())]
+        path = _step_and_write(engine, tmp_path / "ckpt.json", 4, trace, totals, self.ROUNDS)
+        older = read_checkpoint(path)
+        _step_and_write(engine, path, 4, trace, totals, self.ROUNDS)
+        newer = _sidecar(path)
+        write_checkpoint(older, path)
+        assert _sidecar(path) != newer
+        assert read_checkpoint(path).round_index == 4
+        assert resume_stream(path, generator=_fresh_generator(scenario)).trace_max_min \
+            == run_scenario(scenario).trace_max_min
+
+    def test_sidecar_of_a_fresh_write_is_deterministic(self, tmp_path):
+        _, _, first, _ = self._run(tmp_path / "a")
+        _, _, second, _ = self._run(tmp_path / "b")
+        assert _sidecar(first).read_bytes() == _sidecar(second).read_bytes()
+
+
+class TestCheckpointPhases:
+    def _roundtrip(self, tmp_path):
+        scenario = _scenario(rounds=8)
+        engine = _build_engine(scenario)
+        for _ in range(4):
+            engine.step()
+        path = write_checkpoint(checkpoint_engine(engine, total_rounds=8), tmp_path / "c.json")
+        restore_engine(read_checkpoint(path), generator=_fresh_generator(scenario))
+
+    def test_an_active_clock_times_write_read_and_replay(self, tmp_path):
+        clock = activate_kernel_clock()
+        try:
+            self._roundtrip(tmp_path)
+        finally:
+            deactivate_kernel_clock()
+        for phase in ("checkpoint/write", "checkpoint/read", "checkpoint/replay"):
+            assert clock.counts.get(phase) == 1, phase
+            assert clock.totals[phase] > 0.0
+
+    def test_an_inactive_clock_reads_no_time(self, tmp_path, monkeypatch):
+        reads = []
+
+        class CountingClock:
+            @staticmethod
+            def perf_counter():
+                reads.append(1)
+                return 0.0
+
+        monkeypatch.setattr(kernels, "time", CountingClock)
+        deactivate_kernel_clock()
+        self._roundtrip(tmp_path)
+        assert reads == []

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+from repro.dynamic.events import ARRIVAL, DynamicEvent, ScheduledEvents
 from repro.dynamic.metrics import (
     burst_rounds,
     drain_rate,
@@ -13,8 +17,11 @@ from repro.dynamic.metrics import (
     summarize_dynamic,
     time_in_band,
 )
+from repro.dynamic.stream import EventTimeline, run_stream
 from repro.exceptions import ExperimentError
+from repro.network import topologies
 from repro.simulation.results import RunResult
+from repro.simulation.scenario import Scenario, run_scenario
 
 
 def make_result(trace, timeline):
@@ -159,3 +166,37 @@ class TestWarmupStart:
         result = make_result([1.0, 2.0], [])
         with pytest.raises(ExperimentError):
             summarize_dynamic(result, band=10.0, start=-1)
+
+
+class TestColumnarBurstScan:
+    """A stream's timeline view is scanned by columns; the result equals the dict scan."""
+
+    @pytest.mark.parametrize("profile,seed", [("mixed", 1), ("burst", 4), ("mixed", 9)])
+    def test_view_path_equals_dict_path(self, profile, seed):
+        scenario = Scenario(name="scan", algorithm="algorithm2", topology="torus",
+                            num_nodes=16, tokens_per_node=6, workload="uniform",
+                            rounds=120, events=profile, seed=seed)
+        result = run_scenario(scenario)
+        view = result.event_timeline
+        assert isinstance(view, EventTimeline)
+        listed = replace(result, event_timeline=list(view))
+        for tag in sorted(set(view.tags)) + ["never-used"]:
+            assert burst_rounds(view, tag=tag) == burst_rounds(list(view), tag=tag)
+        assert burst_rounds(view), "the stream fired no applied burst"
+        assert recovery_report(result, band=10.0) == recovery_report(listed, band=10.0)
+        assert summarize_dynamic(result, band=10.0) == summarize_dynamic(listed, band=10.0)
+
+    def test_rejected_and_other_tagged_events_are_skipped(self):
+        network = topologies.cycle(6)
+        generator = ScheduledEvents({
+            2: [DynamicEvent(ARRIVAL, node=1, tokens=30, tag="burst"),
+                DynamicEvent(ARRIVAL, node=99, tokens=30, tag="burst")],
+            4: [DynamicEvent(ARRIVAL, node=42, tokens=30, tag="burst")],
+            5: [DynamicEvent(ARRIVAL, node=2, tokens=5, tag="trickle")],
+            7: [DynamicEvent(ARRIVAL, node=3, tokens=30, tag="burst")],
+        })
+        result = run_stream("algorithm2", network, np.full(6, 4), generator, rounds=10, seed=0)
+        view = result.event_timeline
+        assert [entry["applied"] for entry in view] == [True, False, False, True, True]
+        assert burst_rounds(view) == burst_rounds(list(view)) == [2, 7]
+        assert burst_rounds(view, tag="trickle") == [5]

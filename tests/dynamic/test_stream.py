@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ from repro.dynamic.events import (
     ScheduledEvents,
     make_event_generator,
 )
-from repro.dynamic.stream import StreamingEngine, run_stream
+from repro.dynamic.stream import EventTimeline, StreamingEngine, _EventLog, run_stream
 from repro.exceptions import ExperimentError
 from repro.network import topologies
 from repro.obs.kernels import activate_kernel_clock, deactivate_kernel_clock
@@ -234,6 +237,74 @@ class TestTimeline:
         assert engine.timeline[0]["tokens"] == 1
         assert engine.state_dict()["timeline"][0]["attach_to"] == [0, 2]
         assert engine.result().event_timeline[0]["attach_to"] == [0, 2]
+
+    @staticmethod
+    def _churned_engine(rounds=30):
+        network, load = torus_instance()
+        generator = CompositeGenerator([
+            PoissonArrivals(3.0, seed=1), PoissonDepartures(2.0, seed=2),
+            NodeChurn(join_probability=0.5, leave_probability=0.3, attach_degree=2, seed=9)])
+        engine = StreamingEngine("algorithm2", network, load, generator, seed=1)
+        for _ in range(rounds):
+            engine.step()
+        return engine
+
+    def test_view_reads_like_its_list_of_dicts(self):
+        engine = self._churned_engine()
+        view = engine.timeline
+        records = list(view)
+        assert isinstance(view, EventTimeline)
+        assert len(view) == len(records) > 10
+        assert any(record["attach_to"] for record in records), "no join in the stream"
+        assert view == records and records == view and not view != records
+        assert view == engine.timeline
+        assert repr(view) == repr(records)
+        for index in (0, 3, -1, -len(records)):
+            assert view[index] == records[index]
+        for window in (slice(2, 9), slice(-5, None), slice(None, None, 3),
+                       slice(9, 2, -2), slice(5, 5)):
+            assert view[window] == records[window]
+        with pytest.raises(IndexError):
+            view[len(records)]
+        assert view != records[:-1] and view != records[1:] + records[:1]
+
+    def test_view_hands_out_fresh_dicts(self):
+        view = self._churned_engine().timeline
+        joined = next(index for index, record in enumerate(view) if record["attach_to"])
+        first = view[joined]
+        first["attach_to"].append(-1)
+        first["tokens"] = -1
+        assert view[joined] is not first
+        assert view[joined]["attach_to"][-1] != -1 and view[joined]["tokens"] != -1
+        assert next(iter(view)) is not next(iter(view))
+
+    def test_view_is_a_snapshot_of_the_rows_so_far(self):
+        engine = self._churned_engine()
+        view = engine.timeline
+        frozen = list(view)
+        for _ in range(40):  # grows the log past its capacity
+            engine.step()
+        assert len(engine.timeline) > len(view) == len(frozen)
+        assert view == frozen
+        assert engine.timeline[:len(frozen)] == frozen
+
+    def test_view_survives_pickle_and_copy(self):
+        view = self._churned_engine().timeline
+        for copied in (pickle.loads(pickle.dumps(view)), copy.deepcopy(view), copy.copy(view)):
+            assert copied == view and list(copied) == list(view)
+        assert pickle.loads(pickle.dumps(view)).lineage == view.lineage
+
+    def test_views_compare_across_tag_tables(self):
+        """Logs that met the tags in another order still hold the same timeline."""
+        view = self._churned_engine().timeline
+        assert len(view.tags) > 1
+        rows = view.rows().copy()
+        rows[:, 5] = len(view.tags) - 1 - rows[:, 5]
+        reordered = _EventLog.from_columns(rows, view.tags[::-1], view.attachments()).view()
+        assert reordered == view and list(reordered) == list(view)
+        changed = list(view)
+        changed[-1]["tag"] = "elsewhere"
+        assert view != changed
 
     def test_step_reports_its_stream_phases(self):
         network, load = torus_instance()

@@ -383,6 +383,12 @@ class TestStoreAndReportCommands:
         fresh = RunStore(store_path).records()
         assert sorted(record.config_hash for record in fresh) == \
             sorted(record.config_hash for record in baseline_records)
+        # the stored backend_reason must be what the code records today
+        reasons = {record.config_hash: record.result["extra"]["backend_reason"]
+                   for record in fresh}
+        for record in baseline_records:
+            assert record.result["extra"]["backend_reason"] == \
+                reasons[record.config_hash], record.label
         outcome = check_store_regression(baseline_records, fresh,
                                          max_metric_drift=0.0, max_trace_drift=0.0)
         assert outcome.ok, outcome.summary()
