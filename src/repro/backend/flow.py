@@ -82,8 +82,8 @@ def _initial_state(workload: Workload, network: Network) -> WeightedRunState:
                 f"workload spans {workload.num_nodes} nodes, "
                 f"network has {network.num_nodes}")
         return WeightedRunState.from_weighted_loads(workload)
-    return WeightedRunState.from_counts(
-        as_token_counts(workload, network, error=ProcessError))
+    # as_token_counts has checked the counts and returns a fresh array
+    return WeightedRunState(as_token_counts(workload, network, error=ProcessError), 1)
 
 
 class ArrayFlowImitation(FlowCoupledBalancer):
@@ -157,11 +157,11 @@ class ArrayFlowImitation(FlowCoupledBalancer):
         return float(self._state.remove_dummies())
 
     def _reset_workload(self, workload) -> None:
-        # recouple() has already validated a count vector.
+        # recouple() has validated a fresh count vector: the state adopts it
         if isinstance(workload, WeightedLoads):
             self._state = WeightedRunState.from_weighted_loads(workload)
         else:
-            self._state = WeightedRunState.from_counts(workload)
+            self._state = WeightedRunState(workload, 1)
         self._unit_tokens_only = self._state.max_weight() <= 1
 
     # ------------------------------------------------------------------ #

@@ -355,8 +355,10 @@ def _read_history(path: pathlib.Path, history: Dict[str, Any]
         raise CheckpointError(
             f"{where} holds {found}, the checkpoint records "
             f"{({key: history[key] for key in _COUNTS})}")
-    log = _EventLog.from_columns(rows, tags, attachments, lineage=history["lineage"])
-    return log.view(), trace, totals
+    log = _EventLog.from_columns(rows, tags, attachments, lineage=history["lineage"],
+                                 buffer=rows.base)
+    # the log is discarded: the engine restored from the view grows its buffer
+    return log.view(handoff=True), trace, totals
 
 
 def _piece_sizes(header: Tuple) -> Tuple[int, ...]:
@@ -370,7 +372,10 @@ def _read_blocks(handle: io.BufferedReader, end: int, where: str) -> Tuple[
     """Decode the blocks in the sidecar's first ``end`` bytes.
 
     Walks the block headers first, then reads every block's rows straight
-    into one array, so the event log is never held twice.
+    into the first rows of one :meth:`_EventLog.buffer`, which has room for
+    as many again; ``rows`` is that prefix (``rows.base`` the buffer), so
+    the event log is never held twice, not even once a restored engine
+    appends to it.
     """
     size = os.fstat(handle.fileno()).st_size
     if size < end:
@@ -389,7 +394,8 @@ def _read_blocks(handle: io.BufferedReader, end: int, where: str) -> Tuple[
         headers.append((offset, header))
         offset += _BLOCK.size + sum(_piece_sizes(header))
         handle.seek(offset)
-    rows = np.empty((sum(header[2] for _, header in headers), 6), dtype="<i8")
+    total = sum(header[2] for _, header in headers)
+    rows = _EventLog.buffer(total, dtype="<i8")[:total]
     tags: List[str] = []
     attachments: List[Tuple[int, Tuple[int, ...]]] = []
     trace: List[float] = []

@@ -199,9 +199,19 @@ class ContinuousProcess(ABC):
         O(n) re-coupling primitive used by the dynamic streaming engine when
         events change the workload but not the topology.
         """
-        load = as_load_vector(initial_load, self._network).copy()
+        load = as_load_vector(initial_load, self._network)
         if np.any(load < 0):
             raise ProcessError("initial load must be non-negative")
+        self._restart(load.copy())
+
+    def _restart(self, load: np.ndarray) -> None:
+        """:meth:`reset` onto ``load``, which the process takes over unchecked.
+
+        ``load`` must be a fresh, finite, non-negative float vector of
+        length ``n`` that nobody else holds: a flow-coupled balancer's
+        re-coupling hands over the reference it has just built from counts
+        it has validated.
+        """
         self._load = load
         self._initial_load = load.copy()
         self._round = 0

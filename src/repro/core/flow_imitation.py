@@ -228,9 +228,10 @@ class FlowCoupledBalancer(DiscreteBalancer):
                  seed: Optional[int] = None) -> None:
         """Rewind the coupled pair to round 0 on a new workload.
 
-        The continuous substrate is :meth:`~repro.continuous.base.ContinuousProcess.reset`
-        in place (its cached spectral data — edge weights, transfer rates,
-        the SOS ``beta`` — survives), its matching schedule, if any, is
+        The continuous substrate is rewound in place, as by
+        :meth:`~repro.continuous.base.ContinuousProcess.reset` (its cached
+        spectral data — edge weights, transfer rates, the SOS ``beta`` —
+        survives), its matching schedule, if any, is
         reseeded from ``seed``, and the discrete workload is rebuilt by the
         backend-specific :meth:`_reset_workload` hook.  The result is
         bit-identical to constructing a fresh balancer through
@@ -243,6 +244,11 @@ class FlowCoupledBalancer(DiscreteBalancer):
         buckets) — the latter is how the dynamic streaming engine re-couples
         weighted streams in O(n) without materialising task objects.
         Algorithm 2, which balances unit tokens only, rejects weighted ones.
+
+        The workload is validated once, here: an integer count vector is
+        taken exactly, without a float round-trip, into a fresh array.  The
+        substrate takes over the float reference built from it and
+        :meth:`_reset_workload` the counts, neither checked nor copied again.
         """
         if isinstance(initial_load, WeightedLoads):
             if initial_load.num_nodes != self.network.num_nodes:
@@ -259,7 +265,7 @@ class FlowCoupledBalancer(DiscreteBalancer):
             reference = counts.astype(float)
             total = float(counts.sum())
             w_max = 1.0
-        self._continuous.reset(reference)
+        self._continuous._restart(reference)
         schedule = getattr(self._continuous, "schedule", None)
         if schedule is not None:
             schedule.reseed(seed)
@@ -274,8 +280,9 @@ class FlowCoupledBalancer(DiscreteBalancer):
         self._reset_rng(seed)
 
     def _reset_workload(self, workload) -> None:
-        """Rebuild the discrete workload from an integer token-count vector
-        or a :class:`~repro.tasks.weighted.WeightedLoads`."""
+        """Rebuild the discrete workload from a validated, fresh ``int64``
+        token-count vector (the hook may keep it) or a
+        :class:`~repro.tasks.weighted.WeightedLoads`."""
         raise NotImplementedError
 
     def _reset_rng(self, seed: Optional[int]) -> None:

@@ -208,26 +208,32 @@ class EventBatch:
 
     @classmethod
     def concat(cls, batches: Sequence["EventBatch"]) -> "EventBatch":
-        """The rows of ``batches`` one after another, tag tables merged."""
-        batches = [batch for batch in batches if len(batch)]
+        """The rows of ``batches`` one after another, tag tables merged.
+
+        The merged table lists every tag in order of first appearance, so a
+        batch whose table is a prefix of it keeps its tag codes.
+        """
+        batches = [batch for batch in batches if batch.kind.size]
         if len(batches) <= 1:
             return batches[0] if batches else NO_EVENTS
         tags = tuple(dict.fromkeys(tag for batch in batches for tag in batch.tags))
-        code = {tag: index for index, tag in enumerate(tags)}
         attach: Dict[int, Tuple[int, ...]] = {}
+        tag_columns = []
         offset = 0
         for batch in batches:
-            attach.update((offset + row, labels) for row, labels in batch.attach.items())
-            offset += len(batch)
+            if batch.attach:
+                attach.update((offset + row, labels) for row, labels in batch.attach.items())
+            offset += batch.kind.size
+            if batch.tags == tags[:len(batch.tags)]:
+                tag_columns.append(batch.tag)
+            else:
+                tag_columns.append(np.array([tags.index(tag) for tag in batch.tags],
+                                            dtype=np.int64)[batch.tag])
         return cls.__new__(cls)._assign(
             np.concatenate([batch.kind for batch in batches]),
             np.concatenate([batch.label for batch in batches]),
             np.concatenate([batch.tokens for batch in batches]),
-            np.concatenate([batch.tag if batch.tags == tags else
-                            np.array([code[tag] for tag in batch.tags],
-                                     dtype=np.int64)[batch.tag]
-                            for batch in batches]),
-            tags, attach)
+            np.concatenate(tag_columns), tags, attach)
 
     def __len__(self) -> int:
         return int(self.kind.size)
@@ -360,7 +366,7 @@ class PoissonArrivals(EventGenerator):
             return NO_EVENTS
         picks = self._rng.choice(len(view.labels), size=count)
         per_label = np.bincount(picks, minlength=len(view.labels))
-        hit = np.flatnonzero(per_label)
+        hit = per_label.nonzero()[0]
         return EventBatch.of(ARRIVAL, view.labels[hit], per_label[hit], tag=self._tag)
 
 
@@ -388,7 +394,7 @@ class PoissonDepartures(EventGenerator):
         picks = self._rng.choice(len(view.labels), size=count, p=loads / loads.sum())
         # Never request more tokens than the node actually holds.
         per_label = np.minimum(np.bincount(picks, minlength=len(view.labels)), view.loads)
-        hit = np.flatnonzero(per_label)
+        hit = per_label.nonzero()[0]
         return EventBatch.of(DEPARTURE, view.labels[hit], per_label[hit], tag=self._tag)
 
 
@@ -481,13 +487,28 @@ class NodeChurn(EventGenerator):
 
 
 class CompositeGenerator(EventGenerator):
-    """Merge the event streams of several generators (polled in order)."""
+    """Merge the event streams of several generators (polled in order).
+
+    Nested composites are flattened: their children's batches join this
+    one's list, so one :meth:`EventBatch.concat` merges a round's events
+    however deeply the generators nest.
+    """
 
     def __init__(self, generators: Sequence[EventGenerator]) -> None:
         self._generators = list(generators)
 
     def events(self, view: StreamView) -> EventBatch:
-        return EventBatch.concat([generator.events(view) for generator in self._generators])
+        return EventBatch.concat(self._batches(view))
+
+    def _batches(self, view: StreamView) -> List[EventBatch]:
+        """Every leaf generator's batch for ``view``, in polling order."""
+        batches: List[EventBatch] = []
+        for generator in self._generators:
+            if isinstance(generator, CompositeGenerator):
+                batches.extend(generator._batches(view))
+            else:
+                batches.append(generator.events(view))
+        return batches
 
     def state_dict(self) -> Dict[str, object]:
         return {"type": type(self).__name__,

@@ -115,18 +115,24 @@ class EventTimeline(Sequence):
     use :meth:`column`, :meth:`rows`, :attr:`tags` and :meth:`attachments`
     instead.
     ``lineage`` names the live log the rows came from; a checkpoint appends
-    to an existing sidecar only for the same lineage.
+    to an existing sidecar only for the same lineage.  A view read from a
+    checkpoint may carry ``buffer``: a writable array whose first rows are
+    this view's, with room to grow, handed once to the log that continues
+    the timeline (see :meth:`_EventLog.from_timeline`).
     """
 
-    __slots__ = ("_rows", "_tags", "_attach_rows", "_attach_to", "_attached", "lineage")
+    __slots__ = ("_rows", "_tags", "_attach_rows", "_attach_to", "_attached", "lineage",
+                 "_buffer")
 
     def __init__(self, rows: np.ndarray, tags: Tuple[str, ...], attach_rows: List[int],
-                 attach_to: List[Tuple[int, ...]], attached: int, lineage: str) -> None:
+                 attach_to: List[Tuple[int, ...]], attached: int, lineage: str,
+                 buffer: Optional[np.ndarray] = None) -> None:
         self._rows = rows[:]
         self._rows.flags.writeable = False
         self._tags = tags
         self._attach_rows, self._attach_to, self._attached = attach_rows, attach_to, attached
         self.lineage = lineage
+        self._buffer = buffer
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -155,6 +161,12 @@ class EventTimeline(Sequence):
 
     def __deepcopy__(self, memo) -> "EventTimeline":
         return self  # immutable: ``dataclasses.asdict`` of a result need not copy it
+
+    def __reduce__(self):
+        # the rows and attachments this view covers, never the spare buffer
+        return (EventTimeline, (self._rows, self._tags, self._attach_rows[:self._attached],
+                                self._attach_to[:self._attached], self._attached,
+                                self.lineage))
 
     @property
     def tags(self) -> Tuple[str, ...]:
@@ -209,11 +221,13 @@ class _EventLog:
         self._size = 0
         self._tags: List[str] = []
         self._tag_codes: Dict[str, int] = {}
+        # the log's code of each tag in a batch's tag table, per table
+        self._tag_maps: Dict[Tuple[str, ...], np.ndarray] = {}
         self._attach_rows: List[int] = []
         self._attach_to: List[Tuple[int, ...]] = []
         self.lineage = lineage if lineage is not None else secrets.token_hex(8)
 
-    def append(self, rounds, kinds, labels, tokens, applied, tags: Sequence[str],
+    def append(self, rounds, kinds, labels, tokens, applied, tags: Tuple[str, ...],
                tag_column, attach: Dict[int, Tuple[int, ...]]) -> None:
         """Append one block of rows; ``tag_column`` indexes the block's ``tags``."""
         size = len(kinds)
@@ -224,8 +238,11 @@ class _EventLog:
         block = self._rows[self._size:end]
         block[:, _ROUND], block[:, _KIND], block[:, _LABEL] = rounds, kinds, labels
         block[:, _TOKENS], block[:, _APPLIED] = tokens, applied
-        block[:, _TAG] = np.array([self._tag_code(tag) for tag in tags],
-                                  dtype=np.int64)[tag_column]
+        codes = self._tag_maps.get(tags)
+        if codes is None:
+            codes = self._tag_maps[tags] = np.array([self._tag_code(tag) for tag in tags],
+                                                    dtype=np.int64)
+        block[:, _TAG] = codes[tag_column]
         for row in sorted(attach):
             if attach[row]:
                 self._attach_rows.append(self._size + row)
@@ -246,23 +263,39 @@ class _EventLog:
             self._tags.append(tag)
         return code
 
-    def view(self) -> EventTimeline:
-        """The timeline of every row appended so far."""
+    def view(self, handoff: bool = False) -> EventTimeline:
+        """The timeline of every row appended so far.
+
+        With ``handoff`` the view also carries this log's row buffer to the
+        first log that continues it; only a log that appends no more rows
+        (one read from a checkpoint) may hand it off.
+        """
         return EventTimeline(self._rows[:self._size], tuple(self._tags), self._attach_rows,
-                             self._attach_to, len(self._attach_rows), self.lineage)
+                             self._attach_to, len(self._attach_rows), self.lineage,
+                             self._rows if handoff else None)
+
+    @staticmethod
+    def buffer(rows: int, dtype=np.int64) -> np.ndarray:
+        """An uninitialised row buffer with room for ``rows`` rows and as many again."""
+        return np.empty((max(2 * rows, 64), len(_COLUMNS)), dtype=dtype)
 
     @classmethod
     def from_columns(cls, rows: np.ndarray, tags: Sequence[str],
                      attachments: Sequence[Tuple[int, Tuple[int, ...]]],
-                     lineage: Optional[str] = None) -> "_EventLog":
+                     lineage: Optional[str] = None,
+                     buffer: Optional[np.ndarray] = None) -> "_EventLog":
         """The log of ``rows`` (an ``(R, 6)`` int64 array), its tag table and attachments.
 
-        The log adopts ``rows`` without copying it: the array is full, so the
-        first append moves the rows to a new one and never writes to it.
+        The log adopts ``rows`` without copying it.  Given a writable
+        ``buffer`` whose first ``R`` rows are ``rows`` (``rows`` is its
+        prefix view), the log appends in place past them until the buffer is
+        full; otherwise the first append moves the rows to a new array and
+        never writes to ``rows``.
         """
         log = cls(lineage)
-        log._rows = np.ascontiguousarray(rows, dtype=np.int64).reshape(-1, len(_COLUMNS))
-        log._size = len(log._rows)
+        rows = np.ascontiguousarray(rows, dtype=np.int64).reshape(-1, len(_COLUMNS))
+        log._rows = rows if buffer is None else buffer
+        log._size = len(rows)
         for tag in tags:
             log._tag_code(str(tag))
         for row, targets in attachments:
@@ -273,9 +306,16 @@ class _EventLog:
 
     @classmethod
     def from_timeline(cls, timeline: Sequence[Dict[str, Any]]) -> "_EventLog":
-        """A fresh log (new lineage) of a timeline view (sharing its rows) or of event dicts."""
+        """A fresh log (new lineage) of a timeline view (sharing its rows) or of event dicts.
+
+        A view's spare buffer, if it carries one, goes to the first log made
+        from it, which then grows in place; later logs copy on their first
+        append.
+        """
         if isinstance(timeline, EventTimeline):
-            return cls.from_columns(timeline._rows, timeline.tags, timeline.attachments())
+            buffer, timeline._buffer = timeline._buffer, None
+            return cls.from_columns(timeline._rows, timeline.tags, timeline.attachments(),
+                                    buffer=buffer)
         tags = list(dict.fromkeys(str(record["tag"]) for record in timeline))
         code = {tag: index for index, tag in enumerate(tags)}
         rows = np.array([[int(record["round"]), KIND_CODES[str(record["kind"])],
@@ -375,6 +415,8 @@ class StreamingEngine:
 
         self._network: Network = None  # type: ignore[assignment]
         self._balancer = None
+        # (edges, network) of the last accepted leave, for the next _couple
+        self._left: Optional[Tuple[np.ndarray, Network]] = None
         self._attach_bus(bus)
         self._couple()
 
@@ -585,8 +627,9 @@ class StreamingEngine:
         :class:`~repro.exceptions.CheckpointError` otherwise; so does a
         malformed topology (a label listed twice, a self loop, an edge or a
         node missing from the other tables).  ``state["timeline"]`` may be an
-        :class:`EventTimeline` or a list of event dicts; the engine logs into
-        a copy of it under a new lineage.
+        :class:`EventTimeline` or a list of event dicts; the engine continues
+        it under a new lineage, appending in place to the spare buffer a
+        view read from a checkpoint carries (see :meth:`_EventLog.from_timeline`).
         """
         require_counter_rng(config.get("rng_mode"), error=CheckpointError)
         engine = cls.__new__(cls)
@@ -625,6 +668,7 @@ class StreamingEngine:
         engine._log = _EventLog.from_timeline(state["timeline"])
 
         engine._balancer = None
+        engine._left = None
         engine._attach_bus(None)
         engine._couple()
         for _ in range(int(boundary["rounds_since"])):
@@ -698,11 +742,12 @@ class StreamingEngine:
         np.cumsum(np.bincount(rows, minlength=len(self._labels)), out=offsets[1:])
         return WeightedLoads(self._weights[columns], self._counts[rows, columns], offsets)
 
-    @staticmethod
-    def _ranked_network(labels: np.ndarray, edges: np.ndarray, **options) -> Network:
+    def _ranked_network(self, labels: np.ndarray, edges: np.ndarray,
+                        speeds: np.ndarray) -> Network:
         """The network on the sorted ``labels`` and their ``edges``, nodes numbered by rank."""
         ranks = np.searchsorted(labels, edges)
-        return Network.from_edges(labels.size, ranks[:, 0], ranks[:, 1], **options)
+        return Network.from_edges(labels.size, ranks[:, 0], ranks[:, 1], speeds=speeds,
+                                  name=f"{self._config['base_name']}+dynamic")
 
     def _couple(self) -> None:
         """(Re)build the network and balancer from the stable-label state."""
@@ -711,9 +756,13 @@ class StreamingEngine:
         # The network's indices 0..n-1 are the ranks of the sorted stable
         # labels (sorted edges keep ``Network.graph``'s adjacency order), and
         # ``node_labels`` maps them back -- the index -> stable-label mapping
-        # the StreamView contract promises to generators.
-        network = self._ranked_network(self._label_array, self._edges, speeds=self._speeds,
-                                       name=f"{config['base_name']}+dynamic")
+        # the StreamView contract promises to generators.  A leave that left
+        # these very edges has built and checked this network already.
+        left, self._left = self._left, None
+        if left is not None and left[0] is self._edges:
+            network = left[1]
+        else:
+            network = self._ranked_network(self._label_array, self._edges, self._speeds)
         network.node_labels = list(self._labels)
         workload = self._current_workload()
 
@@ -794,8 +843,10 @@ class StreamingEngine:
         else:
             loads = self._balancer.loads()
         counts = np.rint(np.asarray(loads, dtype=float)).astype(np.int64)
-        self._clamped_tokens -= int(counts[counts < 0].sum())
-        self._counts[:, 0] = np.maximum(counts, 0)
+        if counts.min() < 0:
+            self._clamped_tokens -= int(counts[counts < 0].sum())
+            np.maximum(counts, 0, out=counts)
+        self._counts[:, 0] = counts
 
     # ------------------------------------------------------------------ #
     # events
@@ -815,7 +866,7 @@ class StreamingEngine:
         changed = topology_changed = False
         start = 0
         # joins and leaves have the two largest kind codes
-        for row in np.flatnonzero(batch.kind >= _JOIN).tolist() + [size]:
+        for row in (batch.kind >= _JOIN).nonzero()[0].tolist() + [size]:
             if row > start:
                 changed |= self._apply_tokens(batch, start, row, tokens, applied)
             if row < size and self._apply_membership(batch, row, labels, tokens,
@@ -833,25 +884,73 @@ class StreamingEngine:
         """Apply rows ``start:stop`` (arrivals and departures) at once.
 
         The result equals applying the rows in order, each departure taking
-        at most what its node holds at that moment.  Per label, in batch
-        order, the unclamped running count is ``S`` (start count + arrivals
-        - requests); the clamped count is ``S - min(0, cummin S)`` (the
-        Skorokhod reflection at zero) and a departure realises the drop in
-        the clamped count.  A stable sort by row groups the labels, and one
-        ``np.minimum.accumulate`` over ``min(S, 0) - group * B``, with ``B``
-        above the range of ``min(S, 0)``, takes every group's running
-        minimum at once.  A row on a label not in the system is rejected: it
-        changes nothing, so it may share the group of the row its label
-        would sort into.  A request above every count plus every arrival of
-        the rows realises what that bound would, so requests are capped at
-        it, which keeps all the sums in int64.  Writes the rows' realised
-        tokens and applied flags; returns whether any count changed.
+        at most what its node holds at that moment.  A row on a label not in
+        the system is rejected.  Writes the rows' realised tokens and
+        applied flags; returns whether any count changed, row by row: an
+        arrival and an equal departure on one label still change it twice.
+
+        Which of two ways applies the rows is decided by the input alone.
+        When every label is known and no label's departures in the rows add
+        up to more than its count before them (:meth:`_cannot_clamp`), no
+        departure can be cut short whatever the order, so one scatter of the
+        signed tokens applies them and every departure realises what it
+        asked (:meth:`_scatter_tokens`).  Any other run takes the
+        order-aware reflection pass (:meth:`_reflect_tokens`).
         """
-        label = batch.label[start:stop]
-        departures = batch.kind[start:stop] == _DEPARTURE
-        rows, known = self._find_rows(label)
+        rows, known = self._find_rows(batch.label[start:stop])
         applied[start:stop] = known
         requested = batch.tokens[start:stop]
+        departures = batch.kind[start:stop] == _DEPARTURE
+        asked = requested[departures]
+        if self._cannot_clamp(known, rows[departures], asked):
+            return self._scatter_tokens(rows, requested, departures, asked)
+        return self._reflect_tokens(rows, known, requested, departures, tokens[start:stop])
+
+    def _cannot_clamp(self, known: np.ndarray, drained: np.ndarray, asked: np.ndarray) -> bool:
+        """Whether every label is known and no label's departures exceed its count.
+
+        ``drained`` holds the row and ``asked`` the request of every
+        departure.  A label's departures add up to at most ``k`` times the
+        largest of the ``k`` requests; when that product could leave int64
+        the sums are not formed, the answer is ``False`` and the reflection
+        pass, which caps requests, applies the rows.
+        """
+        if not known.all():
+            return False
+        if not asked.size:
+            return True
+        if asked.size * int(asked.max()) >= 2 ** 63:
+            return False
+        demand = np.zeros(len(self._labels), dtype=np.int64)
+        np.add.at(demand, drained, asked)
+        return bool((demand <= self._counts[:, 0]).all())
+
+    def _scatter_tokens(self, rows: np.ndarray, requested: np.ndarray,
+                        departures: np.ndarray, asked: np.ndarray) -> bool:
+        """Add the signed tokens to their rows' counts; every row realises its request."""
+        signed = np.where(departures, -requested, requested)
+        np.add.at(self._counts[:, 0], rows, signed)
+        departed = int(asked.sum())
+        self._departed += departed
+        self._arrived += int(signed.sum()) + departed
+        return bool(requested.any())
+
+    def _reflect_tokens(self, rows: np.ndarray, known: np.ndarray, requested: np.ndarray,
+                        departures: np.ndarray, tokens: np.ndarray) -> bool:
+        """Apply the rows in order with departures clamped at zero; write realised ``tokens``.
+
+        Per label, in batch order, the unclamped running count is ``S``
+        (start count + arrivals - requests); the clamped count is
+        ``S - min(0, cummin S)`` (the Skorokhod reflection at zero) and a
+        departure realises the drop in the clamped count.  A stable sort by
+        row groups the labels, and one ``np.minimum.accumulate`` over
+        ``min(S, 0) - group * B``, with ``B`` above the range of
+        ``min(S, 0)``, takes every group's running minimum at once.  A
+        rejected row (unknown label) changes nothing, so it may share the
+        group of the row its label would sort into.  A request above every
+        count plus every arrival of the rows realises what that bound would,
+        so requests are capped at it, which keeps all the sums in int64.
+        """
         bound = int(self._counts[:, 0].max()) + int(requested[~departures].sum())
         delta = np.where(departures, -np.minimum(requested, bound), requested)
         delta *= known
@@ -884,7 +983,7 @@ class StreamingEngine:
         in_order = np.empty_like(change)
         in_order[order] = change
         taken = -in_order[departures]
-        tokens[start:stop][departures] = taken
+        tokens[departures] = taken
         departed = int(taken.sum())
         self._departed += departed
         self._arrived += int(change.sum()) + departed
@@ -930,10 +1029,12 @@ class StreamingEngine:
         (index,), (known,) = self._find_rows(batch.label[row:row + 1])
         incident = np.any(self._edges == node, axis=1)
         remaining = self._edges[~incident]
-        if not known or len(self._labels) <= 3 or not self._ranked_network(
-                np.delete(self._label_array, index), remaining).is_connected():
+        network = None if not known or len(self._labels) <= 3 else self._ranked_network(
+            np.delete(self._label_array, index), remaining, np.delete(self._speeds, index))
+        if network is None or not network.is_connected():
             applied[row] = False
             return False
+        self._left = (remaining, network)
         ends = self._edges[incident]
         neighbors = np.sort(ends[ends != node])
         self._edges = remaining
@@ -954,8 +1055,9 @@ class StreamingEngine:
 
     def step(self) -> None:
         """Apply this round's events (re-coupling if needed) and advance."""
-        with kernel_phase("stream/events"):
+        with kernel_phase("stream/generate"):
             batch = self._generator.events(self.view())
+        with kernel_phase("stream/apply"):
             changed, topology_changed, applied_events = self._apply(batch)
         rejected_events = len(batch) - applied_events
         recouple_mode = None
@@ -975,7 +1077,8 @@ class StreamingEngine:
                      mode=recouple_mode, n=self._network.num_nodes,
                      total_load=self.total_real_load())
         self._balancer.advance()
-        self._sync_tokens_from_balancer()
+        with kernel_phase("stream/sync"):
+            self._sync_tokens_from_balancer()
         if bus is not None and bus.active:
             bus.emit("stream_round", "stream", round_index=self._round,
                      max_min=self.current_discrepancy(),

@@ -23,11 +23,15 @@ per-round ``"round"`` telemetry events carry a ``kernel_phases`` payload —
 algorithms on the object backend), ``"flow/array-round"`` (both algorithms
 on the array backend, unit or weighted), ``"baseline/excess-array"`` (the
 batched counter-rng round of the excess-token baseline, on every backend), and
-the dynamic stream's step outside the balancer: ``"stream/events"``
-(generating and applying a round's event batch), ``"stream/recouple-fast"``
-(the in-place load re-coupling) and ``"stream/recouple-full"`` (the rebuild
-after a join or leave).  A stream's phases land in the kernel phases of the
-balancing round that follows them.  Checkpoints report
+the dynamic stream's step outside the balancer: ``"stream/generate"``
+(polling the event generator for a round's batch), ``"stream/apply"``
+(applying the batch to the per-label state and logging it),
+``"stream/recouple-fast"`` (the in-place load re-coupling),
+``"stream/recouple-full"`` (the rebuild after a join or leave) and
+``"stream/sync"`` (pulling the balanced loads back into the per-label
+counts).  A stream's phases before the balancing round land in that
+round's kernel phases; ``"stream/sync"``, which runs after it, lands in the
+next round's (the last round's sync only in the clock's totals).  Checkpoints report
 ``"checkpoint/write"``, ``"checkpoint/read"`` and ``"checkpoint/replay"``
 (restoring an engine: re-coupling at the boundary and replaying the rounds
 since).

@@ -60,18 +60,33 @@ def as_token_counts(loads: Sequence[float], network: Network,
     """Validate ``loads`` as non-negative integer token counts (``int64``).
 
     The shared validate-and-convert step of every token-only process;
-    ``error`` lets callers surface their own exception family.
+    ``error`` lets callers surface their own exception family.  Always
+    returns a fresh array the caller owns.  Integer input (an integer
+    ndarray or a list of ints) is converted exactly, so counts above 2**53
+    keep every token; other input goes through float64 and must lie within
+    ``1e-9`` of an integer.
     """
-    array = np.asarray(loads, dtype=float)
+    array = np.asarray(loads)
+    integer = array.dtype.kind in "iu"
+    if not integer:
+        array = array.astype(float, copy=False)
     if array.shape != (network.num_nodes,):
         raise error(
             f"load vector must have length {network.num_nodes}, got shape {array.shape}"
         )
+    if integer:
+        # astype copies; an unsigned count beyond int64 wraps negative and
+        # is rejected with the negative ones
+        counts = array.astype(np.int64)
+        if counts.size and counts.min() < 0:
+            raise error("token loads must be non-negative")
+        return counts
     if np.any(array < 0):
         raise error("token loads must be non-negative")
-    if not np.allclose(array, np.round(array), rtol=0, atol=1e-9):
+    rounded = np.round(array)
+    if not np.allclose(array, rounded, rtol=0, atol=1e-9):
         raise error("integer token loads are required")
-    return np.round(array).astype(np.int64)
+    return rounded.astype(np.int64)
 
 
 def balanced_allocation(total_weight: float, network: Network) -> np.ndarray:

@@ -6,8 +6,10 @@ import copy
 import json
 import os
 import pathlib
+import tracemalloc
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
 from repro.checkpoint import (
@@ -19,10 +21,11 @@ from repro.checkpoint import (
     resume_stream,
     write_checkpoint,
 )
-from repro.dynamic.events import make_event_generator
+from repro.dynamic.events import ARRIVAL, EventBatch, EventGenerator, make_event_generator
 from repro.dynamic.stream import StreamingEngine
 from repro.exceptions import CheckpointError, ExperimentError
 from repro.faults import truncate_checkpoint
+from repro.network import topologies
 from repro.obs import kernels
 from repro.obs.kernels import activate_kernel_clock, deactivate_kernel_clock
 from repro.simulation.scenario import Scenario, run_scenario
@@ -523,3 +526,58 @@ class TestCheckpointPhases:
         deactivate_kernel_clock()
         self._roundtrip(tmp_path)
         assert reads == []
+
+
+class Flood(EventGenerator):
+    """``rows`` arrivals of ``tokens`` each per round, spread over the labels."""
+
+    def __init__(self, tokens=1, rows=500):
+        self._tokens, self._rows = tokens, rows
+
+    def events(self, view):
+        return EventBatch.of(ARRIVAL, np.resize(view.labels, self._rows),
+                             np.full(self._rows, self._tokens))
+
+
+class TestRestoredLog:
+    """A restored engine grows the event log it read, in place."""
+
+    ROWS = 500
+
+    def _checkpoint(self, tmp_path, rounds=40):
+        engine = StreamingEngine("algorithm1", topologies.torus(4), np.full(16, 4),
+                                 Flood(rows=self.ROWS), seed=0)
+        for _ in range(rounds):
+            engine.step()
+        path = write_checkpoint(checkpoint_engine(engine, total_rounds=rounds + 1),
+                                tmp_path / "c.json")
+        return engine, read_checkpoint(path)
+
+    def test_first_step_allocates_the_new_rows_not_the_log(self, tmp_path):
+        engine, checkpoint = self._checkpoint(tmp_path)
+        restored = restore_engine(checkpoint, generator=Flood(rows=self.ROWS))
+        log_bytes = restored.timeline.rows().nbytes
+        assert log_bytes == 40 * self.ROWS * 48
+        tracemalloc.start()
+        try:
+            restored.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < log_bytes / 8, (peak, log_bytes)
+        engine.step()
+        assert restored.timeline == engine.timeline
+        assert len(checkpoint.state["timeline"]) == 40 * self.ROWS
+
+    def test_engines_restored_from_one_checkpoint_keep_their_own_rows(self, tmp_path):
+        _, checkpoint = self._checkpoint(tmp_path, rounds=4)
+        before = list(checkpoint.state["timeline"])
+        first = restore_engine(checkpoint, generator=Flood(tokens=1, rows=self.ROWS))
+        second = restore_engine(checkpoint, generator=Flood(tokens=2, rows=self.ROWS))
+        for _ in range(3):
+            first.step()
+            second.step()
+        for engine, tokens in ((first, 1), (second, 2)):
+            assert engine.timeline[:len(before)] == before
+            assert set(engine.timeline.column("tokens")[len(before):].tolist()) == {tokens}
+        assert checkpoint.state["timeline"] == before

@@ -319,9 +319,12 @@ class TestTimeline:
             engine.step()
         finally:
             deactivate_kernel_clock()
-        assert clock.counts["stream/events"] == 2
+        assert clock.counts["stream/generate"] == 2
+        assert clock.counts["stream/apply"] == 2
+        assert clock.counts["stream/sync"] == 2
         assert clock.counts["stream/recouple-fast"] == 1
         assert clock.counts["stream/recouple-full"] == 1
+        assert "stream/events" not in clock.counts
 
 
 class TestStableLabelContract:

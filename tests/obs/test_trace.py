@@ -21,8 +21,8 @@ from repro.simulation.sweep import SweepConfiguration, run_sweep_cell
 from repro.store.runstore import RunRecord
 
 KNOWN_PHASES = {"continuous/advance", "flow/object-round", "flow/array-round",
-                "baseline/excess-array", "stream/events", "stream/recouple-fast",
-                "stream/recouple-full"}
+                "baseline/excess-array", "stream/generate", "stream/apply",
+                "stream/sync", "stream/recouple-fast", "stream/recouple-full"}
 
 
 def small_config(algorithm="algorithm2"):

@@ -23,7 +23,9 @@ a leave is refused if it would disconnect the network or leave fewer than
 three nodes, and anything on an unknown label is rejected.  After every step
 the engine's post-event state (its coupling boundary and its sorted edge
 array), its counters and its timeline must match the reference's, whose
-topology is a networkx graph.
+topology is a networkx graph.  The engine applies a run by one scatter when
+nothing in it can clamp and by a reflection pass otherwise; the explicit
+cases are checked to reach both.
 
 **Fast vs full re-coupling.**  A load-only change (arrivals and departures)
 re-couples in place: the balancer rewinds onto the new workload and keeps
@@ -41,6 +43,7 @@ The example count comes from the active hypothesis profile (see
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import networkx as nx
 import numpy as np
@@ -263,41 +266,83 @@ def D(node, tokens):
     return DynamicEvent(DEPARTURE, node=node, tokens=tokens)
 
 
-# arrivals and departures on one label, in either order
-@example(topology="torus", weighted=False, tasks_per_node=1, seed=1,
+class PathCountingEngine(StreamingEngine):
+    """Counts which way the engine applied each run of arrivals and departures."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.paths = Counter()
+
+    def _scatter_tokens(self, *args):
+        self.paths["scatter"] += 1
+        return super()._scatter_tokens(*args)
+
+    def _reflect_tokens(self, *args):
+        self.paths["reflect"] += 1
+        return super()._reflect_tokens(*args)
+
+
+# nothing can clamp: departures within each label's count, repeated labels,
+# an arrival and an equal departure on one label (it still re-couples)
+NO_CLAMP = dict(topology="torus", weighted=False, tasks_per_node=6, seed=7,
+                schedule=[[A(0, 2), D(0, 2)], [D(1, 1), D(1, 1), A(2, 4), D(3, 0)], [A(4, 0)]])
+# on empty nodes a departure before an arrival realises nothing, though the
+# label ends with more than it had: only the running count tells
+RUNNING_COUNT = dict(topology="cycle", weighted=False, tasks_per_node=0, seed=8,
+                     schedule=[[D(0, 2), A(0, 5)], [A(1, 1), D(1, 3), A(1, 4)]])
+
+ORACLE_EXAMPLES = [
+    # arrivals and departures on one label, in either order
+    dict(topology="torus", weighted=False, tasks_per_node=1, seed=1,
          schedule=[[D(0, 5), A(0, 3), D(0, 2), A(1, 4), D(1, 6), A(1, 1)],
-                   [A(2, 2), D(2, 1), A(2, 2), D(0, 1)]])
-# over-asking and zero-token departures, on several labels, and departures
-# asking for far more than int64 arithmetic over the batch could add up
-@example(topology="torus", weighted=False, tasks_per_node=3, seed=2,
+                   [A(2, 2), D(2, 1), A(2, 2), D(0, 1)]]),
+    # over-asking and zero-token departures, on several labels, and departures
+    # asking for far more than int64 arithmetic over the batch could add up
+    dict(topology="torus", weighted=False, tasks_per_node=3, seed=2,
          schedule=[[D(2, 40), D(3, 0), D(2, 0), A(4, 2), D(4, 30), D(5, 1), D(6, 2)],
-                   [D(label, 2**62) for label in range(9)] + [A(0, 1), D(0, 2**62)]])
-# unknown and departed labels
-@example(topology="cycle", weighted=True, tasks_per_node=2, seed=3,
+                   [D(label, 2**62) for label in range(9)] + [A(0, 1), D(0, 2**62)]]),
+    # unknown and departed labels
+    dict(topology="cycle", weighted=True, tasks_per_node=2, seed=3,
          schedule=[[DynamicEvent(LEAVE, node=1), A(1, 3), D(1, 2), A(12, 5), D(11, 1),
-                    D(0, 1)]])
-# a join, then events on its new label in the same batch
-@example(topology="torus", weighted=False, tasks_per_node=2, seed=4,
+                    D(0, 1)]]),
+    # a join, then events on its new label in the same batch
+    dict(topology="torus", weighted=False, tasks_per_node=2, seed=4,
          schedule=[[DynamicEvent(JOIN, attach_to=(0, 4), tokens=3), A(9, 2), D(9, 4),
-                    D(9, 1), A(10, 1)]])
-# a leave in mid-batch, then events on the label that left
-@example(topology="torus", weighted=True, tasks_per_node=3, seed=5,
+                    D(9, 1), A(10, 1)]]),
+    # a leave in mid-batch, then events on the label that left
+    dict(topology="torus", weighted=True, tasks_per_node=3, seed=5,
          schedule=[[A(2, 3), D(5, 1), DynamicEvent(LEAVE, node=2), A(2, 1), D(3, 50),
-                    DynamicEvent(LEAVE, node=3), D(4, 2)]])
-# a join whose targets repeat a known label and name unknown ones gets one
-# edge per distinct known target; its log keeps the filtered list as given
-@example(topology="torus", weighted=False, tasks_per_node=2, seed=6,
+                    DynamicEvent(LEAVE, node=3), D(4, 2)]]),
+    # a join whose targets repeat a known label and name unknown ones gets one
+    # edge per distinct known target; its log keeps the filtered list as given
+    dict(topology="torus", weighted=False, tasks_per_node=2, seed=6,
          schedule=[[DynamicEvent(JOIN, attach_to=(4, 4, 99, 0), tokens=2), A(9, 1)],
                    [DynamicEvent(JOIN, attach_to=(9, 12, 9), tokens=0),
-                    DynamicEvent(LEAVE, node=4)]])
-@given(topology=st.sampled_from(sorted(TOPOLOGIES)), weighted=st.booleans(),
-       tasks_per_node=st.integers(0, 6),
-       schedule=st.lists(oracle_batches, min_size=1, max_size=6),
-       seed=st.integers(0, 2**16))
-@settings(deadline=None)
-def test_batched_application_matches_one_event_at_a_time(topology, weighted,
-                                                         tasks_per_node, schedule, seed):
-    engine = build_engine("array", topology, weighted, tasks_per_node, schedule, seed)
+                    DynamicEvent(LEAVE, node=4)]]),
+    NO_CLAMP,
+    RUNNING_COUNT,
+    # an arrival on a label that never existed, with nothing that could clamp
+    dict(topology="torus", weighted=True, tasks_per_node=2, seed=9,
+         schedule=[[A(12, 5), A(0, 1)], [A(11, 2)]]),
+]
+
+
+def with_examples(cases):
+    """Apply one hypothesis ``@example`` per keyword dict in ``cases``."""
+    def decorate(test):
+        for case in reversed(cases):
+            test = example(**case)(test)
+        return test
+    return decorate
+
+
+def check_against_sequential(topology, weighted, tasks_per_node, schedule, seed):
+    """Step the engine through ``schedule`` against :class:`SequentialReference`.
+
+    Returns the engine, whose ``paths`` count the ways it applied the runs.
+    """
+    engine = build_engine("array", topology, weighted, tasks_per_node, schedule, seed,
+                          cls=PathCountingEngine)
     timeline = []
     for round_index, batch in enumerate(schedule):
         reference = SequentialReference(engine)
@@ -319,6 +364,27 @@ def test_batched_application_matches_one_event_at_a_time(topology, weighted,
             assert after["buckets"] == reference.nonzero_buckets(), label
         assert {key: state[key] for key in reference.counters} == reference.counters, label
         assert engine.timeline == timeline, label
+    return engine
+
+
+@with_examples(ORACLE_EXAMPLES)
+@given(topology=st.sampled_from(sorted(TOPOLOGIES)), weighted=st.booleans(),
+       tasks_per_node=st.integers(0, 6),
+       schedule=st.lists(oracle_batches, min_size=1, max_size=6),
+       seed=st.integers(0, 2**16))
+@settings(deadline=None)
+def test_batched_application_matches_one_event_at_a_time(topology, weighted,
+                                                         tasks_per_node, schedule, seed):
+    engine = check_against_sequential(topology, weighted, tasks_per_node, schedule, seed)
+    event("apply paths: " + ", ".join(sorted(engine.paths)))
+
+
+def test_the_oracle_examples_reach_both_apply_paths():
+    """The explicit oracle cases exercise the one-scatter and the reflection path."""
+    paths = sum((check_against_sequential(**case).paths for case in ORACLE_EXAMPLES), Counter())
+    assert set(paths) == {"scatter", "reflect"}
+    assert set(check_against_sequential(**NO_CLAMP).paths) == {"scatter"}
+    assert check_against_sequential(**RUNNING_COUNT).paths == Counter(reflect=2)
 
 
 class FullRecoupleEngine(StreamingEngine):

@@ -46,6 +46,31 @@ class TestValidation:
         counts = as_token_counts([2_000_000.0, 0, 0, 1], net)
         assert counts.dtype == np.int64 and counts.tolist() == [2_000_000, 0, 0, 1]
 
+    def test_token_counts_keep_every_token_above_2_to_the_53(self):
+        """Integer counts are taken exactly, not through float64."""
+        torus = topologies.torus(3)
+        counts = as_token_counts(np.full(9, 2**53 + 1), torus)
+        assert counts.dtype == np.int64 and counts.tolist() == [2**53 + 1] * 9
+        assert as_token_counts([2**62 + 1] + [0] * 8, torus).tolist() == [2**62 + 1] + [0] * 8
+
+    @pytest.mark.parametrize("loads", [np.arange(4, dtype=np.int32), np.arange(4, dtype=np.uint8),
+                                       np.arange(4, dtype=np.int64), [0, 1, 2, 3]])
+    def test_integer_token_counts_come_back_as_a_fresh_int64_array(self, net, loads):
+        counts = as_token_counts(loads, net)
+        assert counts.dtype == np.int64 and counts.tolist() == [0, 1, 2, 3]
+        counts[0] = 7
+        assert loads[0] == 0
+
+    @pytest.mark.parametrize("loads", [np.array([1, -1, 0, 0]), [1, -1, 0, 0],
+                                       np.array([2**64 - 1, 0, 0, 0], dtype=np.uint64)])
+    def test_negative_integer_token_counts_rejected(self, net, loads):
+        with pytest.raises(TaskError, match="non-negative"):
+            as_token_counts(loads, net)
+
+    def test_integer_token_counts_of_the_wrong_length_rejected(self, net):
+        with pytest.raises(TaskError, match="length 4"):
+            as_token_counts(np.arange(3), net)
+
     def test_non_finite(self, net):
         with pytest.raises(TaskError):
             as_load_vector([1, np.nan, 2, 3], net)
