@@ -73,7 +73,6 @@ from .store import (
     config_hash,
     record_run,
     record_sweep_outcomes,
-    write_benchmark_record,
 )
 from .tasks import (
     Task,
@@ -166,5 +165,4 @@ __all__ = [
     "record_run",
     "record_sweep_outcomes",
     "check_store_regression",
-    "write_benchmark_record",
 ]

@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "(see repro.store)")
     report.add_argument("--store", required=True,
                         help="JSONL run store to read (written by 'sweep "
-                             "--store', 'dynamic --store' or the benchmarks)")
+                             "--store' or 'dynamic --store')")
     report.add_argument("--diff", nargs=2, metavar=("BASE", "CAND"),
                         help="diff two records: each selector is 'latest', "
                              "'#index', a label (latest match wins) or a "
@@ -550,6 +550,12 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
         # stored runs record their traces so they diff as trajectories
         cells = sweep_cells(configurations, args.seeds, record_trace=bool(store_path),
                             legacy_seeding=args.legacy_seeding)
+        try:
+            for cell in cells:
+                cell.scenario()  # a bad spec is an input error: no cell runs
+        except ReproError as exc:
+            print(f"error: {cell.spec.label()}: {exc}", file=sys.stderr)
+            return 2
         outcomes = _run_grid(args, cells, args.command)
         if outcomes is None:
             return 1

@@ -62,8 +62,7 @@ class CheckpointError(ExperimentError):
 class FaultInjected(ReproError):
     """Raised by the fault-injection harness (:mod:`repro.faults`).
 
-    Tests and the fault-recovery benchmark inject this into grid cells to
-    exercise the retry and graceful-degradation paths of the parallel driver;
-    seeing it escape anywhere else means a fault plan leaked into a
-    production run.
+    Tests inject this into grid cells to exercise the retry and
+    graceful-degradation paths of the parallel driver; seeing it escape
+    anywhere else means a fault plan leaked into a production run.
     """

@@ -17,11 +17,11 @@ exactly ``N`` times and then succeeds — the shape every retry test needs.
 Because the plan keys on ``(cell position, attempt number)`` and nothing
 else, an injected run is reproducible at any worker count.
 
-:func:`random_fault_plan` draws a plan from a seed (for the recovery
-benchmark's randomized campaigns); :func:`truncate_checkpoint` damages a
+:func:`random_fault_plan` draws a plan from a seed (for randomized fault
+campaigns); :func:`truncate_checkpoint` damages a
 checkpoint file in place to exercise the corrupt-checkpoint path.
 
-Fault plans are test/benchmark instruments.  Never attach one to a
+Fault plans are test instruments.  Never attach one to a
 production run: a kill fault in a ``workers=1`` (in-process) grid takes the
 driver down with it.
 """
@@ -105,7 +105,7 @@ def random_fault_plan(num_cells: int, seed: int,
     Each position independently becomes a raise fault with probability
     ``raise_fraction`` and (otherwise) a kill fault with probability
     ``kill_fraction``; affected cells fail their first ``attempts`` attempts.
-    The draw is a pure function of ``seed``, so benchmark campaigns are
+    The draw is a pure function of ``seed``, so fault campaigns are
     reproducible.
     """
     if num_cells < 0:

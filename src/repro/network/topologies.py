@@ -49,6 +49,7 @@ __all__ = [
     "ring_of_cliques",
     "from_edge_list",
     "named_topology",
+    "TOPOLOGY_NAMES",
 ]
 
 
@@ -312,6 +313,9 @@ _NAMED = {
         max(3, int(round(math.log2(max(n, 24) / math.log2(max(n, 24))))))),
     "ring-of-cliques": lambda n, seed: ring_of_cliques(max(3, n // 5), 5),
 }
+
+#: The family names :func:`named_topology` accepts (case-insensitively).
+TOPOLOGY_NAMES = tuple(sorted(_NAMED))
 
 
 def named_topology(name: str, n: int, seed: Optional[int] = None) -> Network:

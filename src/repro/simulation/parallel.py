@@ -22,8 +22,8 @@ module shards a grid of such cells across a
   reproducible regardless of scheduling.
 
 Results come back wrapped in :class:`CellOutcome` envelopes carrying
-per-cell wall-clock timing and the worker pid, so drivers (and the
-``parallel`` benchmark suite) can report scaling and load-balance without
+per-cell wall-clock timing and the worker pid, so drivers (and
+perfbench's ``grid-paper`` workload) can report scaling and load-balance without
 touching the :class:`RunResult` payloads being merged.
 
 Telemetry crosses the process boundary by capture-and-relay

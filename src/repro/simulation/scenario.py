@@ -180,6 +180,9 @@ class Scenario:
             if getattr(self, name) not in valid:
                 raise ExperimentError(
                     f"unknown {name} {getattr(self, name)!r}; valid: {valid}")
+        if self.topology.lower() not in topologies.TOPOLOGY_NAMES:
+            raise ExperimentError(f"unknown topology {self.topology!r}; "
+                                  f"valid: {list(topologies.TOPOLOGY_NAMES)}")
         require_counter_rng(self.rng_mode, error=ExperimentError)
         check_substrate(self.algorithm, self.continuous_kind)
         if self.max_task_weight < 1:

@@ -5,12 +5,12 @@ layer one).  :mod:`repro.store.runstore` persists runs — configuration hash,
 seeds, environment fingerprint, git revision, full result (trajectories
 included) and timing envelope — as one JSONL line each;
 :mod:`repro.store.report` renders cross-run comparison tables / trace charts
-and gates CI on drift via :func:`check_store_regression`;
-:mod:`repro.store.benchwriter` is the shared writer the
-``benchmarks/bench_*.py`` scripts use for their ``BENCH_*.json`` records.
+and gates CI on drift via :func:`check_store_regression`.  Performance is
+recorded elsewhere: ``perfbench/`` (declared in ``BENCHMARK.json``) is the
+end-to-end record, and ``tests/backend/test_speed_floors.py`` holds the
+array-backend speed floors.
 """
 
-from .benchwriter import benchmark_payload, write_benchmark_record
 from .report import (
     RegressionOutcome,
     RegressionViolation,
@@ -42,8 +42,6 @@ __all__ = [
     "record_run",
     "record_sweep_outcomes",
     "result_payload",
-    "benchmark_payload",
-    "write_benchmark_record",
     "RegressionOutcome",
     "RegressionViolation",
     "check_regression",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dynamic.events import EVENT_PROFILES
@@ -103,8 +103,22 @@ def fingerprint(result):
                        "timeline": result.event_timeline}, sort_keys=True, default=repr)
 
 
+#: Always one input: two seeds of a sweep cell and two burst streams, the
+#: mixed sweep + dynamic shape of a sharded experiment grid.
+MIXED_GRID = [
+    *(GridCell(kind="sweep", index=0, seed=seed, spec=SweepConfiguration(
+        algorithm="algorithm2", topology="torus", num_nodes=16, tokens_per_node=8,
+        workload="uniform", rng_mode="counter")) for seed in (1, 2)),
+    *(GridCell(kind="dynamic", index=1 + offset, spec=Scenario(
+        name="stream", algorithm="algorithm2", topology="torus", num_nodes=9,
+        tokens_per_node=4, workload="uniform", events="burst", rounds=20, seed=seed,
+        rng_mode="counter")) for offset, seed in enumerate((1, 2))),
+]
+
+
 @settings(max_examples=min(settings.default.max_examples, 500))
 @given(grids())
+@example(MIXED_GRID)
 def test_pool_results_equal_serial_results(cells):
     serial = run_cells(cells, workers=1)
     pooled = run_cells(cells, workers=2)

@@ -68,9 +68,14 @@ class TestRetries:
         assert all(event.payload["failure_kind"] == "error"
                    for event in retries)
 
-    def test_worker_kill_rebuilds_pool_bit_identically(self, baseline):
-        plan = FaultPlan(kill_at={2: 1})
-        outcomes = run_cells(_cells(), workers=2, max_retries=2, faults=plan,
+    @pytest.mark.parametrize("plan, max_retries", [
+        (FaultPlan(kill_at={2: 1}), 2),
+        # raises and a kill in one campaign: a cell in flight on the killed
+        # worker loses an attempt on top of its own raises
+        (FaultPlan(raise_at={0: 1, 4: 2}, kill_at={2: 1}), 3),
+    ], ids=["kill", "raises-and-kill"])
+    def test_worker_kill_rebuilds_pool_bit_identically(self, baseline, plan, max_retries):
+        outcomes = run_cells(_cells(), workers=2, max_retries=max_retries, faults=plan,
                              retry_backoff=0.01)
         assert _traces(outcomes) == _traces(baseline)
         # the killed worker's in-flight cells were re-attempted

@@ -23,6 +23,7 @@ class TestScenarioValidation:
         ("continuous_kind", "teleport"),
         ("workload", "tsunami"),
         ("speed_profile", "warp"),
+        ("topology", "nosuch"),
     ])
     def test_invalid_choices_rejected(self, field, value):
         keyword_arguments = {"algorithm": "algorithm1", field: value}

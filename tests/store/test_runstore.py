@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -20,7 +18,6 @@ from repro.store import (
     record_run,
     record_sweep_outcomes,
     result_payload,
-    write_benchmark_record,
 )
 from repro.store.runstore import env_fingerprint
 from repro.tasks.generators import point_load
@@ -263,32 +260,3 @@ class TestRecordSweepOutcomes:
         assert set(records[1].config) == common | {"base_load", "record_trace"}
         assert records[0].config["seeding"] == "legacy"
 
-
-class TestBenchWriter:
-    def test_writes_historical_payload_shape(self, tmp_path):
-        rows = [{"W": 100, "speedup": np.float64(3.5)}]
-        path = write_benchmark_record("bench_x", "a description", rows,
-                                      tmp_path / "BENCH_x.json")
-        payload = json.loads(path.read_text())
-        assert list(payload) == ["benchmark", "description", "python",
-                                 "numpy", "rows"]
-        assert payload["benchmark"] == "bench_x"
-        assert payload["rows"] == [{"W": 100, "speedup": 3.5}]
-
-    def test_extra_keys_merged(self, tmp_path):
-        path = write_benchmark_record("bench_x", "d", [{"W": 1}],
-                                      tmp_path / "BENCH_x.json",
-                                      extra={"cpus": 4})
-        assert json.loads(path.read_text())["cpus"] == 4
-
-    def test_optional_store_append(self, tmp_path):
-        store_path = tmp_path / "store.jsonl"
-        write_benchmark_record("bench_x", "d", [{"W": 1, "seconds": 0.25}],
-                               tmp_path / "BENCH_x.json", store=store_path,
-                               config={"sizes": [1]}, seeds=[11])
-        record = RunStore(store_path).records()[0]
-        assert record.kind == "benchmark"
-        assert record.label == "bench_x"
-        assert record.seeds == [11]
-        assert record.config["benchmark"] == "bench_x"
-        assert record.timing["rows"][0]["seconds"] == 0.25

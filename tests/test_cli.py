@@ -138,6 +138,29 @@ class TestCommands:
         assert exit_code == 0
         assert "cycle" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv,message", [
+        (["grid", "--algorithms", "algorithm2", "--topologies", "torus:0"],
+         "a scenario needs at least two nodes"),
+        (["grid", "--algorithms", "algorithm2", "--topologies", "torus:16", "torus:1"],
+         "torus(n~1)"),
+        (["sweep", "--algorithm", "algorithm2", "--topology", "nosuch", "--workers", "2",
+          "--max-retries", "2"], "unknown topology 'nosuch'"),
+    ], ids=["grid-torus:0", "grid-torus:1", "sweep-nosuch"])
+    def test_bad_grid_spec_exits_2_before_any_cell_runs(self, argv, message, capsys,
+                                                         monkeypatch):
+        import repro.simulation.parallel as parallel
+
+        def unrun(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(parallel, "run_cells", unrun)
+        assert main(argv + ["--seeds", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
     def test_dynamic_seed_grid(self, capsys):
         exit_code = main(["dynamic", "--scenario", "burst", "--algorithm", "algorithm2",
                           "--topology", "torus", "--nodes", "16",
