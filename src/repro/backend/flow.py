@@ -5,9 +5,11 @@ columnar :class:`~repro.backend.weighted.WeightedRunState` instead of a
 :class:`~repro.tasks.assignment.TaskAssignment`.  The workload may be a
 unit-token count vector, a :class:`~repro.tasks.weighted.WeightedLoads` or
 an integer-weight ``TaskAssignment``: unit tokens are the ``w_max = 1`` case
-of the weighted Algorithm 1, so both algorithms share one round.  No round
-sorts: the planning order is filtered from the network's precomputed
-:attr:`~repro.network.graph.Network.directed_order`.
+of the weighted Algorithm 1, so both algorithms share one round.  The round
+works in canonical edge order and sorts nothing: each edge's send depends
+only on its own residual, so the ``(sender, receiver)`` planning order is
+needed only when a queue can run short, and then it is filtered from the
+network's precomputed :attr:`~repro.network.graph.Network.directed_order`.
 
 Per round, :meth:`ArrayFlowImitation._edge_amounts` turns the residual
 flows of the active edges into what each edge asks its sender for: integer
@@ -20,20 +22,21 @@ round takes are decisions of :mod:`repro.backend.weighted` alone.
 Bit-for-bit equivalence with the object backend is a design invariant, not
 an accident, and the ordering details below exist to preserve it:
 
-* active edges are processed in ``(sender, receiver)`` order — exactly the
-  order in which :meth:`FlowImitationBalancer._execute_round` visits its
-  per-sender request lists.  Algorithm 2's draws do not depend on it (each
-  edge owns its entry of the per-round Philox score block, see
-  :mod:`repro.counter_rng`); the order is kept so the FIFO real/dummy split
-  matches;
+* whenever queue order is observable (dummies, mixed classes, a sender
+  short of tokens), the requests are planned in ``(sender, receiver)``
+  order — exactly the order in which
+  :meth:`FlowImitationBalancer._execute_round` visits its per-sender
+  request lists — so the FIFO real/dummy split matches.  Algorithm 2's
+  draws do not depend on any order (each edge owns its entry of the
+  per-round Philox score block, see :mod:`repro.counter_rng`);
 * the send counts are drawn for every active edge before the state picks
   the round's form, so the draws never depend on which form runs;
 * a sender's tasks are committed to its edges first-come-first-served
   against the start-of-round state, and every plan is taken before any
   delivery, so the real/dummy split of every transfer matches the object
   backend's FIFO pools;
-* the cumulative discrete flows accumulate the same float64 values in the
-  same per-edge order.
+* every edge's cumulative discrete flow accumulates the same float64
+  values.
 
 The equivalence suites (``tests/backend/``) assert identical per-round load
 vectors, dummy distributions and discrepancy trajectories across backends
@@ -175,22 +178,26 @@ class ArrayFlowImitation(FlowCoupledBalancer):
             self._imitate_round()
 
     def _imitate_round(self) -> None:
-        residual = self._continuous.cumulative_flows - self._discrete_cumulative
-        # Orient each active edge from its sender and order the requests the
-        # way the object backend iterates them: by sender, then by receiver.
-        active, forward, senders, receivers = self.network.active_directed_edges(residual)
+        # The substrate's own array: read, never written, and no copy per round.
+        residual = self._continuous._cumulative - self._discrete_cumulative
+        active = np.flatnonzero(residual != 0.0)
         if active.size == 0:
             self._report(0, 0, 0, 0)
             return
-        amounts = self._edge_amounts(np.abs(residual[active]), active)
+        residual = residual[active]
+        amounts = self._edge_amounts(np.abs(residual), active)
         moving = np.flatnonzero(amounts > 0)  # residuals are positive; counts may be 0
         if moving.size == 0:
             self._report(0, 0, 0, 0)
             return
-        active, forward = active[moving], forward[moving]
-        senders, receivers, amounts = senders[moving], receivers[moving], amounts[moving]
+        active, amounts = active[moving], amounts[moving]
+        forward = residual[moving] > 0.0
+        # directed edge k is edge k sent u -> v, m + k the same edge v -> u
+        directed = active + self.network.num_edges * ~forward
+        senders, receivers = (ends[directed] for ends in self.network.directed_endpoints)
         sent, tasks_moved, dummies = self._state.transfer(
-            senders, receivers, amounts, self._w_max + 1e-9, self._policy)
+            senders, receivers, amounts, self._w_max + 1e-9, self._policy,
+            lambda: self.network.planning_order(directed))
         self._discrete_cumulative[active] += np.where(forward, sent, -sent).astype(float)
         self._report(int(np.count_nonzero(sent)), tasks_moved, int(sent.sum()), dummies)
 
@@ -205,9 +212,9 @@ class ArrayFlowImitation(FlowCoupledBalancer):
     def _edge_amounts(self, magnitude: np.ndarray, edges: np.ndarray) -> np.ndarray:
         """What every active edge asks its sender for.
 
-        ``magnitude`` holds the residual magnitudes in planning order and
-        ``edges`` the matching original edge indices (what counter-mode
-        randomness is keyed on).  Returns integer unit-token counts, or the
+        ``magnitude`` holds the residual magnitudes of the active edges and
+        ``edges`` their edge indices, ascending (what counter-mode randomness
+        is keyed on).  Returns integer unit-token counts, or the
         float residuals themselves for weighted tasks, which
         :meth:`WeightedRunState.transfer` answers with the pseudocode's
         while-loop.

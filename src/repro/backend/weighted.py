@@ -17,11 +17,12 @@ vector or a single-class :class:`~repro.tasks.weighted.WeightedLoads`
 therefore costs a few numpy operations, which keeps re-coupling a
 million-token stream O(n) array work.
 
-:meth:`WeightedRunState.transfer` moves one round's tasks.  With one class,
-no dummy and every sender covering its sends, queue order is unobservable
-and two scatter-adds apply the round.  Otherwise every request is planned
-against the start-of-round queues — unit counts for all senders at once by
-:func:`numpy.searchsorted`, weighted residuals by replaying the
+:meth:`WeightedRunState.transfer` moves one round's tasks, requested in any
+order.  With one class, no dummy and every sender covering its sends, queue
+order is unobservable and two scatter-adds apply the round.  Otherwise the
+requests are put in ``(sender, receiver)`` planning order and each is
+planned against the start-of-round queues — unit counts for all senders at
+once by :func:`numpy.searchsorted`, weighted residuals by replaying the
 pseudocode's greedy while-loop at run granularity with the exact closed
 form :func:`_take_count` — and the taken runs are appended to the receivers'
 queues in plan order.  Because the paper's task weights are integers, every
@@ -31,7 +32,7 @@ The round that drives this state lives in :mod:`repro.backend.flow`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -344,19 +345,28 @@ class WeightedRunState:
     # ------------------------------------------------------------------ #
 
     def transfer(self, senders: np.ndarray, receivers: np.ndarray,
-                 amounts: np.ndarray, threshold: float, policy: str
+                 amounts: np.ndarray, threshold: float, policy: str,
+                 planning_order: Callable[[], np.ndarray]
                  ) -> Tuple[np.ndarray, int, int]:
         """Move one round's tasks; return ``(sent, tasks_moved, dummies)``.
 
-        The requests are sorted by sender, then receiver.  Integer
-        ``amounts`` are unit-task counts; float ``amounts`` are residual
-        flows, answered by the pseudocode's ``while residual - committed >
-        threshold`` loop under the selection ``policy``.  Every request is
-        planned against the start-of-round queues, a shortfall is drawn as
-        unit dummies, and the plans are delivered afterwards in request
-        order, each plan's dummies after its tasks.  ``sent`` is the weight
-        each request moved, dummies included; ``tasks_moved`` counts the
-        tasks taken from queues and ``dummies`` the new ones.
+        The requests may come in any order, one per distinct ``(sender,
+        receiver)`` pair.  Integer ``amounts`` are unit-task counts; float
+        ``amounts`` are residual flows, answered by the pseudocode's ``while
+        residual - committed > threshold`` loop under the selection
+        ``policy``.  ``sent`` is the weight each request moved, dummies
+        included, in the caller's order; ``tasks_moved`` counts the tasks
+        taken from queues and ``dummies`` the new ones.
+
+        With one class, no dummy and every sender covering its sends, the
+        order is unobservable and two scatter-adds apply the round.
+        Otherwise the requests are put in planning order, by sender and then
+        receiver, with the permutation ``planning_order()`` returns (the
+        round passes :meth:`~repro.network.graph.Network.planning_order`,
+        which sorts nothing).  Every request is planned against the
+        start-of-round queues in that order, a shortfall is drawn as unit
+        dummies, and the plans are delivered afterwards in the same order,
+        each plan's dummies after its tasks.
         """
         unit = amounts.dtype.kind == "i"
         w = self._single_class
@@ -372,6 +382,8 @@ class WeightedRunState:
                 np.add.at(incoming, receivers, sent)
                 self.loads += incoming - outgoing
                 return sent, int(counts.sum()), 0
+        order = planning_order()
+        senders, receivers, amounts = senders[order], receivers[order], amounts[order]
         runs = self.runs()
         if unit:
             left, taken, created = _plan_counts(runs, senders, amounts)
@@ -380,7 +392,7 @@ class WeightedRunState:
         count, weight, dummy, offsets = runs
         request, moved, moved_weight, moved_dummy = taken
         sent = np.zeros(senders.size, dtype=np.int64)
-        np.add.at(sent, request, moved * moved_weight)
+        np.add.at(sent, order[request], moved * moved_weight)
         # Every plan before any delivery: each receiver keeps what it did
         # not send, then gets the taken runs in plan order (stable sort).
         node = np.concatenate((_run_nodes(offsets), receivers[request]))

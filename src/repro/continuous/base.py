@@ -135,6 +135,7 @@ class ContinuousProcess(ABC):
         self._induced_negative = False
         self._cumulative = np.zeros(network.num_edges, dtype=float)
         self._last_flows: Optional[RoundFlows] = None
+        self._target: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
     # read-only state
@@ -187,8 +188,14 @@ class ContinuousProcess(ABC):
         return value if i < j else -value
 
     def balanced_target(self) -> np.ndarray:
-        """Return the perfectly balanced allocation ``(W / S) * s``."""
-        return balanced_allocation(self.total_weight, self._network)
+        """Return the perfectly balanced allocation ``(W / S) * s`` (copy)."""
+        return self._balanced().copy()
+
+    def _balanced(self) -> np.ndarray:
+        """The balanced allocation, computed on first use in each run (shared)."""
+        if self._target is None:
+            self._target = balanced_allocation(self.total_weight, self._network)
+        return self._target
 
     def reset(self, initial_load: Sequence[float]) -> None:
         """Rewind the process to round 0 with a new initial load vector.
@@ -218,6 +225,7 @@ class ContinuousProcess(ABC):
         self._induced_negative = False
         self._cumulative[:] = 0.0
         self._last_flows = None
+        self._target = None
         self._on_reset()
 
     def _on_reset(self) -> None:
@@ -225,7 +233,7 @@ class ContinuousProcess(ABC):
 
     def is_balanced(self, tolerance: float = BALANCE_TOLERANCE) -> bool:
         """Whether every node is within ``tolerance`` of its balanced load."""
-        return bool(np.all(np.abs(self._load - self.balanced_target()) <= tolerance))
+        return bool(np.all(np.abs(self._load - self._balanced()) <= tolerance))
 
     # ------------------------------------------------------------------ #
     # execution
@@ -286,8 +294,7 @@ class ContinuousProcess(ABC):
         return self._round
 
     def _current_discrepancy(self) -> float:
-        target = self.balanced_target()
-        return float(np.max(np.abs(self._load - target)))
+        return float(np.max(np.abs(self._load - self._balanced())))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

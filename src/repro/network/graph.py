@@ -148,6 +148,7 @@ class Network:
         self._neighbors: Optional[List[Tuple[int, ...]]] = None
         self._graph: Optional[nx.Graph] = None
         self._connected: Optional[bool] = None
+        self._planning_rank: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
     # basic properties
@@ -227,27 +228,25 @@ class Network:
         """
         return self._csr
 
-    def active_directed_edges(
-        self, residual: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Orient every edge with non-zero ``residual`` and put them in planning order.
+    def planning_order(self, directed: np.ndarray) -> np.ndarray:
+        """The permutation that sorts distinct directed edges by ``(sender, receiver)``.
 
-        ``residual`` holds one signed value per canonical edge; a positive
-        value makes ``u`` the sender, a negative one ``v``.  Returns
-        ``(edges, forward, senders, receivers)`` sorted by ``(sender,
-        receiver)`` -- the order :func:`numpy.lexsort` would give -- without
-        sorting: the precomputed :attr:`directed_order` is filtered instead.
+        ``directed[planning_order(directed)]`` is in the order
+        :func:`numpy.lexsort` of the edges' receivers and senders would give,
+        found without sorting: the edges' positions in the precomputed
+        :attr:`directed_order` are marked and read back in O(m).
         """
-        m = self.num_edges
-        order = self._directed_order
-        # Integer gathers: boolean-mask indexing and np.where cost several
-        # times more on the random masks a round produces.
-        active = np.concatenate((residual > 0.0, residual < 0.0))[order]
-        directed = order[np.flatnonzero(active)]
-        forward = directed < m
-        edges = directed - m * ~forward
-        return (edges, forward, self._directed_senders[directed],
-                self._directed_receivers[directed])
+        if self._planning_rank is None:
+            # the inverse of directed_order, built by the first caller
+            rank = np.empty(2 * self.num_edges, dtype=np.int64)
+            rank[self._directed_order] = np.arange(rank.size)
+            self._planning_rank = _read_only(rank)
+        rank = self._planning_rank[directed]
+        marked = np.zeros(2 * self.num_edges, dtype=bool)
+        marked[rank] = True
+        slot = np.empty(2 * self.num_edges, dtype=np.int64)
+        slot[rank] = np.arange(directed.size)
+        return slot[np.flatnonzero(marked)]
 
     @property
     def speeds(self) -> np.ndarray:

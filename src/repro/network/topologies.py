@@ -49,6 +49,7 @@ __all__ = [
     "ring_of_cliques",
     "from_edge_list",
     "named_topology",
+    "check_named_size",
     "TOPOLOGY_NAMES",
 ]
 
@@ -86,8 +87,7 @@ def grid(rows: int, cols: int) -> Network:
 
 def cycle(n: int) -> Network:
     """Return the cycle on ``n >= 3`` nodes."""
-    if n < 3:
-        raise TopologyError("a cycle needs at least 3 nodes")
+    _require_cycle_size(n)
     return _lattice([n], periodic=True, name=f"cycle-{n}")
 
 
@@ -153,10 +153,7 @@ def random_regular(n: int, degree: int, seed: Optional[int] = None) -> Network:
     Tables 1 and 2.  The constructor retries a few times until the sampled
     graph is connected.
     """
-    if degree < 1 or degree >= n:
-        raise TopologyError("need 1 <= degree < n for a random regular graph")
-    if (n * degree) % 2 != 0:
-        raise TopologyError("n * degree must be even for a regular graph")
+    _require_regular_size(n, degree)
     rng = np.random.default_rng(seed)
     last_error: Optional[Exception] = None
     for _ in range(20):
@@ -298,6 +295,23 @@ def from_edge_list(edges: Sequence[Sequence[int]], speeds: Optional[Sequence[flo
     return network
 
 
+def _require_cycle_size(n: int) -> None:
+    if n < 3:
+        raise TopologyError("a cycle needs at least 3 nodes")
+
+
+def _require_regular_size(n: int, degree: int) -> None:
+    if degree < 1 or degree >= n:
+        raise TopologyError(
+            f"need 1 <= degree < n for a random regular graph (degree {degree}, n {n})")
+    if (n * degree) % 2 != 0:
+        raise TopologyError(
+            f"n * degree must be even for a regular graph (degree {degree}, n {n})")
+
+
+#: The degree of each random-regular family of :func:`named_topology`.
+_REGULAR_DEGREES = {"expander": 4, "random-regular-8": 8}
+
 _NAMED = {
     "hypercube": lambda n, seed: hypercube(max(1, int(round(math.log2(n))))),
     "torus": lambda n, seed: torus(max(2, int(round(math.sqrt(n)))), dims=2),
@@ -306,8 +320,9 @@ _NAMED = {
     "path": lambda n, seed: path(n),
     "complete": lambda n, seed: complete(n),
     "star": lambda n, seed: star(n),
-    "expander": lambda n, seed: expander(n, degree=4, seed=seed),
-    "random-regular-8": lambda n, seed: random_regular(n, 8, seed=seed),
+    "expander": lambda n, seed: expander(n, degree=_REGULAR_DEGREES["expander"], seed=seed),
+    "random-regular-8": lambda n, seed: random_regular(
+        n, _REGULAR_DEGREES["random-regular-8"], seed=seed),
     "geometric": lambda n, seed: random_geometric(n, seed=seed),
     "ccc": lambda n, seed: cube_connected_cycles(
         max(3, int(round(math.log2(max(n, 24) / math.log2(max(n, 24))))))),
@@ -330,3 +345,19 @@ def named_topology(name: str, n: int, seed: Optional[int] = None) -> Network:
             f"unknown topology {name!r}; valid names: {sorted(_NAMED)}"
         )
     return _NAMED[key](n, seed)
+
+
+def check_named_size(name: str, n: int) -> None:
+    """Raise :class:`TopologyError` if :func:`named_topology` cannot build ``name`` at ``n``.
+
+    The checks the family's generator makes before it builds anything, for
+    the families that reject some ``n >= 2``: a cycle needs 3 nodes, and a
+    random ``d``-regular graph ``1 <= d < n`` with ``n * d`` even.  The
+    other families accept every ``n >= 2`` (the lattices and the clique
+    families round ``n`` to a valid size).
+    """
+    key = name.lower()
+    if key == "cycle":
+        _require_cycle_size(n)
+    elif key in _REGULAR_DEGREES:
+        _require_regular_size(n, _REGULAR_DEGREES[key])

@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..exceptions import ExperimentError
+from ..exceptions import ExperimentError, TopologyError
 from ..network import topologies
 from ..network.graph import Network
 from ..tasks import generators
@@ -189,6 +189,10 @@ class Scenario:
             raise ExperimentError("max_task_weight must be at least 1")
         if self.num_nodes < 2:
             raise ExperimentError("a scenario needs at least two nodes")
+        try:
+            topologies.check_named_size(self.topology, self.num_nodes)
+        except TopologyError as exc:
+            raise ExperimentError(f"topology {self.topology!r}: {exc}") from None
         if self.tokens_per_node < 0 or self.base_load < 0:
             raise ExperimentError("workload densities must be non-negative")
         if self.rounds is not None and self.rounds < 0:

@@ -227,16 +227,12 @@ def check_store_regression(baseline_records: Sequence[RunRecord],
                            max_timing_ratio: Optional[float] = None) -> RegressionOutcome:
     """Gate a candidate store against a baseline store.
 
-    Every baseline record that carries a result must have at least one
-    candidate record with the same ``config_hash`` (the latest such record
-    is compared); baseline records nobody re-ran are coverage violations.
-    Benchmark-only records (no stored result) are compared by timing alone
-    when ``max_timing_ratio`` is set, and skipped otherwise.
+    Every baseline record must have at least one candidate record with the
+    same ``config_hash`` (the latest such record is compared); baseline
+    records nobody re-ran are coverage violations.
     """
     outcome = RegressionOutcome()
     for baseline in baseline_records:
-        if baseline.result is None and max_timing_ratio is None:
-            continue
         matches = [record for record in candidate_records
                    if record.config_hash == baseline.config_hash]
         if not matches:

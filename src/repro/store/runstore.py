@@ -135,11 +135,11 @@ class RunRecord:
     Attributes
     ----------
     label:
-        Free-form name chosen by whoever recorded the run (e.g. ``"ci-gate"``
-        or a benchmark name); the handle ``repro report`` selects by.
+        Free-form name chosen by whoever recorded the run (e.g.
+        ``"ci-gate"``); the handle ``repro report`` selects by.
     kind:
-        What produced it: ``"engine"``, ``"sweep"``, ``"dynamic"``,
-        ``"benchmark"`` — or anything else a caller finds descriptive.
+        What produced it: ``"engine"``, ``"sweep"``, ``"dynamic"`` — or
+        anything else a caller finds descriptive.
     config:
         The JSON-friendly configuration (algorithm, topology, sizes, rng
         mode, **seeds** — everything that determines the trajectory).
@@ -151,11 +151,11 @@ class RunRecord:
         Provenance: environment fingerprint, commit hash, ISO-8601 UTC
         timestamp.  Excluded from ``config_hash``.
     result:
-        :func:`result_payload` of the run's :class:`RunResult` (may be
-        ``None`` for pure-benchmark records that only carry ``timing``).
+        :func:`result_payload` of the run's :class:`RunResult` (``None``
+        for a grid cell that failed).
     timing:
         The timing envelope: at least ``seconds`` (in-worker wall-clock)
-        when known; benchmark records put their row tables here.
+        when known.
     """
 
     label: str

@@ -48,6 +48,25 @@ class TestContinuousReset:
         reference.run(10)
         assert np.allclose(process.load, reference.load)
 
+    def test_balanced_target_is_a_fresh_copy(self):
+        network = topologies.torus(4, dims=2)
+        process = FirstOrderDiffusion(network, np.full(16, 10.0))
+        target = process.balanced_target()
+        target += 100.0
+        assert process.is_balanced()
+        assert np.array_equal(process.balanced_target(), np.full(16, 10.0))
+
+    def test_reset_moves_the_balanced_target(self):
+        network = topologies.torus(4, dims=2)
+        process = FirstOrderDiffusion(network, np.full(16, 10.0))
+        assert process.is_balanced()
+        process.reset(np.full(16, 20.0))
+        assert np.array_equal(process.balanced_target(), np.full(16, 20.0))
+        assert process.is_balanced()
+        process.reset(point_load(network, 160))
+        assert np.array_equal(process.balanced_target(), np.full(16, 10.0))
+        assert not process.is_balanced()
+
     def test_reset_rejects_negative_load(self):
         network = topologies.cycle(5)
         process = FirstOrderDiffusion(network, [1.0] * 5)
@@ -102,6 +121,19 @@ class TestBalancerRecouple:
         recoupled.recouple(second_load, seed=3)
         fresh = cls(network, second_load, seed=3)
         assert np.array_equal(trajectory(recoupled, 15), trajectory(fresh, 15))
+
+    @pytest.mark.parametrize("backend", ["object", "array"])
+    def test_recouple_moves_the_balanced_target(self, backend):
+        network = topologies.torus(4, dims=2)
+        balancer = make_balancer("algorithm1", network, initial_load=np.full(16, 4),
+                                 backend=backend)
+        assert balancer.continuous.is_balanced()
+        balancer.recouple(np.full(16, 8))
+        assert np.array_equal(balancer.continuous.balanced_target(), np.full(16, 8.0))
+        assert balancer.continuous.is_balanced()
+        balancer.recouple(point_load(network, 32))
+        assert np.array_equal(balancer.continuous.balanced_target(), np.full(16, 2.0))
+        assert not balancer.continuous.is_balanced()
 
     def test_recouple_resets_flow_imitation_counters(self):
         network = topologies.torus(4, dims=2)

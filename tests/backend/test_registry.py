@@ -201,8 +201,9 @@ class TestSharedRunState:
 
     @staticmethod
     def unit_round(state, senders, receivers, counts):
-        return state.transfer(np.array(senders), np.array(receivers),
-                              np.array(counts), 1.0 + 1e-9, "fifo")
+        senders, receivers = np.array(senders), np.array(receivers)
+        return state.transfer(senders, receivers, np.array(counts), 1.0 + 1e-9, "fifo",
+                              lambda: np.lexsort((receivers, senders)))
 
     def test_fifo_take_splits_runs(self):
         state = WeightedRunState.from_counts(np.array([5, 0, 0]))

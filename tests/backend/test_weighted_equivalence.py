@@ -314,10 +314,11 @@ def queues(state):
 
 
 def transfer(state, requests, threshold, policy=TaskSelectionPolicy.FIFO):
-    """Run one round of ``(sender, receiver, residual)`` requests."""
-    senders, receivers, residuals = (np.array(column) for column in zip(*requests))
-    return state.transfer(senders, receivers, residuals.astype(float),
-                          threshold, policy)
+    """Run one round of ``(sender, receiver, amount)`` requests; float
+    amounts are residuals, integer ones unit counts."""
+    senders, receivers, amounts = (np.array(column) for column in zip(*requests))
+    return state.transfer(senders, receivers, amounts, threshold, policy,
+                          lambda: np.lexsort((receivers, senders)))
 
 
 class TestWeightedRunState:
@@ -361,9 +362,7 @@ class TestWeightedRunState:
         own runs, then gets each plan's takes followed by its dummies, and
         adjacent equal runs merge."""
         state = WeightedRunState.from_counts(np.array([2, 3, 1]))
-        sent, moved, dummies = state.transfer(
-            np.array([0, 1]), np.array([2, 2]), np.array([3, 2]),
-            1.0 + 1e-9, TaskSelectionPolicy.FIFO)
+        sent, moved, dummies = transfer(state, [(0, 2, 3), (1, 2, 2)], 1.0 + 1e-9)
         assert (sent.tolist(), moved, dummies) == ([3, 2], 4, 1)
         count, weight, dummy, offsets = state.runs()
         assert count.tolist() == [1, 3, 1, 2]
@@ -497,15 +496,13 @@ class TestWeightedStateQueries:
     def test_max_weight_recomputed_after_unit_dummy_elimination(self):
         state = WeightedRunState.from_weighted_loads(
             WeightedLoads.from_buckets([{1: 2}, {}]))
-        state.transfer(np.array([0]), np.array([1]), np.array([3]),
-                       1.0 + 1e-9, TaskSelectionPolicy.FIFO)
+        transfer(state, [(0, 1, 3)], 1.0 + 1e-9)
         assert state.max_weight() == 1
         assert state.remove_dummies() == 1
         assert state.max_weight() == 1
         empty = WeightedRunState.from_weighted_loads(
             WeightedLoads.from_buckets([{}, {}]))
-        empty.transfer(np.array([0]), np.array([1]), np.array([2]),
-                       1.0 + 1e-9, TaskSelectionPolicy.FIFO)
+        transfer(empty, [(0, 1, 2)], 1.0 + 1e-9)
         assert empty.max_weight() == 1
         assert empty.remove_dummies() == 2
         assert empty.max_weight() == 0

@@ -215,6 +215,19 @@ class TestNamedTopology:
         with pytest.raises(TopologyError):
             topologies.named_topology("klein-bottle", 16)
 
+    @pytest.mark.parametrize("name", topologies.TOPOLOGY_NAMES)
+    def test_size_check_agrees_with_the_generators(self, name):
+        """check_named_size rejects exactly the small sizes the family's
+        generator rejects."""
+        for n in range(2, 12):
+            try:
+                topologies.check_named_size(name, n)
+            except TopologyError:
+                with pytest.raises(TopologyError):
+                    topologies.named_topology(name, n, seed=1)
+            else:
+                assert topologies.named_topology(name, n, seed=1).num_nodes >= 2
+
     def test_hypercube_rounds_to_power_of_two(self):
         net = topologies.named_topology("hypercube", 60)
         assert net.num_nodes == 64

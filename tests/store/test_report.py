@@ -150,14 +150,18 @@ class TestCheckStoreRegression:
         assert not check_store_regression([good], [good, bad]).ok
         assert check_store_regression([good], [bad, good]).ok
 
-    def test_benchmark_records_skipped_without_timing_ratio(self):
-        bench = make_record(result=False)
-        outcome = check_store_regression([bench], [])
+    def test_result_less_baseline_record_needs_a_candidate(self):
+        """A failed cell's record (no result) must still be re-run."""
+        failed = make_record(result=False)
+        outcome = check_store_regression([failed], [])
         assert outcome.pairs_checked == 0
-        assert not outcome.ok  # zero comparable pairs is not a pass
-        assert "no comparable record pairs" in outcome.summary()
+        assert [v.check for v in outcome.violations] == ["coverage"]
+        assert not outcome.ok
+        outcome = check_store_regression([failed], [make_record(result=False)])
+        assert outcome.pairs_checked == 1
+        assert outcome.ok
 
-    def test_benchmark_records_timing_checked_when_enabled(self):
+    def test_result_less_records_timing_checked_when_enabled(self):
         base = make_record(result=False, seconds=0.1)
         slow = make_record(result=False, seconds=10.0)
         outcome = check_store_regression([base], [slow], max_timing_ratio=2.0)

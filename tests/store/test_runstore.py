@@ -68,7 +68,7 @@ class TestRunRecord:
                                 '"config": {}, "surprise": 1}')
 
     def test_metric_and_trace_defaults_without_result(self):
-        record = RunRecord(label="x", kind="benchmark", config={})
+        record = RunRecord(label="x", kind="sweep", config={})
         assert record.trace() is None
         assert record.metric("final_max_min", default=-1) == -1
 

@@ -145,7 +145,15 @@ class TestCommands:
          "torus(n~1)"),
         (["sweep", "--algorithm", "algorithm2", "--topology", "nosuch", "--workers", "2",
           "--max-retries", "2"], "unknown topology 'nosuch'"),
-    ], ids=["grid-torus:0", "grid-torus:1", "sweep-nosuch"])
+        (["grid", "--algorithms", "algorithm1", "--topologies", "cycle:2"],
+         "a cycle needs at least 3 nodes"),
+        (["grid", "--algorithms", "algorithm1", "--topologies", "expander:3"],
+         "need 1 <= degree < n for a random regular graph (degree 4, n 3)"),
+        (["grid", "--algorithms", "algorithm1", "--topologies", "random-regular-8:8",
+          "--workers", "2", "--max-retries", "2"],
+         "need 1 <= degree < n for a random regular graph (degree 8, n 8)"),
+    ], ids=["grid-torus:0", "grid-torus:1", "sweep-nosuch", "grid-cycle:2",
+            "grid-expander:3", "grid-random-regular-8:8"])
     def test_bad_grid_spec_exits_2_before_any_cell_runs(self, argv, message, capsys,
                                                          monkeypatch):
         import repro.simulation.parallel as parallel
