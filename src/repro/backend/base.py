@@ -61,8 +61,7 @@ class BackendChoice:
     reason: str
 
 
-def _assignment_fallback_reason(assignment: TaskAssignment,
-                                algorithm: Optional[str]) -> Optional[str]:
+def _assignment_fallback_reason(assignment: TaskAssignment) -> Optional[str]:
     """Why an assignment cannot take the columnar path (``None`` if it can)."""
     if assignment.total_dummy_weight() > 0:
         return "assignment already contains dummy tasks"
@@ -70,9 +69,6 @@ def _assignment_fallback_reason(assignment: TaskAssignment,
         for task in assignment.tasks_at(node):
             if task_integer_weight(task) is None:
                 return f"non-integer task weight {task.weight}"
-    if algorithm == "algorithm2" and assignment.max_task_weight() > 1:
-        # Let the object implementation raise its canonical weighted-task error.
-        return "algorithm2 requires unit tokens"
     return None
 
 
@@ -112,7 +108,7 @@ def resolve_backend(
     if backend == "object":
         return BackendChoice("object", "requested explicitly")
     if assignment is not None:
-        fallback = _assignment_fallback_reason(assignment, algorithm)
+        fallback = _assignment_fallback_reason(assignment)
         if fallback is not None:
             return BackendChoice("object", fallback)
         if assignment.max_task_weight() > 1:

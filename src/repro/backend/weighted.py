@@ -368,6 +368,8 @@ class WeightedRunState:
         dummies, and the plans are delivered afterwards in the same order,
         each plan's dummies after its tasks.
         """
+        if senders.size == 0:
+            return np.zeros(0, dtype=np.int64), 0, 0
         unit = amounts.dtype.kind == "i"
         w = self._single_class
         if w is not None:

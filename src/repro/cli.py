@@ -26,7 +26,7 @@ from .network import topologies
 from .simulation.claims import (REGISTRY, evaluate_claims, failed_claims, format_claims,
                                 record_json)
 from .simulation.engine import (ALL_ALGORITHMS, BACKEND_KINDS, CONTINUOUS_KINDS,
-                                compare_algorithms, default_algorithms)
+                                compare_algorithms, default_algorithms, run_algorithm)
 from .simulation.workloads import WORKLOADS
 from .simulation.experiments import format_table
 from .tasks.generators import point_load
@@ -197,10 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     for command in (sweep, grid):
         command.add_argument("--workload", default="point", choices=sorted(WORKLOADS))
         command.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3, 4, 5])
-        command.add_argument("--legacy-seeding", action="store_true",
-                             help="reuse one integer for topology/workload/schedule/"
-                                  "algorithm randomness (the historical, correlated "
-                                  "behaviour)")
 
     audit = subparsers.add_parser(
         "audit", help="run a flow-imitation algorithm and check the paper's invariants each round")
@@ -548,8 +544,7 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
         ]
         store_path = getattr(args, "store", None)
         # stored runs record their traces so they diff as trajectories
-        cells = sweep_cells(configurations, args.seeds, record_trace=bool(store_path),
-                            legacy_seeding=args.legacy_seeding)
+        cells = sweep_cells(configurations, args.seeds, record_trace=bool(store_path))
         try:
             for cell in cells:
                 cell.scenario()  # a bad spec is an input error: no cell runs
@@ -570,30 +565,27 @@ def _run_command(args, parser: argparse.ArgumentParser) -> int:
             record_sweep_outcomes(store, args.store_label, outcomes)
             print(f"stored {len(outcomes)} record(s) in {store.path}")
     elif args.command == "audit":
-        from .continuous.fos import FirstOrderDiffusion
-        from .core.algorithm1 import DeterministicFlowImitation
-        from .core.algorithm2 import RandomizedFlowImitation
-        from .core.diagnostics import FlowImitationAuditor
-        from .tasks.assignment import TaskAssignment
+        from .core.diagnostics import AuditReport, InvariantViolation
 
         network = topologies.named_topology(args.topology, args.nodes, seed=args.seed)
         loads = point_load(network, args.tokens_per_node * network.num_nodes)
-        assignment = TaskAssignment.from_unit_loads(network, loads)
-        continuous = FirstOrderDiffusion(network, assignment.loads())
-        if args.algorithm == "algorithm1":
-            balancer = DeterministicFlowImitation(continuous, assignment)
-        else:
-            balancer = RandomizedFlowImitation(continuous, assignment, seed=args.seed)
-        auditor = FlowImitationAuditor(balancer)
-        report = auditor.run_until_continuous_balanced()
+        result = run_algorithm(args.algorithm, network, initial_load=loads,
+                               seed=args.seed, backend="object", audit=True)
+        audit = result.extra["audit"]
+        report = AuditReport(
+            audit["rounds_checked"],
+            [InvariantViolation(**violation) for violation in audit["violations"]],
+            audit["max_flow_error"], audit["max_load_deviation"], audit["dummy_tokens"])
         print(f"{args.algorithm} on {network.name} (n={network.num_nodes}, "
               f"d={network.max_degree}):")
         print(report.summary())
-        print(f"final max-min discrepancy: {balancer.max_min_discrepancy():.1f} "
-              f"(Theorem 3 bound {2 * network.max_degree * balancer.w_max + 2:.0f})")
+        print(f"final max-min discrepancy: {result.final_max_min:.1f} "
+              f"(Theorem 3 bound {2 * network.max_degree * result.max_task_weight + 2:.0f})")
         for violation in report.violations:
             print(f"  VIOLATION round {violation.round_index}: "
                   f"{violation.invariant} — {violation.detail}")
+        if report.violations:
+            return 1
     elif args.command == "report":
         from .store import (
             RunStore,

@@ -13,7 +13,10 @@ which serves two purposes:
   (e.g. it is not additive, or it induces negative load).
 
 The auditor is intentionally non-intrusive: it wraps an existing balancer and
-observes it; it never changes the run.
+observes it; it never changes the run.  The audited driver is
+:func:`repro.simulation.engine.run_algorithm` with ``audit=True``, which
+calls :meth:`FlowImitationAuditor.check_round` after every round; callers who
+drive their own balancer call it themselves.
 """
 
 from __future__ import annotations
@@ -197,23 +200,3 @@ class FlowImitationAuditor:
         n = network.num_nodes
         return (np.bincount(edge_u, weights=errors, minlength=n)
                 - np.bincount(edge_v, weights=errors, minlength=n))
-
-    def run_audited(self, rounds: int) -> AuditReport:
-        """Advance the balancer ``rounds`` times, auditing after every round."""
-        if rounds < 0:
-            raise ProcessError("rounds must be non-negative")
-        for _ in range(rounds):
-            self._balancer.advance()
-            self.check_round()
-        return self._report
-
-    def run_until_continuous_balanced(self, tolerance: float = 1.0,
-                                      max_rounds: int = 1_000_000) -> AuditReport:
-        """Audited version of the balancer's ``run_until_continuous_balanced``."""
-        while not self._balancer.continuous.is_balanced(tolerance):
-            if self._balancer.round_index >= max_rounds:
-                raise ProcessError(
-                    f"continuous process did not balance within {max_rounds} rounds")
-            self._balancer.advance()
-            self.check_round()
-        return self._report

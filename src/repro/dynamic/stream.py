@@ -72,15 +72,10 @@ from ..obs.bus import MetricsBus
 from ..obs.kernels import kernel_phase
 from ..obs.probe import RoundProbe
 from ..network.graph import Network, node_id_array
-from ..simulation.engine import ALL_ALGORITHMS, CONTINUOUS_KINDS, make_balancer, make_schedule
+from ..simulation.engine import make_balancer, make_schedule, summarize_balancer
 from ..simulation.results import RunResult
 from ..tasks.assignment import TaskAssignment
-from ..tasks.load import (
-    as_token_counts,
-    max_avg_discrepancy,
-    max_min_discrepancy,
-    quadratic_potential,
-)
+from ..tasks.load import as_token_counts, max_min_discrepancy, quadratic_potential
 from ..tasks.weighted import WeightedLoads
 from .events import (
     DEPARTURE,
@@ -349,12 +344,6 @@ class StreamingEngine:
         bus: Optional[MetricsBus] = None,
     ) -> None:
         require_counter_rng(rng_mode, error=ExperimentError)
-        if algorithm not in ALL_ALGORITHMS:
-            raise ExperimentError(
-                f"unknown algorithm {algorithm!r}; valid algorithms: {ALL_ALGORITHMS}")
-        if continuous_kind not in CONTINUOUS_KINDS:
-            raise ExperimentError(
-                f"unknown continuous kind {continuous_kind!r}; valid: {CONTINUOUS_KINDS}")
         network.require_connected()
 
         if isinstance(initial_load, TaskAssignment):
@@ -367,10 +356,6 @@ class StreamingEngine:
                     f"got {initial_load.num_nodes}")
             if initial_load.max_weight() > 1:
                 weighted = initial_load
-                if algorithm != "algorithm1":
-                    raise ExperimentError(
-                        "weighted dynamic streams require algorithm1 (the only "
-                        "algorithm defined for weighted tasks)")
             buckets = initial_load.buckets()
         else:
             counts = as_token_counts(list(initial_load), network, error=ExperimentError)
@@ -1093,38 +1078,18 @@ class StreamingEngine:
     def result(self,
                trace_max_min: Optional[List[float]] = None,
                trace_total_weight: Optional[List[float]] = None) -> RunResult:
-        """Summarise the run so far as a :class:`RunResult`."""
-        network = self._network
-        loads = self._balancer.loads()
-        total_real = float(self.total_real_load())
-        w_max = (float(self._balancer.w_max)
-                 if isinstance(self._balancer, FlowCoupledBalancer) else 1.0)
-        result = RunResult(
-            algorithm=self._config["algorithm"],
-            continuous_kind=self._config["continuous_kind"],
-            network_name=network.name,
-            num_nodes=network.num_nodes,
-            max_degree=network.max_degree,
-            rounds=self._round,
-            total_weight=total_real,
-            max_task_weight=w_max,
-            final_max_min=max_min_discrepancy(loads, network),
-            final_max_avg=max_avg_discrepancy(loads, network, total_weight=total_real),
-            trace_max_min=trace_max_min,
-            trace_total_weight=trace_total_weight,
-            event_timeline=self.timeline,
-        )
-        if isinstance(self._balancer, FlowCoupledBalancer):
-            real_loads = self._balancer.loads(include_dummies=False)
-            result.final_max_min_no_dummies = max_min_discrepancy(real_loads, network)
-            result.final_max_avg_no_dummies = max_avg_discrepancy(
-                real_loads, network, total_weight=total_real)
-            result.dummy_tokens = self._dummy_tokens + self._balancer.dummy_tokens_created
-            result.used_infinite_source = (self._used_infinite_source
-                                           or self._balancer.used_infinite_source)
-        else:
-            result.went_negative = (self._went_negative
-                                    or bool(getattr(self._balancer, "went_negative", False)))
+        """Summarise the run so far as a :class:`RunResult`.
+
+        :func:`~repro.simulation.engine.summarize_balancer` reads the current
+        balancer; the failure-mode totals of earlier couplings are added here.
+        """
+        result = summarize_balancer(
+            self._balancer, self._config["algorithm"], self._config["continuous_kind"],
+            self._round, float(self.total_real_load()), trace_max_min=trace_max_min,
+            trace_total_weight=trace_total_weight, event_timeline=self.timeline)
+        result.dummy_tokens += self._dummy_tokens
+        result.used_infinite_source |= self._used_infinite_source
+        result.went_negative |= self._went_negative
         result.extra.update({
             "arrivals": float(self._arrived),
             "departures": float(self._departed),

@@ -23,7 +23,7 @@ This package is the first of the three observability layers (bus → run store
 Every run entry point accepts an optional ``bus=`` keyword
 (:func:`repro.simulation.engine.run_algorithm`,
 :func:`repro.dynamic.stream.run_stream`,
-:func:`repro.simulation.sweep.run_sweep_cell`,
+:func:`repro.simulation.scenario.run_scenario`,
 :func:`repro.simulation.parallel.run_cells`).  Instrumentation is strictly
 read-only — trajectories are bit-identical with and without a subscriber —
 and unobserved runs pay a single attribute check per round.

@@ -19,7 +19,7 @@ from .parallel import CellOutcome, GridCell, merge_sweeps, run_cells, sweep_cell
 from .results import RunResult
 from .scenario import Scenario, expand_seeds, load_scenario, run_scenario
 from .seeding import PurposeSeeds, purpose_seeds
-from .sweep import SweepConfiguration, SweepResult, run_sweep, run_sweep_cell
+from .sweep import SweepConfiguration, SweepResult, run_sweep
 from .workloads import WORKLOADS
 from . import experiments, reporting
 
@@ -34,7 +34,6 @@ __all__ = [
     "SweepConfiguration",
     "SweepResult",
     "run_sweep",
-    "run_sweep_cell",
     "WORKLOADS",
     "PurposeSeeds",
     "purpose_seeds",

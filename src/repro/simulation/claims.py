@@ -33,12 +33,7 @@ import numpy as np
 from ..analysis.potential import estimate_drop_factor, track_potential
 from ..continuous.fos import FirstOrderDiffusion
 from ..core.algorithm1 import DeterministicFlowImitation, theorem3_discrepancy_bound
-from ..core.algorithm2 import (
-    RandomizedFlowImitation,
-    theorem8_max_avg_bound,
-    theorem8_required_base_load,
-)
-from ..core.diagnostics import FlowImitationAuditor
+from ..core.algorithm2 import theorem8_max_avg_bound, theorem8_required_base_load
 from ..core.flow_imitation import TaskSelectionPolicy
 from ..discrete.baselines.diffusion import RoundDownDiffusion
 from ..discrete.baselines.random_walk import TwoPhaseRandomWalkBalancer
@@ -648,23 +643,19 @@ def _invariant_audit():
     for family, network in table1_graph_families(seed=7).items():
         loads = point_load(network, 32 * network.num_nodes)
         for label in ("algorithm1", "algorithm2"):
-            assignment = TaskAssignment.from_unit_loads(network, loads)
-            continuous = FirstOrderDiffusion(network, assignment.loads())
-            balancer = (DeterministicFlowImitation(continuous, assignment)
-                        if label == "algorithm1"
-                        else RandomizedFlowImitation(continuous, assignment, seed=5))
-            report = FlowImitationAuditor(balancer).run_until_continuous_balanced(
-                max_rounds=100_000)
+            result = run_algorithm(label, network, initial_load=loads, seed=5,
+                                   max_rounds=100_000, backend="object", audit=True)
+            audit = result.extra["audit"]
             row = {
                 "graph": family,
                 "algorithm": label,
-                "rounds_audited": report.rounds_checked,
-                "violations": len(report.violations),
-                "max_flow_error": report.max_flow_error,
-                "error_bound": balancer.w_max,
-                "max_load_deviation": report.max_load_deviation,
-                "deviation_bound": network.max_degree * balancer.w_max,
-                "dummy_tokens": report.dummy_tokens,
+                "rounds_audited": audit["rounds_checked"],
+                "violations": len(audit["violations"]),
+                "max_flow_error": audit["max_flow_error"],
+                "error_bound": result.max_task_weight,
+                "max_load_deviation": audit["max_load_deviation"],
+                "deviation_bound": network.max_degree * result.max_task_weight,
+                "dummy_tokens": audit["dummy_tokens"],
             }
             rows.append(row)
             instance = f"{family}, {label}"

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
-import numpy as np
-
 from ..backend import BACKEND_KINDS, resolve_backend
 from ..backend.flow import (
     ArrayDeterministicFlowImitation,
@@ -70,6 +68,7 @@ __all__ = [
     "make_balancer",
     "determine_balancing_time",
     "run_algorithm",
+    "summarize_balancer",
     "compare_algorithms",
 ]
 
@@ -173,6 +172,13 @@ def _build_flow_imitation(
     selection_policy: str,
     backend: str,
 ) -> FlowCoupledBalancer:
+    # Ahead of the backend branch, so every backend raises the same error.
+    if algorithm == "algorithm2" and (
+            (weighted_load is not None and weighted_load.max_weight() > 1)
+            or (assignment is not None and assignment.max_task_weight() > 1)):
+        raise ExperimentError(
+            "Algorithm 2 balances identical unit-weight tokens only; "
+            "weighted workloads require algorithm1")
     counts = None
     if assignment is not None:
         reference_load = assignment.loads()
@@ -209,10 +215,6 @@ def _build_flow_imitation(
     if algorithm == "algorithm1":
         return ArrayDeterministicFlowImitation(continuous, workload,
                                                selection_policy=selection_policy)
-    if weighted_load is not None and weighted_load.max_weight() > 1:
-        raise ExperimentError(
-            "Algorithm 2 balances identical unit-weight tokens only; "
-            "weighted workloads require algorithm1")
     return ArrayRandomizedFlowImitation(continuous, workload, seed=seed)
 
 
@@ -371,55 +373,39 @@ def run_algorithm(
         ``result.extra["audit"]``; violations are also emitted on ``bus`` as
         ``audit_violation`` events.
     """
-    if algorithm not in ALL_ALGORITHMS:
-        raise ExperimentError(
-            f"unknown algorithm {algorithm!r}; valid algorithms: {ALL_ALGORITHMS}"
-        )
-    workloads_given = sum(w is not None for w in (initial_load, assignment, weighted_load))
-    if workloads_given != 1:
-        raise ExperimentError(
-            "provide exactly one of initial_load, assignment or weighted_load")
-
-    is_flow_imitation = algorithm in FLOW_IMITATION_ALGORITHMS
-    if (assignment is not None or weighted_load is not None) and not is_flow_imitation:
-        raise ExperimentError(
-            "task assignments (weighted tasks) are only supported by the "
-            "flow-imitation algorithms"
-        )
-
-    if schedule is None and continuous_kind in _MATCHING_KINDS:
-        schedule = make_schedule(continuous_kind, network, seed=seed)
-
-    if assignment is not None:
-        reference_load = assignment.loads()
-    elif weighted_load is not None:
-        reference_load = weighted_load.load_vector().astype(float)
-    else:
-        reference_load = np.asarray(initial_load, dtype=float)
-    original_weight = float(reference_load.sum())
-
+    if rounds is not None and rounds < 0:
+        raise ExperimentError("rounds must be non-negative")
     choice = resolve_backend(backend, assignment=assignment,
                              weighted=weighted_load, algorithm=algorithm)
-    if is_flow_imitation:
-        # Pass the already-resolved concrete backend so the object path does
-        # not repeat the per-task integer-weight scan of the resolution.
-        balancer: DiscreteBalancer = make_balancer(
-            algorithm, network, initial_load=initial_load, assignment=assignment,
-            weighted_load=weighted_load,
-            continuous_kind=continuous_kind, schedule=schedule, seed=seed,
-            selection_policy=selection_policy, backend=choice.name,
+    if schedule is None and continuous_kind in _MATCHING_KINDS:
+        schedule = make_schedule(continuous_kind, network, seed=seed)
+    # Pass the resolved concrete backend so the object path does not repeat
+    # the per-task integer-weight scan of the resolution.
+    balancer = make_balancer(
+        algorithm, network, initial_load=initial_load, assignment=assignment,
+        weighted_load=weighted_load, continuous_kind=continuous_kind,
+        schedule=schedule, seed=seed, selection_policy=selection_policy,
+        backend=choice.name,
+    )
+    flow = balancer if isinstance(balancer, FlowCoupledBalancer) else None
+    if flow is None and rounds is None:
+        # A baseline carries no substrate: measure T on the shared schedule.
+        rounds = determine_balancing_time(
+            network, initial_load, continuous_kind, tolerance=tolerance,
+            schedule=schedule, seed=seed, max_rounds=max_rounds,
         )
-        w_max = balancer.w_max  # type: ignore[union-attr]
-    else:
-        if rounds is None:
-            rounds = determine_balancing_time(
-                network, reference_load, continuous_kind, tolerance=tolerance,
-                schedule=schedule, seed=seed, max_rounds=max_rounds,
-            )
-        balancer = make_balancer(algorithm, network, initial_load=reference_load,
-                                 continuous_kind=continuous_kind,
-                                 schedule=schedule, seed=seed, backend=backend)
-        w_max = 1.0
+    original_weight = (flow.original_weight if flow is not None
+                       else balancer.total_weight())
+
+    auditor = None
+    if audit:
+        if flow is None:
+            raise ExperimentError(
+                "audit=True requires a flow-imitation algorithm "
+                "(the audited invariants are about the coupled processes)")
+        from ..core.diagnostics import FlowImitationAuditor
+
+        auditor = FlowImitationAuditor(flow, bus=bus)
 
     probe: Optional[RoundProbe] = None
     if bus is not None:
@@ -431,16 +417,6 @@ def run_algorithm(
                  max_degree=network.max_degree, continuous=continuous_kind,
                  backend=choice.name, rng_mode="counter", seed=seed,
                  rounds=rounds, total_weight=original_weight)
-
-    auditor = None
-    if audit:
-        if not isinstance(balancer, FlowCoupledBalancer):
-            raise ExperimentError(
-                "audit=True requires a flow-imitation algorithm "
-                "(the audited invariants are about the coupled processes)")
-        from ..core.diagnostics import FlowImitationAuditor
-
-        auditor = FlowImitationAuditor(balancer, bus=bus)
 
     trace: Optional[List[float]] = [] if record_trace else None
 
@@ -461,32 +437,18 @@ def run_algorithm(
     else:
         # Flow imitation with an adaptive horizon: run until the internal
         # continuous process reaches its balancing time T.
-        flow_balancer = balancer  # type: ignore[assignment]
-        assert isinstance(flow_balancer, FlowCoupledBalancer)
-        while not flow_balancer.continuous.is_balanced(tolerance):
+        assert flow is not None
+        while not flow.continuous.is_balanced(tolerance):
             if executed >= max_rounds:
                 raise ConvergenceError(
                     f"continuous substrate did not balance within {max_rounds} rounds"
                 )
-            flow_balancer.advance()
+            flow.advance()
             executed += 1
             record()
 
-    final_loads = balancer.loads()
-    result = RunResult(
-        algorithm=algorithm,
-        continuous_kind=continuous_kind,
-        network_name=network.name,
-        num_nodes=network.num_nodes,
-        max_degree=network.max_degree,
-        rounds=executed,
-        total_weight=original_weight,
-        max_task_weight=w_max,
-        final_max_min=max_min_discrepancy(final_loads, network),
-        final_max_avg=max_avg_discrepancy(final_loads, network,
-                                          total_weight=original_weight),
-        trace_max_min=trace,
-    )
+    result = summarize_balancer(balancer, algorithm, continuous_kind, executed,
+                                original_weight, trace_max_min=trace)
     result.extra["backend"] = choice.name
     result.extra["backend_reason"] = choice.reason
     if auditor is not None:
@@ -498,17 +460,44 @@ def run_algorithm(
                  algorithm=algorithm, rounds=executed,
                  max_min=result.final_max_min, max_avg=result.final_max_avg,
                  kernel_seconds=probe.kernel_seconds)
+    return result
 
+
+def summarize_balancer(balancer: DiscreteBalancer, algorithm: str, continuous_kind: str,
+                       rounds: int, total_weight: float, **fields) -> RunResult:
+    """The :class:`RunResult` of ``balancer``'s current state after ``rounds`` rounds.
+
+    ``total_weight`` is the real workload the max-avg discrepancies refer
+    to; ``fields`` are further :class:`RunResult` fields (traces, the event
+    timeline).  A flow-imitation balancer also reports its discrepancies
+    without dummy tokens and its failure-mode counters; a baseline reports
+    whether a load went negative.
+    """
+    network = balancer.network
+    loads = balancer.loads()
+    result = RunResult(
+        algorithm=algorithm,
+        continuous_kind=continuous_kind,
+        network_name=network.name,
+        num_nodes=network.num_nodes,
+        max_degree=network.max_degree,
+        rounds=rounds,
+        total_weight=total_weight,
+        max_task_weight=1.0,
+        final_max_min=max_min_discrepancy(loads, network),
+        final_max_avg=max_avg_discrepancy(loads, network, total_weight=total_weight),
+        **fields,
+    )
     if isinstance(balancer, FlowCoupledBalancer):
-        no_dummy_loads = balancer.loads(include_dummies=False)
-        result.final_max_min_no_dummies = max_min_discrepancy(no_dummy_loads, network)
+        result.max_task_weight = balancer.w_max
+        real_loads = balancer.loads(include_dummies=False)
+        result.final_max_min_no_dummies = max_min_discrepancy(real_loads, network)
         result.final_max_avg_no_dummies = max_avg_discrepancy(
-            no_dummy_loads, network, total_weight=original_weight
-        )
+            real_loads, network, total_weight=total_weight)
         result.dummy_tokens = balancer.dummy_tokens_created
         result.used_infinite_source = balancer.used_infinite_source
     else:
-        result.went_negative = getattr(balancer, "went_negative", False)
+        result.went_negative = bool(getattr(balancer, "went_negative", False))
     return result
 
 

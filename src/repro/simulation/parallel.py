@@ -108,7 +108,6 @@ class GridCell:
     index: int
     seed: Optional[int] = None
     record_trace: bool = False
-    legacy_seeding: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -119,8 +118,7 @@ class GridCell:
         """The scenario this cell runs."""
         if isinstance(self.spec, Scenario):
             return self.spec
-        return self.spec.scenario(self.seed, legacy_seeding=self.legacy_seeding,
-                                  record_trace=self.record_trace)
+        return self.spec.scenario(self.seed, record_trace=self.record_trace)
 
 
 @dataclass(frozen=True)
@@ -650,14 +648,13 @@ def timing_summary(outcomes: Sequence[CellOutcome],
 
 
 def sweep_cells(configurations: Sequence[SweepConfiguration],
-                seeds: Sequence[int], record_trace: bool = False,
-                legacy_seeding: bool = False) -> List[GridCell]:
+                seeds: Sequence[int], record_trace: bool = False) -> List[GridCell]:
     """Flatten a configuration x seed grid into schedulable cells."""
     if not seeds:
         raise ExperimentError("at least one seed is required")
     return [
         GridCell(kind="sweep", spec=configuration, index=index, seed=seed,
-                 record_trace=record_trace, legacy_seeding=legacy_seeding)
+                 record_trace=record_trace)
         for index, configuration in enumerate(configurations)
         for seed in seeds
     ]

@@ -13,9 +13,9 @@ is the static :class:`~repro.simulation.scenario.Scenario` that
 Each (cell, seed) run derives **independent child seeds** for the topology
 sample, the workload placement, the matching schedule and the algorithm's
 internal randomness via :mod:`repro.simulation.seeding` — reusing one integer
-for all four (the historical behaviour, still available as
-``legacy_seeding=True``) correlates components that the experiment design
-treats as independent.
+for all four (the historical behaviour, still available as a
+``Scenario(..., seeding="legacy")``) correlates components that the
+experiment design treats as independent.
 
 Sweeps are embarrassingly parallel across (cell, seed) pairs: to shard a
 grid of configurations over a process pool, flatten it with
@@ -46,7 +46,6 @@ __all__ = [
     "SweepConfiguration",
     "SweepResult",
     "run_sweep",
-    "run_sweep_cell",
 ]
 
 
@@ -95,16 +94,13 @@ class SweepConfiguration:
         return (f"{self.algorithm} on {self.topology}(n~{self.num_nodes}) "
                 f"[{self.workload}, {self.continuous_kind}]")
 
-    def scenario(self, seed: int, legacy_seeding: bool = False,
-                 record_trace: bool = False) -> Scenario:
+    def scenario(self, seed: int, record_trace: bool = False) -> Scenario:
         """The static :class:`~repro.simulation.scenario.Scenario` of one (cell, seed) run.
 
-        Sweeps seed per purpose unless ``legacy_seeding`` asks for the
-        historical reuse of one integer; the scenario validates the fields.
+        Sweeps seed per purpose; the scenario validates the fields.
         """
         return Scenario(name=self.label(), seed=seed, record_trace=record_trace,
-                        seeding="legacy" if legacy_seeding else "per-purpose",
-                        **vars(self))
+                        seeding="per-purpose", **vars(self))
 
 
 @dataclass
@@ -153,49 +149,26 @@ class SweepResult:
         }
 
 
-def run_sweep_cell(configuration: SweepConfiguration, seed: int,
-                   record_trace: bool = False, legacy_seeding: bool = False,
-                   bus=None) -> RunResult:
-    """Execute one (configuration, seed) run — the unit of sweep sharding.
-
-    The run is :func:`~repro.simulation.scenario.run_scenario` of
-    :meth:`SweepConfiguration.scenario`, the same call the process-pool
-    workers of :mod:`repro.simulation.parallel` make, which is what makes
-    parallel merges bit-identical to serial ones.  The seed spawns
-    independent child streams for the topology, the workload, the matching
-    schedule and the algorithm (see :mod:`repro.simulation.seeding`);
-    ``legacy_seeding=True`` restores the historical single-integer reuse.
-
-    ``bus`` forwards a :class:`~repro.obs.bus.MetricsBus` to the engine,
-    streaming per-round telemetry from the cell.  In a process-pool worker
-    this is the worker's private capture bus; the driver relays the captured
-    stream back onto the main bus with ``(worker, cell, seed)`` attribution
-    (see :mod:`repro.obs.relay`).
-    """
-    return run_scenario(configuration.scenario(seed, legacy_seeding=legacy_seeding,
-                                               record_trace=record_trace), bus=bus)
-
-
 def run_sweep(configuration: SweepConfiguration, seeds: Sequence[int],
-              record_trace: bool = False, legacy_seeding: bool = False,
-              bus=None) -> SweepResult:
+              record_trace: bool = False, bus=None) -> SweepResult:
     """Run one configuration once per seed, serially, and aggregate the results.
 
     Each seed spawns independent child streams for the topology sample (for
     random families), the workload placement, the matching schedule and the
     algorithm's internal randomness, so repeated sweeps with the same seeds
     are fully reproducible and the components stay uncorrelated across
-    seeds.  ``legacy_seeding=True`` restores the historical behaviour of
-    passing the same integer to every component.
+    seeds.
 
-    This in-process loop is the reference the sharded grid driver
-    (:mod:`repro.simulation.parallel`) is checked against bit for bit.
+    Each run is :func:`~repro.simulation.scenario.run_scenario` of
+    :meth:`SweepConfiguration.scenario`, the same call the process-pool
+    workers of :mod:`repro.simulation.parallel` make: this in-process loop
+    is the reference the sharded grid driver is checked against bit for bit.
+    ``bus`` forwards a :class:`~repro.obs.bus.MetricsBus` to every run.
     """
     if not seeds:
         raise ExperimentError("at least one seed is required")
     result = SweepResult(configuration=configuration)
     for seed in seeds:
-        result.runs.append(
-            run_sweep_cell(configuration, seed, record_trace=record_trace,
-                           legacy_seeding=legacy_seeding, bus=bus))
+        result.runs.append(run_scenario(
+            configuration.scenario(seed, record_trace=record_trace), bus=bus))
     return result

@@ -327,10 +327,10 @@ def record_sweep_outcomes(store: RunStore, label: str, outcomes,
                           git_root: Optional[PathLike] = None) -> List[RunRecord]:
     """Append one record per finished sweep cell (``CellOutcome`` envelopes).
 
-    The configuration stored for each cell is the sweep spec plus the seed
-    and seeding mode — exactly the pure-function inputs of
-    :func:`~repro.simulation.sweep.run_sweep_cell` — so identical cells from
-    any process or commit hash identically.
+    The configuration stored for each cell is its spec plus the seed — the
+    pure-function inputs of the cell's
+    :func:`~repro.simulation.scenario.run_scenario` call — so identical
+    cells from any process or commit hash identically.
 
     An outcome that carries a captured telemetry stream (a traced grid; see
     :mod:`repro.obs.relay`) additionally stores its span summary — rounds,
@@ -345,8 +345,9 @@ def record_sweep_outcomes(store: RunStore, label: str, outcomes,
         # were stored with before ``events`` became a Scenario field
         spec = ({**cell.spec.to_dict(), "seeding": cell.spec.seeding}
                 if isinstance(cell.spec, Scenario) else asdict(cell.spec))
-        config = {**spec, "seed": cell.seed,
-                  "legacy_seeding": cell.legacy_seeding, "kind": cell.kind}
+        # sweep cells always seed per purpose; the constant key keeps the
+        # config hashes of earlier stores matching
+        config = {**spec, "seed": cell.seed, "legacy_seeding": False, "kind": cell.kind}
         timing = {"seconds": outcome.seconds, "worker_pid": outcome.worker_pid}
         if getattr(outcome, "attempts", 1) > 1:
             timing["attempts"] = outcome.attempts

@@ -343,6 +343,20 @@ class TestWeightedRunState:
         assert state.dummy_counts.tolist() == [0, 0]
         assert state.single_class == 2
 
+    @pytest.mark.parametrize("amount", [1, 2.0], ids=["unit", "float"])
+    def test_empty_requests_change_nothing(self, amount):
+        """No request moves nothing, also once dummies mix the queues."""
+        state = WeightedRunState.from_counts(np.array([0, 3, 2]))
+        transfer(state, [(0, 1, amount)], 1.0 + 1e-9)  # node 0 is empty: one dummy
+        dtype = np.array(amount).dtype
+        before = queues(state)
+        empty = np.zeros(0, dtype=np.int64)
+        sent, moved, dummies = state.transfer(
+            empty, empty, np.zeros(0, dtype=dtype), 1.0 + 1e-9,
+            TaskSelectionPolicy.FIFO, lambda: empty)
+        assert (sent.tolist(), sent.dtype, moved, dummies) == ([], np.int64, 0, 0)
+        assert queues(state) == before and state.dummy_counts.tolist() == [0, 1, 0]
+
     @pytest.mark.parametrize("policy, taken, kept", [
         (TaskSelectionPolicy.FIFO, 2, [(1, 4), (1, 1), (1, 4)]),
         (TaskSelectionPolicy.LARGEST_FIRST, 4, [(1, 2), (1, 1), (1, 4)]),

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from repro.continuous.fos import FirstOrderDiffusion
-from repro.continuous.sos import SecondOrderDiffusion
 from repro.core.algorithm1 import DeterministicFlowImitation
-from repro.core.algorithm2 import RandomizedFlowImitation
 from repro.core.diagnostics import AuditReport, FlowImitationAuditor, InvariantViolation
-from repro.exceptions import ProcessError
+from repro.exceptions import ExperimentError, ProcessError
 from repro.network import topologies
+from repro.simulation.engine import run_algorithm
 from repro.tasks.assignment import TaskAssignment
 from repro.tasks.generators import point_load, weighted_assignment
 
@@ -31,39 +30,39 @@ class TestCleanRuns:
     ])
     def test_algorithm1_runs_are_clean(self, builder):
         network = builder()
-        balancer = build_algorithm1(network, point_load(network, 16 * network.num_nodes))
-        auditor = FlowImitationAuditor(balancer)
-        report = auditor.run_until_continuous_balanced(max_rounds=50_000)
-        assert report.clean, report.violations
-        assert report.rounds_checked == balancer.round_index
-        assert report.max_flow_error <= balancer.w_max + 1e-9
-        assert report.max_load_deviation <= network.max_degree * balancer.w_max + 1e-9
+        result = run_algorithm("algorithm1", network,
+                               initial_load=point_load(network, 16 * network.num_nodes),
+                               max_rounds=50_000, backend="object", audit=True)
+        report = result.extra["audit"]
+        assert report["clean"], report["violations"]
+        assert report["rounds_checked"] == result.rounds
+        assert report["max_flow_error"] <= result.max_task_weight + 1e-9
+        assert (report["max_load_deviation"]
+                <= network.max_degree * result.max_task_weight + 1e-9)
 
     def test_algorithm2_runs_are_clean(self):
         network = topologies.torus(5, dims=2)
-        loads = point_load(network, 25 * 32)
-        assignment = TaskAssignment.from_unit_loads(network, loads)
-        continuous = FirstOrderDiffusion(network, assignment.loads())
-        balancer = RandomizedFlowImitation(continuous, assignment, seed=3)
-        auditor = FlowImitationAuditor(balancer)
-        report = auditor.run_audited(rounds=30)
-        assert report.clean, report.violations
+        result = run_algorithm("algorithm2", network,
+                               initial_load=point_load(network, 25 * 32), rounds=30,
+                               seed=3, backend="object", audit=True)
+        assert result.extra["audit"]["clean"], result.extra["audit"]["violations"]
 
     def test_weighted_run_is_clean(self):
         network = topologies.random_regular(16, 4, seed=3)
         assignment = weighted_assignment(network, num_tasks=200, max_weight=4,
                                          placement="uniform", seed=5)
-        continuous = FirstOrderDiffusion(network, assignment.loads())
-        balancer = DeterministicFlowImitation(continuous, assignment)
-        auditor = FlowImitationAuditor(balancer)
-        report = auditor.run_audited(rounds=20)
-        assert report.clean, report.violations
+        result = run_algorithm("algorithm1", network, assignment=assignment, rounds=20,
+                               backend="object", audit=True)
+        assert result.extra["audit"]["clean"], result.extra["audit"]["violations"]
 
     def test_summary_mentions_rounds(self):
+        """A caller driving its own balancer audits with ``check_round``."""
         network = topologies.cycle(8)
         balancer = build_algorithm1(network, point_load(network, 64))
         auditor = FlowImitationAuditor(balancer)
-        auditor.run_audited(rounds=5)
+        for _ in range(5):
+            balancer.advance()
+            auditor.check_round()
         text = auditor.report.summary()
         assert "5 rounds" in text
         assert "clean" in text
@@ -98,18 +97,17 @@ class TestViolationDetection:
     def test_sos_violating_definition1_shows_up_as_dummy_usage_not_violation(self):
         """When the substrate induces negative load the auditor reports dummies, not bugs."""
         network = topologies.cycle(24)
-        loads = point_load(network, 24 * 64)
-        assignment = TaskAssignment.from_unit_loads(network, loads)
-        continuous = SecondOrderDiffusion(network, assignment.loads())
-        balancer = DeterministicFlowImitation(continuous, assignment)
-        auditor = FlowImitationAuditor(balancer)
-        report = auditor.run_audited(rounds=40)
+        result = run_algorithm("algorithm1", network,
+                               initial_load=point_load(network, 24 * 64),
+                               continuous_kind="sos", rounds=40, backend="object",
+                               audit=True)
+        report = result.extra["audit"]
         # The flow-error bound (Observation 4) holds regardless of the substrate.
-        assert all(violation.invariant != "flow-error-bound"
-                   for violation in report.violations)
-        assert all(violation.invariant != "non-negativity"
-                   for violation in report.violations)
-        assert report.dummy_tokens == balancer.dummy_tokens_created
+        assert all(violation["invariant"] != "flow-error-bound"
+                   for violation in report["violations"])
+        assert all(violation["invariant"] != "non-negativity"
+                   for violation in report["violations"])
+        assert report["dummy_tokens"] == result.dummy_tokens
 
 
 class TestValidation:
@@ -123,10 +121,9 @@ class TestValidation:
 
     def test_negative_rounds_rejected(self):
         network = topologies.cycle(6)
-        balancer = build_algorithm1(network, [6] * 6)
-        auditor = FlowImitationAuditor(balancer)
-        with pytest.raises(ProcessError):
-            auditor.run_audited(rounds=-1)
+        with pytest.raises(ExperimentError, match="rounds must be non-negative"):
+            run_algorithm("algorithm1", network, initial_load=[6] * 6, rounds=-1,
+                          backend="object", audit=True)
 
     def test_report_dataclasses(self):
         report = AuditReport()

@@ -23,7 +23,8 @@ from repro.obs import (
 )
 from repro.obs.relay import CapturedEvent
 from repro.simulation.parallel import run_cells, sweep_cells
-from repro.simulation.sweep import SweepConfiguration, run_sweep_cell
+from repro.simulation.scenario import run_scenario
+from repro.simulation.sweep import SweepConfiguration
 
 WORKER_COUNTS = (1, 2, 4)
 
@@ -64,7 +65,7 @@ class TestWorkerCountInvariance:
         for cell in cells:
             bus = MetricsBus()
             with EventLog(bus) as log:
-                run_sweep_cell(cell.spec, cell.seed, bus=bus)
+                run_scenario(cell.scenario(), bus=bus)
             serial.extend(log.events)
 
         assert [event_signature(event) for event in relayed] == \

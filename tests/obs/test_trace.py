@@ -17,7 +17,8 @@ from repro.obs import (
 from repro.obs.kernels import active_kernel_clock
 from repro.obs.trace import chrome_from_records, hot_kernel_rows
 from repro.simulation.parallel import run_cells, sweep_cells
-from repro.simulation.sweep import SweepConfiguration, run_sweep_cell
+from repro.simulation.scenario import run_scenario
+from repro.simulation.sweep import SweepConfiguration
 from repro.store.runstore import RunRecord
 
 KNOWN_PHASES = {"continuous/advance", "flow/object-round", "flow/array-round",
@@ -35,7 +36,7 @@ def traced_serial_run(seed=3, **tracer_kwargs):
     bus = MetricsBus()
     tracer = Tracer(label="test", **tracer_kwargs).attach(bus)
     try:
-        result = run_sweep_cell(small_config(), seed, bus=bus)
+        result = run_scenario(small_config().scenario(seed), bus=bus)
     finally:
         tracer.detach()
     return tracer, result
@@ -92,7 +93,7 @@ class TestTracerSerialRun:
             assert set(row) == {"kernel", "calls", "total_seconds", "mean_ms"}
 
     def test_tracing_does_not_change_the_trajectory(self):
-        untraced = run_sweep_cell(small_config(), 3)
+        untraced = run_scenario(small_config().scenario(3))
         _, traced = traced_serial_run(seed=3)
         assert traced.final_max_min == untraced.final_max_min
         assert traced.final_max_avg == untraced.final_max_avg

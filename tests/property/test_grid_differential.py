@@ -18,6 +18,7 @@ tier-1 count by default, at most 500 under ``--hypothesis-profile=deep``.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -89,8 +90,13 @@ def grids(draw):
     for index, (kind, spec, *sweep) in enumerate(drawn):
         if sweep:
             seed, legacy = sweep
-            cells.append(GridCell(kind=kind, spec=spec, index=index, seed=seed,
-                                  record_trace=True, legacy_seeding=legacy))
+            # a legacy-seeded sweep cell is a scenario with seeding="legacy"
+            cell = GridCell(kind=kind, spec=spec, index=index, seed=seed,
+                            record_trace=True)
+            if legacy:
+                cell = GridCell(kind=kind, index=index, spec=replace(
+                    cell.scenario(), seeding="legacy"))
+            cells.append(cell)
         else:
             cells.append(GridCell(kind=kind, spec=spec, index=index))
     return cells

@@ -19,6 +19,7 @@ from repro.simulation.engine import (
     run_algorithm,
 )
 from repro.tasks.generators import point_load, weighted_assignment
+from repro.tasks.weighted import WeightedLoads
 
 
 @pytest.fixture
@@ -148,6 +149,68 @@ class TestRunAlgorithm:
         assert row["algorithm"] == "algorithm2"
         assert row["n"] == 16
         assert "max_min" in row and "max_avg" in row
+
+
+def _fault(name, network):
+    """``(algorithm, continuous_kind, workload keywords)`` of one shared fault."""
+    counts = point_load(network, 2 * network.num_nodes)
+    weighted = WeightedLoads.from_buckets([{1: 1, 2: 1}] * network.num_nodes)
+    return {
+        "unknown algorithm": ("gossip", "fos", {"initial_load": counts}),
+        "unknown substrate": ("algorithm1", "teleport", {"initial_load": counts}),
+        "unknown baseline substrate": ("round-down", "teleport", {"initial_load": counts}),
+        "weighted on algorithm2": ("algorithm2", "fos", {"weighted_load": weighted}),
+        "weighted assignment on algorithm2": (
+            "algorithm2", "fos", {"assignment": weighted.to_assignment(network)}),
+        "weighted on a baseline": ("round-down", "fos", {"weighted_load": weighted}),
+        "two workloads": ("algorithm1", "fos",
+                          {"initial_load": counts, "weighted_load": weighted}),
+    }[name]
+
+
+def _make_balancer(algorithm, network, kind, backend, workload):
+    return make_balancer(algorithm, network, continuous_kind=kind, backend=backend,
+                         **workload)
+
+
+def _run_algorithm(algorithm, network, kind, backend, workload):
+    return run_algorithm(algorithm, network, continuous_kind=kind, backend=backend,
+                         rounds=2, **workload)
+
+
+def _streaming_engine(algorithm, network, kind, backend, workload):
+    from repro.dynamic.events import ScheduledEvents
+    from repro.dynamic.stream import StreamingEngine
+
+    (initial_load,) = workload.values()
+    return StreamingEngine(algorithm, network, initial_load, ScheduledEvents({}),
+                           continuous_kind=kind, backend=backend)
+
+
+_FAULTS = ("unknown algorithm", "unknown substrate", "unknown baseline substrate",
+           "weighted on algorithm2", "weighted assignment on algorithm2",
+           "weighted on a baseline", "two workloads")
+
+
+class TestSharedFaults:
+    """Every entry point raises the same ``ExperimentError`` on every backend."""
+
+    @pytest.mark.parametrize("backend", ["object", "array", "auto"])
+    @pytest.mark.parametrize("entry, fault", [
+        *[(_make_balancer, fault) for fault in _FAULTS],
+        *[(_run_algorithm, fault) for fault in _FAULTS],
+        # a stream takes one workload
+        *[(_streaming_engine, fault) for fault in _FAULTS if fault != "two workloads"],
+    ])
+    def test_fault_raises_experiment_error(self, torus, entry, fault, backend):
+        algorithm, kind, workload = _fault(fault, torus)
+        with pytest.raises(ExperimentError):
+            entry(algorithm, torus, kind, backend, workload)
+
+    @pytest.mark.parametrize("algorithm", ["algorithm1", "round-down"])
+    def test_negative_rounds_rejected(self, torus, load, algorithm):
+        with pytest.raises(ExperimentError, match="rounds must be non-negative"):
+            run_algorithm(algorithm, torus, initial_load=load, rounds=-3)
 
 
 class TestCompareAlgorithms:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -311,12 +312,15 @@ class TestSweepCellsAreScenarios:
         ("periodic-matching", "matching-round-down"),
         ("random-matching", "matching-randomized")])
     def test_sweep_cell_equals_reference(self, kind, algorithm, legacy):
-        from repro.simulation.sweep import SweepConfiguration, run_sweep_cell
+        from repro.simulation.sweep import SweepConfiguration
 
         configuration = SweepConfiguration(
             algorithm=algorithm, topology="expander", num_nodes=12, tokens_per_node=6,
             workload="uniform", continuous_kind=kind)
-        result = run_sweep_cell(configuration, 5, record_trace=True, legacy_seeding=legacy)
+        scenario = configuration.scenario(5, record_trace=True)
+        if legacy:
+            scenario = replace(scenario, seeding="legacy")
+        result = run_scenario(scenario)
         expected = self.reference(configuration, 5, legacy)
         assert result.as_dict() == expected.as_dict()
         assert result.trace_max_min == expected.trace_max_min

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.network import topologies
 from repro.simulation.engine import run_algorithm
 from repro.simulation.seeding import SEED_PURPOSES, PurposeSeeds, purpose_seeds
-from repro.simulation.sweep import WORKLOADS, SweepConfiguration, run_sweep, run_sweep_cell
+from repro.simulation.scenario import run_scenario
+from repro.simulation.sweep import WORKLOADS, SweepConfiguration, run_sweep
 
 
 class TestPurposeSeeds:
@@ -52,10 +55,13 @@ class TestSweepSeeding:
     CONFIG = SweepConfiguration(algorithm="algorithm2", topology="expander",
                                 num_nodes=16, tokens_per_node=8, workload="uniform")
 
+    def legacy_run(self, seed):
+        return run_scenario(replace(self.CONFIG.scenario(seed), seeding="legacy"))
+
     def test_legacy_seeding_reproduces_the_historical_composition(self):
-        """``legacy_seeding=True`` must equal the old single-integer pipeline."""
+        """``seeding="legacy"`` must equal the old single-integer pipeline."""
         seed = 3
-        run = run_sweep_cell(self.CONFIG, seed, legacy_seeding=True)
+        run = self.legacy_run(seed)
         network = topologies.named_topology(self.CONFIG.topology,
                                             self.CONFIG.num_nodes, seed=seed)
         load = WORKLOADS[self.CONFIG.workload](network,
@@ -66,14 +72,14 @@ class TestSweepSeeding:
         assert run.rounds == reference.rounds
 
     def test_hygienic_seeding_changes_the_draws(self):
-        legacy = run_sweep(self.CONFIG, seeds=[1, 2, 3, 4], legacy_seeding=True)
+        legacy = [self.legacy_run(seed) for seed in [1, 2, 3, 4]]
         hygienic = run_sweep(self.CONFIG, seeds=[1, 2, 3, 4])
         # Identical seeds, different component streams: at least one metric of
-        # the four random runs should differ (same values would mean the flag
-        # is a no-op).
-        assert ([run.final_max_min for run in legacy.runs]
+        # the four random runs should differ (same values would mean the
+        # seeding mode is a no-op).
+        assert ([run.final_max_min for run in legacy]
                 != [run.final_max_min for run in hygienic.runs]
-                or [run.rounds for run in legacy.runs]
+                or [run.rounds for run in legacy]
                 != [run.rounds for run in hygienic.runs])
 
     def test_hygienic_seeding_reproducible(self):

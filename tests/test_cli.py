@@ -109,12 +109,6 @@ class TestCommands:
         assert exit_code == 0
         assert "two-point" in capsys.readouterr().out
 
-    def test_sweep_command_legacy_seeding(self, capsys):
-        exit_code = main(["sweep", "--algorithm", "algorithm1", "--topology", "cycle",
-                          "--nodes", "8", "--tokens-per-node", "4",
-                          "--seeds", "1", "--legacy-seeding"])
-        assert exit_code == 0
-
     def test_grid_command(self, capsys):
         exit_code = main(["grid", "--algorithms", "round-down", "algorithm1",
                           "--topologies", "cycle:8", "torus:16",
@@ -244,6 +238,45 @@ class TestCommands:
         assert "audited" in output
         assert "clean" in output
         assert "Theorem 3 bound" in output
+
+    #: ``repro audit`` stdout recorded before the command ran through
+    #: ``run_algorithm(audit=True)``; the default 32 tokens per node, seed 7.
+    RECORDED_AUDITS = {
+        ("algorithm1", "torus", "36"): (
+            "algorithm1 on torus-2d-6 (n=36, d=4):\n"
+            "audited 22 rounds: clean; max |flow error| = 0.999, "
+            "max |load deviation| = 3.854, dummy tokens = 0\n"
+            "final max-min discrepancy: 8.0 (Theorem 3 bound 10)\n"),
+        ("algorithm2", "cycle", "12"): (
+            "algorithm2 on cycle-12 (n=12, d=2):\n"
+            "audited 45 rounds: clean; max |flow error| = 0.919, "
+            "max |load deviation| = 1.838, dummy tokens = 0\n"
+            "final max-min discrepancy: 3.0 (Theorem 3 bound 6)\n"),
+    }
+
+    @pytest.mark.parametrize("instance", sorted(RECORDED_AUDITS))
+    def test_audit_stdout_matches_the_record(self, capsys, instance):
+        algorithm, topology, nodes = instance
+        exit_code = main(["audit", "--algorithm", algorithm, "--topology", topology,
+                          "--nodes", nodes])
+        assert exit_code == 0
+        assert capsys.readouterr().out == self.RECORDED_AUDITS[instance]
+
+    def test_audit_exits_1_on_violations(self, capsys, monkeypatch):
+        """Algorithm 1 that sends nothing breaks Observation 4 and Lemma 6."""
+        from repro.core.algorithm1 import DeterministicFlowImitation
+        from repro.core.flow_imitation import EdgeSendPlan
+
+        monkeypatch.setattr(
+            DeterministicFlowImitation, "_plan_edge_send",
+            lambda self, source, destination, residual, pool:
+            EdgeSendPlan(source=source, destination=destination))
+        exit_code = main(["audit", "--algorithm", "algorithm1", "--topology", "cycle",
+                          "--nodes", "12", "--tokens-per-node", "8"])
+        assert exit_code == 1
+        output = capsys.readouterr().out
+        assert "VIOLATION round 1: flow-error-bound" in output
+        assert "clean" not in output
 
 
 class TestStoreAndReportCommands:
