@@ -11,8 +11,8 @@ only on its own residual, so the ``(sender, receiver)`` planning order is
 needed only when a queue can run short, and then it is filtered from the
 network's precomputed :attr:`~repro.network.graph.Network.directed_order`.
 
-Per round, :meth:`ArrayFlowImitation._edge_amounts` turns the residual
-flows of the active edges into what each edge asks its sender for: integer
+Per round, :meth:`ArrayFlowImitation._edge_amounts` turns every edge's
+residual flow into what the edge asks its sender for: integer
 unit-token counts (floor for Algorithm 1, randomized rounding for Algorithm
 2) or, for weighted tasks, the residuals themselves.  One call,
 :meth:`WeightedRunState.transfer`, then moves the tasks and reports the
@@ -29,7 +29,7 @@ an accident, and the ordering details below exist to preserve it:
   request lists — so the FIFO real/dummy split matches.  Algorithm 2's
   draws do not depend on any order (each edge owns its entry of the
   per-round Philox score block, see :mod:`repro.counter_rng`);
-* the send counts are drawn for every active edge before the state picks
+* the send counts are drawn for every edge before the state picks
   the round's form, so the draws never depend on which form runs;
 * a sender's tasks are committed to its edges first-come-first-served
   against the start-of-round state, and every plan is taken before any
@@ -45,7 +45,7 @@ for every algorithm, workload kind and substrate.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -151,9 +151,9 @@ class ArrayFlowImitation(FlowCoupledBalancer):
         """Return the per-node total weight of dummy tokens (as floats)."""
         return self._state.dummy_counts.astype(float)
 
-    def real_weight_buckets(self) -> List[Dict[int, int]]:
-        """Per-node ``{weight: count}`` of the real tasks (for streaming sync)."""
-        return self._state.real_buckets()
+    def real_counts(self, weights: np.ndarray) -> np.ndarray:
+        """The real task count of every node per weight class (a fresh int64 matrix)."""
+        return self._state.real_counts(weights)
 
     def remove_dummies(self) -> float:
         """Eliminate all dummy tasks (the final step of the balancing process)."""
@@ -180,25 +180,21 @@ class ArrayFlowImitation(FlowCoupledBalancer):
     def _imitate_round(self) -> None:
         # The substrate's own array: read, never written, and no copy per round.
         residual = self._continuous._cumulative - self._discrete_cumulative
-        active = np.flatnonzero(residual != 0.0)
-        if active.size == 0:
-            self._report(0, 0, 0, 0)
-            return
-        residual = residual[active]
-        amounts = self._edge_amounts(np.abs(residual), active)
-        moving = np.flatnonzero(amounts > 0)  # residuals are positive; counts may be 0
+        # a zero residual asks for nothing, so the positive amounts pick the moving edges
+        amounts = self._edge_amounts(np.abs(residual))
+        moving = np.flatnonzero(amounts > 0)
         if moving.size == 0:
             self._report(0, 0, 0, 0)
             return
-        active, amounts = active[moving], amounts[moving]
+        amounts = amounts[moving]
         forward = residual[moving] > 0.0
         # directed edge k is edge k sent u -> v, m + k the same edge v -> u
-        directed = active + self.network.num_edges * ~forward
+        directed = moving + self.network.num_edges * ~forward
         senders, receivers = (ends[directed] for ends in self.network.directed_endpoints)
         sent, tasks_moved, dummies = self._state.transfer(
             senders, receivers, amounts, self._w_max + 1e-9, self._policy,
             lambda: self.network.planning_order(directed))
-        self._discrete_cumulative[active] += np.where(forward, sent, -sent).astype(float)
+        self._discrete_cumulative[moving] += np.where(forward, sent, -sent).astype(float)
         self._report(int(np.count_nonzero(sent)), tasks_moved, int(sent.sum()), dummies)
 
     def _report(self, transfers: int, tasks_moved: int, weight_moved: int,
@@ -209,15 +205,14 @@ class ArrayFlowImitation(FlowCoupledBalancer):
         self._reports.append(RoundReport(self._round, transfers, tasks_moved,
                                          float(weight_moved), dummies))
 
-    def _edge_amounts(self, magnitude: np.ndarray, edges: np.ndarray) -> np.ndarray:
-        """What every active edge asks its sender for.
+    def _edge_amounts(self, magnitude: np.ndarray) -> np.ndarray:
+        """What every edge asks its sender for.
 
-        ``magnitude`` holds the residual magnitudes of the active edges and
-        ``edges`` their edge indices, ascending (what counter-mode randomness
-        is keyed on).  Returns integer unit-token counts, or the
-        float residuals themselves for weighted tasks, which
-        :meth:`WeightedRunState.transfer` answers with the pseudocode's
-        while-loop.
+        ``magnitude`` holds every edge's residual magnitude, in edge order
+        (what counter-mode randomness is keyed on).  Returns integer
+        unit-token counts, or the float residuals themselves for weighted
+        tasks, which :meth:`WeightedRunState.transfer` answers with the
+        pseudocode's while-loop.  An edge with a zero residual asks for 0.
         """
         raise NotImplementedError
 
@@ -229,7 +224,7 @@ class ArrayDeterministicFlowImitation(ArrayFlowImitation):
         """The Theorem 3 bound ``2 d w_max + 2`` for this instance."""
         return theorem3_discrepancy_bound(self.network.max_degree, self.w_max)
 
-    def _edge_amounts(self, magnitude: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    def _edge_amounts(self, magnitude: np.ndarray) -> np.ndarray:
         if self._unit_tokens_only:
             return np.floor(magnitude + 1e-9).astype(np.int64)
         return magnitude
@@ -238,8 +233,8 @@ class ArrayDeterministicFlowImitation(ArrayFlowImitation):
 class ArrayRandomizedFlowImitation(ArrayFlowImitation):
     """Algorithm 2 on the array backend: randomized rounding of the residual.
 
-    Each active edge fancy-indexes its entry of the per-round Philox score
-    block (:mod:`repro.counter_rng`), bit-identical to the scalar reference
+    Every edge reads its entry of the per-round Philox score block
+    (:mod:`repro.counter_rng`), bit-identical to the scalar reference
     (:class:`~repro.core.algorithm2.RandomizedFlowImitation`) by
     construction: both read ``edge_scores(seed, round)[edge]``.
     """
@@ -272,9 +267,9 @@ class ArrayRandomizedFlowImitation(ArrayFlowImitation):
     def _reset_rng(self, seed: Optional[int]) -> None:
         self._counter_key = normalize_counter_seed(seed)
 
-    def _edge_amounts(self, magnitude: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    def _edge_amounts(self, magnitude: np.ndarray) -> np.ndarray:
         base = np.floor(magnitude)
         fraction = magnitude - base
-        draws = edge_scores(self._counter_key, self._round, self.network.num_edges)[edges]
+        draws = edge_scores(self._counter_key, self._round, self.network.num_edges)
         round_up = draws < fraction
         return (base + round_up).astype(np.int64)

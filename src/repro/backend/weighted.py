@@ -32,7 +32,7 @@ The round that drives this state lives in :mod:`repro.backend.flow`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -327,18 +327,19 @@ class WeightedRunState:
         or any dummy exists; ``1`` for an empty workload)."""
         return self._single_class
 
-    def real_buckets(self) -> List[Dict[int, int]]:
-        """Per-node ``{weight: count}`` of the real (non-dummy) tasks."""
+    def real_counts(self, weights: np.ndarray) -> np.ndarray:
+        """Real tasks per node and ascending weight class, as a fresh int64 matrix;
+        a single-class state divides its load vector and stores no runs."""
+        counts = np.zeros((self.loads.size, len(weights)), dtype=np.int64)
         if self._runs is None:
             w = self._single_class
-            return [{w: load // w} if load else {} for load in self.loads.tolist()]
+            counts[:, np.searchsorted(weights, w)] = self.loads // w
+            return counts
         count, weight, dummy, offsets = self._runs
         real = ~dummy
-        buckets: List[Dict[int, int]] = [{} for _ in range(self.loads.size)]
-        for node, w, c in zip(_run_nodes(offsets)[real].tolist(),
-                              weight[real].tolist(), count[real].tolist()):
-            buckets[node][w] = buckets[node].get(w, 0) + c
-        return buckets
+        np.add.at(counts, (_run_nodes(offsets)[real], np.searchsorted(weights, weight[real])),
+                  count[real])
+        return counts
 
     # ------------------------------------------------------------------ #
     # the round

@@ -41,7 +41,7 @@ import numpy as np
 
 from ..continuous.base import BALANCE_TOLERANCE, ContinuousProcess
 from ..discrete.base import DiscreteBalancer
-from ..exceptions import ConvergenceError, ProcessError, TaskError
+from ..exceptions import ConvergenceError, ProcessError
 from ..obs.kernels import kernel_phase
 from ..tasks.assignment import TaskAssignment
 from ..tasks.load import as_token_counts
@@ -441,16 +441,16 @@ class FlowImitationBalancer(FlowCoupledBalancer):
         """Eliminate all dummy tasks (the final step of the balancing process)."""
         return self._assignment.remove_dummies()
 
-    def real_weight_buckets(self) -> List[Dict[int, int]]:
-        """Per-node ``{weight: count}`` of the real tasks (for streaming sync).
-
-        Only defined for integer-weight workloads (the weighted streaming
-        engine's model); the columnar backend exposes the same method.
-        """
-        try:
-            return WeightedLoads.from_assignment(self._assignment).buckets()
-        except TaskError as exc:
-            raise ProcessError(str(exc)) from exc
+    def real_counts(self, weights: np.ndarray) -> np.ndarray:
+        """The assignment's real tasks per node and weight class (integer weights
+        only: the streaming engine's model); unit tokens are the real load vector."""
+        if len(weights) == 1:
+            return np.rint(self._assignment.loads(include_dummies=False)).astype(np.int64)[:, None]
+        real = WeightedLoads.from_assignment(self._assignment)
+        counts = np.zeros((real.num_nodes, len(weights)), dtype=np.int64)
+        nodes = np.repeat(np.arange(real.num_nodes), np.diff(real.offsets))
+        counts[nodes, np.searchsorted(weights, real.weights)] = real.counts
+        return counts
 
     def _reset_workload(self, workload) -> None:
         if isinstance(workload, WeightedLoads):

@@ -33,7 +33,8 @@ class DiscreteBalancer(ABC):
     Subclasses maintain whatever internal representation they need (a
     :class:`~repro.tasks.assignment.TaskAssignment` for weighted tasks, a
     plain integer vector for token-only baselines) but must expose the load
-    vector, the network and a synchronous :meth:`advance`.
+    vector, the real task counts, the network and a synchronous :meth:`advance`.
+    Each family overrides the failure-mode counters it can trip.
     """
 
     def __init__(self, network: Network) -> None:
@@ -55,6 +56,27 @@ class DiscreteBalancer(ABC):
     @abstractmethod
     def loads(self, include_dummies: bool = True) -> np.ndarray:
         """Return the current load vector of the discrete process."""
+
+    @abstractmethod
+    def real_counts(self, weights: np.ndarray) -> np.ndarray:
+        """A fresh ``(n, len(weights))`` int64 matrix of every node's real
+        (non-dummy) task count per weight class; ``weights`` is ascending,
+        starts at 1 and covers every real task's weight."""
+
+    @property
+    def dummy_tokens_created(self) -> int:
+        """The total number of dummy tokens drawn from the infinite source so far."""
+        return 0
+
+    @property
+    def used_infinite_source(self) -> bool:
+        """Whether any node ever had to draw dummy tasks from the infinite source."""
+        return False
+
+    @property
+    def went_negative(self) -> bool:
+        """Whether any node's load ever became negative during the run."""
+        return False
 
     @abstractmethod
     def _execute_round(self) -> None:
@@ -182,6 +204,12 @@ class IntegerLoadBalancer(DiscreteBalancer):
     def loads(self, include_dummies: bool = True) -> np.ndarray:
         """Return the current integer load vector as floats (dummies do not apply)."""
         return self._loads.astype(float)
+
+    def real_counts(self, weights: np.ndarray) -> np.ndarray:
+        """The integer loads as weight-1 counts in column 0 (possibly negative)."""
+        counts = np.zeros((self._loads.size, len(weights)), dtype=np.int64)
+        counts[:, 0] = self._loads
+        return counts
 
     def _apply_edge_moves(self, moves) -> None:
         """Apply ``(source, destination, tokens)`` moves synchronously.

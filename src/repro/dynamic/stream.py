@@ -52,7 +52,9 @@ ascending weight.  Re-coupling hands the balancer the matrix's non-zero
 entries as ``WeightedLoads`` in canonical (ascending-weight) order, so the
 object and columnar backends stay trajectory-identical on weighted streams
 too — and the columnar fast path keeps re-coupling O(n + buckets) with no
-per-task objects.
+per-task objects.  After every round every balancer hands back its real
+task counts over the same columns as one fresh int64 matrix
+(:meth:`~repro.discrete.base.DiscreteBalancer.real_counts`).
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..backend import resolve_backend
-from ..core.flow_imitation import FlowCoupledBalancer, TaskSelectionPolicy
+from ..core.flow_imitation import TaskSelectionPolicy
 from ..counter_rng import require_counter_rng
 from ..exceptions import CheckpointError, ExperimentError, NetworkError
 from ..obs.bus import MetricsBus
@@ -92,6 +94,12 @@ __all__ = ["run_stream", "StreamingEngine", "EventTimeline"]
 
 _DEPARTURE, _JOIN = KIND_CODES[DEPARTURE], KIND_CODES[JOIN]
 
+
+#: Every run counter a snapshot keeps, with its type, in snapshot order.
+_COUNTERS = (("round", int), ("recouplings", int), ("fast_recouplings", int),
+             ("arrived", int), ("departed", int), ("rejected_events", int),
+             ("clamped_tokens", int), ("dummy_tokens", int),
+             ("used_infinite_source", bool), ("went_negative", bool), ("next_label", int))
 
 #: The event log's columns, in row order.
 _COLUMNS = ("round", "kind", "node", "tokens", "applied", "tag")
@@ -330,6 +338,19 @@ class StreamingEngine:
     intermediate state.
     """
 
+    # the run counters of _COUNTERS, declared for the type checker
+    _round: int
+    _recouplings: int
+    _fast_recouplings: int
+    _arrived: int
+    _departed: int
+    _rejected_events: int
+    _clamped_tokens: int
+    _dummy_tokens: int
+    _used_infinite_source: bool
+    _went_negative: bool
+    _next_label: int
+
     def __init__(
         self,
         algorithm: str,
@@ -365,45 +386,19 @@ class StreamingEngine:
         # backend's one columnar state; either backend gives the same
         # trajectory.
         choice = resolve_backend(backend, weighted=weighted, algorithm=algorithm)
-        self._config: Dict[str, Any] = {
+        config = {
             "algorithm": algorithm, "continuous_kind": continuous_kind,
             "seed": seed, "selection_policy": selection_policy,
             "rng_mode": rng_mode, "backend": backend,
             "resolved_backend": choice.name, "weighted": weighted is not None,
             "base_name": network.name,
         }
-        self._generator = generator
-        self._backend_reason = choice.reason
-
-        # Stable-label state: the edge array and per-label arrays the events
-        # act on.  ``network`` already uses contiguous labels 0..n-1, which
-        # become the initial stable labels; joins get fresh labels beyond the
-        # maximum.
-        self._edges = np.column_stack(network.edge_endpoints)
-        self._load_rows(range(network.num_nodes), network.speeds, buckets)
-        self._next_label = network.num_nodes
-
-        self._round = 0
-        self._recouplings = 0
-        self._fast_recouplings = 0
-        self._arrived = 0
-        self._departed = 0
-        self._rejected_events = 0
-        self._clamped_tokens = 0
-        # Failure-mode counters accumulated across re-couplings (each
-        # coupling discards the previous balancer together with its own
-        # counters, so the run-level totals live here).
-        self._dummy_tokens = 0
-        self._used_infinite_source = False
-        self._went_negative = False
-        self._log = _EventLog()
-
-        self._network: Network = None  # type: ignore[assignment]
-        self._balancer = None
-        # (edges, network) of the last accepted leave, for the next _couple
-        self._left: Optional[Tuple[np.ndarray, Network]] = None
-        self._attach_bus(bus)
-        self._couple()
+        # ``network``'s labels 0..n-1 become the stable labels; joins get fresh ones above
+        counters = {name: kind() for name, kind in _COUNTERS}
+        counters["next_label"] = network.num_nodes
+        self._start(config, generator, choice.reason, range(network.num_nodes),
+                    network.speeds, buckets, np.column_stack(network.edge_endpoints),
+                    counters, _EventLog(), bus)
 
     # ------------------------------------------------------------------ #
     # read-only state
@@ -478,16 +473,6 @@ class StreamingEngine:
     # the per-label arrays
     # ------------------------------------------------------------------ #
 
-    def _load_rows(self, labels, speeds, buckets) -> None:
-        """Set the per-label arrays from one ``{weight: count}`` mapping per label.
-
-        The weight classes are the workload's plus weight 1 (column 0, where
-        streamed unit tokens arrive and depart); no event creates a new class.
-        """
-        self._weights = np.array(sorted({1}.union(*buckets)), dtype=np.int64)
-        self._set_rows(tuple(labels), np.asarray(speeds, dtype=float),
-                       self._bucket_matrix(buckets))
-
     def _set_rows(self, labels: Tuple[int, ...], speeds: np.ndarray,
                   counts: np.ndarray) -> None:
         """Install new rows (only on JOIN/LEAVE) and rebuild the label array."""
@@ -504,15 +489,6 @@ class StreamingEngine:
         rows = np.searchsorted(self._label_array, labels)
         np.minimum(rows, len(self._labels) - 1, out=rows)
         return rows, self._label_array[rows] == labels
-
-    def _bucket_matrix(self, buckets: Sequence[Dict[int, int]]) -> np.ndarray:
-        """The ``(n, K)`` count matrix of one ``{weight: count}`` mapping per row."""
-        column = {weight: k for k, weight in enumerate(self._weights.tolist())}
-        counts = np.zeros((len(buckets), len(column)), dtype=np.int64)
-        for row, bucket in enumerate(buckets):
-            for weight, count in bucket.items():
-                counts[row, column[weight]] = count
-        return counts
 
     def _tokens_of(self, counts: np.ndarray) -> Dict[int, int]:
         """Total real weight per label of a count matrix over the current rows."""
@@ -564,17 +540,7 @@ class StreamingEngine:
         serialised.
         """
         return {
-            "round": self._round,
-            "recouplings": self._recouplings,
-            "fast_recouplings": self._fast_recouplings,
-            "arrived": self._arrived,
-            "departed": self._departed,
-            "rejected_events": self._rejected_events,
-            "clamped_tokens": self._clamped_tokens,
-            "dummy_tokens": self._dummy_tokens,
-            "used_infinite_source": self._used_infinite_source,
-            "went_negative": self._went_negative,
-            "next_label": self._next_label,
+            **{name: getattr(self, f"_{name}") for name, _ in _COUNTERS},
             "backend_reason": self._backend_reason,
             "nodes": list(self._labels),
             "edges": self._edges.tolist(),
@@ -617,14 +583,8 @@ class StreamingEngine:
         view read from a checkpoint carries (see :meth:`_EventLog.from_timeline`).
         """
         require_counter_rng(config.get("rng_mode"), error=CheckpointError)
-        engine = cls.__new__(cls)
-        engine._config = dict(config)
-        engine._generator = generator
-        engine._backend_reason = state.get(
-            "backend_reason", "restored from checkpoint")
-
         boundary = state["boundary"]
-        labels, engine._edges = cls._checked_topology(state)
+        labels, edges = cls._checked_topology(state)
         speeds = cls._int_keys(state["speeds"], float)
         tokens = cls._int_keys(boundary["tokens"])
         # unit streams store no buckets: each label's tokens are its weight-1 count
@@ -636,26 +596,13 @@ class StreamingEngine:
             if missing:
                 raise CheckpointError(
                     f"malformed checkpoint: nodes {missing} have no {table}")
-        engine._load_rows(labels, [speeds[label] for label in labels],
-                          [buckets[label] for label in labels])
-        engine._next_label = int(state["next_label"])
-
-        engine._round = int(state["round"])
-        engine._recouplings = int(state["recouplings"])
-        engine._fast_recouplings = int(state["fast_recouplings"])
-        engine._arrived = int(state["arrived"])
-        engine._departed = int(state["departed"])
-        engine._rejected_events = int(state["rejected_events"])
-        engine._clamped_tokens = int(boundary["clamped_tokens"])
-        engine._dummy_tokens = int(state["dummy_tokens"])
-        engine._used_infinite_source = bool(state["used_infinite_source"])
-        engine._went_negative = bool(state["went_negative"])
-        engine._log = _EventLog.from_timeline(state["timeline"])
-
-        engine._balancer = None
-        engine._left = None
-        engine._attach_bus(None)
-        engine._couple()
+        engine = cls.__new__(cls)
+        # the replay re-accumulates any clamping after the boundary
+        engine._start(dict(config), generator,
+                      state.get("backend_reason", "restored from checkpoint"), labels,
+                      [speeds[label] for label in labels], [buckets[label] for label in labels],
+                      edges, {**state, "clamped_tokens": boundary.get("clamped_tokens")},
+                      _EventLog.from_timeline(state["timeline"]), None)
         for _ in range(int(boundary["rounds_since"])):
             engine._balancer.advance()
             engine._sync_tokens_from_balancer()
@@ -666,11 +613,11 @@ class StreamingEngine:
                 "checkpoint integrity failure: replaying "
                 f"{boundary['rounds_since']} round(s) from the coupling "
                 "boundary did not reproduce the snapshotted loads")
-        if engine._clamped_tokens != int(state["clamped_tokens"]):
+        if engine._clamped_tokens != state.get("clamped_tokens"):
             raise CheckpointError(
                 "checkpoint integrity failure: replayed clamped-token "
                 f"count {engine._clamped_tokens} != snapshotted "
-                f"{state['clamped_tokens']}")
+                f"{state.get('clamped_tokens')!r}")
         generator.load_state_dict(state["generator"])
         engine._attach_bus(bus)
         return engine
@@ -694,6 +641,43 @@ class StreamingEngine:
             raise CheckpointError(
                 "malformed checkpoint: an edge names a label that is not a node")
         return labels, np.unique(np.sort(edges, axis=1), axis=0)
+
+    def _start(self, config: Dict[str, Any], generator: EventGenerator, backend_reason: str,
+               labels: Sequence[int], speeds, buckets: Sequence[Dict[int, int]],
+               edges: np.ndarray, counters: Dict[str, Any], log: _EventLog,
+               bus: Optional[MetricsBus]) -> None:
+        """Install the system, run counters and event log, then couple: the one
+        start of a new (zero counters) or restored (a snapshot's) engine.
+
+        A counter of :data:`_COUNTERS` that is missing or not of its type (an
+        int that is not a bool, or a bool) raises :class:`CheckpointError`.
+        """
+        self._config = config
+        self._generator = generator
+        self._backend_reason = backend_reason
+        self._edges = edges
+        # the workload's weight classes plus weight 1 (column 0, where streamed
+        # unit tokens arrive and depart); no event creates a new class
+        self._weights = np.array(sorted({1}.union(*buckets)), dtype=np.int64)
+        column = {weight: k for k, weight in enumerate(self._weights.tolist())}
+        counts = np.zeros((len(buckets), len(column)), dtype=np.int64)
+        for row, bucket in enumerate(buckets):
+            for weight, count in bucket.items():
+                counts[row, column[weight]] = count
+        self._set_rows(tuple(labels), np.asarray(speeds, dtype=float), counts)
+        for name, kind in _COUNTERS:
+            value = counters.get(name)
+            if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+                raise CheckpointError(
+                    f"malformed checkpoint: counter {name!r} must be {kind.__name__}, "
+                    f"got {'nothing' if name not in counters else repr(value)}")
+            setattr(self, f"_{name}", value)
+        self._log = log
+        self._balancer = None
+        # (edges, network) of the last accepted leave, for the next _couple
+        self._left: Optional[Tuple[np.ndarray, Network]] = None
+        self._attach_bus(bus)
+        self._couple()
 
     def _attach_bus(self, bus: Optional[MetricsBus]) -> None:
         """Send telemetry to ``bus`` (None: nowhere), probing the current balancer."""
@@ -804,34 +788,22 @@ class StreamingEngine:
         """Fold the outgoing balancer's failure-mode counters into the run totals."""
         if self._balancer is None:
             return
-        if isinstance(self._balancer, FlowCoupledBalancer):
-            self._dummy_tokens += self._balancer.dummy_tokens_created
-            self._used_infinite_source |= self._balancer.used_infinite_source
-        else:
-            self._went_negative |= bool(getattr(self._balancer, "went_negative", False))
+        self._dummy_tokens += self._balancer.dummy_tokens_created
+        self._used_infinite_source |= self._balancer.used_infinite_source
+        self._went_negative |= self._balancer.went_negative
 
     def _sync_tokens_from_balancer(self) -> None:
-        """Pull the post-round loads back into the per-label counts.
+        """Take the balancer's post-round real task counts as the per-label counts.
 
-        Flow-imitation balancers report their *real* tasks (dummy tokens are
-        dropped at the next re-coupling boundary, mirroring the paper's final
-        dummy-elimination step).  Baselines that can drive a node negative
-        are clamped at zero here; the clamped amount is recorded so the run
-        result can report the conservation violation instead of hiding it.
-        Weighted streams pull back the whole per-node weight multiset.
+        Dummies are dropped at the next re-coupling boundary (the paper's final
+        clean-up).  A baseline's negative loads are clamped at zero and the
+        clamped amount is recorded, so the result reports the violation.
         """
-        if self.weighted:
-            self._counts = self._bucket_matrix(self._balancer.real_weight_buckets())
-            return
-        if isinstance(self._balancer, FlowCoupledBalancer):
-            loads = self._balancer.loads(include_dummies=False)
-        else:
-            loads = self._balancer.loads()
-        counts = np.rint(np.asarray(loads, dtype=float)).astype(np.int64)
+        counts = self._balancer.real_counts(self._weights)
         if counts.min() < 0:
             self._clamped_tokens -= int(counts[counts < 0].sum())
             np.maximum(counts, 0, out=counts)
-        self._counts[:, 0] = counts
+        self._counts = counts
 
     # ------------------------------------------------------------------ #
     # events

@@ -107,6 +107,6 @@ class RoundProbe:
                 used_infinite_source=balancer.used_infinite_source,
             )
         else:
-            payload["went_negative"] = bool(getattr(balancer, "went_negative", False))
+            payload["went_negative"] = balancer.went_negative
         self._bus.emit("round", self._source,
                        round_index=balancer.round_index - 1, **payload)

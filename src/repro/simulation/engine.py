@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
-from ..backend import BACKEND_KINDS, resolve_backend
+from ..backend import BACKEND_KINDS, BackendChoice, resolve_backend
 from ..backend.flow import (
     ArrayDeterministicFlowImitation,
     ArrayRandomizedFlowImitation,
@@ -171,7 +171,7 @@ def _build_flow_imitation(
     seed: Optional[int],
     selection_policy: str,
     backend: str,
-) -> FlowCoupledBalancer:
+) -> Tuple[FlowCoupledBalancer, BackendChoice]:
     # Ahead of the backend branch, so every backend raises the same error.
     if algorithm == "algorithm2" and (
             (weighted_load is not None and weighted_load.max_weight() > 1)
@@ -197,15 +197,9 @@ def _build_flow_imitation(
                           else TaskAssignment.from_unit_loads(network, counts))
         if algorithm == "algorithm1":
             return DeterministicFlowImitation(continuous, assignment,
-                                              selection_policy=selection_policy)
-        return RandomizedFlowImitation(continuous, assignment, seed=seed)
-    if assignment is not None and assignment.total_dummy_weight() > 0:
-        # resolve_backend routes these to the object backend; the array
-        # state would otherwise turn the dummies into real tasks.
-        raise ExperimentError(
-            "assignments that already contain dummy tasks require the "
-            "object backend")
-    workload: Workload
+                                              selection_policy=selection_policy), choice
+        return RandomizedFlowImitation(continuous, assignment, seed=seed), choice
+    workload: Workload  # resolve_backend sends assignments with dummies to "object"
     if assignment is not None:
         workload = assignment
     elif weighted_load is not None:
@@ -214,8 +208,8 @@ def _build_flow_imitation(
         workload = counts
     if algorithm == "algorithm1":
         return ArrayDeterministicFlowImitation(continuous, workload,
-                                               selection_policy=selection_policy)
-    return ArrayRandomizedFlowImitation(continuous, workload, seed=seed)
+                                               selection_policy=selection_policy), choice
+    return ArrayRandomizedFlowImitation(continuous, workload, seed=seed), choice
 
 
 _DIFFUSION_CLASSES: Dict[str, Type[IntegerLoadBalancer]] = {
@@ -234,28 +228,24 @@ def _build_baseline(
     schedule: Optional[MatchingSchedule],
     seed: Optional[int],
     backend: str,
-) -> DiscreteBalancer:
+) -> Tuple[IntegerLoadBalancer, BackendChoice]:
     # A clear error beats a silently rounded workload: the baselines balance
     # whole tokens, so fractional loads are a caller bug.
     loads = as_token_counts(initial_load, network, error=ExperimentError)
-    resolve_backend(backend)  # checks the name: every backend runs the same class
+    choice = resolve_backend(backend, algorithm=algorithm)  # every backend runs one class
     check_substrate(algorithm, continuous_kind)
     if algorithm in DIFFUSION_BASELINES:
         if continuous_kind == "sos":  # check_substrate lets only round-down through
-            return RoundDownSecondOrder(network, loads)
+            return RoundDownSecondOrder(network, loads), choice
         cls = _DIFFUSION_CLASSES[algorithm]
         if algorithm in ("round-down", "quasirandom"):
-            return cls(network, loads)
-        return cls(network, loads, seed=seed)
-    if algorithm in MATCHING_BASELINES:
-        if schedule is None:
-            schedule = make_schedule(continuous_kind, network, seed=seed)
-        if algorithm == "matching-round-down":
-            return RoundDownMatching(network, loads, schedule)
-        return RandomizedRoundingMatching(network, loads, schedule, seed=seed)
-    raise ExperimentError(
-        f"unknown algorithm {algorithm!r}; valid algorithms: {ALL_ALGORITHMS}"
-    )
+            return cls(network, loads), choice
+        return cls(network, loads, seed=seed), choice
+    if schedule is None:
+        schedule = make_schedule(continuous_kind, network, seed=seed)
+    if algorithm == "matching-round-down":
+        return RoundDownMatching(network, loads, schedule), choice
+    return RandomizedRoundingMatching(network, loads, schedule, seed=seed), choice
 
 
 def make_balancer(
@@ -294,6 +284,16 @@ def make_balancer(
     :mod:`repro.counter_rng`); ``rng_mode`` accepts only ``"counter"`` and
     is kept for callers that name it.
     """
+    return _coupled_balancer(algorithm, network, initial_load, assignment, weighted_load,
+                             continuous_kind, schedule, seed, selection_policy, backend,
+                             rng_mode)[0]
+
+
+def _coupled_balancer(algorithm: str, network: Network, initial_load, assignment,
+                      weighted_load, continuous_kind: str, schedule, seed,
+                      selection_policy: str, backend: str,
+                      rng_mode: str) -> Tuple[DiscreteBalancer, BackendChoice]:
+    """:func:`make_balancer` plus the backend it resolved, and why."""
     if algorithm not in ALL_ALGORITHMS:
         raise ExperimentError(
             f"unknown algorithm {algorithm!r}; valid algorithms: {ALL_ALGORITHMS}"
@@ -375,18 +375,11 @@ def run_algorithm(
     """
     if rounds is not None and rounds < 0:
         raise ExperimentError("rounds must be non-negative")
-    choice = resolve_backend(backend, assignment=assignment,
-                             weighted=weighted_load, algorithm=algorithm)
     if schedule is None and continuous_kind in _MATCHING_KINDS:
         schedule = make_schedule(continuous_kind, network, seed=seed)
-    # Pass the resolved concrete backend so the object path does not repeat
-    # the per-task integer-weight scan of the resolution.
-    balancer = make_balancer(
-        algorithm, network, initial_load=initial_load, assignment=assignment,
-        weighted_load=weighted_load, continuous_kind=continuous_kind,
-        schedule=schedule, seed=seed, selection_policy=selection_policy,
-        backend=choice.name,
-    )
+    balancer, choice = _coupled_balancer(
+        algorithm, network, initial_load, assignment, weighted_load, continuous_kind,
+        schedule, seed, selection_policy, backend, "counter")
     flow = balancer if isinstance(balancer, FlowCoupledBalancer) else None
     if flow is None and rounds is None:
         # A baseline carries no substrate: measure T on the shared schedule.
@@ -469,9 +462,9 @@ def summarize_balancer(balancer: DiscreteBalancer, algorithm: str, continuous_ki
 
     ``total_weight`` is the real workload the max-avg discrepancies refer
     to; ``fields`` are further :class:`RunResult` fields (traces, the event
-    timeline).  A flow-imitation balancer also reports its discrepancies
-    without dummy tokens and its failure-mode counters; a baseline reports
-    whether a load went negative.
+    timeline).  Every balancer reports its three failure-mode counters; a
+    flow-imitation balancer also reports its discrepancies without dummy
+    tokens.
     """
     network = balancer.network
     loads = balancer.loads()
@@ -486,6 +479,9 @@ def summarize_balancer(balancer: DiscreteBalancer, algorithm: str, continuous_ki
         max_task_weight=1.0,
         final_max_min=max_min_discrepancy(loads, network),
         final_max_avg=max_avg_discrepancy(loads, network, total_weight=total_weight),
+        dummy_tokens=balancer.dummy_tokens_created,
+        used_infinite_source=balancer.used_infinite_source,
+        went_negative=balancer.went_negative,
         **fields,
     )
     if isinstance(balancer, FlowCoupledBalancer):
@@ -494,10 +490,6 @@ def summarize_balancer(balancer: DiscreteBalancer, algorithm: str, continuous_ki
         result.final_max_min_no_dummies = max_min_discrepancy(real_loads, network)
         result.final_max_avg_no_dummies = max_avg_discrepancy(
             real_loads, network, total_weight=total_weight)
-        result.dummy_tokens = balancer.dummy_tokens_created
-        result.used_infinite_source = balancer.used_infinite_source
-    else:
-        result.went_negative = bool(getattr(balancer, "went_negative", False))
     return result
 
 

@@ -168,6 +168,30 @@ class TestMakeBalancerThreading:
         assert isinstance(balancer, DeterministicFlowImitation)
         assert balancer.w_max == 2.5
 
+    @pytest.mark.parametrize("weight, backend, reason", [
+        (3.0, "array", "columnar weighted buckets (integer weights)"),
+        (2.5, "object", "non-integer task weight 2.5"),
+    ])
+    def test_run_algorithm_scans_an_assignment_once(self, monkeypatch, weight, backend,
+                                                    reason):
+        import repro.backend.base as base
+
+        scans = []
+        scan = base._assignment_fallback_reason
+
+        def counted(assignment):
+            scans.append(assignment)
+            return scan(assignment)
+
+        monkeypatch.setattr(base, "_assignment_fallback_reason", counted)
+        network = topologies.cycle(6)
+        assignment = TaskAssignment(network)
+        assignment.add(0, Task(task_id=0, weight=weight))
+        assignment.add(1, Task(task_id=1, weight=1.0))
+        result = run_algorithm("algorithm1", network, assignment=assignment, rounds=3)
+        assert (result.extra["backend"], result.extra["backend_reason"]) == (backend, reason)
+        assert len(scans) == 1
+
     def test_both_backends_are_flow_coupled(self):
         network = topologies.cycle(6)
         load = point_load(network, 12)

@@ -533,17 +533,18 @@ class TestWeightedStateQueries:
         assert state.remove_dummies() == 13
         assert queues(state) == [[(3, 2, False), (1, 3, False), (4, 1, False)], []]
 
-    def test_real_buckets_track_mutations_and_return_copies(self):
+    def test_real_counts_track_mutations_and_return_copies(self):
         state = WeightedRunState.from_weighted_loads(
             WeightedLoads.from_buckets([{2: 3, 4: 1}, {1: 2}]))
-        first = state.real_buckets()
-        first[0][2] = 999                       # mutating the copy is harmless
-        assert state.real_buckets()[0] == {2: 3, 4: 1}
+        weights = np.array([1, 2, 4])
+        first = state.real_counts(weights)
+        first[0, 1] = 999                       # mutating the copy is harmless
+        assert state.real_counts(weights).tolist() == [[0, 3, 1], [2, 0, 0]]
         transfer(state, [(0, 1, 8.5)], 4.0 + 1e-9, TaskSelectionPolicy.LARGEST_FIRST)
-        assert state.real_buckets() == [{2: 2}, {1: 2, 4: 1, 2: 1}]
+        assert state.real_counts(weights).tolist() == [[0, 2, 0], [2, 1, 1]]
 
-    def test_real_buckets_arithmetic_in_compact_mode(self):
-        """Single-class buckets come straight from the load vector — the
+    def test_real_counts_arithmetic_in_compact_mode(self):
+        """Single-class counts come straight from the load vector — the
         state stores no run arrays, even after querying them."""
         network = topologies.torus(4, dims=2)
         _, array_balancer = paired_single_class(network, 4,
@@ -552,12 +553,12 @@ class TestWeightedStateQueries:
             array_balancer.advance()
         state = array_balancer._state
         assert state._runs is None
-        buckets = state.real_buckets()
-        assert state._runs is None, "bucket query must not store run arrays"
-        loads = state.load_vector()
-        for node, bucket in enumerate(buckets):
-            assert sum(w * c for w, c in bucket.items()) == loads[node]
-            assert set(bucket) <= {4}
+        weights = np.array([1, 4])
+        counts = state.real_counts(weights)
+        assert state._runs is None, "a count query must not store run arrays"
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts @ weights, state.load_vector())
+        assert not counts[:, 0].any()
 
     def test_single_class_streams_match_object_backend(self):
         """End-to-end: a single-class weighted stream stays trajectory-equal

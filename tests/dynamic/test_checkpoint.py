@@ -286,6 +286,24 @@ class TestCheckpointValidation:
         with pytest.raises(CheckpointError, match="malformed checkpoint"):
             restore_engine(replace(checkpoint, state=state))
 
+    # Edits of the golden unit_mixed state's run counters.
+    BAD_COUNTERS = {
+        "arrived-missing": lambda state: state.pop("arrived"),
+        "arrived-a-string": lambda state: state.update(arrived="lots"),
+        "round-a-bool": lambda state: state.update(round=True),
+        "next-label-a-float": lambda state: state.update(next_label=18.0),
+        "went-negative-an-int": lambda state: state.update(went_negative=0),
+        "boundary-clamped-missing": lambda state: state["boundary"].pop("clamped_tokens"),
+    }
+
+    @pytest.mark.parametrize("damage", sorted(BAD_COUNTERS))
+    def test_missing_or_mistyped_counter_rejected(self, damage):
+        checkpoint = read_checkpoint(DATA / "unit_mixed.ckpt.json")
+        state = copy.deepcopy(checkpoint.state)
+        self.BAD_COUNTERS[damage](state)
+        with pytest.raises(CheckpointError, match="malformed checkpoint: counter"):
+            restore_engine(replace(checkpoint, state=state))
+
 
 class TestGoldenCheckpoints:
     """Checkpoints written before the per-label array state still resume.

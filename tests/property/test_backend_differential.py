@@ -4,7 +4,8 @@ Hypothesis draws a small topology, a workload (unit counts, one weight class
 or mixed weights), an algorithm with its selection policy, a
 diffusion substrate and one mid-run ``recouple`` onto a second generated
 workload.  Both backends must then produce the same loads (with and without
-dummies), cumulative discrete flows and round reports after every round.
+dummies), cumulative discrete flows and round reports after every round, and
+the same real task counts per weight class at the end.
 SOS overshoots on the 16x16 torus from a point load, so dummy tokens appear
 and the array round's queue form runs, not only its scatter form.  The
 explicit examples make sure every run covers each planning branch of that
@@ -145,3 +146,8 @@ def test_object_and_array_backends_agree(topology, first, second, algorithm,
         assert_same_round(*pair, f"after recouple, round {round_index}")
     assert pair[0].dummy_tokens_created == pair[1].dummy_tokens_created
     event("dummies created" if pair[1].dummy_tokens_created else "no dummies")
+    weights = np.arange(1, 5)  # every weight class the workloads draw
+    counts = [balancer.real_counts(weights) for balancer in pair]
+    assert np.array_equal(*counts)
+    assert np.array_equal(counts[1] @ weights, pair[1].loads(include_dummies=False))
+    event("mixed classes" if np.count_nonzero(counts[1].any(axis=0)) > 1 else "one class")

@@ -4,8 +4,10 @@ Hypothesis draws an event profile, a seed, a backend, a unit or weighted
 (w <= 3, algorithm1) workload, a checkpoint cadence and a kill round.  An
 engine is stepped to the kill round, writing a version 2 checkpoint at round
 0 and every ``cadence`` rounds to one path, so all but the first write
-append to the sidecar.  Reading the last checkpoint back and resuming it
-must reproduce the uninterrupted run's traces, counters and event timeline.
+append to the sidecar.  An engine restored from a checkpoint written at the
+kill round must snapshot exactly as the live engine does there.  Reading the
+last checkpoint back and resuming it must reproduce the uninterrupted run's
+traces, counters and event timeline.
 So must the same checkpoint rendered in the version 1 layout (one JSON file
 with the timeline and traces inline), and a resume that keeps checkpointing
 to the same path: it starts a fresh sidecar, appends to it, and its final
@@ -22,12 +24,13 @@ import pathlib
 import tempfile
 from dataclasses import fields
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.checkpoint import (
     checkpoint_engine,
     read_checkpoint,
+    restore_engine,
     resume_stream,
     write_checkpoint,
 )
@@ -77,6 +80,7 @@ def _assert_same_run(resumed, baseline, label):
 @given(profile=st.sampled_from(sorted(EVENT_PROFILES)), seed=st.integers(0, 2**16),
        backend=st.sampled_from(["object", "array"]), weighted=st.booleans(),
        cadence=st.integers(1, 7), kill=st.integers(0, ROUNDS))
+@example(profile="mixed", seed=3, backend="array", weighted=False, cadence=3, kill=ROUNDS)
 @settings(deadline=None)
 def test_resume_after_a_kill_equals_the_uninterrupted_run(profile, seed, backend, weighted,
                                                           cadence, kill):
@@ -94,6 +98,12 @@ def test_resume_after_a_kill_equals_the_uninterrupted_run(profile, seed, backend
             totals.append(float(engine.total_real_load()))
             if engine.round_index % cadence == 0:
                 write_checkpoint(checkpoint_engine(engine, ROUNDS, trace, totals), path)
+        live = engine.state_dict()
+        at_kill = write_checkpoint(checkpoint_engine(engine, ROUNDS, trace, totals),
+                                   pathlib.Path(workdir) / "kill.ckpt.json")
+        restored = restore_engine(read_checkpoint(at_kill), generator=_generator(scenario))
+        assert restored.state_dict() == live
+
         checkpoint = read_checkpoint(path)
         assert checkpoint.round_index == kill - kill % cadence
         assert json.loads(path.read_text())["history"]["trace"] == checkpoint.round_index + 1

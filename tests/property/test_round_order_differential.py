@@ -70,7 +70,7 @@ def planning_order_round(self):
     if active.size == 0:
         self._report(0, 0, 0, 0)
         return
-    amounts = self._edge_amounts(np.abs(residual[active]), active)
+    amounts = self._edge_amounts(np.abs(residual))[active]
     moving = np.flatnonzero(amounts > 0)
     if moving.size == 0:
         self._report(0, 0, 0, 0)

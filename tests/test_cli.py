@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -572,6 +574,19 @@ class TestFaultToleranceCLI:
         capsys.readouterr()
         assert main(["resume", "--checkpoint", str(checkpoint)]) == 2
         assert "corrupt or truncated" in capsys.readouterr().err
+
+    def test_resume_checkpoint_without_a_counter_exits_2(self, tmp_path, capsys):
+        checkpoint = tmp_path / "run.checkpoint.json"
+        assert main(["dynamic", "--nodes", "8", "--rounds", "8",
+                     "--checkpoint-every", "4",
+                     "--checkpoint-path", str(checkpoint)]) == 0
+        data = json.loads(checkpoint.read_text())
+        del data["state"]["arrived"]
+        checkpoint.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["resume", "--checkpoint", str(checkpoint)]) == 2
+        assert ("error: malformed checkpoint: counter 'arrived' must be int, got nothing"
+                in capsys.readouterr().err)
 
     def test_resume_missing_checkpoint_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
